@@ -65,14 +65,29 @@ def _emit(report: dict, out: str | None) -> None:
     print(text)
 
 
-def _load_config_file(args: argparse.Namespace) -> None:
-    """Fill unset argument values from a JSON config file; flags win."""
+def _explicit_dests(argv) -> set[str]:
+    """Names of the arguments given on the command line: a parse in which
+    every default is suppressed keeps only those."""
+    parser = build_parser()
+    parsers = [parser]
+    for p in parsers:
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return set(vars(parser.parse_args(argv)))
+
+
+def _load_config_file(args: argparse.Namespace, argv=None) -> None:
+    """Fill argument values from a JSON config file; flags given on the
+    command line win, whatever their value."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         data = json.load(fh)
+    explicit = _explicit_dests(argv)
     for key, value in data.items():
-        if getattr(args, key, None) in (None, False):
+        if key not in explicit:
             setattr(args, key, value)
 
 
@@ -414,7 +429,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _load_config_file(args)
+        _load_config_file(args, argv)
         return args.func(args)
     except BudgetExhausted as exc:
         print(f"incomplete: {exc}", file=sys.stderr)

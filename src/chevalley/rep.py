@@ -32,7 +32,7 @@ from .weights import Weight, WeightModule, build_weights
 Atom = tuple[str, Root, RingElem]  # kinds: "x", "w", "h"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepTables:
     """Ring-independent action data: root patterns and the sign table."""
 
@@ -40,12 +40,6 @@ class RepTables:
     patterns: dict  # root -> (srcs, dsts, signs) int arrays
     signs: dict  # (weight index, root) -> +-1
     weyl_perm: dict  # simple root index -> (perm, signs) of w_i(1)
-
-    def __hash__(self):
-        return hash(self.wm)
-
-    def __eq__(self, other):
-        return isinstance(other, RepTables) and self.wm == other.wm
 
 
 def _pattern_arrays(pat: dict) -> tuple:

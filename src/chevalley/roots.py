@@ -51,9 +51,14 @@ def height(alpha: Root) -> int:
     return sum(alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingCase:
-    """A root system with its crossed vertex and orbit decomposition."""
+    """A root system with its crossed vertex and orbit decomposition.
+
+    Cases compare and hash by identity, so that the many tables cached per
+    case are keyed without hashing the root system.  Build them only through
+    ``build_case``, which returns one object per case.
+    """
 
     tag: str
     l: int
@@ -204,27 +209,32 @@ def _irreducible_components(case_pairing, roots: list[Root]) -> list[list[Root]]
     return comps
 
 
-@lru_cache(maxsize=None)
 def build_case(tag: str, l: int | None = None) -> EmbeddingCase:
     """Construct one of the three embedding cases.
 
     Case ``a`` needs an explicit rank (5 <= l <= 10); cases ``b`` and ``c``
-    have fixed ranks 6 and 7.
+    have fixed ranks 6 and 7.  Every spelling of a case (``("c",)``,
+    ``("c", 7)``, ``("c", None)``) returns the same object.
     """
     if tag == "a":
         if l is None or not 5 <= l <= MAX_RANK_A:
             raise DomainError(f"case a needs 5 <= l <= {MAX_RANK_A}, got {l}")
-        crossed, neighbour = l - 1, l - 3
     elif tag == "b":
         if l not in (None, 6):
             raise DomainError("case b has rank 6")
-        l, crossed, neighbour = 6, 0, 2
+        l = 6
     elif tag == "c":
         if l not in (None, 7):
             raise DomainError("case c has rank 7")
-        l, crossed, neighbour = 7, 6, 5
+        l = 7
     else:
         raise DomainError(f"unknown case tag {tag!r}")
+    return _build_case(tag, l)
+
+
+@lru_cache(maxsize=None)
+def _build_case(tag: str, l: int) -> EmbeddingCase:
+    crossed, neighbour = {"a": (l - 1, l - 3), "b": (0, 2), "c": (6, 5)}[tag]
 
     cartan = _cartan(tag, l)
     phi = _enumerate_roots(cartan)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, InternalConsistencyError
 from .roots import EmbeddingCase, Root, build_case, height
@@ -28,8 +28,15 @@ def pairing_wr(lam: Weight, alpha: Root) -> int:
     return sum(x * y for x, y in zip(lam, alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightModule:
+    """The weights of the basic module of one embedding case.
+
+    Modules compare and hash by identity, so that the tables cached per module
+    are keyed without hashing every weight.  Build them only through
+    ``build_weights``, which returns one object per case.
+    """
+
     case: EmbeddingCase
     weights: tuple[Weight, ...]  # canonical order, highest weight first
     lam0: Weight
@@ -44,7 +51,7 @@ class WeightModule:
     def index(self) -> dict:
         return _index_of(self)
 
-    @property
+    @cached_property
     def weight_set(self) -> frozenset:
         return frozenset(self.weights)
 

@@ -28,9 +28,10 @@ from chevalley.analysis import (
     stabilizes_column,
     transporter_check,
 )
-from chevalley.errors import DomainError
+from chevalley import analysis
+from chevalley.errors import DomainError, InternalConsistencyError
 from chevalley.rep import get_representation, representation, sample_word_rng
-from chevalley.rings import Ideal, RingSpec
+from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
 from chevalley.weights import sigma_split
 
@@ -109,6 +110,46 @@ def test_second_type_normalizer_exceeds_congruence(tag, l):
     assert not in_G_sigma(w, sigma)
     assert in_normalizer(w, sigma)
     assert transporter_check(w, sigma)
+
+
+def _normalizer_reference(g, sigma):
+    """The second-type normalizer conditions read entry by entry."""
+    wm = g.rep.wm
+    lam0, bottom = wm.lam0, wm.minus(wm.lam0)
+    for lam in wm.weights:
+        if lam in (lam0, bottom):
+            continue
+        if g.entry(lam0, lam) not in sigma.plus or g.inv_entry(lam, lam0) not in sigma.minus:
+            return False
+    corner = Ideal.from_elems(g.rep.ring, [g.entry(lam0, bottom)])
+    inv_corner = Ideal.from_elems(g.rep.ring, [g.inv_entry(bottom, lam0)])
+    return corner * sigma.minus <= sigma.plus and inv_corner * sigma.plus <= sigma.minus
+
+
+@pytest.mark.parametrize(
+    "tag,l,ring_name,level",
+    [("c", None, "z4", "(2),(0)"), ("c", None, "z12", "(2),(3)"), ("a", 6, "z8", "(4),(2)"), ("c", None, "f2t2", None)],
+)
+def test_second_type_normalizer_matches_entrywise_reference(tag, l, ring_name, level):
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    if level is None:
+        t = Ideal.from_elems(ring, [ring.from_parts([(0, 1)])])
+        sigma = SigmaPair(t, Ideal.zero(ring))
+    else:
+        sigma = parse_sigma(ring, level)
+    level_atoms = sigma_generator_atoms(rep, sigma)
+    any_atoms = [("x", a, v) for a in rep.case.phi for v in ring.elements() if not v.is_zero()]
+    rng = SplitMix64(3)
+    verdicts = []
+    for i in range(30):
+        g = sample_word_rng(rep, level_atoms if i % 3 else any_atoms, 1 + i % 5, rng)
+        if i % 4 == 0:
+            g = g * rep.w(rep.case.simple_roots[i % rep.case.l], 1)
+        verdict = in_normalizer(g, sigma)
+        assert verdict == _normalizer_reference(g, sigma)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_moving_the_top_line_breaks_zero_level(rep_c_z4):
@@ -422,12 +463,94 @@ def test_transporter_examples(rep_b_z4):
     assert not transporter_check(rep.x(rep.case.omega_plus[0], 1), sigma)
 
 
+def _transporter_oracle(g, sigma, atoms):
+    """The full-conjugate path: each atom as a whole matrix, conjugated by g."""
+    rep = g.rep
+    return all(in_G_sigma(rep.element_from_word((a,)).conjugate(g), sigma) for a in atoms)
+
+
+def _members_and_escapes(rep, sigma, seed, n=4):
+    """n words in the level generators, each also moved by a unit upper-orbit
+    root element."""
+    atoms = sigma_generator_atoms(rep, sigma)
+    rng = SplitMix64(seed)
+    plus = rep.case.omega_plus
+    out = []
+    for _ in range(n):
+        g = sample_word_rng(rep, atoms, 4, rng)
+        out += [g, rep.x(plus[rng.randrange(len(plus))], 1) * g]
+    return out
+
+
+def _check_against_oracle(rep, sigma, seed):
+    atoms = sigma_generator_atoms(rep, sigma)
+    verdicts = []
+    for g in _members_and_escapes(rep, sigma, seed):
+        verdict = transporter_check(g, sigma)
+        assert verdict == _transporter_oracle(g, sigma, atoms)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("tag", ["b", "c"])
+@pytest.mark.parametrize(
+    "ring_name,level", [("z4", "(2),(0)"), ("z8", "(4),(2)"), ("z12", "(6),(3)")]
+)
+def test_line_only_transporter_matches_full_conjugates(tag, ring_name, level):
+    ring = named_ring(ring_name)
+    rep = representation(tag, None, ring)
+    _check_against_oracle(rep, parse_sigma(ring, level), seed=len(ring_name) + ord(tag))
+
+
+@pytest.mark.parametrize("tag", ["b", "c"])
+def test_line_only_transporter_over_truncated_polynomials(tag):
+    ring = named_ring("f2t2")
+    rep = representation(tag, None, ring)
+    t = Ideal.from_elems(ring, [ring.from_parts([(0, 1)])])
+    for sigma in (SigmaPair(t, Ideal.zero(ring)), SigmaPair(t, t)):
+        _check_against_oracle(rep, sigma, seed=ord(tag))
+
+
+def test_sampled_transporter_matches_full_conjugates(rep_c_z4):
+    rep = rep_c_z4
+    sigma = parse_sigma(rep.ring, "(2),(0)")
+    atoms = sigma_generator_atoms(rep, sigma)
+    verdicts = []
+    for g in _members_and_escapes(rep, sigma, seed=53, n=2):
+        for seed in range(12):
+            rng = SplitMix64(seed)
+            picked = [atoms[rng.randrange(len(atoms))] for _ in range(3)]
+            verdict = transporter_check(g, sigma, max_generators=3, seed=seed)
+            assert verdict == _transporter_oracle(g, sigma, picked)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 def test_certificate_subsystem_only(rep_b_z4):
     rep = rep_b_z4
     target = SigmaPair.zero(rep.ring)
     cert = level_certificate(rep, _delta_atoms(rep), [], target, budget=60, seed=31)
     assert cert.matched and cert.lower == target
     assert cert.normalizer_consistent
+
+
+def test_certificate_propagates_broken_invariants(rep_b_z4, monkeypatch):
+    rep = rep_b_z4
+    target = SigmaPair.zero(rep.ring)
+
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("planted")
+
+    monkeypatch.setattr(analysis, "extract_from_parabolic", broken)
+    with pytest.raises(InternalConsistencyError, match="planted"):
+        level_certificate(rep, _delta_atoms(rep), [], target, budget=5, seed=31)
+
+    def refused(*args, **kwargs):
+        raise DomainError("not applicable")
+
+    monkeypatch.setattr(analysis, "extract_from_parabolic", refused)
+    cert = level_certificate(rep, _delta_atoms(rep), [], target, budget=5, seed=31)
+    assert cert.witnesses == []
 
 
 def test_certificate_with_extra_generator(rep_b_z4):

@@ -186,6 +186,17 @@ def test_config_file_defaults(capsys, tmp_path):
     assert report["config"]["case"] == "b"
 
 
+def test_explicit_flags_beat_the_config_file(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "case": "c"}))
+    code, report = run(capsys, "relcheck", "--case", "b", "--seed", "0", "--config", str(cfg))
+    assert code == 0
+    assert report["config"]["seed"] == 0
+    assert report["config"]["case"] == "b"
+    code, report = run(capsys, "relcheck", "--case", "b", "--config", str(cfg))
+    assert report["config"]["seed"] == 5
+
+
 def test_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, _ = run(capsys, "info", "--case", "b", "--out", str(out))

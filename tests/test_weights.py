@@ -146,3 +146,14 @@ def test_canonical_order_starts_at_top():
         # component order refines the weight order
         for i in range(len(wm.components) - 1):
             assert all(wm.component_of(w) == i for w in wm.components[i])
+
+
+def test_cases_and_modules_are_keyed_by_identity():
+    assert build_case("c") is build_case("c", 7) is build_case("c", None)
+    wm = build_weights(build_case("c"))
+    assert build_weights(build_case("c")) is wm
+    assert default_module("c") is wm
+    # the hash is the object's identity, not a hash over every weight
+    assert hash(wm) == object.__hash__(wm)
+    assert hash(wm.case) == object.__hash__(wm.case)
+    assert wm.weight_set is wm.weight_set
