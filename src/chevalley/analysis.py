@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -21,8 +22,15 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
 )
-from .matrices import RVec, mat_col, mat_row
-from .rep import Atom, GroupElement, Representation, sample_word_rng
+from .matrices import RMat, RVec, mat_col, mat_row, signed_entries
+from .rep import (
+    Atom,
+    GroupElement,
+    Representation,
+    _cross_component_mask,
+    is_component_blocked,
+    sample_word_rng,
+)
 from .rings import Ideal, RingElem, RingSpec
 from .rng import SplitMix64
 from .roots import Root, height
@@ -163,6 +171,22 @@ def _line_in_ideal(line: RVec, idx, ideal: Ideal) -> bool:
     return True
 
 
+def _line_ideal(line: RVec, idx) -> Ideal:
+    """The ideal generated by the selected entries of a line: per factor the
+    least valuation, or the gcd over the integers."""
+    parts = []
+    for f, blk in zip(line.spec.factors, line.blocks):
+        if f.kind == "poly":
+            hit = np.flatnonzero(blk[:, idx].any(axis=1))
+            parts.append(int(hit[0]) if len(hit) else f.k)
+        elif f.kind == "int":
+            parts.append(gcd(*(int(v) for v in blk[idx])))
+        else:
+            vals = blk[idx]
+            parts.append(next((e for e in range(f.k) if np.any(vals % f.p ** (e + 1))), f.k))
+    return Ideal(line.spec, tuple(parts))
+
+
 def _top_lines_in_level(wm, column: RVec, row: RVec, sigma: SigmaPair) -> bool:
     """The congruence conditions on the top column and top row of a matrix:
     off the top weight, the column lies in the minus ideal and the row in the
@@ -180,10 +204,6 @@ def in_G_sigma(g: GroupElement, sigma: SigmaPair) -> bool:
     return _top_lines_in_level(wm, mat_col(g.mat, top), mat_row(g.mat, top), sigma)
 
 
-def _elem_ideal_inside(x: RingElem, i: Ideal, j: Ideal) -> bool:
-    return Ideal.from_elems(x.spec, [x]) * i <= j
-
-
 def in_normalizer(g: GroupElement, sigma: SigmaPair) -> bool:
     """Matrix conditions cutting out the normalizer of the level-sigma
     elementary group: the congruence conditions for first-type cases, relaxed
@@ -191,24 +211,25 @@ def in_normalizer(g: GroupElement, sigma: SigmaPair) -> bool:
     wm = g.rep.wm
     if wm.kind == "first":
         return in_G_sigma(g, sigma)
-    lam0 = wm.lam0
-    bottom = wm.minus(lam0)
-    top = wm.idx(lam0)
-    middle = _between_corners(wm)
-    if not _line_in_ideal(mat_row(g.mat, top), middle, sigma.plus):
+    top, bottom, middle = _corner_positions(wm)
+    row = mat_row(g.mat, top)
+    if not _line_in_ideal(row, middle, sigma.plus):
         return False
-    if not _line_in_ideal(mat_col(g.inv_mat, top), middle, sigma.minus):
+    inv_column = mat_col(g.inv_mat, top)
+    if not _line_in_ideal(inv_column, middle, sigma.minus):
         return False
-    if not _elem_ideal_inside(g.entry(lam0, bottom), sigma.minus, sigma.plus):
+    if not _line_ideal(row, bottom) * sigma.minus <= sigma.plus:
         return False
-    return _elem_ideal_inside(g.inv_entry(bottom, lam0), sigma.plus, sigma.minus)
+    return _line_ideal(inv_column, bottom) * sigma.plus <= sigma.minus
 
 
 @lru_cache(maxsize=None)
-def _between_corners(wm):
-    """Indices of every weight except the top one and its negative."""
-    ends = (wm.idx(wm.lam0), wm.idx(wm.minus(wm.lam0)))
-    return np.array([i for i in range(wm.dim) if i not in ends], dtype=np.intp)
+def _corner_positions(wm):
+    """The top weight's index, the index of its negative (as a one-element
+    array), and the indices of every other weight."""
+    top, bottom = wm.idx(wm.lam0), wm.idx(wm.minus(wm.lam0))
+    middle = np.array([i for i in range(wm.dim) if i not in (top, bottom)], dtype=np.intp)
+    return top, np.array([bottom], dtype=np.intp), middle
 
 
 # -- root-type matrix identities --------------------------------------------------------
@@ -297,11 +318,6 @@ def _identity_mat(rep: Representation):
 
 
 @lru_cache(maxsize=None)
-def _component_blocks(wm) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(wm.idx(w) for w in comp) for comp in wm.components)
-
-
-@lru_cache(maxsize=None)
 def _radical_frozen_mask(wm):
     """Positions where a radical part must agree with the identity: everything
     except the strictly upper component blocks."""
@@ -323,15 +339,11 @@ def _matches_on_mask(mat, reference, mask) -> bool:
 
 
 def _block_diagonal_part(g: GroupElement) -> GroupElement:
-    wm = g.rep.wm
-    out = g.mat - g.mat  # zero matrix over the right spec
-    for block in _component_blocks(wm):
-        for i in block:
-            for j in block:
-                out.set_entry(i, j, g.mat.entry(i, j))
-    mat = out
-    inv = mat.inv()
-    return GroupElement(g.rep, mat, inv, word=None)
+    """The diagonal component blocks of g.  Its inverse is computed at once,
+    since that elimination is the invertibility check."""
+    cross = _cross_component_mask(g.rep.wm)
+    mat = RMat(g.mat.spec, g.mat.n, [np.where(cross, 0, blk) for blk in g.mat.blocks])
+    return GroupElement(g.rep, mat, mat.inv(), word=None)
 
 
 def _weyl_word_to_top(rep: Representation, lam: Weight) -> GroupElement:
@@ -394,82 +406,72 @@ def opposite_levi_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gro
     return vt.conjugate(winv), lt.conjugate(winv)
 
 
-def coords_row(h: GroupElement, lam: Weight, roots) -> dict:
-    """Root coordinates of an abelian unipotent element read from the lam row."""
-    rep = h.rep
+@lru_cache(maxsize=None)
+def _coord_positions(rep: Representation, lam: Weight, roots: tuple, on_row: bool):
+    """Where the coordinates of the given roots sit on the lam row (or
+    column), with the structure constants that turn entries into
+    coordinates: (lam index, positions, signs)."""
     wm = rep.wm
-    out = {}
+    positions, signs = [], []
     for beta in roots:
-        mu = wm.shift(lam, tuple(-x for x in beta))
+        if on_row:
+            mu = wm.shift(lam, tuple(-x for x in beta))
+        else:
+            mu = wm.shift(lam, beta)
         if mu is None:
             raise DomainError(f"root {beta} does not shift the weight")
-        c = rep.sign(mu, beta)
-        val = h.entry(lam, mu)
-        if c < 0:
-            val = -val
-        if not val.is_zero():
-            out[beta] = val
-    return out
+        positions.append(wm.idx(mu))
+        signs.append(rep.sign(mu, beta) if on_row else rep.sign(lam, beta))
+    return wm.idx(lam), np.array(positions, dtype=np.intp), np.array(signs, dtype=np.int64)
+
+
+def _line_coords(h: GroupElement, lam: Weight, roots, on_row: bool) -> dict:
+    roots = tuple(roots)
+    i, positions, signs = _coord_positions(h.rep, lam, roots, on_row)
+    line = mat_row(h.mat, i) if on_row else mat_col(h.mat, i)
+    return {
+        beta: val
+        for beta, val in zip(roots, signed_entries(line, positions, signs))
+        if val is not None
+    }
+
+
+def coords_row(h: GroupElement, lam: Weight, roots) -> dict:
+    """Root coordinates of an abelian unipotent element read from the lam row:
+    the nonzero ones, in the order of the roots."""
+    return _line_coords(h, lam, roots, True)
 
 
 def coords_col(h: GroupElement, lam: Weight, roots) -> dict:
     """Coordinates of an opposite unipotent element read from the lam column."""
-    rep = h.rep
-    wm = rep.wm
-    out = {}
-    for beta in roots:
-        mu = wm.shift(lam, beta)
-        if mu is None:
-            raise DomainError(f"root {beta} does not shift the weight")
-        c = rep.sign(lam, beta)
-        val = h.entry(mu, lam)
-        if c < 0:
-            val = -val
-        if not val.is_zero():
-            out[beta] = val
-    return out
+    return _line_coords(h, lam, roots, False)
+
+
+@lru_cache(maxsize=None)
+def _negated(roots: tuple) -> tuple:
+    return tuple(tuple(-x for x in r) for r in roots)
 
 
 def chevalley_matsumoto(g: GroupElement) -> tuple[GroupElement, GroupElement, GroupElement]:
     """Factor g with a unit top corner as v * g1 * u with u in the unipotent
     radical, v in the opposite one, and g1 in the Levi."""
     rep = g.rep
-    wm = rep.wm
-    lam0 = wm.lam0
+    lam0 = rep.wm.lam0
     corner = g.entry(lam0, lam0)
     if not corner.is_unit():
         raise DomainError("decomposition needs a unit top corner")
     ainv = corner.inv()
 
-    u_atoms = []
-    for alpha in rep.case.omega_plus:
-        mu = wm.shift(lam0, tuple(-x for x in alpha))
-        c = rep.sign(mu, alpha)
-        xi = ainv * g.entry(lam0, mu)
-        if c < 0:
-            xi = -xi
-        if not xi.is_zero():
-            u_atoms.append(("x", alpha, xi))
-    u = rep.element_from_word(tuple(u_atoms))
+    u_coords = coords_row(g, lam0, rep.case.omega_plus)
+    u = rep.element_from_word(tuple(("x", alpha, ainv * xi) for alpha, xi in u_coords.items()))
 
     g2 = g * u.inverse()
-    v_atoms = []
-    for beta in rep.case.omega_plus:
-        neg = tuple(-x for x in beta)
-        mu = wm.shift(lam0, neg)
-        c = rep.sign(lam0, neg)
-        eta = ainv * g2.entry(mu, lam0)
-        if c < 0:
-            eta = -eta
-        if not eta.is_zero():
-            v_atoms.append(("x", neg, eta))
-    v = rep.element_from_word(tuple(v_atoms))
+    v_coords = coords_col(g2, lam0, _negated(rep.case.omega_plus))
+    v = rep.element_from_word(tuple(("x", beta, ainv * eta) for beta, eta in v_coords.items()))
 
     g1 = v.inverse() * g2
     if not (in_parabolic(g1) and in_opposite_parabolic(g1)):
         raise DomainError("middle factor is not scalar on the top row and column")
-    from .rep import is_component_blocked
-
     if not is_component_blocked(g1):
         raise DomainError("middle factor maps across components")
     if not (v * g1 * u) == g:
@@ -582,7 +584,7 @@ def _greedy_to_corner(
         if side > 0:
             coords = coords_row(h, lam0, case.omega_plus)
         else:
-            coords = coords_col(h, lam0, [tuple(-x for x in b) for b in case.omega_plus])
+            coords = coords_col(h, lam0, _negated(case.omega_plus))
         if any(v in ideal for v in coords.values()):
             raise InternalConsistencyError("cold coordinate appeared during reduction")
         if not coords:
@@ -622,7 +624,7 @@ def extract_from_parabolic(g: GroupElement, ideal: Ideal, side: int = +1) -> Wit
     else:
         u, _ = opposite_levi_split(g, None)
         trace.append(("opposite_unipotent_part", lam0))
-        coords = coords_col(u, lam0, [tuple(-x for x in b) for b in case.omega_plus])
+        coords = coords_col(u, lam0, _negated(case.omega_plus))
 
     hot = {r: v for r, v in coords.items() if v not in ideal}
     if not hot:
@@ -900,15 +902,23 @@ def ring_commutator_identity_holds(x: GroupElement, g: GroupElement) -> bool:
 def corner_ideals(g: GroupElement, lam1: Weight) -> tuple[Ideal, Ideal, Ideal, Ideal]:
     """Ideals generated by the first-component column and row entries and by
     the two corner entries at the top weight."""
-    rep = g.rep
-    wm = rep.wm
-    lam0 = wm.lam0
-    others = [mu for mu in wm.components[1] if mu != lam1]
-    a = Ideal.from_elems(rep.ring, [g.entry(mu, lam1) for mu in others])
-    b = Ideal.from_elems(rep.ring, [g.entry(lam0, lam1)])
-    a_prime = Ideal.from_elems(rep.ring, [g.entry(lam1, mu) for mu in others])
-    b_prime = Ideal.from_elems(rep.ring, [g.entry(lam1, lam0)])
-    return a, b, a_prime, b_prime
+    j, others, top = _corner_ideal_positions(g.rep.wm, lam1)
+    column = mat_col(g.mat, j)
+    row = mat_row(g.mat, j)
+    return (
+        _line_ideal(column, others),
+        _line_ideal(column, top),
+        _line_ideal(row, others),
+        _line_ideal(row, top),
+    )
+
+
+@lru_cache(maxsize=None)
+def _corner_ideal_positions(wm, lam1: Weight):
+    """The index of lam1, the indices of the rest of its component, and the
+    top weight's index as a one-element array."""
+    others = [wm.idx(mu) for mu in wm.components[1] if mu != lam1]
+    return wm.idx(lam1), np.array(others, dtype=np.intp), np.array([wm.idx(wm.lam0)], dtype=np.intp)
 
 
 # -- transporter and level certificates -------------------------------------------------------

@@ -65,6 +65,44 @@ def _emit(report: dict, out: str | None) -> None:
     print(text)
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The options of a subcommand by destination name."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value as the parser stores it: converted with the option's
+    type (from its text, as on the command line) and checked against its
+    choices.  Null keeps the option's default meaning; options without a type
+    take strings, and ``ring`` also a ring object."""
+    if value is None:
+        return None
+    if action.nargs == 0:  # a switch such as --weights
+        if not isinstance(value, bool):
+            raise DomainError(f"config key {key!r} needs true or false, got {value!r}")
+        return value
+    if action.type is None:
+        if not (isinstance(value, str) or (key == "ring" and isinstance(value, dict))):
+            raise DomainError(f"config key {key!r} needs a string, got {value!r}")
+    else:
+        try:
+            value = action.type(value if isinstance(value, str) else str(value))
+        except (TypeError, ValueError):
+            raise DomainError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise DomainError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
 def _explicit_dests(argv) -> set[str]:
     """Names of the arguments given on the command line: a parse in which
     every default is suppressed keeps only those."""
@@ -80,15 +118,21 @@ def _explicit_dests(argv) -> set[str]:
 
 def _load_config_file(args: argparse.Namespace, argv=None) -> None:
     """Fill argument values from a JSON config file; flags given on the
-    command line win, whatever their value."""
+    command line win, whatever their value.  Keys must name options of the
+    command, and values are converted as the parser converts flags."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        data = json.load(fh)
+    data = _read_json(args.config)
+    if not isinstance(data, dict):
+        raise DomainError(f"config file {args.config} must hold a JSON object")
+    actions = _command_actions(build_parser(), args.command)
+    unknown = sorted(set(data) - set(actions))
+    if unknown:
+        raise DomainError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
     explicit = _explicit_dests(argv)
     for key, value in data.items():
         if key not in explicit:
-            setattr(args, key, value)
+            setattr(args, key, _config_value(actions[key], key, value))
 
 
 def _case_args(args) -> tuple[str, int | None]:
@@ -102,30 +146,38 @@ def _case_args(args) -> tuple[str, int | None]:
 def _ring_arg(args) -> RingSpec:
     if getattr(args, "ring", None) is None:
         raise DomainError("--ring is required")
-    return named_ring(args.ring) if isinstance(args.ring, str) else RingSpec.from_json(args.ring)
+    if isinstance(args.ring, str):
+        return named_ring(args.ring)
+    try:
+        return RingSpec.from_json(args.ring)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        raise DomainError(f"cannot parse ring {args.ring!r}") from None
 
 
 def _load_extra(rep, path: str | None):
     """Extra generators: single atoms or whole words."""
     if not path:
         return []
-    with open(path) as fh:
-        data = json.load(fh)
-    out = []
-    for item in data:
-        if "word" in item:
-            atoms = tuple(
-                (k, tuple(r), RingElem.from_json(rep.ring, v)) for k, r, v in item["word"]
-            )
-            out.append(rep.element_from_word(atoms))
-        else:
-            atom = (
-                item.get("kind", "x"),
-                tuple(item["root"]),
-                RingElem.from_json(rep.ring, item["value"]),
-            )
-            out.append(rep.element_from_word((atom,)))
-    return out
+    data = _read_json(path)
+    words = []
+    try:
+        for item in data:
+            if "word" in item:
+                atoms = tuple(
+                    (k, tuple(r), RingElem.from_json(rep.ring, v)) for k, r, v in item["word"]
+                )
+            else:
+                atoms = (
+                    (
+                        item.get("kind", "x"),
+                        tuple(item["root"]),
+                        RingElem.from_json(rep.ring, item["value"]),
+                    ),
+                )
+            words.append(atoms)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"malformed extra generator in {path}: {exc!r}") from None
+    return [rep.element_from_word(atoms) for atoms in words]
 
 
 def _suites_exit(suites: list[SuiteResult]) -> int:
@@ -196,13 +248,15 @@ def cmd_forms(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    with open(args.infile) as fh:
-        data = json.load(fh)
-    tag = data["case"]
-    l = data.get("l")
-    ring = RingSpec.from_json(data["ring"])
+    data = _read_json(args.infile)
+    try:
+        tag = data["case"]
+        l = data.get("l")
+        ring = RingSpec.from_json(data["ring"])
+        mat = RMat.from_json(ring, data["rows"])
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise DomainError(f"malformed matrix file {args.infile}: {exc!r}") from None
     rep = get_representation(build_weights(build_case(tag, l)), ring)
-    mat = RMat.from_json(ring, data["rows"])
     g = rep.from_matrix(mat)
     v, g1, u = chevalley_matsumoto(g)
     config = {"command": "decompose", "case": tag, "l": l, "ring": ring.to_json()}
@@ -434,7 +488,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, NonUnitError, UnsupportedCaseError, FileNotFoundError, KeyError) as exc:
+    except (DomainError, NonUnitError, UnsupportedCaseError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

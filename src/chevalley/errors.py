@@ -17,10 +17,6 @@ class InternalConsistencyError(RuntimeError):
     """A property that the construction guarantees failed to hold."""
 
 
-class DecompositionError(RuntimeError):
-    """A matrix factorization could not be carried out."""
-
-
 class UnsupportedCaseError(ValueError):
     """The operation is not defined for this embedding case."""
 

@@ -301,32 +301,37 @@ class RMat:
 
 
 def _inv_zmod(a: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
+    """Gauss-Jordan inverse mod p^k.  The pivot of a column is its first unit
+    entry on or below the diagonal, found with one ``nonzero`` when the
+    diagonal entry is not a unit; every other row with a nonzero entry in the
+    pivot column is cleared in one outer-product update."""
     m = p**k
     if m == 1:
         return np.zeros_like(a)
     work = a.astype(np.int64) % m
     out = np.zeros_like(work)
     np.fill_diagonal(out, 1)
-    work = work.copy()
     for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if work[r, col] % p != 0:
-                piv = r
-                break
-        if piv < 0:
-            raise NonUnitError("no unit pivot; matrix is not invertible over the local factor")
-        if piv != col:
+        if work[col, col] % p:
+            piv = col
+        else:
+            units = (work[col:, col] % p).nonzero()[0]
+            if not len(units):
+                raise NonUnitError("no unit pivot; matrix is not invertible over the local factor")
+            piv = col + int(units[0])
             work[[col, piv]] = work[[piv, col]]
             out[[col, piv]] = out[[piv, col]]
         inv_piv = pow(int(work[col, col]), -1, m)
-        work[col] = (work[col] * inv_piv) % m
-        out[col] = (out[col] * inv_piv) % m
-        for r in range(n):
-            if r != col and work[r, col] != 0:
-                factor = int(work[r, col])
-                work[r] = (work[r] - factor * work[col]) % m
-                out[r] = (out[r] - factor * out[col]) % m
+        if inv_piv != 1:
+            work[col] = (work[col] * inv_piv) % m
+            out[col] = (out[col] * inv_piv) % m
+        factors = work[:, col].copy()
+        factors[col] = 0
+        rows = factors.nonzero()[0]
+        if len(rows):
+            f = factors[rows, None]
+            work[rows] = (work[rows] - f * work[col]) % m
+            out[rows] = (out[rows] - f * out[col]) % m
     return out
 
 
@@ -432,6 +437,31 @@ class RVec:
                     blk[s][dsts] = acc % f.p
             else:
                 blk[dsts] = blk[dsts] + (signs * part) * blk[srcs]
+
+
+def signed_entries(vec: RVec, idx, signs) -> list:
+    """The entries signs * vec[idx] as ring elements, None where an entry is
+    zero; only the nonzero ones are boxed."""
+    columns = []
+    nonzero = np.zeros(len(idx), dtype=bool)
+    for f, blk in zip(vec.spec.factors, vec.blocks):
+        if f.kind == POLY:
+            vals = (blk[:, idx] * signs) % f.p
+            nonzero |= vals.any(axis=0)
+            columns.append([tuple(c) for c in vals.T.tolist()])
+        elif f.kind == ZMOD:
+            vals = (blk[idx] * signs) % f.modulus
+            nonzero |= vals != 0
+            columns.append(vals.tolist())
+        else:
+            vals = [int(v) * int(c) for v, c in zip(blk[idx], signs)]
+            nonzero |= np.array([v != 0 for v in vals], dtype=bool)
+            columns.append(vals)
+    spec = vec.spec
+    return [
+        RingElem(spec, parts) if nz else None
+        for nz, parts in zip(nonzero.tolist(), zip(*columns))
+    ]
 
 
 def mat_col(mat: RMat, j: int) -> RVec:

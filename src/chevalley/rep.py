@@ -10,15 +10,18 @@ conjugate of a simple pattern by a monomial Weyl matrix, one simple reflection
 at a time; this pins one concrete sign table whose correctness is checked by
 the relation suite rather than against any published table.
 
-Group elements carry their exact inverse alongside the matrix; elements built
-from generator words get the inverse by replaying the reversed word, and
-matrix-only inputs fall back to per-factor elimination.
+A group element holds its matrix; its exact inverse and its generator word
+are computed on first read.  For an element built from a generator word the
+inverse is the replay of the reversed word, for a product it is the product of
+the factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
+elimination, because that elimination is its invertibility check.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -130,28 +133,88 @@ def rep_tables(wm: WeightModule) -> RepTables:
     return RepTables(wm=wm, patterns=arrays, signs=signs, weyl_perm=weyl_perm)
 
 
+class _Lazy:
+    """A value computed on first read from the values of other lazy nodes.
+
+    ``fn`` is None once the value is known.  Reading walks the unresolved
+    inputs with an explicit stack, so a chain of thousands of products
+    resolves without recursion.  A resolved node drops ``fn`` and its inputs,
+    so it keeps alive only its own value.
+    """
+
+    __slots__ = ("value", "fn", "args")
+
+    def __init__(self, value=None, fn=None, args=()):
+        self.value = value
+        self.fn = fn
+        self.args = args
+
+    def get(self):
+        if self.fn is None:
+            return self.value
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node.fn is None:
+                stack.pop()
+                continue
+            pending = [a for a in node.args if a.fn is not None]
+            if pending:
+                stack += pending
+                continue
+            node.value = node.fn(*[a.value for a in node.args])
+            node.fn = None
+            node.args = ()
+            stack.pop()
+        return self.value
+
+
+def _concat_words(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _inverse_word(word):
+    return None if word is None else tuple(invert_atom(a) for a in reversed(word))
+
+
 class GroupElement:
-    """A module automorphism together with its exact inverse."""
+    """A module automorphism.
 
-    __slots__ = ("rep", "mat", "inv_mat", "word")
+    ``inv_mat`` (the exact inverse) and ``word`` (the generator word, or None
+    for matrix-only elements) are computed on first read and then kept.  The
+    deferred computations hold the factors' inverse and word data, never the
+    factors' forward matrices.
+    """
 
-    def __init__(self, rep: "Representation", mat: RMat, inv_mat: RMat, word=None):
+    __slots__ = ("rep", "mat", "_inv", "_word")
+
+    def __init__(self, rep: "Representation", mat: RMat, inv, word=None):
+        """``inv`` and ``word`` are values or ``_Lazy`` nodes."""
         self.rep = rep
         self.mat = mat
-        self.inv_mat = inv_mat
-        self.word = word
+        self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
+        self._word = word if isinstance(word, _Lazy) else _Lazy(word)
+
+    @property
+    def inv_mat(self) -> RMat:
+        return self._inv.get()
+
+    @property
+    def word(self):
+        return self._word.get()
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return GroupElement(self.rep, self.mat * other.mat, other.inv_mat * self.inv_mat, word)
+        return GroupElement(
+            self.rep,
+            self.mat * other.mat,
+            _Lazy(fn=operator.mul, args=(other._inv, self._inv)),
+            _Lazy(fn=_concat_words, args=(self._word, other._word)),
+        )
 
     def inverse(self) -> "GroupElement":
-        word = None
-        if self.word is not None:
-            word = tuple(invert_atom(a) for a in reversed(self.word))
-        return GroupElement(self.rep, self.inv_mat, self.mat, word)
+        return GroupElement(
+            self.rep, self.inv_mat, self.mat, _Lazy(fn=_inverse_word, args=(self._word,))
+        )
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """by * self * by^-1."""
@@ -218,7 +281,10 @@ class Representation:
         return self.tables.signs[(self.wm.idx(lam), alpha)]
 
     def pattern(self, alpha: Root):
-        return self.tables.patterns[alpha]
+        try:
+            return self.tables.patterns[alpha]
+        except KeyError:
+            raise DomainError(f"{alpha} is not a root of {self.case.describe()}") from None
 
     # -- element constructors ----------------------------------------------------
 
@@ -253,10 +319,15 @@ class Representation:
         mat = RMat.identity(self.ring, self.n)
         for root, value in xs:
             mat.apply_x_right(self.pattern(root), value)
+        return GroupElement(self, mat, _Lazy(fn=partial(self._replay_inverse, xs)), word=atoms)
+
+    def _replay_inverse(self, xs) -> RMat:
+        """Inverse of the product of the expanded atoms: the reversed word
+        with negated parameters."""
         inv = RMat.identity(self.ring, self.n)
         for root, value in reversed(xs):
             inv.apply_x_right(self.pattern(root), -value)
-        return GroupElement(self, mat, inv, word=atoms)
+        return inv
 
     def x(self, alpha: Root, xi) -> GroupElement:
         return self.element_from_word((("x", alpha, self.scalar(xi)),))
@@ -276,6 +347,8 @@ class Representation:
         )
 
     def from_matrix(self, mat: RMat) -> GroupElement:
+        """A matrix-only element.  Its inverse is computed at once: the
+        elimination is the invertibility check (``NonUnitError``)."""
         if mat.n != self.n or mat.spec != self.ring:
             raise DomainError("matrix does not match the representation")
         return GroupElement(self, mat.copy(), mat.inv(), word=None)
@@ -305,10 +378,16 @@ class Representation:
         if ideal.spec != self.ring:
             raise DomainError("ideal over a different ring")
         qrep = get_representation(self.wm, ideal.quotient_spec())
-        word = None
-        if g.word is not None:
-            word = tuple((k, r, ideal.reduce_elem(v)) for k, r, v in g.word)
-        return GroupElement(qrep, g.mat.reduce(ideal), g.inv_mat.reduce(ideal), word)
+
+        def reduce_word(word):
+            return None if word is None else tuple((k, r, ideal.reduce_elem(v)) for k, r, v in word)
+
+        return GroupElement(
+            qrep,
+            g.mat.reduce(ideal),
+            _Lazy(fn=lambda inv: inv.reduce(ideal), args=(g._inv,)),
+            _Lazy(fn=reduce_word, args=(g._word,)),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -344,11 +423,6 @@ def delta_atoms(rep: Representation, values=None) -> list[Atom]:
     if values is None:
         values = [v for v in rep.ring.elements() if not v.is_zero()]
     return [("x", alpha, v) for alpha in rep.case.delta for v in values]
-
-
-def torus_atoms(rep: Representation) -> list[Atom]:
-    units = [u for u in rep.ring.units()]
-    return [("h", alpha, u) for alpha in rep.case.simple_roots for u in units]
 
 
 @lru_cache(maxsize=None)

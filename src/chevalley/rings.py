@@ -580,11 +580,6 @@ def _val_int(n: int, p: int) -> int:
     return v
 
 
-def ideal_from_int(spec: RingSpec, n: int) -> Ideal:
-    """The ideal generated by the image of the integer n."""
-    return Ideal.from_elems(spec, [spec.el(n)])
-
-
 @lru_cache(maxsize=None)
 def named_ring(name: str) -> RingSpec:
     """Parse shorthand ring names: ``z8``, ``z12``, ``f2t2``, ``int``."""

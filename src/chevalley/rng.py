@@ -36,7 +36,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def split(self) -> "SplitMix64":
-        """Child generator; decorrelated from subsequent draws of the parent."""
-        return SplitMix64(self.next_u64())

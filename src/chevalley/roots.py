@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -116,9 +116,20 @@ class EmbeddingCase:
         return "first" if self.tag == "b" else "second"
 
     def root_fund_coords(self, alpha: Root) -> tuple[int, ...]:
-        """Coordinates of a root in the fundamental-weight basis."""
+        """Coordinates of a root in the fundamental-weight basis; the roots of
+        Phi come from a table built once per case."""
+        coords = self._fund_coords.get(alpha)
+        if coords is None:
+            coords = self._cartan_image(alpha)
+        return coords
+
+    def _cartan_image(self, alpha: Root) -> tuple[int, ...]:
         a = self.cartan
         return tuple(sum(a[i][j] * alpha[j] for j in range(self.l)) for i in range(self.l))
+
+    @cached_property
+    def _fund_coords(self) -> dict:
+        return {alpha: self._cartan_image(alpha) for alpha in self.phi}
 
     def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         return _cartan_inverse_of(self)

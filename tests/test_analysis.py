@@ -715,3 +715,95 @@ def test_extraction_matches_coordinate_scan(rep_b_z4):
         expect_witness = any(v not in ideal for v in coords.values())
         wit = extract_from_parabolic(g, ideal, side=+1)
         assert (wit is not None) == expect_witness
+
+
+# -- block line reads against entrywise references ------------------------------------------
+
+
+def _any_word(rep, rng, length):
+    ring = rep.ring
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 1, 2)]
+    atoms = [("x", a, v) for a in rep.case.phi for v in values]
+    return sample_word_rng(rep, atoms, length, rng)
+
+
+def _coords_reference(h, lam, roots, on_row):
+    """Root coordinates read one entry at a time."""
+    rep, wm = h.rep, h.rep.wm
+    out = {}
+    for beta in roots:
+        if on_row:
+            mu = wm.shift(lam, tuple(-x for x in beta))
+            val = h.entry(lam, mu) if rep.sign(mu, beta) > 0 else -h.entry(lam, mu)
+        else:
+            mu = wm.shift(lam, beta)
+            val = h.entry(mu, lam) if rep.sign(lam, beta) > 0 else -h.entry(mu, lam)
+        if not val.is_zero():
+            out[beta] = val
+    return out
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
+def test_coordinate_reads_match_entrywise_reference(ring_name):
+    from chevalley.analysis import coords_col, coords_row
+
+    rep = representation("b", None, named_ring(ring_name))
+    wm, case = rep.wm, rep.case
+    lower = [tuple(-x for x in b) for b in case.omega_plus]
+    rng = SplitMix64(71)
+    for i in range(12):
+        h = _any_word(rep, rng, 1 + i % 6)
+        lam1 = wm.lambda1[i % len(wm.lambda1)]
+        split_roots = sigma_split(wm, lam1).all_roots
+        for lam, roots, on_row in (
+            (wm.lam0, case.omega_plus, True),
+            (wm.lam0, lower, False),
+            (lam1, split_roots, True),
+        ):
+            got = (coords_row if on_row else coords_col)(h, lam, roots)
+            assert list(got.items()) == list(_coords_reference(h, lam, roots, on_row).items())
+    with pytest.raises(DomainError):
+        coords_row(rep.identity(), wm.lam0, lower)
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
+def test_corner_ideals_match_entrywise_reference(ring_name):
+    ring = named_ring(ring_name)
+    rep = representation("b", None, ring)
+    wm = rep.wm
+    rng = SplitMix64(73)
+    nonzero = 0
+    for i in range(10):
+        g = _any_word(rep, rng, 1 + i % 5)
+        for lam1 in wm.lambda1[i % 3 :: 4]:
+            others = [mu for mu in wm.components[1] if mu != lam1]
+            expected = (
+                Ideal.from_elems(ring, [g.entry(mu, lam1) for mu in others]),
+                Ideal.from_elems(ring, [g.entry(wm.lam0, lam1)]),
+                Ideal.from_elems(ring, [g.entry(lam1, mu) for mu in others]),
+                Ideal.from_elems(ring, [g.entry(lam1, wm.lam0)]),
+            )
+            got = corner_ideals(g, lam1)
+            assert got == expected
+            nonzero += sum(not i.is_zero() for i in got)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2"])
+def test_block_diagonal_part_matches_entrywise_copy(ring_name):
+    ring = named_ring(ring_name)
+    rep = representation("b", None, ring)
+    wm = rep.wm
+    atoms = [("x", a, v) for a in rep.case.delta + rep.case.omega_plus for v in ring.elements() if not v.is_zero()]
+    rng = SplitMix64(79)
+    for _ in range(8):
+        g = sample_word_rng(rep, atoms, 6, rng)
+        expected = g.mat - g.mat
+        for comp in wm.components:
+            for lam in comp:
+                for mu in comp:
+                    expected.set_entry(wm.idx(lam), wm.idx(mu), g.entry(lam, mu))
+        levi = analysis._block_diagonal_part(g)
+        assert levi.mat == expected
+        assert (levi.mat * levi.inv_mat).is_identity()
+        assert levi.word is None

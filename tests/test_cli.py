@@ -202,3 +202,67 @@ def test_out_file(capsys, tmp_path):
     code, _ = run(capsys, "info", "--case", "b", "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["roots"] == 72
+
+
+def test_config_values_are_converted_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "5", "case": "b"}))
+    code, report = run(capsys, "relcheck", "--config", str(cfg))
+    assert code == 0
+    assert report["config"]["seed"] == 5
+    cfg.write_text(json.dumps({"seed": "five", "case": "b"}))
+    assert main(["relcheck", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"case": "e"}))
+    assert main(["info", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"case": "b", "ring": "z4", "target": 2}))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_unknown_config_keys_are_usage_errors(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sed": 5, "case": "b"}))
+    assert main(["relcheck", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "sed" in err
+    # an option of another command is unknown to this one
+    cfg.write_text(json.dumps({"case": "b", "ring": "z4"}))
+    assert main(["info", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [{"kind": "x", "root": [1, 2, 2, 3, 2, 1]}],
+        [{"kind": "x", "value": 2}],
+        [{"kind": "x", "root": [9, 9, 9, 9, 9, 9], "value": 2}],
+        [{"word": [["x", [1, 2, 2, 3, 2, 1]]]}],
+        {"root": [1, 2, 2, 3, 2, 1]},
+        [7],
+    ],
+)
+def test_malformed_extra_file_is_a_usage_error(capsys, tmp_path, items):
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(items))
+    code = main(["level", "--case", "b", "--ring", "z4", "--target", "(2),(0)", "--extra", str(extra)])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_malformed_matrix_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"case": "b", "ring": {"factors": [{"kind": "zmod"}]}, "rows": []}))
+    assert main(["decompose", "--in", str(path)]) == 2
+    path.write_text("{not json")
+    assert main(["decompose", "--in", str(path)]) == 2
+
+
+def test_key_errors_inside_a_command_propagate(monkeypatch):
+    import chevalley.cli as cli
+
+    def broken(args):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(cli, "cmd_info", broken)
+    with pytest.raises(KeyError):
+        main(["info", "--case", "b"])

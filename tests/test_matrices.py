@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from chevalley.errors import NonUnitError, UnsupportedCaseError
-from chevalley.matrices import RMat, RVec, mat_col, mat_row
-from chevalley.rings import Factor, Ideal, RingSpec
+from chevalley.matrices import RMat, RVec, _inv_zmod, mat_col, mat_row, signed_entries
+from chevalley.rings import Factor, Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
 
 
@@ -104,3 +105,82 @@ def test_json_roundtrip():
     rng = SplitMix64(9)
     m = _random_invertible(spec, 4, rng)
     assert RMat.from_json(spec, m.to_json()) == m
+
+
+def _inv_zmod_reference(a, p, k, n):
+    """Gauss-Jordan mod p^k one row at a time: the same pivot rule (first unit
+    on or below the diagonal) with a scalar loop over the rows."""
+    m = p**k
+    work = a.astype(np.int64) % m
+    out = np.eye(n, dtype=np.int64)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r, col] % p != 0), None)
+        if piv is None:
+            raise NonUnitError("no unit pivot")
+        work[[col, piv]] = work[[piv, col]]
+        out[[col, piv]] = out[[piv, col]]
+        inv_piv = pow(int(work[col, col]), -1, m)
+        work[col] = (work[col] * inv_piv) % m
+        out[col] = (out[col] * inv_piv) % m
+        for r in range(n):
+            if r != col and work[r, col] != 0:
+                factor = int(work[r, col])
+                work[r] = (work[r] - factor * work[col]) % m
+                out[r] = (out[r] - factor * out[col]) % m
+    return out
+
+
+def _modular_slices(p, k, n, rng):
+    """Invertible, random and singular n x n arrays mod p^k."""
+    m = p**k
+    spec = RingSpec((Factor("zmod", p, k),))
+    out = []
+    for _ in range(6):
+        out.append(_random_invertible(spec, n, rng).blocks[0])
+        out.append(np.array([[rng.randrange(m) for _ in range(n)] for _ in range(n)], dtype=np.int64))
+        dup = _random_invertible(spec, n, rng).blocks[0].copy()
+        dup[rng.randrange(n)] = (p * dup[rng.randrange(n)]) % m
+        out.append(dup)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    # the constant slices are what F_p[t]/(t^k) inverts before lifting
+    [(2, 2), (2, 3), (3, 1), (3, 2), (2, 1)],
+    ids=["z4", "z8", "z12-factor3-and-f3t3-slice", "z9", "f2t2-slice"],
+)
+def test_vectorized_elimination_matches_the_row_loop(p, k):
+    rng = SplitMix64(100 * p + k)
+    singular = 0
+    for n in (1, 5, 9):
+        for a in _modular_slices(p, k, n, rng):
+            try:
+                expected = _inv_zmod_reference(a, p, k, n)
+            except NonUnitError:
+                singular += 1
+                with pytest.raises(NonUnitError):
+                    _inv_zmod(a, p, k, n)
+                continue
+            assert np.array_equal(_inv_zmod(a, p, k, n), expected)
+    assert singular > 0
+
+
+@pytest.mark.parametrize("name", ["z4", "z12", "f2t2", "int"])
+def test_signed_entries_match_boxed_entries(name):
+    spec = named_ring(name)
+    rng = SplitMix64(7)
+    n = 8
+    m = RMat.zeros(spec, n)
+    pool = list(spec.elements()) if spec.is_finite else [spec.el(v) for v in range(-3, 4)]
+    for i in range(n):
+        for j in range(n):
+            if rng.randrange(3):
+                m.set_entry(i, j, pool[rng.randrange(len(pool))])
+    idx = np.array([5, 0, 3, 7, 2], dtype=np.intp)
+    signs = np.array([1, -1, -1, 1, -1], dtype=np.int64)
+    for line, entry in ((mat_row(m, 4), lambda j: m.entry(4, j)), (mat_col(m, 6), lambda i: m.entry(i, 6))):
+        got = signed_entries(line, idx, signs)
+        for pos, c, val in zip(idx, signs, got):
+            ref = entry(int(pos)) if c > 0 else -entry(int(pos))
+            assert val == (None if ref.is_zero() else ref)

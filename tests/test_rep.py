@@ -3,6 +3,7 @@ import pytest
 from chevalley.errors import NonUnitError
 from chevalley.rep import (
     get_representation,
+    invert_atom,
     is_component_blocked,
     rep_tables,
     representation,
@@ -200,3 +201,86 @@ def test_upper_unipotent_is_abelian_and_canonical():
             if not val.is_zero():
                 canonical.append(("x", alpha, val))
         assert rep.element_from_word(tuple(canonical)) == u
+
+
+# -- inverses and words computed on first read ------------------------------------------------
+
+
+def _eager_inverse(g):
+    """The inverse by elimination, independent of how g was built."""
+    return g.rep.from_matrix(g.mat).inv_mat
+
+
+def _inverted(word):
+    return tuple(invert_atom(a) for a in reversed(word))
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2"])
+def test_deferred_inverses_and_words_equal_eager_ones(ring_name):
+    from chevalley.rings import named_ring
+
+    ring = named_ring(ring_name)
+    rep = representation("b", None, ring)
+    atoms = [("x", a, v) for a in rep.case.phi for v in ring.elements() if not v.is_zero()]
+    atoms += [("w", a, u) for a in rep.case.simple_roots for u in ring.units()]
+    rng = SplitMix64(41)
+    for trial in range(6):
+        a = sample_word_rng(rep, atoms, 3, rng)
+        b = sample_word_rng(rep, atoms, 2, rng)
+        expected_words = {
+            "a*b": a.word + b.word,
+            "a^-1": _inverted(a.word),
+            "b a b^-1": b.word + a.word + _inverted(b.word),
+            "[a,b]": a.word + b.word + _inverted(a.word) + _inverted(b.word),
+            "(a*b)^-1": _inverted(a.word + b.word),
+        }
+        built = {
+            "a*b": a * b,
+            "a^-1": a.inverse(),
+            "b a b^-1": a.conjugate(b),
+            "[a,b]": a.commutator(b),
+            "(a*b)^-1": (a * b).inverse(),
+        }
+        for name, g in built.items():
+            # read the word first on odd trials, the inverse first on even ones
+            if trial % 2:
+                assert g.word == expected_words[name], name
+            assert g.inv_mat == _eager_inverse(g), name
+            assert g.word == expected_words[name], name
+            assert rep.element_from_word(g.word) == g, name
+            g.check()
+        matrix_only = rep.from_matrix(a.mat)
+        assert (matrix_only * b).word is None
+        assert matrix_only.inverse().word is None
+        assert (matrix_only * b).inv_mat == _eager_inverse(a * b)
+
+
+def test_long_product_chains_resolve_without_recursion():
+    import sys
+
+    ring = RingSpec.zmod(4)
+    rep = representation("b", None, ring)
+    atoms = [("x", a, v) for a in rep.case.phi for v in ring.elements() if not v.is_zero()]
+    rng = SplitMix64(43)
+    picked = [atoms[rng.randrange(len(atoms))] for _ in range(2000)]
+    assert sys.getrecursionlimit() < len(picked)
+    right = rep.identity()
+    left = rep.identity()
+    for atom in picked:
+        x = rep.element_from_word((atom,))
+        right = right * x
+        left = x.inverse() * left
+    assert right.word == tuple(picked)
+    assert left.word == _inverted(tuple(picked))
+    assert right.inv_mat == left.mat
+    assert left.inv_mat == right.mat
+    assert (right.mat * right.inv_mat).is_identity()
+
+
+def test_from_matrix_rejects_a_singular_matrix():
+    ring = RingSpec.zmod(4)
+    rep = representation("b", None, ring)
+    mat = rep.x(rep.case.omega_plus[0], 1).mat
+    mat.set_entry(3, 3, ring.el(2))
+    with pytest.raises(NonUnitError):
+        rep.from_matrix(mat)
