@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -102,19 +101,6 @@ def sigma_generator_atoms(rep: Representation, sigma: SigmaPair) -> list[Atom]:
 # -- matrix membership predicates ----------------------------------------------------
 
 
-def _entries_zero(mat, rows, cols) -> bool:
-    for f, blk in zip(mat.spec.factors, mat.blocks):
-        if f.kind == "poly":
-            if np.any(blk[:, rows, cols]):
-                return False
-        elif f.kind == "int":
-            if any(v != 0 for v in blk[rows, cols]):
-                return False
-        elif np.any(blk[rows, cols]):
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _off_indices(wm, lam: Weight):
     j = wm.idx(lam)
@@ -127,14 +113,14 @@ def in_parabolic(g: GroupElement, lam: Weight | None = None) -> bool:
     wm = g.rep.wm
     lam = wm.lam0 if lam is None else lam
     rows, cols = _off_indices(wm, lam)
-    return _entries_zero(g.mat, rows, cols)
+    return not g.mat.nonzero_at(rows, cols)
 
 
 def in_opposite_parabolic(g: GroupElement, lam: Weight | None = None) -> bool:
     wm = g.rep.wm
     lam = wm.lam0 if lam is None else lam
     rows, cols = _off_indices(wm, lam)
-    return _entries_zero(g.mat, cols, rows)
+    return not g.mat.nonzero_at(cols, rows)
 
 
 @dataclass(frozen=True)
@@ -150,49 +136,34 @@ def parabolic_profile(g: GroupElement, lam: Weight | None = None) -> ParabolicPr
     return ParabolicProfile(in_p=p, in_p_minus=pm, in_levi=p and pm)
 
 
-def _line_in_ideal(line: RVec, idx, ideal: Ideal) -> bool:
-    """Vectorized membership of the selected entries of a line in the ideal."""
-    for f, j, blk in zip(line.spec.factors, ideal.parts, line.blocks):
-        if f.kind == "poly":
-            if j > 0 and np.any(blk[:j][:, idx]):
-                return False
-        elif f.kind == "int":
-            vals = blk[idx]
-            if j == 0:
-                if any(v != 0 for v in vals):
-                    return False
-            elif any(v % j != 0 for v in vals):
-                return False
-        else:
-            if f.k == 0:
-                continue
-            if np.any(blk[idx] % (f.p**j)):
-                return False
-    return True
-
-
-def _line_ideal(line: RVec, idx) -> Ideal:
-    """The ideal generated by the selected entries of a line: per factor the
-    least valuation, or the gcd over the integers."""
-    parts = []
-    for f, blk in zip(line.spec.factors, line.blocks):
-        if f.kind == "poly":
-            hit = np.flatnonzero(blk[:, idx].any(axis=1))
-            parts.append(int(hit[0]) if len(hit) else f.k)
-        elif f.kind == "int":
-            parts.append(gcd(*(int(v) for v in blk[idx])))
-        else:
-            vals = blk[idx]
-            parts.append(next((e for e in range(f.k) if np.any(vals % f.p ** (e + 1))), f.k))
-    return Ideal(line.spec, tuple(parts))
-
-
 def _top_lines_in_level(wm, column: RVec, row: RVec, sigma: SigmaPair) -> bool:
     """The congruence conditions on the top column and top row of a matrix:
     off the top weight, the column lies in the minus ideal and the row in the
     plus ideal."""
     others, _ = _off_indices(wm, wm.lam0)
-    return _line_in_ideal(column, others, sigma.minus) and _line_in_ideal(row, others, sigma.plus)
+    return column.in_ideal_at(sigma.minus, others) and row.in_ideal_at(sigma.plus, others)
+
+
+def _conjugate_top_lines(mat: RMat, inv_mat: RMat, top: int):
+    """For X = x_alpha(xi), the top column and top row of mat X inv_mat, as a
+    function of (root pattern, xi).  The column is mat (X inv_mat[:, top]) and
+    the row (mat[top, :] X) inv_mat: X acts on the column by its pattern and
+    on the row by the transposed pattern, so a root costs two pattern updates
+    and two matrix-vector products instead of a word expansion and four
+    matrix products."""
+    inv_column = mat_col(inv_mat, top)
+    row = mat_row(mat, top)
+    inv_t = inv_mat.transpose()
+
+    def top_lines(pattern, value: RingElem) -> tuple[RVec, RVec]:
+        srcs, dsts, signs = pattern
+        x_col = inv_column.copy()
+        x_col.apply_x(pattern, value)
+        x_row = row.copy()
+        x_row.apply_x((dsts, srcs, signs), value)
+        return mat.mul_vec(x_col), inv_t.mul_vec(x_row)
+
+    return top_lines
 
 
 def in_G_sigma(g: GroupElement, sigma: SigmaPair) -> bool:
@@ -213,14 +184,14 @@ def in_normalizer(g: GroupElement, sigma: SigmaPair) -> bool:
         return in_G_sigma(g, sigma)
     top, bottom, middle = _corner_positions(wm)
     row = mat_row(g.mat, top)
-    if not _line_in_ideal(row, middle, sigma.plus):
+    if not row.in_ideal_at(sigma.plus, middle):
         return False
     inv_column = mat_col(g.inv_mat, top)
-    if not _line_in_ideal(inv_column, middle, sigma.minus):
+    if not inv_column.in_ideal_at(sigma.minus, middle):
         return False
-    if not _line_ideal(row, bottom) * sigma.minus <= sigma.plus:
+    if not row.ideal_at(bottom) * sigma.minus <= sigma.plus:
         return False
-    return _line_ideal(inv_column, bottom) * sigma.plus <= sigma.minus
+    return inv_column.ideal_at(bottom) * sigma.plus <= sigma.minus
 
 
 @lru_cache(maxsize=None)
@@ -247,60 +218,38 @@ def _distance_mask(wm):
     return mask
 
 
-def _far_entries_vanish(mat, wm) -> bool:
-    mask = _distance_mask(wm)
-    for f, blk in zip(mat.spec.factors, mat.blocks):
-        if f.kind == "poly":
-            if np.any(blk[:, mask]):
-                return False
-        elif f.kind == "int":
-            if any(v != 0 for v in blk[mask]):
-                return False
-        elif np.any(blk[mask]):
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _root_difference_positions(rep: Representation):
+    """The entries over every root difference, root after root in the order
+    of Phi: (rows, columns, the position of each root's first entry, the
+    index in Phi of each entry's root)."""
+    patterns = [rep.pattern(alpha) for alpha in rep.case.phi]
+    sizes = [len(srcs) for srcs, _, _ in patterns]
+    starts = np.cumsum([0] + sizes[:-1])
+    return (
+        np.concatenate([dsts for _, dsts, _ in patterns]),
+        np.concatenate([srcs for srcs, _, _ in patterns]),
+        np.repeat(starts, sizes),
+        np.repeat(np.arange(len(patterns)), sizes),
+    )
 
 
 def root_type_failures(g: GroupElement) -> list[str]:
     """Violated matrix identities of conjugates of root elements."""
     rep = g.rep
-    wm = rep.wm
     failures = []
-    ident = _identity_mat(rep)
-    nil = g.mat - ident
-    sq = nil * nil
-    if not sq == (nil - nil):
+    nil = g.mat - _identity_mat(rep)
+    if (nil * nil).nonzero_at():
         failures.append("square of (g - e) is nonzero")
-    if not _far_entries_vanish(g.mat, wm):
+    if g.mat.nonzero_at(_distance_mask(rep.wm)):
         failures.append("entry at weight distance >= 2 survives")
         return failures
     # entries over equal root differences agree up to one entrywise sign
-    for alpha in rep.case.phi:
-        srcs, dsts, _ = rep.pattern(alpha)
-        plus_ok = None
-        minus_ok = None
-        for f, blk in zip(g.mat.spec.factors, g.mat.blocks):
-            if f.kind == "poly":
-                vals = blk[:, dsts, srcs]
-                ref = vals[:, :1]
-                p_ok = np.all(vals == ref, axis=0)
-                m_ok = np.all(vals == (-ref) % f.p, axis=0)
-            elif f.kind == "int":
-                vals = blk[dsts, srcs]
-                ref = vals[0]
-                p_ok = np.array([v == ref for v in vals], dtype=bool)
-                m_ok = np.array([v == -ref for v in vals], dtype=bool)
-            else:
-                m = max(f.modulus, 1)
-                vals = blk[dsts, srcs]
-                ref = vals[0]
-                p_ok = vals == ref
-                m_ok = vals == (-ref) % m
-            plus_ok = p_ok if plus_ok is None else (plus_ok & p_ok)
-            minus_ok = m_ok if minus_ok is None else (minus_ok & m_ok)
-        if not np.all(plus_ok | minus_ok):
-            failures.append(f"sign-incoherent entries over root {alpha}")
-            return failures
+    rows, cols, ref, owner = _root_difference_positions(rep)
+    coherent = g.mat.signed_copies_at(rows, cols, ref=ref)
+    if not coherent.all():
+        alpha = rep.case.phi[owner[np.argmin(coherent)]]
+        failures.append(f"sign-incoherent entries over root {alpha}")
     return failures
 
 
@@ -323,19 +272,6 @@ def _radical_frozen_mask(wm):
     except the strictly upper component blocks."""
     comp = np.array([wm.component_of(w) for w in wm.weights])
     return comp[:, None] >= comp[None, :]
-
-
-def _matches_on_mask(mat, reference, mask) -> bool:
-    for f, blk, ref in zip(mat.spec.factors, mat.blocks, reference.blocks):
-        if f.kind == "poly":
-            if np.any(blk[:, mask] != ref[:, mask]):
-                return False
-        elif f.kind == "int":
-            if any(a != b for a, b in zip(blk[mask], ref[mask])):
-                return False
-        elif np.any(blk[mask] != ref[mask]):
-            return False
-    return True
 
 
 def _block_diagonal_part(g: GroupElement) -> GroupElement:
@@ -373,7 +309,7 @@ def levi_unipotent_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gr
         u = g * levi.inverse()
         # the radical part only maps toward lower component indices, with
         # identity diagonal blocks
-        if not _matches_on_mask(u.mat, _identity_mat(rep), _radical_frozen_mask(wm)):
+        if (u.mat - _identity_mat(rep)).nonzero_at(_radical_frozen_mask(wm)):
             raise DomainError("parabolic split is not unitriangular across components")
         if not (u * levi) == g:
             raise InternalConsistencyError("parabolic split does not multiply back")
@@ -646,13 +582,17 @@ def _first_escape_conj(
     g: GroupElement, roots, sigma: SigmaPair, inverse_side: bool = False
 ) -> tuple[Root, GroupElement] | None:
     """First root gamma (canonical order) whose unit root element escapes the
-    congruence conditions after conjugation by g (or by its inverse)."""
+    congruence conditions after conjugation by g (or by its inverse).  Only
+    the top lines of each conjugate are computed; the full conjugate is built
+    for the escaping root alone."""
     rep = g.rep
+    wm = rep.wm
+    by = g.inverse() if inverse_side else g
+    top_lines = _conjugate_top_lines(by.mat, by.inv_mat, wm.idx(wm.lam0))
+    one = rep.ring.one
     for gamma in sorted(roots, key=lambda r: (height(r), r)):
-        x = rep.x(gamma, 1)
-        cand = x.conjugate(g.inverse()) if inverse_side else x.conjugate(g)
-        if not in_G_sigma(cand, sigma):
-            return gamma, cand
+        if not _top_lines_in_level(wm, *top_lines(rep.pattern(gamma), one), sigma):
+            return gamma, rep.x(gamma, 1).conjugate(by)
     return None
 
 
@@ -795,7 +735,7 @@ def nilpotent_vanishing_check(g: GroupElement, b: Ideal) -> bool:
         raise DomainError("ideal must square to zero")
     if not rep.reduce(g, b).is_identity():
         raise DomainError("element is not in the congruence subgroup of the ideal")
-    return _far_entries_vanish(g.mat, wm)
+    return not g.mat.nonzero_at(_distance_mask(wm))
 
 
 @dataclass(frozen=True)
@@ -906,10 +846,10 @@ def corner_ideals(g: GroupElement, lam1: Weight) -> tuple[Ideal, Ideal, Ideal, I
     column = mat_col(g.mat, j)
     row = mat_row(g.mat, j)
     return (
-        _line_ideal(column, others),
-        _line_ideal(column, top),
-        _line_ideal(row, others),
-        _line_ideal(row, top),
+        column.ideal_at(others),
+        column.ideal_at(top),
+        row.ideal_at(others),
+        row.ideal_at(top),
     )
 
 
@@ -930,12 +870,8 @@ def transporter_check(
     """Conjugation by g carries every enumerated level generator into the
     congruence conditions.  Samples when the enumeration is capped.
 
-    Only the two lines that ``in_G_sigma`` reads are computed.  With t the top
-    weight and X a generator atom, the conjugate g X g^-1 has top column
-    g (X g^-1[:, t]) and top row (g[t, :] X) g^-1.  X acts on the column by
-    its root pattern and on the row by the transposed pattern, so an atom
-    costs two pattern updates and two matrix-vector products instead of a
-    word expansion and four matrix products.
+    Only the two lines of each conjugate g X g^-1 that ``in_G_sigma`` reads
+    are computed (``_conjugate_top_lines``).
 
     Without a cap, one atom per root decides the whole family.  For
     X = x_alpha(xi) = e + xi P_alpha, the off-top entries of both lines are xi
@@ -958,18 +894,9 @@ def transporter_check(
         if len(atoms) > max_generators:
             rng = SplitMix64(seed)
             atoms = [atoms[rng.randrange(len(atoms))] for _ in range(max_generators)]
-    top = wm.idx(wm.lam0)
-    inv_column = mat_col(g.inv_mat, top)
-    row = mat_row(g.mat, top)
-    inv_t = g.inv_mat.transpose()
+    top_lines = _conjugate_top_lines(g.mat, g.inv_mat, wm.idx(wm.lam0))
     for _, alpha, value in atoms:
-        pattern = rep.pattern(alpha)
-        srcs, dsts, signs = pattern
-        x_col = inv_column.copy()
-        x_col.apply_x(pattern, value)
-        x_row = row.copy()
-        x_row.apply_x((dsts, srcs, signs), value)
-        if not _top_lines_in_level(wm, g.mat.mul_vec(x_col), inv_t.mul_vec(x_row), sigma):
+        if not _top_lines_in_level(wm, *top_lines(rep.pattern(alpha), value), sigma):
             return False
     return True
 

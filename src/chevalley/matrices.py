@@ -1,38 +1,122 @@
 """Dense matrices and vectors over chain-ring products.
 
-A matrix over a ring spec is a list of per-factor blocks:
+A matrix over a ring spec is a list of per-factor blocks, all with one layout:
+a leading axis of coefficient slices, so a matrix block has shape (s, n, n)
+and a vector block shape (s, n).  A factor is two numbers, its layout (s, c):
 
-* zmod factor  -- an int64 array reduced mod p^k (float64 matmul is used when
-  the entries are small enough for it to be exact, since it is much faster),
-* poly factor  -- k coefficient slices, each an int64 array mod p,
-* int factor   -- an object array of exact Python integers.
+* Z/p^k         -- s = 1, int64 coefficients mod c = p^k,
+* F_p[t]/(t^k)  -- s = k, slice i holds the t^i coefficients, int64 mod c = p,
+* Z             -- s = 1, an object array of exact Python integers, c = 0
+  (never reduced).
 
-The root-element action is applied as vectorized row or column updates; the
-source and target index sets of a root pattern never overlap (the module is
-minuscule), so in-place updates are safe.
+Every block operation is one code path over this layout.  A product is a
+truncated convolution of slices, each slice product reduced mod c before the
+sum (a float64 matmul serves a matrix product when its entries stay below
+2^52, since it is much faster).  The root-element action is a line update:
+rows for a left action and for vectors, and rows of the transposed view for a
+right action.  The source and target index sets of a root pattern never
+overlap (the module is minuscule), so in-place updates are safe.
+
+Exactness: with coefficients reduced into [0, c), every int64 kernel is exact
+when (c - 1)^2 * n < 2^63, since a slice product sums n products of two
+coefficients (a line update sums s + 1 of them).  ``check_exact`` enforces the
+bound wherever blocks are made, so a modulus above it raises ``DomainError``
+instead of wrapping around.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from .errors import DomainError, NonUnitError, UnsupportedCaseError
-from .rings import INT, POLY, ZMOD, Ideal, RingElem, RingSpec
+from .rings import INT, POLY, Ideal, RingElem, RingSpec, factorize
 
 _FLOAT_SAFE = 2**52
+_INT64_SAFE = 2**63
 
 
-def _zmod_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    if m == 1:
-        return np.zeros_like(a)
-    if (m - 1) * (m - 1) * a.shape[1] < _FLOAT_SAFE:
-        c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return c % m
-    return (a @ b) % m
+def check_exact(spec: RingSpec, n: int) -> None:
+    """Raise ``DomainError`` unless every kernel over the spec at dimension n
+    is exact in int64."""
+    for f in spec.factors:
+        s, c = f.layout
+        if c and (c - 1) ** 2 * max(n, s + 1) >= _INT64_SAFE:
+            raise DomainError(
+                f"coefficient modulus {c} is too large for exact int64 arithmetic "
+                f"at dimension {n}: (c - 1)^2 * n must stay below 2^63"
+            )
 
 
-class RMat:
-    """Square matrix over a ring spec."""
+def _mod(x, c: int):
+    return x % c if c else x
+
+
+def _dtype(c: int):
+    return np.int64 if c else object
+
+
+def _zero_blocks(spec: RingSpec, n: int, shape: tuple) -> list:
+    check_exact(spec, n)
+    blocks = []
+    for f in spec.factors:
+        s, c = f.layout
+        blocks.append(np.zeros((s,) + shape, dtype=_dtype(c)))
+    return blocks
+
+
+def _float_ok(c: int, n: int) -> bool:
+    return 0 < c and (c - 1) ** 2 * n < _FLOAT_SAFE
+
+
+def _slice_product(x: np.ndarray, y: np.ndarray, c: int, use_float: bool) -> np.ndarray:
+    if use_float:
+        prod = x.astype(np.float64) @ y.astype(np.float64)
+        prod = np.rint(prod, out=prod).astype(np.int64)
+    else:
+        prod = x @ y
+    if c:
+        prod %= c
+    return prod
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, c: int, use_float: bool) -> np.ndarray:
+    """The truncated product of two slice stacks: slice t is the sum over
+    i <= t of a[i] @ b[t - i], each term reduced mod c before the sum."""
+    if len(a) == 1:
+        return _slice_product(a[0], b[0], c, use_float)[None]
+    out = np.empty(a.shape[:-1] + b.shape[2:], dtype=np.int64)
+    for t in range(len(a)):
+        acc = _slice_product(a[0], b[t], c, use_float)
+        for i in range(1, t + 1):
+            acc += _slice_product(a[i], b[t - i], c, use_float)
+        out[t] = acc % c
+    return out
+
+
+def _update_lines(blk: np.ndarray, c: int, targets, sources, signs, part) -> None:
+    """blk[:, targets] += signs * part * blk[:, sources] along the first
+    trailing axis, as a truncated convolution: slice t of the targets gains
+    part_i times slice t - i of the sources for every i <= t.  Targets and
+    sources are disjoint, so no update reads a line that another one wrote."""
+    coeffs = part if isinstance(part, tuple) else (part,)
+    for t, line in enumerate(blk):
+        acc = line[targets]
+        for i in range(t + 1):
+            if coeffs[i]:
+                acc += (signs * coeffs[i]) * blk[t - i][sources]
+        line[targets] = acc % c if c else acc
+
+
+def _part(f, coeffs: list):
+    """One factor's part of a ring element from its slice coefficients."""
+    return tuple(coeffs) if f.kind == POLY else coeffs[0]
+
+
+class _Blocks:
+    """The per-factor blocks of a matrix or a vector.  Entry indices select
+    over the trailing axes, every coefficient slice at once."""
 
     __slots__ = ("spec", "n", "blocks")
 
@@ -41,171 +125,151 @@ class RMat:
         self.n = n
         self.blocks = blocks
 
-    # -- constructors ---------------------------------------------------------
+    def copy(self):
+        return type(self)(self.spec, self.n, [blk.copy() for blk in self.blocks])
 
-    @staticmethod
-    def _zero_block(f, n: int):
-        if f.kind == ZMOD:
-            return np.zeros((n, n), dtype=np.int64)
-        if f.kind == POLY:
-            return np.zeros((f.k, n, n), dtype=np.int64)
-        blk = np.empty((n, n), dtype=object)
-        blk[:] = 0
-        return blk
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self) or self.spec != other.spec:
+            return False
+        return all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
+
+    def _box(self, index: tuple) -> RingElem:
+        index = (slice(None),) + index
+        return RingElem(
+            self.spec,
+            tuple(_part(f, blk[index].tolist()) for f, blk in zip(self.spec.factors, self.blocks)),
+        )
+
+    def _set(self, index: tuple, x: RingElem) -> None:
+        if x.spec != self.spec:
+            raise DomainError("entry belongs to a different ring")
+        index = (slice(None),) + index
+        for blk, part in zip(self.blocks, x.parts):
+            blk[index] = part
+
+    # -- masked predicates ---------------------------------------------------------
+    # A predicate indexes each coefficient slice on its own: a leading full
+    # slice in a fancy index costs several times as much as a slice view.
+
+    def nonzero_at(self, *index) -> bool:
+        """Some selected entry is nonzero; with no index, some entry."""
+        return any(sl[index].any() for blk in self.blocks for sl in blk)
+
+    def in_ideal_at(self, ideal: Ideal, *index) -> bool:
+        """Every selected entry lies in the ideal."""
+        for f, j, blk in zip(self.spec.factors, ideal.parts, self.blocks):
+            if f.kind == POLY:
+                # (t^j): the first j coefficient slices vanish
+                if any(sl[index].any() for sl in blk[:j]):
+                    return False
+                continue
+            # (p^j), or (j) in Z, whose zero ideal tests exact zeros
+            d = j if f.kind == INT else f.p**j
+            vals = blk[0][index]
+            if (vals % d if d else vals).any():
+                return False
+        return True
+
+    def ideal_at(self, *index) -> Ideal:
+        """The ideal generated by the selected entries: per factor the least
+        valuation, or the gcd over the integers."""
+        parts = []
+        for f, blk in zip(self.spec.factors, self.blocks):
+            if f.kind == POLY:
+                parts.append(next((t for t, sl in enumerate(blk) if sl[index].any()), f.k))
+            elif f.kind == INT:
+                parts.append(gcd(*blk[0][index].tolist()))
+            else:
+                vals = blk[0][index]
+                parts.append(next((e for e in range(f.k) if (vals % f.p ** (e + 1)).any()), f.k))
+        return Ideal(self.spec, tuple(parts))
+
+    def signed_copies_at(self, *index, ref) -> np.ndarray:
+        """For each selected entry, whether it equals plus or minus the
+        selected entry at position ``ref`` of it, with one sign over all
+        factors."""
+        index = (slice(None),) + index
+        plus = minus = True
+        for f, blk in zip(self.spec.factors, self.blocks):
+            vals = blk[index]
+            refs = vals[:, ref]
+            plus = plus & (vals == refs).all(axis=0)
+            minus = minus & (vals == _mod(-refs, f.layout[1])).all(axis=0)
+        return plus | minus
+
+
+class RMat(_Blocks):
+    """Square matrix over a ring spec."""
+
+    __slots__ = ()
+
+    # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, spec: RingSpec, n: int) -> "RMat":
-        return cls(spec, n, [cls._zero_block(f, n) for f in spec.factors])
+        return cls(spec, n, _zero_blocks(spec, n, (n, n)))
 
     @classmethod
     def identity(cls, spec: RingSpec, n: int) -> "RMat":
         out = cls.zeros(spec, n)
         for f, blk in zip(spec.factors, out.blocks):
-            if f.kind == ZMOD:
-                if f.modulus > 1:
-                    np.fill_diagonal(blk, 1)
-            elif f.kind == POLY:
-                np.fill_diagonal(blk[0], 1)
-            else:
-                np.fill_diagonal(blk, 1)
+            np.fill_diagonal(blk[0], _mod(1, f.layout[1]))
         return out
-
-    def copy(self) -> "RMat":
-        return RMat(self.spec, self.n, [blk.copy() for blk in self.blocks])
 
     # -- ring of entries --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> RingElem:
-        parts = []
-        for f, blk in zip(self.spec.factors, self.blocks):
-            if f.kind == ZMOD:
-                parts.append(int(blk[i, j]))
-            elif f.kind == POLY:
-                parts.append(tuple(int(blk[s, i, j]) for s in range(f.k)))
-            else:
-                parts.append(int(blk[i, j]))
-        return RingElem(self.spec, tuple(parts))
+        return self._box((i, j))
 
     def set_entry(self, i: int, j: int, x: RingElem) -> None:
-        if x.spec != self.spec:
-            raise DomainError("entry belongs to a different ring")
-        for f, blk, part in zip(self.spec.factors, self.blocks, x.parts):
-            if f.kind == POLY:
-                for s in range(f.k):
-                    blk[s, i, j] = part[s]
-            else:
-                blk[i, j] = part
+        self._set((i, j), x)
 
     # -- arithmetic ----------------------------------------------------------------
 
     def __mul__(self, other: "RMat") -> "RMat":
         if self.spec != other.spec:
             raise DomainError("matrix product over different rings")
+        n = self.n
         blocks = []
         for f, a, b in zip(self.spec.factors, self.blocks, other.blocks):
-            if f.kind == ZMOD:
-                blocks.append(_zmod_mul(a, b, f.modulus))
-            elif f.kind == POLY:
-                out = np.zeros_like(a)
-                for s in range(f.k):
-                    acc = np.zeros((self.n, self.n), dtype=np.int64)
-                    for i in range(s + 1):
-                        acc += _zmod_mul(a[i], b[s - i], f.p)
-                    out[s] = acc % f.p
-                blocks.append(out)
-            else:
-                blocks.append(a.dot(b))
-        return RMat(self.spec, self.n, blocks)
+            c = f.layout[1]
+            blocks.append(_convolve(a, b, c, _float_ok(c, n)))
+        return RMat(self.spec, n, blocks)
 
     def __add__(self, other: "RMat") -> "RMat":
-        blocks = []
-        for f, a, b in zip(self.spec.factors, self.blocks, other.blocks):
-            if f.kind == ZMOD:
-                blocks.append((a + b) % max(f.modulus, 1))
-            elif f.kind == POLY:
-                blocks.append((a + b) % f.p)
-            else:
-                blocks.append(a + b)
-        return RMat(self.spec, self.n, blocks)
+        return self._entrywise(np.add, other)
 
     def __sub__(self, other: "RMat") -> "RMat":
-        blocks = []
-        for f, a, b in zip(self.spec.factors, self.blocks, other.blocks):
-            if f.kind == ZMOD:
-                blocks.append((a - b) % max(f.modulus, 1))
-            elif f.kind == POLY:
-                blocks.append((a - b) % f.p)
-            else:
-                blocks.append(a - b)
-        return RMat(self.spec, self.n, blocks)
+        return self._entrywise(np.subtract, other)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RMat) or self.spec != other.spec:
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
+    def _entrywise(self, op, other: "RMat") -> "RMat":
+        pairs = zip(self.spec.factors, self.blocks, other.blocks)
+        return RMat(self.spec, self.n, [_mod(op(a, b), f.layout[1]) for f, a, b in pairs])
 
     def is_identity(self) -> bool:
         return self == RMat.identity(self.spec, self.n)
 
     def is_zero_at(self, i: int, j: int) -> bool:
-        for f, blk in zip(self.spec.factors, self.blocks):
-            if f.kind == POLY:
-                if any(blk[s, i, j] != 0 for s in range(f.k)):
-                    return False
-            elif blk[i, j] != 0:
-                return False
-        return True
+        return not self.nonzero_at(i, j)
 
     def transpose(self) -> "RMat":
-        blocks = []
-        for f, blk in zip(self.spec.factors, self.blocks):
-            if f.kind == POLY:
-                blocks.append(np.transpose(blk, (0, 2, 1)).copy())
-            else:
-                blocks.append(blk.T.copy())
-        return RMat(self.spec, self.n, blocks)
+        return RMat(self.spec, self.n, [blk.swapaxes(1, 2).copy() for blk in self.blocks])
 
     # -- root-pattern updates ----------------------------------------------------
 
     def apply_x_right(self, pattern, xi: RingElem) -> None:
         """self <- self * (e + xi * P) for a root pattern P (column update)."""
         srcs, dsts, signs = pattern
+        signs = signs[:, None]
         for f, blk, part in zip(self.spec.factors, self.blocks, xi.parts):
-            if f.kind == ZMOD:
-                m = f.modulus
-                if m == 1:
-                    continue
-                blk[:, srcs] = (blk[:, srcs] + (signs * (part % m)) * blk[:, dsts]) % m
-            elif f.kind == POLY:
-                taken = blk[:, :, dsts].copy()
-                for s in range(f.k):
-                    acc = blk[s][:, srcs]
-                    for i in range(s + 1):
-                        if part[i]:
-                            acc = acc + (signs * part[i]) * taken[s - i]
-                    blk[s][:, srcs] = acc % f.p
-            else:
-                blk[:, srcs] = blk[:, srcs] + (signs * part) * blk[:, dsts]
+            _update_lines(blk.swapaxes(1, 2), f.layout[1], srcs, dsts, signs, part)
 
     def apply_x_left(self, pattern, xi: RingElem) -> None:
         """self <- (e + xi * P) * self (row update)."""
         srcs, dsts, signs = pattern
+        signs = signs[:, None]
         for f, blk, part in zip(self.spec.factors, self.blocks, xi.parts):
-            if f.kind == ZMOD:
-                m = f.modulus
-                if m == 1:
-                    continue
-                blk[dsts, :] = (blk[dsts, :] + (signs * (part % m))[:, None] * blk[srcs, :]) % m
-            elif f.kind == POLY:
-                taken = blk[:, srcs, :].copy()
-                for s in range(f.k):
-                    acc = blk[s][dsts, :]
-                    for i in range(s + 1):
-                        if part[i]:
-                            acc = acc + (signs * part[i])[:, None] * taken[s - i]
-                    blk[s][dsts, :] = acc % f.p
-            else:
-                blk[dsts, :] = blk[dsts, :] + (signs * part)[:, None] * blk[srcs, :]
+            _update_lines(blk, f.layout[1], dsts, srcs, signs, part)
 
     # -- quotients -----------------------------------------------------------------
 
@@ -214,74 +278,53 @@ class RMat:
         if ideal.spec != self.spec:
             raise DomainError("ideal over a different ring")
         qspec = ideal.quotient_spec()
-        out = RMat.zeros(qspec, self.n)
-        qi = 0
+        check_exact(qspec, self.n)
+        quotients = iter(qspec.factors)
+        blocks = []
         for f, j, blk in zip(self.spec.factors, ideal.parts, self.blocks):
-            if f.kind == INT:
-                if j == 0:
-                    out.blocks[qi][:, :] = blk
-                    qi += 1
-                elif j == 1:
-                    qi += 1
-                else:
-                    from .rings import factorize
-
-                    for p, k in factorize(j):
-                        out.blocks[qi][:, :] = (blk % (p**k)).astype(np.int64)
-                        qi += 1
-            elif f.kind == ZMOD:
-                m = f.p**j
-                if m > 1:
-                    out.blocks[qi][:, :] = blk % m
-                qi += 1
-            else:
-                if j > 0:
-                    out.blocks[qi][:, :, :] = blk[:j]
-                qi += 1
-        return out
+            # Z/(j) splits into one factor per prime power of j
+            for _ in range(len(factorize(j)) if f.kind == INT and j > 1 else 1):
+                s, c = next(quotients).layout
+                blocks.append(np.array(_mod(blk[:s], c), dtype=_dtype(c)))
+        return RMat(qspec, self.n, blocks)
 
     # -- inversion -------------------------------------------------------------------
 
     def inv(self) -> "RMat":
-        """Inverse by per-factor elimination with unit pivots.
+        """Inverse by elimination with unit pivots on the constant slice, then
+        a Newton lift in t.
 
         Works over any finite spec; over the integers only via the identity
         shortcut, since general integer inverses are not representable.
         """
+        n = self.n
         blocks = []
         for f, blk in zip(self.spec.factors, self.blocks):
-            if f.kind == ZMOD:
-                blocks.append(_inv_zmod(blk, f.p, f.k, self.n))
-            elif f.kind == POLY:
-                blocks.append(_inv_poly(blk, f.p, f.k, self.n))
-            else:
-                ident = np.empty((self.n, self.n), dtype=object)
-                ident[:] = 0
-                np.fill_diagonal(ident, 1)
-                if np.array_equal(blk, ident):
-                    blocks.append(ident)
-                else:
+            s, c = f.layout
+            if not c:
+                if not self.is_identity():
                     raise UnsupportedCaseError("matrix inversion over the integers is not supported")
-        return RMat(self.spec, self.n, blocks)
+                return self.copy()
+            use_float = _float_ok(c, n)
+            x = np.zeros_like(blk)
+            x[0] = _inv_zmod(blk[0], f.p, f.k if s == 1 else 1, n)
+            prec = 1
+            while prec < s:
+                # x <- x (2 - a x) truncated to t^s
+                step = _convolve(blk, x, c, use_float)
+                step *= -1
+                step[0][np.diag_indices(n)] += 2
+                step %= c
+                x = _convolve(x, step, c, use_float)
+                prec *= 2
+            blocks.append(x)
+        return RMat(self.spec, n, blocks)
 
     def mul_vec(self, v: "RVec") -> "RVec":
         if self.spec != v.spec:
             raise DomainError("matrix and vector over different rings")
-        out = RVec.zeros(self.spec, self.n)
-        for f, blk, src, dst in zip(self.spec.factors, self.blocks, v.blocks, out.blocks):
-            if f.kind == ZMOD:
-                m = f.modulus
-                if m > 1:
-                    dst[:] = (blk @ src) % m
-            elif f.kind == POLY:
-                for s in range(f.k):
-                    acc = np.zeros(self.n, dtype=np.int64)
-                    for i in range(s + 1):
-                        acc += blk[i] @ src[s - i]
-                    dst[s] = acc % f.p
-            else:
-                dst[:] = blk.dot(src)
-        return out
+        pairs = zip(self.spec.factors, self.blocks, v.blocks)
+        return RVec(self.spec, self.n, [_convolve(a, b, f.layout[1], False) for f, a, b in pairs])
 
     # -- serialization ------------------------------------------------------------------
 
@@ -335,108 +378,32 @@ def _inv_zmod(a: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
     return out
 
 
-def _inv_poly(a: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
-    # invert the constant slice over F_p, then Newton-lift in t
-    x0 = _inv_zmod(a[0], p, 1, n)
-    x = np.zeros_like(a)
-    x[0] = x0
-    prec = 1
-    while prec < k:
-        # x <- x (2 - a x) truncated to t^k
-        ax = np.zeros_like(a)
-        for s in range(k):
-            acc = np.zeros((n, n), dtype=np.int64)
-            for i in range(s + 1):
-                acc += _zmod_mul(a[i], x[s - i], p)
-            ax[s] = acc % p
-        two_minus = (-ax) % p
-        two_minus[0] = (two_minus[0] + 2 * np.eye(n, dtype=np.int64)) % p
-        new = np.zeros_like(a)
-        for s in range(k):
-            acc = np.zeros((n, n), dtype=np.int64)
-            for i in range(s + 1):
-                acc += _zmod_mul(x[i], two_minus[s - i], p)
-            new[s] = acc % p
-        x = new
-        prec *= 2
-    return x
-
-
-class RVec:
+class RVec(_Blocks):
     """Column vector over a ring spec."""
 
-    __slots__ = ("spec", "n", "blocks")
-
-    def __init__(self, spec: RingSpec, n: int, blocks: list):
-        self.spec = spec
-        self.n = n
-        self.blocks = blocks
+    __slots__ = ()
 
     @classmethod
     def zeros(cls, spec: RingSpec, n: int) -> "RVec":
-        blocks = []
-        for f in spec.factors:
-            if f.kind == ZMOD:
-                blocks.append(np.zeros(n, dtype=np.int64))
-            elif f.kind == POLY:
-                blocks.append(np.zeros((f.k, n), dtype=np.int64))
-            else:
-                blk = np.empty(n, dtype=object)
-                blk[:] = 0
-                blocks.append(blk)
-        return cls(spec, n, blocks)
+        return cls(spec, n, _zero_blocks(spec, n, (n,)))
 
     @classmethod
     def basis(cls, spec: RingSpec, n: int, i: int) -> "RVec":
         out = cls.zeros(spec, n)
-        one = spec.one
-        out.set_entry(i, one)
+        out.set_entry(i, spec.one)
         return out
 
-    def copy(self) -> "RVec":
-        return RVec(self.spec, self.n, [blk.copy() for blk in self.blocks])
-
     def entry(self, i: int) -> RingElem:
-        parts = []
-        for f, blk in zip(self.spec.factors, self.blocks):
-            if f.kind == POLY:
-                parts.append(tuple(int(blk[s, i]) for s in range(f.k)))
-            else:
-                parts.append(int(blk[i]))
-        return RingElem(self.spec, tuple(parts))
+        return self._box((i,))
 
     def set_entry(self, i: int, x: RingElem) -> None:
-        for f, blk, part in zip(self.spec.factors, self.blocks, x.parts):
-            if f.kind == POLY:
-                for s in range(f.k):
-                    blk[s, i] = part[s]
-            else:
-                blk[i] = part
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RVec) or self.spec != other.spec:
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
+        self._set((i,), x)
 
     def apply_x(self, pattern, xi: RingElem) -> None:
         """self <- (e + xi * P) * self."""
         srcs, dsts, signs = pattern
         for f, blk, part in zip(self.spec.factors, self.blocks, xi.parts):
-            if f.kind == ZMOD:
-                m = f.modulus
-                if m == 1:
-                    continue
-                blk[dsts] = (blk[dsts] + (signs * (part % m)) * blk[srcs]) % m
-            elif f.kind == POLY:
-                taken = blk[:, srcs].copy()
-                for s in range(f.k):
-                    acc = blk[s][dsts]
-                    for i in range(s + 1):
-                        if part[i]:
-                            acc = acc + (signs * part[i]) * taken[s - i]
-                    blk[s][dsts] = acc % f.p
-            else:
-                blk[dsts] = blk[dsts] + (signs * part) * blk[srcs]
+            _update_lines(blk, f.layout[1], dsts, srcs, signs, part)
 
 
 def signed_entries(vec: RVec, idx, signs) -> list:
@@ -445,18 +412,9 @@ def signed_entries(vec: RVec, idx, signs) -> list:
     columns = []
     nonzero = np.zeros(len(idx), dtype=bool)
     for f, blk in zip(vec.spec.factors, vec.blocks):
-        if f.kind == POLY:
-            vals = (blk[:, idx] * signs) % f.p
-            nonzero |= vals.any(axis=0)
-            columns.append([tuple(c) for c in vals.T.tolist()])
-        elif f.kind == ZMOD:
-            vals = (blk[idx] * signs) % f.modulus
-            nonzero |= vals != 0
-            columns.append(vals.tolist())
-        else:
-            vals = [int(v) * int(c) for v, c in zip(blk[idx], signs)]
-            nonzero |= np.array([v != 0 for v in vals], dtype=bool)
-            columns.append(vals)
+        vals = _mod(blk[:, idx] * signs, f.layout[1])
+        nonzero |= (vals != 0).any(axis=0)
+        columns.append([_part(f, coeffs) for coeffs in vals.T.tolist()])
     spec = vec.spec
     return [
         RingElem(spec, parts) if nz else None
@@ -465,20 +423,8 @@ def signed_entries(vec: RVec, idx, signs) -> list:
 
 
 def mat_col(mat: RMat, j: int) -> RVec:
-    out = RVec.zeros(mat.spec, mat.n)
-    for f, src, dst in zip(mat.spec.factors, mat.blocks, out.blocks):
-        if f.kind == POLY:
-            dst[:, :] = src[:, :, j]
-        else:
-            dst[:] = src[:, j]
-    return out
+    return RVec(mat.spec, mat.n, [blk[:, :, j].copy() for blk in mat.blocks])
 
 
 def mat_row(mat: RMat, i: int) -> RVec:
-    out = RVec.zeros(mat.spec, mat.n)
-    for f, src, dst in zip(mat.spec.factors, mat.blocks, out.blocks):
-        if f.kind == POLY:
-            dst[:, :] = src[:, i, :]
-        else:
-            dst[:] = src[i, :]
-    return out
+    return RVec(mat.spec, mat.n, [blk[:, i].copy() for blk in mat.blocks])

@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, NonUnitError
-from .matrices import RMat, RVec, mat_col, mat_row
+from .matrices import RMat, RVec, check_exact, mat_col, mat_row
 from .rings import Ideal, RingElem, RingSpec
 from .rng import SplitMix64
 from .roots import Root, height
@@ -262,6 +262,7 @@ class Representation:
     """The matrix group over a fixed ring, with its generator constructors."""
 
     def __init__(self, wm: WeightModule, ring: RingSpec):
+        check_exact(ring, wm.dim)
         self.wm = wm
         self.case = wm.case
         self.ring = ring
@@ -403,11 +404,7 @@ def representation(tag: str, l: int | None, ring: RingSpec) -> Representation:
 
 def sample_word(rep: Representation, atoms: list[Atom], length: int, seed: int) -> GroupElement:
     """Product of ``length`` atoms drawn deterministically from the pool."""
-    rng = SplitMix64(seed)
-    if length == 0 or not atoms:
-        return rep.identity()
-    picked = tuple(rng.choice(atoms) for _ in range(length))
-    return rep.element_from_word(picked)
+    return sample_word_rng(rep, atoms, length, SplitMix64(seed))
 
 
 def sample_word_rng(rep: Representation, atoms: list[Atom], length: int, rng: SplitMix64) -> GroupElement:
@@ -427,21 +424,10 @@ def delta_atoms(rep: Representation, values=None) -> list[Atom]:
 
 @lru_cache(maxsize=None)
 def _cross_component_mask(wm: WeightModule):
-    n = wm.dim
     comp = np.array([wm.component_of(w) for w in wm.weights])
     return comp[:, None] != comp[None, :]
 
 
 def is_component_blocked(g: GroupElement) -> bool:
     """True when the matrix never maps across diagram components."""
-    mask = _cross_component_mask(g.rep.wm)
-    for f, blk in zip(g.mat.spec.factors, g.mat.blocks):
-        if f.kind == "poly":
-            if np.any(blk[:, mask]):
-                return False
-        elif f.kind == "int":
-            if any(v != 0 for v in blk[mask]):
-                return False
-        elif np.any(blk[mask]):
-            return False
-    return True
+    return not g.mat.nonzero_at(_cross_component_mask(g.rep.wm))

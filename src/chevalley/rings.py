@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _iproduct
 from math import gcd
 from typing import Iterator
@@ -79,6 +79,14 @@ class Factor:
     def modulus(self) -> int:
         """p^k for a zmod factor."""
         return self.p**self.k
+
+    @cached_property
+    def layout(self) -> tuple[int, int]:
+        """(s, c) of the factor's matrix blocks: s coefficient slices, each
+        reduced mod c; c = 0 for the integers, which are never reduced."""
+        if self.kind == POLY:
+            return self.k, self.p
+        return 1, (self.modulus if self.kind == ZMOD else 0)
 
     @property
     def size(self) -> int | None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -51,6 +51,12 @@ def height(alpha: Root) -> int:
     return sum(alpha)
 
 
+def cartan_pairing(cartan, alpha: Root, beta: Root) -> int:
+    """Cartan pairing of two root-lattice vectors in simple-root coordinates;
+    symmetric since all roots have the same length."""
+    return sum(x * sum(cartan[i][j] * y for j, y in enumerate(beta)) for i, x in enumerate(alpha))
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingCase:
     """A root system with its crossed vertex and orbit decomposition.
@@ -76,9 +82,7 @@ class EmbeddingCase:
     # -- pairing and root arithmetic ----------------------------------------
 
     def pairing(self, alpha: Root, beta: Root) -> int:
-        """Cartan pairing; symmetric since all roots have the same length."""
-        a = self.cartan
-        return sum(x * sum(a[i][j] * y for j, y in enumerate(beta)) for i, x in enumerate(alpha))
+        return cartan_pairing(self.cartan, alpha, beta)
 
     def is_root(self, v: Root) -> bool:
         return v in self._phi_set
@@ -177,17 +181,13 @@ def _enumerate_roots(cartan) -> list[Root]:
     """Positive roots by closure under adding simple roots, then negatives."""
     l = len(cartan)
     simple = [tuple(1 if i == j else 0 for j in range(l)) for i in range(l)]
-
-    def pair(alpha, beta):
-        return sum(x * sum(cartan[i][j] * y for j, y in enumerate(beta)) for i, x in enumerate(alpha))
-
     positive = set(simple)
     frontier = list(simple)
     while frontier:
         nxt = []
         for gamma in frontier:
             for i, alpha in enumerate(simple):
-                if pair(gamma, alpha) == -1:
+                if cartan_pairing(cartan, gamma, alpha) == -1:
                     s = tuple(x + y for x, y in zip(gamma, alpha))
                     if s not in positive:
                         positive.add(s)
@@ -257,11 +257,7 @@ def _build_case(tag: str, l: int) -> EmbeddingCase:
         raise InternalConsistencyError("crossed vertex has coefficient beyond 1 in some root")
 
     delta_prime = tuple(r for r in delta if r[neighbour] == 0)
-
-    def pair(alpha, beta):
-        return sum(x * sum(cartan[i][j] * y for j, y in enumerate(beta)) for i, x in enumerate(alpha))
-
-    comps = _irreducible_components(pair, list(delta_prime))
+    comps = _irreducible_components(partial(cartan_pairing, cartan), list(delta_prime))
     if tag == "a":
         non_a1 = [c for c in comps if len(c) > 2]
         if len(non_a1) != 1:

@@ -30,9 +30,10 @@ from chevalley.analysis import (
 )
 from chevalley import analysis
 from chevalley.errors import DomainError, InternalConsistencyError
-from chevalley.rep import get_representation, representation, sample_word_rng
+from chevalley.rep import GroupElement, get_representation, representation, sample_word_rng
 from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
+from chevalley.roots import height
 from chevalley.weights import sigma_split
 
 
@@ -511,6 +512,47 @@ def test_line_only_transporter_over_truncated_polynomials(tag):
         _check_against_oracle(rep, sigma, seed=ord(tag))
 
 
+def _escape_reference(g, roots, sigma, inverse_side):
+    """The full-conjugate path of the escape search: every candidate built
+    as a whole matrix before the congruence conditions read it."""
+    rep = g.rep
+    for gamma in sorted(roots, key=lambda r: (height(r), r)):
+        cand = rep.x(gamma, 1).conjugate(g.inverse() if inverse_side else g)
+        if not in_G_sigma(cand, sigma):
+            return gamma, cand
+    return None
+
+
+@pytest.mark.parametrize("tag", ["b", "c"])
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2"])
+def test_line_only_escape_matches_full_conjugates(tag, ring_name):
+    ring = named_ring(ring_name)
+    rep = representation(tag, None, ring)
+    gen = Ideal.from_elems(ring, [ring.el(2) if ring_name == "z4" else ring.from_parts([(0, 1)])])
+    verdicts = []
+    for sigma in (SigmaPair(gen, Ideal.zero(ring)), SigmaPair(gen, gen)):
+        for g in _members_and_escapes(rep, sigma, seed=ord(tag) + len(ring_name), n=1):
+            for inverse_side in (False, True):
+                by = g.inverse() if inverse_side else g
+                for gamma in rep.case.phi:
+                    conj = rep.x(gamma, 1).conjugate(by)
+                    escapes = not in_G_sigma(conj, sigma)
+                    got = analysis._first_escape_conj(g, [gamma], sigma, inverse_side)
+                    assert (got is not None) == escapes
+                    if escapes:
+                        assert got[0] == gamma and got[1] == conj and got[1].word == conj.word
+                    verdicts.append(escapes)
+                got = analysis._first_escape_conj(g, rep.case.phi, sigma, inverse_side)
+                expected = _escape_reference(g, rep.case.phi, sigma, inverse_side)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got[0] == expected[0]
+                    assert got[1] == expected[1]
+                    assert got[1].word == expected[1].word
+    assert True in verdicts and False in verdicts
+
+
 def test_sampled_transporter_matches_full_conjugates(rep_c_z4):
     rep = rep_c_z4
     sigma = parse_sigma(rep.ring, "(2),(0)")
@@ -764,6 +806,49 @@ def test_coordinate_reads_match_entrywise_reference(ring_name):
             assert list(got.items()) == list(_coords_reference(h, lam, roots, on_row).items())
     with pytest.raises(DomainError):
         coords_row(rep.identity(), wm.lam0, lower)
+
+
+def _root_type_reference(g):
+    """The root-type identities read one entry at a time, root after root."""
+    rep, wm = g.rep, g.rep.wm
+    failures = []
+    nil = g.mat - rep.identity().mat
+    if not (nil * nil) == (nil - nil):
+        failures.append("square of (g - e) is nonzero")
+    if any(wm.distance(lam, mu) >= 2 and not g.entry(lam, mu).is_zero() for lam in wm.weights for mu in wm.weights):
+        failures.append("entry at weight distance >= 2 survives")
+        return failures
+    for alpha in rep.case.phi:
+        srcs, dsts, _ = rep.pattern(alpha)
+        vals = [g.mat.entry(d, s) for d, s in zip(dsts, srcs)]
+        if not all(v == vals[0] or v == -vals[0] for v in vals):
+            failures.append(f"sign-incoherent entries over root {alpha}")
+            return failures
+    return failures
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
+def test_root_type_failures_match_entrywise_reference(ring_name):
+    ring = named_ring(ring_name)
+    rep = representation("b", None, ring)
+    phi = rep.case.phi
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 1, 2)]
+    rng = SplitMix64(83)
+    incoherent = 0
+    for trial in range(8):
+        g = rep.x(phi[rng.randrange(len(phi))], values[rng.randrange(len(values))]).conjugate(_any_word(rep, rng, 3))
+        mat = g.mat.copy()
+        for _ in range(trial % 4):
+            # move entries over root differences, keeping far entries zero
+            srcs, dsts, _ = rep.pattern(phi[rng.randrange(len(phi))])
+            k = rng.randrange(len(srcs))
+            d, s = int(dsts[k]), int(srcs[k])
+            mat.set_entry(d, s, mat.entry(d, s) + values[rng.randrange(len(values))])
+        h = GroupElement(rep, mat, None)
+        expected = _root_type_reference(h)
+        assert root_type_failures(h) == expected
+        incoherent += any(f.startswith("sign-incoherent") for f in expected)
+    assert incoherent > 0
 
 
 @pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])

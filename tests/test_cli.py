@@ -266,3 +266,10 @@ def test_key_errors_inside_a_command_propagate(monkeypatch):
     monkeypatch.setattr(cli, "cmd_info", broken)
     with pytest.raises(KeyError):
         main(["info", "--case", "b"])
+
+
+def test_modulus_above_the_exactness_bound_is_a_usage_error(capsys):
+    # refused before the level generators over 4.3e9 ring elements are listed
+    code = main(["normcheck", "--case", "b", "--ring", "z4294967311", "--sigma", "(2),(0)"])
+    assert code == 2
+    assert "2^63" in capsys.readouterr().err

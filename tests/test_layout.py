@@ -1,0 +1,277 @@
+"""The block kernels of ``matrices`` against plain-Python references that
+work on ``RingElem`` entries, over every factor kind, a product of factors and
+a zero-ring factor; plus the int64 exactness bound.  Inputs come from seeded
+``SplitMix64`` streams, so every run replays bit-exactly."""
+
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
+from chevalley.matrices import RMat, RVec, check_exact, mat_col
+from chevalley.rep import representation, sample_word
+from chevalley.rings import Ideal, RingSpec, named_ring
+from chevalley.rng import SplitMix64
+
+SPECS = {
+    "z4": named_ring("z4"),
+    "z12": named_ring("z12"),
+    "z9": named_ring("z9"),
+    "f2t2": named_ring("f2t2"),
+    "f3t3": named_ring("f3t3"),
+    "int": named_ring("int"),
+    # Z/4 x Z/1: a quotient of Z/12 with a zero-ring factor
+    "z4-zero": Ideal(named_ring("z12"), (2, 0)).quotient_spec(),
+}
+
+N = 5
+
+
+def _pool(spec):
+    return list(spec.elements()) if spec.is_finite else [spec.el(v) for v in range(-4, 5)]
+
+
+def _random_entries(spec, rng, rows, cols):
+    pool = _pool(spec)
+    return [[pool[rng.randrange(len(pool))] for _ in range(cols)] for _ in range(rows)]
+
+
+def _to_mat(spec, entries) -> RMat:
+    out = RMat.zeros(spec, len(entries))
+    for i, row in enumerate(entries):
+        for j, x in enumerate(row):
+            out.set_entry(i, j, x)
+    return out
+
+
+def _to_vec(spec, entries) -> RVec:
+    out = RVec.zeros(spec, len(entries))
+    for i, x in enumerate(entries):
+        out.set_entry(i, x)
+    return out
+
+
+def _entries(m: RMat):
+    return [[m.entry(i, j) for j in range(m.n)] for i in range(m.n)]
+
+
+def _ref_mul(spec, a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), spec.zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _ref_identity(spec, n):
+    return [[spec.one if i == j else spec.zero for j in range(n)] for i in range(n)]
+
+
+def _ref_det(spec, a):
+    n = len(a)
+    total = spec.zero
+    for perm in permutations(range(n)):
+        sign = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        term = spec.one
+        for i in range(n):
+            term = term * a[i][perm[i]]
+        total = total - term if sign else total + term
+    return total
+
+
+def _random_pattern(rng, n):
+    """Disjoint source and target lines with signs, like a root pattern."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        order[i], order[j] = order[j], order[i]
+    k = 1 + rng.randrange(n // 2)
+    srcs = np.array(order[:k], dtype=np.intp)
+    dsts = np.array(order[k : 2 * k], dtype=np.intp)
+    signs = np.array([1 - 2 * rng.randrange(2) for _ in range(k)], dtype=np.int64)
+    return srcs, dsts, signs
+
+
+def _ref_root_matrix(spec, n, pattern, xi):
+    """e + xi P with P[dst, src] = sign."""
+    out = _ref_identity(spec, n)
+    for s, d, c in zip(*pattern):
+        out[d][s] = xi if c > 0 else -xi
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_kernels_match_the_entrywise_reference(name):
+    spec = SPECS[name]
+    rng = SplitMix64(sum(map(ord, name)))
+    pool = _pool(spec)
+    for _ in range(4):
+        a = _random_entries(spec, rng, N, N)
+        b = _random_entries(spec, rng, N, N)
+        ma, mb = _to_mat(spec, a), _to_mat(spec, b)
+        assert _entries(ma * mb) == _ref_mul(spec, a, b)
+        assert _entries(ma + mb) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        assert _entries(ma - mb) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        assert _entries(ma.transpose()) == [list(col) for col in zip(*a)]
+        v = [row[0] for row in _random_entries(spec, rng, N, 1)]
+        got = ma.mul_vec(_to_vec(spec, v))
+        assert [got.entry(i) for i in range(N)] == [row[0] for row in _ref_mul(spec, a, [[x] for x in v])]
+
+        pattern = _random_pattern(rng, N)
+        xi = pool[rng.randrange(len(pool))]
+        x = _ref_root_matrix(spec, N, pattern, xi)
+        right, left = ma.copy(), ma.copy()
+        right.apply_x_right(pattern, xi)
+        left.apply_x_left(pattern, xi)
+        assert _entries(right) == _ref_mul(spec, a, x)
+        assert _entries(left) == _ref_mul(spec, x, a)
+        vec = _to_vec(spec, v)
+        vec.apply_x(pattern, xi)
+        assert [vec.entry(i) for i in range(N)] == [row[0] for row in _ref_mul(spec, x, [[y] for y in v])]
+
+
+def _ideals(spec):
+    if not spec.is_finite:
+        return [Ideal(spec, (j,)) for j in (0, 1, 6, 12)]
+    parts = [()]
+    for f in spec.factors:
+        parts = [p + (j,) for p in parts for j in range(f.k + 1)]
+    return [Ideal(spec, p) for p in parts]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_reduce_matches_the_entrywise_reference(name):
+    spec = SPECS[name]
+    rng = SplitMix64(2 + sum(map(ord, name)))
+    a = _random_entries(spec, rng, N, N)
+    m = _to_mat(spec, a)
+    for ideal in _ideals(spec):
+        q = m.reduce(ideal)
+        assert q.spec == ideal.quotient_spec()
+        assert _entries(q) == [[ideal.reduce_elem(x) for x in row] for row in a]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_inverse_matches_the_determinant(name):
+    spec = SPECS[name]
+    rng = SplitMix64(3 + sum(map(ord, name)))
+    n = 4
+    ident = _ref_identity(spec, n)
+    seen = set()
+    for trial in range(8):
+        a = _random_entries(spec, rng, n, n)
+        if trial % 2:
+            # a unit diagonal and zeros below it: always invertible
+            for i in range(n):
+                a[i][i] = spec.one
+                for j in range(i):
+                    a[i][j] = spec.zero
+        elif trial % 4 == 2:
+            a[0] = list(a[1])  # singular
+        m = _to_mat(spec, a)
+        if not spec.is_finite:
+            if _entries(m) == ident:
+                assert m.inv().is_identity()
+            else:
+                with pytest.raises(UnsupportedCaseError):
+                    m.inv()
+            continue
+        invertible = _ref_det(spec, a).is_unit()
+        seen.add(invertible)
+        if not invertible:
+            with pytest.raises(NonUnitError):
+                m.inv()
+            continue
+        inv = _entries(m.inv())
+        assert _ref_mul(spec, a, inv) == ident
+        assert _ref_mul(spec, inv, a) == ident
+    if spec.is_finite:
+        assert seen == {True, False}
+    assert _to_mat(spec, ident).inv().is_identity()
+
+
+def _signed_matrix(spec, rng, n):
+    """Entries drawn mostly as +-x for a few x, so signed copies are common."""
+    pool = _pool(spec)
+    base = [pool[rng.randrange(len(pool))] for _ in range(3)]
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            x = base[rng.randrange(3)] if rng.randrange(4) else pool[rng.randrange(len(pool))]
+            row.append(-x if rng.randrange(2) else x)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_predicates_match_entrywise_folds(name):
+    spec = SPECS[name]
+    rng = SplitMix64(4 + sum(map(ord, name)))
+    ideals = _ideals(spec)
+    for trial in range(6):
+        a = _signed_matrix(spec, rng, N)
+        if trial == 0:
+            a = [[spec.zero] * N for _ in range(N)]
+        m = _to_mat(spec, a)
+        k = 1 + rng.randrange(2 * N)
+        rows = np.array([rng.randrange(N) for _ in range(k)], dtype=np.intp)
+        cols = np.array([rng.randrange(N) for _ in range(k)], dtype=np.intp)
+        picked = [a[i][j] for i, j in zip(rows, cols)]
+        mask = np.array([[rng.randrange(3) == 0 for _ in range(N)] for _ in range(N)])
+        masked = [a[i][j] for i in range(N) for j in range(N) if mask[i, j]]
+
+        assert m.nonzero_at(rows, cols) == any(not x.is_zero() for x in picked)
+        assert m.nonzero_at(mask) == any(not x.is_zero() for x in masked)
+        assert m.nonzero_at() == any(not x.is_zero() for row in a for x in row)
+        assert m.ideal_at(rows, cols) == Ideal.from_elems(spec, picked)
+        for ideal in ideals:
+            assert m.in_ideal_at(ideal, rows, cols) == all(x in ideal for x in picked)
+
+        ref = np.array([rng.randrange(k) for _ in range(k)], dtype=np.intp)
+        expected = [x == picked[r] or x == -picked[r] for x, r in zip(picked, ref)]
+        assert m.signed_copies_at(rows, cols, ref=ref).tolist() == expected
+
+        column = mat_col(m, trial % N)
+        idx = cols
+        line = [a[i][trial % N] for i in idx]
+        assert column.nonzero_at(idx) == any(not x.is_zero() for x in line)
+        assert column.ideal_at(idx) == Ideal.from_elems(spec, line)
+        for ideal in ideals:
+            assert column.in_ideal_at(ideal, idx) == all(x in ideal for x in line)
+
+
+# -- the int64 exactness bound -------------------------------------------------------
+
+
+def test_modulus_above_the_bound_is_refused():
+    big = named_ring("z4294967311")  # a prime above 2^32
+    with pytest.raises(DomainError):
+        representation("b", None, big)
+    with pytest.raises(DomainError):
+        RMat.identity(big, 27)
+    with pytest.raises(DomainError):
+        RVec.zeros(big, 27)
+    # reducing an integer matrix lands in the same modulus
+    ideal = Ideal(RingSpec.integers(), (4294967311,))
+    with pytest.raises(DomainError):
+        RMat.identity(RingSpec.integers(), 27).reduce(ideal)
+
+
+def test_largest_modulus_below_the_bound_is_exact():
+    p = 584471011  # the largest prime with (p - 1)^2 * 27 < 2^63
+    assert (p - 1) ** 2 * 27 < 2**63
+    with pytest.raises(DomainError):
+        check_exact(named_ring("z584471021"), 27)  # the next prime
+    ring = named_ring(f"z{p}")
+    rep = representation("b", None, ring)
+    rng = SplitMix64(11)
+    values = [ring.el(rng.randrange(p)) for _ in range(12)]
+    atoms = [("x", rep.case.phi[rng.randrange(len(rep.case.phi))], v) for v in values]
+    g = sample_word(rep, atoms, 12, seed=5)
+    assert (g * g.inverse()).is_identity()
+    exact = g.mat.blocks[0][0].astype(object)
+    square = (g.mat * g.mat).blocks[0][0]
+    assert np.array_equal(square, (exact @ exact) % p)
+    column = g.mat.mul_vec(mat_col(g.mat, 3)).blocks[0][0]
+    assert np.array_equal(column, (exact @ exact[:, 3]) % p)

@@ -136,9 +136,9 @@ def _modular_slices(p, k, n, rng):
     spec = RingSpec((Factor("zmod", p, k),))
     out = []
     for _ in range(6):
-        out.append(_random_invertible(spec, n, rng).blocks[0])
+        out.append(_random_invertible(spec, n, rng).blocks[0][0])
         out.append(np.array([[rng.randrange(m) for _ in range(n)] for _ in range(n)], dtype=np.int64))
-        dup = _random_invertible(spec, n, rng).blocks[0].copy()
+        dup = _random_invertible(spec, n, rng).blocks[0][0].copy()
         dup[rng.randrange(n)] = (p * dup[rng.randrange(n)]) % m
         out.append(dup)
     return out
