@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
 )
-from .matrices import RMat, RVec, mat_col, mat_row, signed_entries
+from .matrices import RMat, mat_col, mat_row, pattern_images, signed_entries
 from .rep import (
     Atom,
     GroupElement,
@@ -136,34 +136,39 @@ def parabolic_profile(g: GroupElement, lam: Weight | None = None) -> ParabolicPr
     return ParabolicProfile(in_p=p, in_p_minus=pm, in_levi=p and pm)
 
 
-def _top_lines_in_level(wm, column: RVec, row: RVec, sigma: SigmaPair) -> bool:
-    """The congruence conditions on the top column and top row of a matrix:
-    off the top weight, the column lies in the minus ideal and the row in the
-    plus ideal."""
+@lru_cache(maxsize=256)
+def _pattern_table(rep: Representation, roots: tuple):
+    """The patterns of the roots concatenated: (srcs, dsts, signs, owner),
+    owner[k] the position in ``roots`` of the root of entry k."""
+    patterns = [rep.pattern(alpha) for alpha in roots]
+    sizes = [len(srcs) for srcs, _, _ in patterns]
+    srcs, dsts, signs = (np.concatenate(parts) for parts in zip(*patterns))
+    return srcs, dsts, signs, np.repeat(np.arange(len(roots)), sizes)
+
+
+def _top_line_mask(g: GroupElement, atoms, sigma: SigmaPair) -> np.ndarray:
+    """Per atom (root, value), whether the conjugate g X g^-1 of
+    X = x_root(value) satisfies the congruence conditions of ``in_G_sigma``.
+
+    Only the two lines the conditions read are computed, for all atoms in
+    one batch: the top column g (X g^-1[:, t]) and the top row, as the column
+    g^-T (X^T g[t, :]).  X acts on the column by its pattern and on the row
+    by the transposed pattern, so each side is one gather and one matrix
+    product (``pattern_images``), and every line equals the corresponding
+    line of g X g^-1 entry for entry.  Each side then takes one ideal test.
+    """
+    if not atoms:
+        return np.ones(0, dtype=bool)
+    wm = g.rep.wm
+    top = wm.idx(wm.lam0)
     others, _ = _off_indices(wm, wm.lam0)
-    return column.in_ideal_at(sigma.minus, others) and row.in_ideal_at(sigma.plus, others)
-
-
-def _conjugate_top_lines(mat: RMat, inv_mat: RMat, top: int):
-    """For X = x_alpha(xi), the top column and top row of mat X inv_mat, as a
-    function of (root pattern, xi).  The column is mat (X inv_mat[:, top]) and
-    the row (mat[top, :] X) inv_mat: X acts on the column by its pattern and
-    on the row by the transposed pattern, so a root costs two pattern updates
-    and two matrix-vector products instead of a word expansion and four
-    matrix products."""
-    inv_column = mat_col(inv_mat, top)
-    row = mat_row(mat, top)
-    inv_t = inv_mat.transpose()
-
-    def top_lines(pattern, value: RingElem) -> tuple[RVec, RVec]:
-        srcs, dsts, signs = pattern
-        x_col = inv_column.copy()
-        x_col.apply_x(pattern, value)
-        x_row = row.copy()
-        x_row.apply_x((dsts, srcs, signs), value)
-        return mat.mul_vec(x_col), inv_t.mul_vec(x_row)
-
-    return top_lines
+    roots, values = zip(*atoms)
+    srcs, dsts, signs, owner = _pattern_table(g.rep, roots)
+    columns = pattern_images(g.mat, mat_col(g.inv_mat, top), (srcs, dsts, signs, owner), values)
+    rows = pattern_images(
+        g.inv_mat.transpose(), mat_row(g.mat, top), (dsts, srcs, signs, owner), values
+    )
+    return columns.in_ideal_mask(sigma.minus, others) & rows.in_ideal_mask(sigma.plus, others)
 
 
 def in_G_sigma(g: GroupElement, sigma: SigmaPair) -> bool:
@@ -172,7 +177,9 @@ def in_G_sigma(g: GroupElement, sigma: SigmaPair) -> bool:
     the opposite one mod the plus ideal."""
     wm = g.rep.wm
     top = wm.idx(wm.lam0)
-    return _top_lines_in_level(wm, mat_col(g.mat, top), mat_row(g.mat, top), sigma)
+    others, _ = _off_indices(wm, wm.lam0)
+    column, row = mat_col(g.mat, top), mat_row(g.mat, top)
+    return column.in_ideal_at(sigma.minus, others) and row.in_ideal_at(sigma.plus, others)
 
 
 def in_normalizer(g: GroupElement, sigma: SigmaPair) -> bool:
@@ -223,15 +230,8 @@ def _root_difference_positions(rep: Representation):
     """The entries over every root difference, root after root in the order
     of Phi: (rows, columns, the position of each root's first entry, the
     index in Phi of each entry's root)."""
-    patterns = [rep.pattern(alpha) for alpha in rep.case.phi]
-    sizes = [len(srcs) for srcs, _, _ in patterns]
-    starts = np.cumsum([0] + sizes[:-1])
-    return (
-        np.concatenate([dsts for _, dsts, _ in patterns]),
-        np.concatenate([srcs for srcs, _, _ in patterns]),
-        np.repeat(starts, sizes),
-        np.repeat(np.arange(len(patterns)), sizes),
-    )
+    srcs, dsts, _, owner = _pattern_table(rep, rep.case.phi)
+    return dsts, srcs, np.searchsorted(owner, owner), owner
 
 
 def root_type_failures(g: GroupElement) -> list[str]:
@@ -582,18 +582,18 @@ def _first_escape_conj(
     g: GroupElement, roots, sigma: SigmaPair, inverse_side: bool = False
 ) -> tuple[Root, GroupElement] | None:
     """First root gamma (canonical order) whose unit root element escapes the
-    congruence conditions after conjugation by g (or by its inverse).  Only
-    the top lines of each conjugate are computed; the full conjugate is built
-    for the escaping root alone."""
+    congruence conditions after conjugation by g (or by its inverse).  The
+    top lines of every candidate conjugate come from one batched pass
+    (``_top_line_mask``); the full conjugate is built for the escaping root
+    alone."""
     rep = g.rep
-    wm = rep.wm
     by = g.inverse() if inverse_side else g
-    top_lines = _conjugate_top_lines(by.mat, by.inv_mat, wm.idx(wm.lam0))
-    one = rep.ring.one
-    for gamma in sorted(roots, key=lambda r: (height(r), r)):
-        if not _top_lines_in_level(wm, *top_lines(rep.pattern(gamma), one), sigma):
-            return gamma, rep.x(gamma, 1).conjugate(by)
-    return None
+    order = sorted(roots, key=lambda r: (height(r), r))
+    passes = _top_line_mask(by, [(gamma, rep.ring.one) for gamma in order], sigma)
+    if passes.all():
+        return None
+    gamma = order[int(np.argmin(passes))]
+    return gamma, rep.x(gamma, 1).conjugate(by)
 
 
 def extract_from_weight_stabilizer(
@@ -871,7 +871,8 @@ def transporter_check(
     congruence conditions.  Samples when the enumeration is capped.
 
     Only the two lines of each conjugate g X g^-1 that ``in_G_sigma`` reads
-    are computed (``_conjugate_top_lines``).
+    are computed, for every atom in one batched pass (``_top_line_mask``):
+    one gather and one matrix product per side, then one ideal test per side.
 
     Without a cap, one atom per root decides the whole family.  For
     X = x_alpha(xi) = e + xi P_alpha, the off-top entries of both lines are xi
@@ -881,24 +882,19 @@ def transporter_check(
     conjugates of every enumerated atom, ``in_G_sigma(x.conjugate(g), sigma)``.
     """
     rep = g.rep
-    wm = rep.wm
     if max_generators is None:
-        atoms = [
-            ("x", alpha, ideal.generator())
-            for roots, ideal in _generator_families(rep, sigma)
-            if not ideal.is_zero()
-            for alpha in roots
-        ]
+        atoms = []
+        for roots, ideal in _generator_families(rep, sigma):
+            if not ideal.is_zero():
+                value = ideal.generator()
+                atoms += [(alpha, value) for alpha in roots]
     else:
         atoms = sigma_generator_atoms(rep, sigma)
         if len(atoms) > max_generators:
             rng = SplitMix64(seed)
             atoms = [atoms[rng.randrange(len(atoms))] for _ in range(max_generators)]
-    top_lines = _conjugate_top_lines(g.mat, g.inv_mat, wm.idx(wm.lam0))
-    for _, alpha, value in atoms:
-        if not _top_lines_in_level(wm, *top_lines(rep.pattern(alpha), value), sigma):
-            return False
-    return True
+        atoms = [(alpha, value) for _, alpha, value in atoms]
+    return bool(_top_line_mask(g, atoms, sigma).all())
 
 
 @dataclass

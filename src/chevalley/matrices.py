@@ -101,6 +101,9 @@ def _update_lines(blk: np.ndarray, c: int, targets, sources, signs, part) -> Non
     part_i times slice t - i of the sources for every i <= t.  Targets and
     sources are disjoint, so no update reads a line that another one wrote."""
     coeffs = part if isinstance(part, tuple) else (part,)
+    if not c:
+        # exact integers: an int64 product with a large parameter would overflow
+        signs = signs.astype(object)
     for t, line in enumerate(blk):
         acc = line[targets]
         for i in range(t + 1):
@@ -155,20 +158,36 @@ class _Blocks:
         """Some selected entry is nonzero; with no index, some entry."""
         return any(sl[index].any() for blk in self.blocks for sl in blk)
 
-    def in_ideal_at(self, ideal: Ideal, *index) -> bool:
-        """Every selected entry lies in the ideal."""
+    def _outside(self, ideal: Ideal, index: tuple):
+        """Per selected entry, whether it lies outside the ideal; None when
+        the ideal holds every entry."""
+        out = None
         for f, j, blk in zip(self.spec.factors, ideal.parts, self.blocks):
             if f.kind == POLY:
-                # (t^j): the first j coefficient slices vanish
-                if any(sl[index].any() for sl in blk[:j]):
-                    return False
-                continue
-            # (p^j), or (j) in Z, whose zero ideal tests exact zeros
-            d = j if f.kind == INT else f.p**j
-            vals = blk[0][index]
-            if (vals % d if d else vals).any():
-                return False
-        return True
+                # (t^j): an entry is outside when one of its first j slices is nonzero
+                hits = [sl[index] != 0 for sl in blk[:j]]
+            else:
+                # (p^j), or (j) in Z, whose zero ideal tests exact zeros
+                d = j if f.kind == INT else f.p**j
+                vals = blk[0][index]
+                hits = [(vals % d if d else vals) != 0]
+            for hit in hits:
+                out = hit if out is None else out | hit
+        return out
+
+    def in_ideal_at(self, ideal: Ideal, *index) -> bool:
+        """Every selected entry lies in the ideal."""
+        out = self._outside(ideal, index)
+        return out is None or not out.any()
+
+    def in_ideal_mask(self, ideal: Ideal, *index) -> np.ndarray:
+        """Per position of the last axis, whether every entry selected along
+        the other axes lies in the ideal: for a stack of lines, one verdict
+        per line."""
+        out = self._outside(ideal, index)
+        if out is None:
+            return np.ones(self.blocks[0].shape[-1], dtype=bool)
+        return ~out.reshape(-1, out.shape[-1]).any(axis=0)
 
     def ideal_at(self, *index) -> Ideal:
         """The ideal generated by the selected entries: per factor the least
@@ -243,6 +262,8 @@ class RMat(_Blocks):
         return self._entrywise(np.subtract, other)
 
     def _entrywise(self, op, other: "RMat") -> "RMat":
+        if self.spec != other.spec:
+            raise DomainError("matrix sum over different rings")
         pairs = zip(self.spec.factors, self.blocks, other.blocks)
         return RMat(self.spec, self.n, [_mod(op(a, b), f.layout[1]) for f, a, b in pairs])
 
@@ -420,6 +441,37 @@ def signed_entries(vec: RVec, idx, signs) -> list:
         RingElem(spec, parts) if nz else None
         for nz, parts in zip(nonzero.tolist(), zip(*columns))
     ]
+
+
+def pattern_images(mat: RMat, vec: RVec, table, values) -> _Blocks:
+    """The vectors mat (e + xi_a P_a) vec for atoms a = 0..m-1, as the m
+    columns of an (n, m) stack.
+
+    ``table`` = (srcs, dsts, signs, owner) holds the atoms' patterns
+    concatenated, owner[k] the atom of entry k; as in ``RVec.apply_x``,
+    P_a vec carries signs * vec[srcs] to dsts.  The targets of a pattern are
+    distinct, so each stack entry is updated once.  All columns come from
+    one gather, one entrywise slice product with the parameters xi_a and one
+    matrix product per factor, whose entries sum n products as in ``*``.
+    """
+    if mat.spec != vec.spec:
+        raise DomainError("matrix and vector over different rings")
+    srcs, dsts, signs, owner = table
+    m = len(values)
+    blocks = []
+    for k, (f, a, v) in enumerate(zip(mat.spec.factors, mat.blocks, vec.blocks)):
+        s, c = f.layout
+        xi = np.array([x.parts[k] for x in values], dtype=_dtype(c)).reshape(m, s).T[:, owner]
+        moved = v[:, srcs] * signs
+        cols = np.repeat(v[:, :, None], m, axis=2)
+        for t, sl in enumerate(cols):
+            # slice t of xi * moved: the truncated convolution of the slices
+            acc = sl[dsts, owner]
+            for i in range(t + 1):
+                acc = acc + xi[i] * moved[t - i]
+            sl[dsts, owner] = _mod(acc, c)
+        blocks.append(_convolve(a, cols, c, _float_ok(c, mat.n)))
+    return _Blocks(mat.spec, mat.n, blocks)
 
 
 def mat_col(mat: RMat, j: int) -> RVec:

@@ -553,6 +553,44 @@ def test_line_only_escape_matches_full_conjugates(tag, ring_name):
     assert True in verdicts and False in verdicts
 
 
+def _level(ring, plus, minus):
+    """The level pair of principal ideals with the given generators, each
+    given by its residues."""
+    return SigmaPair(*(Ideal.from_elems(ring, [ring.from_parts(p)]) for p in (plus, minus)))
+
+
+@pytest.mark.parametrize(
+    "tag,l,ring_name,plus,minus",
+    [
+        ("b", None, "z4", (2,), (0,)),
+        ("c", None, "z4", (2,), (2,)),
+        ("b", None, "z12", (2, 0), (0, 1)),
+        ("c", None, "z12", (2, 0), (2, 1)),
+        ("b", None, "f2t2", ((0, 1),), ((0, 0),)),
+        ("c", None, "f2t2", ((0, 1),), ((0, 1),)),
+        ("b", None, "f3t3", ((0, 1, 0),), ((0, 0, 1),)),
+        ("c", None, "f3t3", ((0, 0, 1),), ((0, 1, 0),)),
+        ("a", 6, "z8", (4,), (2,)),
+    ],
+)
+def test_batched_top_line_mask_matches_full_conjugates(tag, l, ring_name, plus, minus):
+    """One verdict per atom of the whole enumerated family, each against the
+    full conjugate, on level members and on escape controls."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    sigma = _level(ring, plus, minus)
+    atoms = sigma_generator_atoms(rep, sigma)
+    pairs = [(alpha, value) for _, alpha, value in atoms]
+    verdicts = set()
+    for g in _members_and_escapes(rep, sigma, seed=len(atoms), n=1):
+        mask = analysis._top_line_mask(g, pairs, sigma)
+        assert mask.tolist() == [
+            in_G_sigma(rep.element_from_word((a,)).conjugate(g), sigma) for a in atoms
+        ]
+        verdicts.update(mask.tolist())
+    assert verdicts == {True, False}
+
+
 def test_sampled_transporter_matches_full_conjugates(rep_c_z4):
     rep = rep_c_z4
     sigma = parse_sigma(rep.ring, "(2),(0)")

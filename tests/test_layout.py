@@ -3,13 +3,15 @@ work on ``RingElem`` entries, over every factor kind, a product of factors and
 a zero-ring factor; plus the int64 exactness bound.  Inputs come from seeded
 ``SplitMix64`` streams, so every run replays bit-exactly."""
 
+import ast
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
-from chevalley.matrices import RMat, RVec, check_exact, mat_col
+from chevalley.matrices import RMat, RVec, check_exact, mat_col, pattern_images
 from chevalley.rep import representation, sample_word
 from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
@@ -239,6 +241,92 @@ def test_predicates_match_entrywise_folds(name):
         assert column.ideal_at(idx) == Ideal.from_elems(spec, line)
         for ideal in ideals:
             assert column.in_ideal_at(ideal, idx) == all(x in ideal for x in line)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_line_mask_matches_entrywise_folds(name):
+    spec = SPECS[name]
+    rng = SplitMix64(5 + sum(map(ord, name)))
+    for trial in range(4):
+        a = _signed_matrix(spec, rng, N)
+        m = _to_mat(spec, a)
+        rows = np.array(sorted({rng.randrange(N) for _ in range(1 + trial)}), dtype=np.intp)
+        for ideal in _ideals(spec):
+            expected = [all(a[i][j] in ideal for i in rows) for j in range(N)]
+            assert m.in_ideal_mask(ideal, rows).tolist() == expected
+            assert m.in_ideal_mask(ideal, rows[0]).tolist() == [a[rows[0]][j] in ideal for j in range(N)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_pattern_images_match_the_entrywise_reference(name):
+    spec = SPECS[name]
+    rng = SplitMix64(6 + sum(map(ord, name)))
+    pool = _pool(spec)
+    for _ in range(3):
+        a = _random_entries(spec, rng, N, N)
+        v = [row[0] for row in _random_entries(spec, rng, N, 1)]
+        patterns = [_random_pattern(rng, N) for _ in range(4)]
+        values = [pool[rng.randrange(len(pool))] for _ in patterns]
+        owner = np.repeat(np.arange(len(patterns)), [len(p[0]) for p in patterns])
+        table = tuple(np.concatenate(parts) for parts in zip(*patterns)) + (owner,)
+        got = pattern_images(_to_mat(spec, a), _to_vec(spec, v), table, values)
+        for k, (pattern, xi) in enumerate(zip(patterns, values)):
+            x = _ref_root_matrix(spec, N, pattern, xi)
+            expected = _ref_mul(spec, _ref_mul(spec, a, x), [[y] for y in v])
+            assert [got._box((i, k)) for i in range(N)] == [row[0] for row in expected]
+
+
+def test_sums_over_different_rings_are_refused():
+    z4 = RMat.identity(named_ring("z4"), 3)
+    z8 = RMat.identity(named_ring("z8"), 3)
+    with pytest.raises(DomainError):
+        z4 + z8
+    with pytest.raises(DomainError):
+        z4 - z8
+    assert (z4 + z4).entry(0, 0) == named_ring("z4").el(2)
+
+
+def test_integer_root_elements_with_large_parameters():
+    ints = RingSpec.integers()
+    rep = representation("b", None, ints)
+    n = rep.n
+    for alpha in (rep.case.phi[0], rep.case.phi[-1]):
+        srcs, dsts, signs = rep.pattern(alpha)
+        for xi in (2**70, -(2**70) + 3, 2**64 - 1):
+            g = rep.x(alpha, xi)
+            ref = [[int(i == j) for j in range(n)] for i in range(n)]
+            for src, dst, sign in zip(srcs.tolist(), dsts.tolist(), signs.tolist()):
+                ref[dst][src] = sign * xi
+            assert [[g.mat.entry(i, j).parts[0] for j in range(n)] for i in range(n)] == ref
+            assert (g * rep.x(alpha, -xi)).is_identity()
+            assert (g.mat * g.inv_mat).is_identity()
+
+
+# -- ring-factor dispatch -----------------------------------------------------------
+
+
+def test_factor_kind_dispatch_stays_in_rings_and_matrices():
+    """Only ``rings`` and ``matrices`` import the factor-kind constants or
+    read a factor's kind; ``wm.kind`` and ``case.kind`` (weight-module and
+    embedding kinds) are other attributes."""
+    src = Path(__file__).resolve().parents[1] / "src" / "chevalley"
+    kinds = {"POLY", "ZMOD", "INT"}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("rings.py", "matrices.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and kinds & {a.name for a in node.names}:
+                offenders.append(f"{path.name}:{node.lineno} imports a factor kind")
+            elif isinstance(node, ast.Name) and node.id in kinds:
+                offenders.append(f"{path.name}:{node.lineno} reads {node.id}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "kind"
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("wm", "case"))
+            ):
+                offenders.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    assert not offenders, offenders
 
 
 # -- the int64 exactness bound -------------------------------------------------------
