@@ -196,9 +196,9 @@ def in_normalizer(g: GroupElement, sigma: SigmaPair) -> bool:
     inv_column = mat_col(g.inv_mat, top)
     if not inv_column.in_ideal_at(sigma.minus, middle):
         return False
-    if not row.ideal_at(bottom) * sigma.minus <= sigma.plus:
+    if not row.line_ideals(bottom)[0] * sigma.minus <= sigma.plus:
         return False
-    return inv_column.ideal_at(bottom) * sigma.plus <= sigma.minus
+    return inv_column.line_ideals(bottom)[0] * sigma.plus <= sigma.minus
 
 
 @lru_cache(maxsize=None)
@@ -841,24 +841,30 @@ def ring_commutator_identity_holds(x: GroupElement, g: GroupElement) -> bool:
 
 def corner_ideals(g: GroupElement, lam1: Weight) -> tuple[Ideal, Ideal, Ideal, Ideal]:
     """Ideals generated by the first-component column and row entries and by
-    the two corner entries at the top weight."""
-    j, others, top = _corner_ideal_positions(g.rep.wm, lam1)
-    column = mat_col(g.mat, j)
-    row = mat_row(g.mat, j)
-    return (
-        column.ideal_at(others),
-        column.ideal_at(top),
-        row.ideal_at(others),
-        row.ideal_at(top),
-    )
+    the two corner entries at the top weight.
+
+    One table per element holds these four ideals for every first-component
+    weight.  It is computed on the first read, one ``line_ideals`` gather per
+    ideal, and kept with the element."""
+    wm = g.rep.wm
+    if g.corner_table is None:
+        sides = [g.mat.line_ideals(*index) for index in _corner_lines(wm)]
+        g.corner_table = dict(zip(wm.lambda1, zip(*sides)))
+    if lam1 not in g.corner_table:
+        raise DomainError(f"{lam1} is not a first-component weight")
+    return g.corner_table[lam1]
 
 
 @lru_cache(maxsize=None)
-def _corner_ideal_positions(wm, lam1: Weight):
-    """The index of lam1, the indices of the rest of its component, and the
-    top weight's index as a one-element array."""
-    others = [wm.idx(mu) for mu in wm.components[1] if mu != lam1]
-    return wm.idx(lam1), np.array(others, dtype=np.intp), np.array([wm.idx(wm.lam0)], dtype=np.intp)
+def _corner_lines(wm):
+    """The matrix index of each corner ideal's lines, one line per weight of
+    J = lambda1: in its column, the rest of J (column i of ``rest`` is J
+    without J_i) and the top entry; then the same two in its row."""
+    j = np.array([wm.idx(mu) for mu in wm.lambda1], dtype=np.intp)
+    m = len(j)
+    rest = np.broadcast_to(j, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1).T
+    top = wm.idx(wm.lam0)
+    return (rest, j), (top, j), (j, rest), (j, top)
 
 
 # -- transporter and level certificates -------------------------------------------------------

@@ -183,10 +183,10 @@ class QuadraticForm:
         return [[i, j, c] for i, j, c in self.coeffs]
 
 
-def _orbit_vector_int(wm: WeightModule, rng: SplitMix64, length: int = 14) -> np.ndarray:
-    """A column of a random word over the integers applied to the top vector."""
+def _orbit_vector_int(wm: WeightModule, rng: SplitMix64, roots, length: int = 14) -> np.ndarray:
+    """A column of a random word over the roots, with integer parameters,
+    applied to the top vector."""
     tables = rep_tables(wm)
-    roots = list(wm.case.phi)
     v = np.zeros(wm.dim, dtype=object)
     v[wm.idx(wm.lam0)] = 1
     for _ in range(length):
@@ -233,13 +233,20 @@ def _fraction_kernel(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
 
 def square_equation(wm: WeightModule, square: WeightSquare, seed: int = 2026) -> QuadraticForm:
     """The quadratic equation supported on the matched pairs of a square,
-    found as the kernel of evaluation on integer orbit vectors."""
+    found as the kernel of evaluation on integer orbit vectors.  The kernel's
+    words use only the roots joining two members of the square, so they
+    spread the top vector over it (words over all of Phi rarely do in large
+    modules); fresh words over all of Phi then check the equation."""
+    if wm.lam0 not in square.members:
+        raise DomainError("the square must contain the top weight")
     rng = SplitMix64(seed)
     pairs = [tuple(sorted((wm.idx(a), wm.idx(b)))) for a, b in square.matching]
+    joining = [wm.root_between(a, b) for a in square.members for b in square.members]
+    joining = list(dict.fromkeys(r for r in joining if r is not None))
     n_samples = 8 * len(pairs) + 40
     rows = []
     for _ in range(n_samples):
-        v = _orbit_vector_int(wm, rng)
+        v = _orbit_vector_int(wm, rng, joining)
         rows.append([int(v[i]) * int(v[j]) for i, j in pairs])
     kernel = _fraction_kernel(rows, len(pairs))
     if len(kernel) != 1:
@@ -263,7 +270,7 @@ def square_equation(wm: WeightModule, square: WeightSquare, seed: int = 2026) ->
 
     form = QuadraticForm(wm=wm, coeffs=tuple(sorted(coeffs)))
     for _ in range(200):
-        v = _orbit_vector_int(wm, rng)
+        v = _orbit_vector_int(wm, rng, wm.case.phi)
         if form.evaluate_int(v) != 0:
             raise InternalConsistencyError("square equation fails on a fresh orbit vector")
     return form

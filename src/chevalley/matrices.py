@@ -26,8 +26,6 @@ instead of wrapping around.
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 from .errors import DomainError, NonUnitError, UnsupportedCaseError
@@ -189,19 +187,26 @@ class _Blocks:
             return np.ones(self.blocks[0].shape[-1], dtype=bool)
         return ~out.reshape(-1, out.shape[-1]).any(axis=0)
 
-    def ideal_at(self, *index) -> Ideal:
-        """The ideal generated by the selected entries: per factor the least
-        valuation, or the gcd over the integers."""
+    def line_ideals(self, *index) -> list[Ideal]:
+        """Per position of the last axis, the ideal generated by the entries
+        selected along the other axes: for a stack of lines, the ideal of each
+        line, per factor the least valuation or the gcd over the integers.
+        Equal ideals are one shared object."""
         parts = []
         for f, blk in zip(self.spec.factors, self.blocks):
+            vals = [v.reshape(-1, v.shape[-1]) for v in (sl[index] for sl in blk)]
             if f.kind == POLY:
-                parts.append(next((t for t, sl in enumerate(blk) if sl[index].any()), f.k))
-            elif f.kind == INT:
-                parts.append(gcd(*blk[0][index].tolist()))
+                # the valuation is the number of leading slices that vanish
+                part = np.logical_and.accumulate([~v.any(axis=0) for v in vals]).sum(axis=0)
             else:
-                vals = blk[0][index]
-                parts.append(next((e for e in range(f.k) if (vals % f.p ** (e + 1)).any()), f.k))
-        return Ideal(self.spec, tuple(parts))
+                # each line's gcd with c; over Z/p^k it is p^v, v the least valuation
+                part = np.gcd.reduce(vals[0], axis=0, initial=f.layout[1])
+                if f.kind != INT:
+                    part = np.searchsorted(f.p ** np.arange(f.k + 1), part)
+            parts.append(part.tolist())
+        rows = list(zip(*parts))
+        ideals = {t: Ideal(self.spec, t) for t in set(rows)}
+        return [ideals[t] for t in rows]
 
     def signed_copies_at(self, *index, ref) -> np.ndarray:
         """For each selected entry, whether it equals plus or minus the
@@ -419,12 +424,6 @@ class RVec(_Blocks):
 
     def set_entry(self, i: int, x: RingElem) -> None:
         self._set((i,), x)
-
-    def apply_x(self, pattern, xi: RingElem) -> None:
-        """self <- (e + xi * P) * self."""
-        srcs, dsts, signs = pattern
-        for f, blk, part in zip(self.spec.factors, self.blocks, xi.parts):
-            _update_lines(blk, f.layout[1], dsts, srcs, signs, part)
 
 
 def signed_entries(vec: RVec, idx, signs) -> list:

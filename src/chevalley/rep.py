@@ -183,10 +183,11 @@ class GroupElement:
     ``inv_mat`` (the exact inverse) and ``word`` (the generator word, or None
     for matrix-only elements) are computed on first read and then kept.  The
     deferred computations hold the factors' inverse and word data, never the
-    factors' forward matrices.
+    factors' forward matrices.  ``corner_table`` is filled by
+    ``analysis.corner_ideals`` on its first read.
     """
 
-    __slots__ = ("rep", "mat", "_inv", "_word")
+    __slots__ = ("rep", "mat", "_inv", "_word", "corner_table")
 
     def __init__(self, rep: "Representation", mat: RMat, inv, word=None):
         """``inv`` and ``word`` are values or ``_Lazy`` nodes."""
@@ -194,6 +195,7 @@ class GroupElement:
         self.mat = mat
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
         self._word = word if isinstance(word, _Lazy) else _Lazy(word)
+        self.corner_table = None
 
     @property
     def inv_mat(self) -> RMat:
@@ -365,13 +367,6 @@ class Representation:
     def act_covector(self, w: RVec, g: GroupElement) -> RVec:
         return g.mat.transpose().mul_vec(w)
 
-    def word_on_vector(self, atoms, v: RVec) -> RVec:
-        """Product of the atoms applied to a vector, cheaper than a full matrix."""
-        out = v.copy()
-        for root, value in reversed(self.expand_atoms(atoms)):
-            out.apply_x(self.pattern(root), value)
-        return out
-
     # -- reduction --------------------------------------------------------------------
 
     def reduce(self, g: GroupElement, ideal: Ideal) -> GroupElement:
@@ -412,14 +407,6 @@ def sample_word_rng(rep: Representation, atoms: list[Atom], length: int, rng: Sp
         return rep.identity()
     picked = tuple(rng.choice(atoms) for _ in range(length))
     return rep.element_from_word(picked)
-
-
-def delta_atoms(rep: Representation, values=None) -> list[Atom]:
-    """x-atoms over the subsystem roots; all nonzero values for a finite ring
-    unless an explicit value pool is given."""
-    if values is None:
-        values = [v for v in rep.ring.elements() if not v.is_zero()]
-    return [("x", alpha, v) for alpha in rep.case.delta for v in values]
 
 
 @lru_cache(maxsize=None)

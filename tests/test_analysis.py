@@ -889,27 +889,43 @@ def test_root_type_failures_match_entrywise_reference(ring_name):
     assert incoherent > 0
 
 
-@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
-def test_corner_ideals_match_entrywise_reference(ring_name):
+def _corner_reference(g, lam1):
+    """The four corner ideals folded from boxed entries."""
+    wm, ring = g.rep.wm, g.rep.ring
+    others = [mu for mu in wm.components[1] if mu != lam1]
+    return (
+        Ideal.from_elems(ring, [g.entry(mu, lam1) for mu in others]),
+        Ideal.from_elems(ring, [g.entry(wm.lam0, lam1)]),
+        Ideal.from_elems(ring, [g.entry(lam1, mu) for mu in others]),
+        Ideal.from_elems(ring, [g.entry(lam1, wm.lam0)]),
+    )
+
+
+@pytest.mark.parametrize(
+    "tag,l,ring_name",
+    [pytest.param("b", None, name, id=name) for name in ("z4", "z12", "f2t2", "int")]
+    + [pytest.param("c", None, name, id=f"c-{name}") for name in ("z4", "z12", "f2t2")]
+    + [pytest.param("a", 6, "z8", id="a6-z8")],
+)
+def test_corner_ideals_match_entrywise_reference(tag, l, ring_name):
+    """Elements are queried interleaved, so a table that is stale, shared
+    between elements or kept past its element fails."""
     ring = named_ring(ring_name)
-    rep = representation("b", None, ring)
+    rep = representation(tag, l, ring)
     wm = rep.wm
     rng = SplitMix64(73)
     nonzero = 0
-    for i in range(10):
-        g = _any_word(rep, rng, 1 + i % 5)
-        for lam1 in wm.lambda1[i % 3 :: 4]:
-            others = [mu for mu in wm.components[1] if mu != lam1]
-            expected = (
-                Ideal.from_elems(ring, [g.entry(mu, lam1) for mu in others]),
-                Ideal.from_elems(ring, [g.entry(wm.lam0, lam1)]),
-                Ideal.from_elems(ring, [g.entry(lam1, mu) for mu in others]),
-                Ideal.from_elems(ring, [g.entry(lam1, wm.lam0)]),
-            )
-            got = corner_ideals(g, lam1)
-            assert got == expected
-            nonzero += sum(not i.is_zero() for i in got)
+    for i in range(4):
+        g1 = _any_word(rep, rng, 1 + i % 5)
+        g2 = _any_word(rep, rng, 2 + i % 3)
+        for k, g in enumerate([g1, g2, g1, g1 * g2, g1.inverse()]):
+            for lam1 in wm.lambda1[(i + k) % 3 :: 4]:
+                got = corner_ideals(g, lam1)
+                assert got == _corner_reference(g, lam1)
+                nonzero += sum(not x.is_zero() for x in got)
     assert nonzero > 0
+    with pytest.raises(DomainError):
+        corner_ideals(g1, wm.lam0)
 
 
 @pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2"])

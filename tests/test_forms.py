@@ -81,6 +81,27 @@ def test_square_equation_coefficients():
     assert form.evaluate_int(v) == 0
 
 
+def test_square_equation_at_l10():
+    """At dimension 512, words over all of Phi rarely reach the square; the
+    kernel's samples reach it by construction."""
+    wm = default_module("a", 10)
+    mu1 = min((m for m in wm.components[2] if wm.distance(wm.lam0, m) == 2), key=wm.idx)
+    form = square_equation(wm, find_square(wm, wm.lam0, mu1))
+    assert form.coeffs == ((0, 10, 1), (1, 7, -1), (2, 5, 1), (3, 4, -1))
+
+
+def test_square_equation_needs_the_top_weight():
+    wm = default_module("c")
+    square = next(
+        sq
+        for b in wm.weights
+        if wm.distance(wm.lambda1[0], b) == 2
+        and wm.lam0 not in (sq := find_square(wm, wm.lambda1[0], b)).members
+    )
+    with pytest.raises(DomainError):
+        square_equation(wm, square)
+
+
 @pytest.mark.parametrize("tag,l", SECOND)
 def test_pi_form_properties(tag, l):
     wm = default_module(tag, l)

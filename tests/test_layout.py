@@ -127,9 +127,6 @@ def test_kernels_match_the_entrywise_reference(name):
         left.apply_x_left(pattern, xi)
         assert _entries(right) == _ref_mul(spec, a, x)
         assert _entries(left) == _ref_mul(spec, x, a)
-        vec = _to_vec(spec, v)
-        vec.apply_x(pattern, xi)
-        assert [vec.entry(i) for i in range(N)] == [row[0] for row in _ref_mul(spec, x, [[y] for y in v])]
 
 
 def _ideals(spec):
@@ -226,7 +223,7 @@ def test_predicates_match_entrywise_folds(name):
         assert m.nonzero_at(rows, cols) == any(not x.is_zero() for x in picked)
         assert m.nonzero_at(mask) == any(not x.is_zero() for x in masked)
         assert m.nonzero_at() == any(not x.is_zero() for row in a for x in row)
-        assert m.ideal_at(rows, cols) == Ideal.from_elems(spec, picked)
+        assert m.line_ideals(rows[:, None], cols[:, None]) == [Ideal.from_elems(spec, picked)]
         for ideal in ideals:
             assert m.in_ideal_at(ideal, rows, cols) == all(x in ideal for x in picked)
 
@@ -238,7 +235,7 @@ def test_predicates_match_entrywise_folds(name):
         idx = cols
         line = [a[i][trial % N] for i in idx]
         assert column.nonzero_at(idx) == any(not x.is_zero() for x in line)
-        assert column.ideal_at(idx) == Ideal.from_elems(spec, line)
+        assert column.line_ideals(idx[:, None]) == [Ideal.from_elems(spec, line)]
         for ideal in ideals:
             assert column.in_ideal_at(ideal, idx) == all(x in ideal for x in line)
 
@@ -255,6 +252,32 @@ def test_line_mask_matches_entrywise_folds(name):
             expected = [all(a[i][j] in ideal for i in rows) for j in range(N)]
             assert m.in_ideal_mask(ideal, rows).tolist() == expected
             assert m.in_ideal_mask(ideal, rows[0]).tolist() == [a[rows[0]][j] in ideal for j in range(N)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_line_ideals_match_entrywise_folds(name):
+    spec = SPECS[name]
+    rng = SplitMix64(6 + sum(map(ord, name)))
+    cols = np.arange(N, dtype=np.intp)
+    for trial in range(6):
+        a = _signed_matrix(spec, rng, N)
+        if trial == 0:
+            a = [[spec.zero] * N for _ in range(N)]
+        zero_col = rng.randrange(N)
+        for row in a:
+            row[zero_col] = spec.zero
+        m = _to_mat(spec, a)
+        # a stack of lines as in the corner table: column j reads rows[:, j]
+        rows = np.array([[rng.randrange(N) for _ in range(N)] for _ in range(1 + trial % 3)], dtype=np.intp)
+        got = m.line_ideals(rows, cols)
+        assert got == [Ideal.from_elems(spec, [a[i][j] for i in rows[:, j]]) for j in range(N)]
+        assert all(x is y for x in got for y in got if x == y)
+        assert got[zero_col].is_zero()
+        # one entry per line, lines along the rows, and an empty stack
+        r = rng.randrange(N)
+        assert m.line_ideals(r, cols) == [Ideal.from_elems(spec, [a[r][j]]) for j in range(N)]
+        assert m.line_ideals(cols, r) == [Ideal.from_elems(spec, [a[j][r]]) for j in range(N)]
+        assert m.line_ideals(rows[:0], cols) == [Ideal.zero(spec)] * N
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
