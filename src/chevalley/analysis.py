@@ -216,13 +216,7 @@ def _corner_positions(wm):
 @lru_cache(maxsize=None)
 def _distance_mask(wm):
     """Boolean matrix marking weight pairs at graph distance two or more."""
-    n = wm.dim
-    mask = np.zeros((n, n), dtype=bool)
-    for lam in wm.weights:
-        for mu in wm.weights:
-            if wm.distance(lam, mu) >= 2:
-                mask[wm.idx(lam), wm.idx(mu)] = True
-    return mask
+    return wm.distances >= 2
 
 
 @lru_cache(maxsize=None)

@@ -37,8 +37,9 @@ from .forms import (
     build_pi_form,
     pi_form_vanishes_on_samples,
 )
-from .rep import get_representation, rep_tables, sample_word_rng
-from .rings import Ideal, RingSpec
+from .errors import InternalConsistencyError
+from .rep import get_representation, rep_tables, sample_word_rng, weyl_monomial
+from .rings import Ideal, RingSpec, named_ring
 from .rng import SplitMix64
 from .roots import build_case, orbit_decomposition, partner_root
 from .weights import build_weights, sigma_split
@@ -115,20 +116,17 @@ def combinatorial_suite(tag: str, l: int | None = None) -> list[SuiteResult]:
             fails.append(f"edge at the top weight for simple root {i}")
     out.append(_result("unique-top-edge", fails))
 
+    # a weight lam that alpha lowers is far from every weight rho that alpha
+    # raises, unless rho = lam - alpha
     fails = []
+    patterns = rep_tables(wm).patterns
     for alpha in case.phi:
-        neg = tuple(-x for x in alpha)
-        downs = [lam for lam in wm.weights if wm.shift(lam, neg) is not None]
-        ups = [rho for rho in wm.weights if wm.shift(rho, alpha) is not None]
-        for lam in downs:
-            lam_down = wm.shift(lam, neg)
-            for rho in ups:
-                if lam_down != rho and wm.distance(lam, rho) < 2:
-                    fails.append(f"close pair across root {alpha}: {lam}, {rho}")
-                    break
-            if fails:
-                break
-        if fails:
+        downs, lowered, _ = patterns[tuple(-x for x in alpha)]
+        ups = patterns[alpha][0]
+        close = (wm.distances[np.ix_(downs, ups)] < 2) & (lowered[:, None] != ups)
+        if close.any():
+            i, j = np.argwhere(close)[0]
+            fails.append(f"close pair across root {alpha}: {wm.weights[downs[i]]}, {wm.weights[ups[j]]}")
             break
     out.append(_result("distant-weights-across-root", fails))
 
@@ -213,18 +211,24 @@ def combinatorial_suite(tag: str, l: int | None = None) -> list[SuiteResult]:
 # -- relation suite --------------------------------------------------------------------
 
 
-def _pattern_dict(tables, root):
-    srcs, dsts, signs = tables.patterns[root]
-    return {int(s): (int(d), int(c)) for s, d, c in zip(srcs, dsts, signs)}
+def _dense_patterns(tables, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Every root's pattern as dense (dst, sign) rows over n + 1 slots.  Slot
+    n is a sentinel that maps to itself with sign 0, so composing two
+    patterns is one indexing step: d2[d1], s1 * s2[d1]."""
+    n = tables.wm.dim
+    dst = np.full((len(phi), n + 1), n, dtype=np.intp)
+    sign = np.zeros((len(phi), n + 1), dtype=np.int64)
+    for k, root in enumerate(phi):
+        srcs, dsts, signs = tables.patterns[root]
+        dst[k, srcs], sign[k, srcs] = dsts, signs
+    return dst, sign
 
 
-def _compose(after: dict, before: dict) -> dict:
-    out = {}
-    for src, (mid, c1) in before.items():
-        hit = after.get(mid)
-        if hit is not None:
-            out[src] = (hit[0], c1 * hit[1])
-    return out
+def _row_constant(values: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the value at the first support slot, and whether every
+    support slot holds that value."""
+    first = values[np.arange(len(values)), np.argmax(support, axis=1)]
+    return first, ~((values != first[:, None]) & support).any(axis=1)
 
 
 def steinberg_suite(
@@ -234,86 +238,74 @@ def steinberg_suite(
     seed: int = 2026,
     sampled_pairs: int = 120,
 ) -> list[SuiteResult]:
-    from .rings import named_ring
-
     case = build_case(tag, l)
     wm = build_weights(case)
     tables = rep_tables(wm)
     out: list[SuiteResult] = []
     phi = case.phi
     phi_set = set(phi)
+    dst, sign = _dense_patterns(tables, phi)
+    index = {r: k for k, r in enumerate(phi)}
 
-    fails = []
-    for alpha in phi:
-        a = _pattern_dict(tables, alpha)
-        if _compose(a, a):
-            fails.append(f"pattern square nonzero for {alpha}")
-            break
-    out.append(_result("pattern-square-zero", fails))
+    def lookup(vectors: np.ndarray) -> np.ndarray:
+        """Index in Phi of each row of ``vectors``, or -1 for a non-root."""
+        return np.array([index.get(tuple(v), -1) for v in vectors.tolist()], dtype=np.intp)
+
+    roots = np.array(phi, dtype=np.int64)
+    pairings = roots @ np.array(case.cartan, dtype=np.int64) @ roots.T
+    negs = lookup(-roots)
+
+    square = sign * np.take_along_axis(sign, dst, axis=1)
+    bad = np.flatnonzero(square.any(axis=1))
+    out.append(_result("pattern-square-zero", [f"pattern square nonzero for {phi[k]}" for k in bad[:1]]))
 
     fails = []
     pair_signs = {}
-    for alpha in phi:
-        a = _pattern_dict(tables, alpha)
-        for beta in phi:
-            if beta == alpha or beta == tuple(-x for x in alpha):
+    for i, alpha in enumerate(phi):
+        d_ab, s_ab = dst[i][dst], sign * sign[i][dst]  # alpha after beta
+        d_ba, s_ba = dst[:, dst[i]], sign[:, dst[i]] * sign[i]  # beta after alpha
+        sums = lookup(roots[i] + roots)
+        comm, t_sign = s_ab - s_ba, sign[sums]
+        support = t_sign != 0
+        same_support = ~((comm != 0) != support).any(axis=1)
+        const, constant = _row_constant(comm * t_sign, support)
+        commute = ~((d_ab != d_ba) | (s_ab != s_ba)).any(axis=1)
+        for k, beta in enumerate(phi):
+            if k == i or k == negs[i]:
                 continue
-            b = _pattern_dict(tables, beta)
-            ab, ba = _compose(a, b), _compose(b, a)
-            s = tuple(x + y for x, y in zip(alpha, beta))
-            if s in phi_set:
-                target = _pattern_dict(tables, s)
-                diff = {}
-                for src in set(ab) | set(ba):
-                    v = (ab.get(src, (None, 0)))[1] - (ba.get(src, (None, 0)))[1]
-                    dst_ab = ab.get(src, ba.get(src))[0]
-                    if v:
-                        diff[src] = (dst_ab, v)
-                if set(diff) != set(target):
-                    fails.append(f"commutator support mismatch for {alpha}, {beta}")
-                    break
-                consts = {diff[src][1] * target[src][1] for src in target}
-                if len(consts) != 1 or next(iter(consts)) not in (1, -1):
-                    fails.append(f"commutator constant not a sign for {alpha}, {beta}")
-                    break
-                pair_signs[(alpha, beta)] = next(iter(consts))
-            else:
-                if ab != ba:
+            if sums[k] < 0:
+                if not commute[k]:
                     fails.append(f"disjoint pair does not commute: {alpha}, {beta}")
-                    break
+            elif not same_support[k]:
+                fails.append(f"commutator support mismatch for {alpha}, {beta}")
+            elif not constant[k] or abs(const[k]) != 1:
+                fails.append(f"commutator constant not a sign for {alpha}, {beta}")
+            else:
+                pair_signs[(alpha, beta)] = int(const[k])
+            if fails:
+                break
         if fails:
             break
     out.append(_result("pattern-commutators", fails))
 
     fails = []
     n = wm.dim
-    for alpha in phi:
-        mat = np.eye(n, dtype=np.int64)
-        for root, v in ((alpha, 1), (tuple(-x for x in alpha), -1), (alpha, 1)):
-            d = _pattern_dict(tables, root)
-            for src, (dst, c) in d.items():
-                mat[dst, :] += c * v * mat[src, :]
-        perm = np.full(n, -1, dtype=np.intp)
-        sgn = np.zeros(n, dtype=np.int64)
-        monomial = True
-        for j in range(n):
-            nz = np.nonzero(mat[:, j])[0]
-            if len(nz) != 1 or mat[nz[0], j] not in (1, -1):
-                monomial = False
-                break
-            perm[j], sgn[j] = nz[0], mat[nz[0], j]
-        if not monomial:
+    for i, alpha in enumerate(phi):
+        try:
+            perm, sgn = weyl_monomial(tables.patterns, n, alpha)
+        except InternalConsistencyError:
             fails.append(f"weyl element not monomial for {alpha}")
             break
-        for beta in phi:
-            b = _pattern_dict(tables, beta)
-            conj = {int(perm[s]): (int(perm[d]), int(sgn[s] * sgn[d] * c)) for s, (d, c) in b.items()}
-            target = _pattern_dict(tables, case.reflect(beta, alpha))
-            same = {src: (d, c) for src, (d, c) in conj.items()}
-            if set(same) != set(target) or len({same[s][1] * target[s][1] for s in target}) > 1:
-                fails.append(f"weyl conjugation fails for {alpha}, {beta}")
-                break
-        if fails:
+        # w x_beta w^-1 is the pattern of beta moved along the monomial
+        perm, sgn = np.append(perm, n), np.append(sgn, 0)
+        c_sign = np.empty_like(sign)
+        c_sign[:, perm] = sgn[dst] * sgn * sign
+        t_sign = sign[lookup(roots - pairings[:, i, None] * roots[i])]
+        support = t_sign != 0
+        _, constant = _row_constant(c_sign * t_sign, support)
+        bad = np.flatnonzero(((c_sign != 0) != support).any(axis=1) | ~constant)
+        if len(bad):
+            fails.append(f"weyl conjugation fails for {alpha}, {phi[bad[0]]}")
             break
     out.append(_result("weyl-conjugation", fails))
 
@@ -335,7 +327,10 @@ def steinberg_suite(
             comm = rep.x(alpha, xi).commutator(rep.x(beta, zeta))
             s = tuple(x + y for x, y in zip(alpha, beta))
             if s in phi_set:
-                n_const = pair_signs[(alpha, beta)]
+                n_const = pair_signs.get((alpha, beta))
+                if n_const is None:
+                    fails.append(f"no commutator sign established for {alpha}, {beta}")
+                    break
                 expected = rep.x(s, rep.scalar(n_const) * xi * zeta)
                 if not comm == expected:
                     fails.append(f"commutator value fails for {alpha}, {beta} over {ring.describe()}")
@@ -353,8 +348,6 @@ def steinberg_suite(
 def root_type_suite(
     tag: str, l: int | None = None, ring_name: str = "z8", n_samples: int = 500, seed: int = 2026
 ) -> list[SuiteResult]:
-    from .rings import named_ring
-
     case = build_case(tag, l)
     wm = build_weights(case)
     ring = named_ring(ring_name)
@@ -397,13 +390,8 @@ def forms_suite(
     if wm.kind != "second":
         return [SuiteResult("forms-not-applicable", True, None)]
 
-    out.append(
-        SuiteResult(
-            "bilinear-invariance",
-            bilinear_invariance_holds(wm),
-            None if bilinear_invariance_holds(wm) else "some generator breaks the pairing",
-        )
-    )
+    invariant = bilinear_invariance_holds(wm)
+    out.append(_result("bilinear-invariance", [] if invariant else ["some generator breaks the pairing"]))
 
     form = build_pi_form(wm)
     corner = form.coefficient(wm.lam0, wm.minus(wm.lam0))
@@ -441,8 +429,6 @@ def forms_suite(
 def decomposition_suite(
     tag: str, l: int | None = None, ring_name: str = "z8", n_samples: int = 200, seed: int = 2026
 ) -> list[SuiteResult]:
-    from .rings import named_ring
-
     case = build_case(tag, l)
     wm = build_weights(case)
     ring = named_ring(ring_name)
@@ -484,8 +470,6 @@ def normalizer_suite(
     n_transporter: int = 50,
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    from .rings import named_ring
-
     case = build_case(tag, l)
     wm = build_weights(case)
     ring = named_ring(ring_name)
@@ -531,8 +515,6 @@ def extraction_suite(
     n_samples: int = 100,
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    from .rings import named_ring
-
     case = build_case(tag, l)
     wm = build_weights(case)
     ring = named_ring(ring_name)
@@ -670,8 +652,6 @@ def corner_ideal_suite(
     n_samples: int = 200,
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    from .rings import named_ring
-
     case = build_case(tag, l)
     wm = build_weights(case)
     ring = named_ring(ring_name)
@@ -715,8 +695,6 @@ def reduction_suite(
     ring_name: str = "z4",
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    from .rings import named_ring
-
     case = build_case(tag, l)
     wm = build_weights(case)
     ring = named_ring(ring_name)
@@ -742,24 +720,15 @@ def lemma_suites(tag: str, l: int | None = None, seed: int = 2026, fast: bool = 
 
 def selftest_suites(seed: int = 2026) -> list[SuiteResult]:
     """Every acceptance family at reduced sample counts."""
-    results: list[SuiteResult] = []
-    for tag, l in (("a", 5), ("a", 6), ("b", None), ("c", None)):
-        for r in combinatorial_suite(tag, l):
-            results.append(SuiteResult(f"{tag}{l or ''}:{r.name}", r.passed, r.counterexample))
-    for r in steinberg_suite("b", seed=seed, sampled_pairs=40):
-        results.append(SuiteResult(f"b:{r.name}", r.passed, r.counterexample))
-    for r in root_type_suite("b", n_samples=60, seed=seed):
-        results.append(SuiteResult(f"b:{r.name}", r.passed, r.counterexample))
-    for r in forms_suite("a", 6, n_orbit=100, seed=seed):
-        results.append(SuiteResult(f"a6:{r.name}", r.passed, r.counterexample))
-    for r in decomposition_suite("b", n_samples=30, seed=seed):
-        results.append(SuiteResult(f"b:{r.name}", r.passed, r.counterexample))
-    for r in normalizer_suite("b", n_words=60, n_transporter=8, seed=seed):
-        results.append(SuiteResult(f"b:{r.name}", r.passed, r.counterexample))
-    for r in extraction_suite("b", n_samples=20, seed=seed):
-        results.append(SuiteResult(f"b:{r.name}", r.passed, r.counterexample))
-    for r in corner_ideal_suite("b", n_samples=30, seed=seed):
-        results.append(SuiteResult(f"b:{r.name}", r.passed, r.counterexample))
-    for r in reduction_suite("b", seed=seed):
-        results.append(SuiteResult(f"b:{r.name}", r.passed, r.counterexample))
-    return results
+    runs = [(f"{tag}{l or ''}", combinatorial_suite(tag, l)) for tag, l in (("a", 5), ("a", 6), ("b", None), ("c", None))]
+    runs += [
+        ("b", steinberg_suite("b", seed=seed, sampled_pairs=40)),
+        ("b", root_type_suite("b", n_samples=60, seed=seed)),
+        ("a6", forms_suite("a", 6, n_orbit=100, seed=seed)),
+        ("b", decomposition_suite("b", n_samples=30, seed=seed)),
+        ("b", normalizer_suite("b", n_words=60, n_transporter=8, seed=seed)),
+        ("b", extraction_suite("b", n_samples=20, seed=seed)),
+        ("b", corner_ideal_suite("b", n_samples=30, seed=seed)),
+        ("b", reduction_suite("b", seed=seed)),
+    ]
+    return [SuiteResult(f"{prefix}:{r.name}", r.passed, r.counterexample) for prefix, results in runs for r in results]

@@ -45,16 +45,23 @@ class RepTables:
     weyl_perm: dict  # simple root index -> (perm, signs) of w_i(1)
 
 
-def _pattern_arrays(pat: dict) -> tuple:
-    srcs = np.array(sorted(pat.keys()), dtype=np.intp)
-    dsts = np.array([pat[s][0] for s in srcs], dtype=np.intp)
-    signs = np.array([pat[s][1] for s in srcs], dtype=np.int64)
-    return srcs, dsts, signs
+def weyl_monomial(patterns: dict, n: int, alpha: Root) -> tuple[np.ndarray, np.ndarray]:
+    """w_alpha(1) = x_alpha(1) x_(-alpha)(-1) x_alpha(1) from the pattern
+    arrays, as (perm, signs): column j holds signs[j] in row perm[j].
 
-
-def _apply_pat_rows(mat: np.ndarray, pat: dict, value: int) -> None:
-    for src, (dst, c) in pat.items():
-        mat[dst, :] += c * value * mat[src, :]
+    Each factor is one vectorised row update that reads every source row
+    before it writes a target row, so it is the product with that factor for
+    any pattern, even one whose targets repeat.
+    """
+    mat = np.eye(n, dtype=np.int64)
+    for root, v in ((alpha, 1), (tuple(-x for x in alpha), -1), (alpha, 1)):
+        srcs, dsts, signs = patterns[root]
+        np.add.at(mat, dsts, (v * signs)[:, None] * mat[srcs])
+    perm = np.argmax(mat != 0, axis=0)
+    sgn = mat[perm, np.arange(n)]
+    if (np.count_nonzero(mat, axis=0) != 1).any() or (np.abs(sgn) != 1).any():
+        raise InternalConsistencyError(f"Weyl element of {alpha} is not monomial")
+    return perm, sgn
 
 
 @lru_cache(maxsize=None)
@@ -63,39 +70,26 @@ def rep_tables(wm: WeightModule) -> RepTables:
     n = wm.dim
     idx = wm.index
 
+    def shifts(root):
+        """(sources, targets) of the weights that ``root`` shifts."""
+        pairs = [(i, idx[mu]) for i, lam in enumerate(wm.weights) if (mu := wm.shift(lam, root)) is not None]
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
     pat: dict = {}
-    for i, alpha in enumerate(case.simple_roots):
+    for alpha in case.simple_roots:
         for root in (alpha, tuple(-x for x in alpha)):
-            entries = {}
-            for lam in wm.weights:
-                mu = wm.shift(lam, root)
-                if mu is not None:
-                    entries[idx[lam]] = (idx[mu], 1)
-            pat[root] = entries
+            srcs, dsts = shifts(root)
+            pat[root] = (srcs, dsts, np.ones(len(srcs), dtype=np.int64))
 
-    # monomial matrices of the simple w_i(1) = x_i(1) x_{-i}(-1) x_i(1)
-    weyl_perm = {}
-    for i, alpha in enumerate(case.simple_roots):
-        neg = tuple(-x for x in alpha)
-        mat = np.eye(n, dtype=np.int64)
-        for root, v in ((alpha, 1), (neg, -1), (alpha, 1)):
-            _apply_pat_rows(mat, pat[root], v)
-        perm = np.full(n, -1, dtype=np.intp)
-        sgn = np.zeros(n, dtype=np.int64)
-        for j in range(n):
-            nz = np.nonzero(mat[:, j])[0]
-            if len(nz) != 1 or mat[nz[0], j] not in (1, -1):
-                raise InternalConsistencyError("simple Weyl element is not monomial")
-            perm[j] = nz[0]
-            sgn[j] = mat[nz[0], j]
-        weyl_perm[i] = (perm, sgn)
+    # monomial matrices of the simple w_i(1)
+    weyl_perm = {i: weyl_monomial(pat, n, alpha) for i, alpha in enumerate(case.simple_roots)}
 
-    def conj(entries: dict, wp) -> dict:
+    def conj(arrays, wp) -> tuple:
         perm, sgn = wp
-        return {
-            int(perm[src]): (int(perm[dst]), int(sgn[src] * sgn[dst] * c))
-            for src, (dst, c) in entries.items()
-        }
+        srcs, dsts, signs = arrays
+        order = np.argsort(perm[srcs])
+        srcs, dsts, signs = srcs[order], dsts[order], signs[order]
+        return perm[srcs], perm[dsts], sgn[srcs] * sgn[dsts] * signs
 
     positives = [r for r in case.phi if height(r) > 0]
     positives.sort(key=height)
@@ -118,19 +112,17 @@ def rep_tables(wm: WeightModule) -> RepTables:
         pat[neg_alpha] = conj(pat[neg_beta], weyl_perm[i])
 
     signs = {}
-    for root, entries in pat.items():
-        expected = {idx[lam] for lam in wm.weights if wm.shift(lam, root) is not None}
-        if set(entries.keys()) != expected:
+    for root, (srcs, dsts, c) in pat.items():
+        want_srcs, want_dsts = shifts(root)
+        if not np.array_equal(srcs, want_srcs):
             raise InternalConsistencyError(f"pattern support mismatch for {root}")
-        for src, (dst, c) in entries.items():
-            if c not in (1, -1):
-                raise InternalConsistencyError(f"structure constant {c} for {root}")
-            if wm.idx(wm.shift(wm.weights[src], root)) != dst:
-                raise InternalConsistencyError(f"pattern target mismatch for {root}")
-            signs[(src, root)] = c
+        if (np.abs(c) != 1).any():
+            raise InternalConsistencyError(f"structure constant {c[np.abs(c) != 1][0]} for {root}")
+        if not np.array_equal(dsts, want_dsts):
+            raise InternalConsistencyError(f"pattern target mismatch for {root}")
+        signs.update(((int(s), root), int(x)) for s, x in zip(srcs, c))
 
-    arrays = {root: _pattern_arrays(entries) for root, entries in pat.items()}
-    return RepTables(wm=wm, patterns=arrays, signs=signs, weyl_perm=weyl_perm)
+    return RepTables(wm=wm, patterns=pat, signs=signs, weyl_perm=weyl_perm)
 
 
 class _Lazy:

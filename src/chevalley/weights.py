@@ -8,16 +8,27 @@ The weight set is the full Weyl orbit of the fundamental weight dual to the
 crossed vertex.  Cutting the diagram edges labelled by the crossed simple root
 breaks the diagram into totally ordered components; their index equals the
 crossed-root coefficient of (top weight - weight) in the root lattice.
+
+The weight graph joins two weights that differ by a root.  Its distance is
+d(lam, mu) = q - (lam, mu) for the form with (alpha, alpha) = 2, where
+q = (lam, lam) is common to the orbit; in fundamental-weight coordinates the
+form is C^-1, kept as the integer matrix den * C^-1.  This is exact for a
+minuscule module: an edge changes the pairing with lam by (lam, alpha) in
+{-1, 0, 1}, so d >= q - (lam, mu); and the nonzero root-lattice vector
+lam - mu pairs to 2 with some root alpha (no minuscule weight lies in the root
+lattice), so mu + alpha is a weight one step closer to lam.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import lcm
+
+import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .roots import EmbeddingCase, Root, build_case, height
+from .roots import EmbeddingCase, Root, _irreducible_components, build_case, height
 
 Weight = tuple[int, ...]
 
@@ -26,6 +37,13 @@ def pairing_wr(lam: Weight, alpha: Root) -> int:
     """Pairing of a weight (fundamental coordinates) with a root (simple-root
     coordinates)."""
     return sum(x * y for x, y in zip(lam, alpha))
+
+
+def reflect_weight(case: EmbeddingCase, lam: Weight, alpha: Root) -> Weight:
+    """Image of a weight under the reflection in a root."""
+    n = pairing_wr(lam, alpha)
+    fund = case.root_fund_coords(alpha)
+    return tuple(x - n * y for x, y in zip(lam, fund))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +73,19 @@ class WeightModule:
     def weight_set(self) -> frozenset:
         return frozenset(self.weights)
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Weight-graph distances by the Gram formula, indexed like weights."""
+        inv = self.case.cartan_inverse()
+        den = lcm(*(x.denominator for row in inv for x in row))
+        gram = np.array([[int(x * den) for x in row] for row in inv], dtype=np.int64)
+        w = np.array(self.weights, dtype=np.int64)
+        num = (w @ gram) @ w.T
+        num = num[0, 0] - num  # weights[0] is the top weight
+        if num.diagonal().any() or (num % den).any():
+            raise InternalConsistencyError("weights do not share one norm in the root lattice")
+        return num // den
+
     def component_of(self, lam: Weight) -> int:
         return _component_map_of(self)[lam]
 
@@ -70,13 +101,11 @@ class WeightModule:
         return s if s in self.weight_set else None
 
     def distance(self, lam: Weight, mu: Weight) -> int:
-        return _distances_of(self)[self.idx(lam)][self.idx(mu)]
+        return int(self.distances[self.idx(lam), self.idx(mu)])
 
     def root_between(self, lam: Weight, mu: Weight) -> Root | None:
         """lam - mu as a root, when it is one."""
-        diff = tuple(x - y for x, y in zip(lam, mu))
-        root = _fund_to_root_of(self).get(diff)
-        return root
+        return _fund_to_root_of(self).get(tuple(x - y for x, y in zip(lam, mu)))
 
     def neighbors(self, lam: Weight) -> tuple[Weight, ...]:
         """Weights at distance one in the weight graph."""
@@ -136,9 +165,7 @@ class WeightModule:
         return tuple(reversed(word))
 
     def reflect(self, lam: Weight, alpha: Root) -> Weight:
-        n = pairing_wr(lam, alpha)
-        fund = self.case.root_fund_coords(alpha)
-        return tuple(x - n * y for x, y in zip(lam, fund))
+        return reflect_weight(self.case, lam, alpha)
 
 
 @lru_cache(maxsize=None)
@@ -171,44 +198,16 @@ def _neighbors_of(wm: WeightModule) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _distances_of(wm: WeightModule) -> tuple[tuple[int, ...], ...]:
-    n = wm.dim
-    idx = wm.index
-    rows = []
-    for start in wm.weights:
-        dist = [-1] * n
-        dist[idx[start]] = 0
-        queue = deque([start])
-        while queue:
-            lam = queue.popleft()
-            d = dist[idx[lam]]
-            for mu in wm.neighbors(lam):
-                if dist[idx[mu]] < 0:
-                    dist[idx[mu]] = d + 1
-                    queue.append(mu)
-        if min(dist) < 0:
-            raise InternalConsistencyError("weight graph is not connected")
-        rows.append(tuple(dist))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
 def build_weights(case: EmbeddingCase) -> WeightModule:
     """Weights of the basic module as the Weyl orbit of the top weight."""
     top = tuple(1 if i == case.alpha1_index else 0 for i in range(case.l))
-
-    def reflect(lam, alpha):
-        n = pairing_wr(lam, alpha)
-        fund = case.root_fund_coords(alpha)
-        return tuple(x - n * y for x, y in zip(lam, fund))
-
     orbit = {top}
     frontier = [top]
     while frontier:
         nxt = []
         for lam in frontier:
             for alpha in case.simple_roots:
-                mu = reflect(lam, alpha)
+                mu = reflect_weight(case, lam, alpha)
                 if mu not in orbit:
                     orbit.add(mu)
                     nxt.append(mu)
@@ -298,12 +297,7 @@ def sigma_split(wm: WeightModule, lam1: Weight) -> ShiftRootSplit:
     reflected = tuple(sorted((case.reflect(d, connecting) for d in case.delta), key=lambda r: (height(r), r)))
     overlap = [r for r in reflected if r in delta_set]
 
-    def pair(a, b):
-        return case.pairing(a, b)
-
-    from .roots import _irreducible_components
-
-    comps = _irreducible_components(pair, overlap)
+    comps = _irreducible_components(case.pairing, overlap)
     non_a1 = [c for c in comps if len(c) > 2]
     if len(non_a1) != 1:
         raise InternalConsistencyError("expected a unique non-A_1 component in the overlap")

@@ -889,6 +889,15 @@ def test_root_type_failures_match_entrywise_reference(ring_name):
     assert incoherent > 0
 
 
+def test_root_type_failures_flag_an_entry_at_distance_two():
+    rep = representation("b", None, named_ring("z4"))
+    wm = rep.wm
+    lam, mu = next((a, b) for a in wm.weights for b in wm.weights if wm.distance(a, b) == 2)
+    mat = rep.identity().mat.copy()
+    mat.set_entry(wm.idx(lam), wm.idx(mu), rep.ring.one)
+    assert root_type_failures(GroupElement(rep, mat, None)) == ["entry at weight distance >= 2 survives"]
+
+
 def _corner_reference(g, lam1):
     """The four corner ideals folded from boxed entries."""
     wm, ring = g.rep.wm, g.rep.ring

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from chevalley.errors import DomainError
@@ -63,6 +65,33 @@ def test_distance_basics():
             if lam != mu:
                 is_root = wm.root_between(lam, mu) is not None
                 assert (wm.distance(lam, mu) == 1) == is_root
+
+
+def _bfs_distances(wm):
+    """Reference distances: a breadth-first search from every weight over the
+    edges of the weight graph."""
+    nbrs = [[wm.idx(mu) for mu in wm.neighbors(lam)] for lam in wm.weights]
+    rows = []
+    for start in range(wm.dim):
+        dist = [-1] * wm.dim
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            for j in nbrs[i]:
+                if dist[j] < 0:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        rows.append(dist)
+    return rows
+
+
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None)] + [("a", l) for l in range(5, 11)])
+def test_gram_distances_match_the_graph_search(tag, l):
+    wm = default_module(tag, l)
+    assert wm.distances.tolist() == _bfs_distances(wm)
+    lam, mu = wm.weights[0], wm.weights[-1]
+    assert type(wm.distance(lam, mu)) is int
 
 
 def test_case_c_diameter():
