@@ -13,6 +13,7 @@ from .analysis import (
     extract_from_nilpotent,
     extract_from_parabolic,
     extract_from_weight_stabilizer,
+    generators_in_normalizer,
     in_G_sigma,
     in_normalizer,
     in_opposite_parabolic,

@@ -27,6 +27,7 @@ from .rep import (
     GroupElement,
     Representation,
     _cross_component_mask,
+    get_representation,
     is_component_blocked,
     sample_word_rng,
 )
@@ -78,8 +79,6 @@ class SigmaPair:
 def _generator_families(rep: Representation, sigma: SigmaPair) -> tuple:
     """The generating family as (roots, ideal) pairs: subsystem roots over the
     full ring, orbit roots over the respective ideal."""
-    if not rep.ring.is_finite:
-        raise DomainError("generator enumeration needs a finite ring")
     case = rep.case
     return (
         (case.delta, Ideal.unit(rep.ring)),
@@ -276,11 +275,14 @@ def _block_diagonal_part(g: GroupElement) -> GroupElement:
     return GroupElement(g.rep, mat, mat.inv(), word=None)
 
 
-def _weyl_word_to_top(rep: Representation, lam: Weight) -> GroupElement:
-    """Monomial element carrying the lam-line to the top-weight line."""
+def _split_at_top(split, g: GroupElement, lam: Weight) -> tuple[GroupElement, GroupElement]:
+    """A split at the lam line: carried to the top weight by the monomial
+    element of the simple word from lam to the top, and back."""
+    rep = g.rep
     word = rep.wm.simple_word_to_top(lam)
-    atoms = tuple(("w", rep.case.simple_roots[i], rep.ring.one) for i in word)
-    return rep.element_from_word(atoms)
+    w = rep.element_from_word(tuple(("w", rep.case.simple_roots[i], rep.ring.one) for i in word))
+    winv = w.inverse()
+    return tuple(part.conjugate(winv) for part in split(g.conjugate(w), None))
 
 
 def levi_unipotent_split(g: GroupElement, lam: Weight | None = None) -> tuple[GroupElement, GroupElement]:
@@ -308,11 +310,7 @@ def levi_unipotent_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gr
         if not (u * levi) == g:
             raise InternalConsistencyError("parabolic split does not multiply back")
         return u, levi
-    w = _weyl_word_to_top(rep, lam)
-    gt = g.conjugate(w)
-    ut, lt = levi_unipotent_split(gt, None)
-    winv = w.inverse()
-    return ut.conjugate(winv), lt.conjugate(winv)
+    return _split_at_top(levi_unipotent_split, g, lam)
 
 
 def opposite_levi_split(g: GroupElement, lam: Weight | None = None) -> tuple[GroupElement, GroupElement]:
@@ -329,11 +327,7 @@ def opposite_levi_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gro
         if not (v * levi) == g:
             raise InternalConsistencyError("opposite split does not multiply back")
         return v, levi
-    w = _weyl_word_to_top(rep, lam)
-    gt = g.conjugate(w)
-    vt, lt = opposite_levi_split(gt, None)
-    winv = w.inverse()
-    return vt.conjugate(winv), lt.conjugate(winv)
+    return _split_at_top(opposite_levi_split, g, lam)
 
 
 @lru_cache(maxsize=None)
@@ -897,9 +891,73 @@ def transporter_check(
     return bool(_top_line_mask(g, atoms, sigma).all())
 
 
-@dataclass
+def _grow_span(rows: dict, v: list[int]) -> bool:
+    """Add v to the integer lattice with echelon basis ``rows`` (pivot
+    column -> row), by Euclid's algorithm on rows.  v was already in the
+    lattice exactly when no pivot was added and none shrank."""
+    grown = False
+    for c in range(len(v)):
+        b = rows.get(c, [0] * len(v))
+        pivot = abs(b[c])
+        while v[c]:
+            q = b[c] // v[c]
+            b, v = v, [x - q * y for x, y in zip(b, v)]
+        if b[c]:
+            rows[c] = b
+            grown = grown or not pivot or abs(b[c]) < pivot
+    return grown
+
+
+def _additive_span(spec: RingSpec) -> dict:
+    """The coefficient lattice of zero in R: each coefficient's modulus times
+    its unit vector, one coefficient per factor slice as in the factor's
+    block layout.  ``_grow_span`` extends it to the span of ring values."""
+    moduli = [c for f in spec.factors for c in [f.layout[1]] * f.layout[0]]
+    return {j: [m if i == j else 0 for i in range(len(moduli))] for j, m in enumerate(moduli) if m}
+
+
+def _coefficients(x: RingElem) -> list[int]:
+    return [c for part in x.parts for c in (part if isinstance(part, tuple) else (part,))]
+
+
+def generators_in_normalizer(
+    rep: Representation, gen_atoms: list[Atom], extra: list[GroupElement], sigma: SigmaPair
+) -> bool:
+    """H = <gen_atoms, extra> lies in the normalizer N of the level-sigma
+    elementary group.  Exact: N is a group, so H <= N exactly when every
+    generator is in N.
+
+    The root elements of ``gen_atoms`` are tested once each, except that a
+    value v for a root alpha is skipped when v lies in the additive span of
+    the values already tested for alpha: x_alpha is a homomorphism from
+    (R, +).  Each generator is tested with ``in_normalizer`` and with the
+    uncapped ``transporter_check``; the two are independent
+    characterisations, so a disagreement raises InternalConsistencyError.
+    """
+    spans: dict = {}
+    generators = []
+    for atom in gen_atoms:
+        kind, root, value = atom
+        if kind != "x" or _grow_span(
+            spans.setdefault(root, _additive_span(rep.ring)), _coefficients(value)
+        ):
+            generators.append(rep.element_from_word((atom,)))
+    for g in generators + list(extra):
+        inside = in_normalizer(g, sigma)
+        if inside != transporter_check(g, sigma):
+            raise InternalConsistencyError(
+                "normalizer conditions and transporter check disagree on a generator"
+            )
+        if not inside:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
 class LevelCertificate:
-    """Witnessed lower bound for the level of a generated subgroup."""
+    """Witnessed lower bound for the level of a generated subgroup, and
+    whether the generated subgroup normalizes the elementary group of that
+    level."""
 
     witnesses: list[Witness]
     lower: SigmaPair
@@ -928,16 +986,15 @@ def level_certificate(
     target: SigmaPair,
     budget: int = 400,
     seed: int = 0,
-    normalizer_samples: int = 50,
 ) -> LevelCertificate:
     """Accumulate root-element witnesses from the generated subgroup until the
     witnessed level stops growing or the budget runs out.
 
     The lower bound grows monotonically; the certificate never claims more
-    than its witnesses replay.
+    than its witnesses replay.  ``normalizer_consistent`` is the exact upper
+    bound at the witnessed level (``generators_in_normalizer``).
     """
     rng = SplitMix64(seed)
-    wm = rep.wm
     case = rep.case
     plus_set = set(case.omega_plus)
     minus_set = set(case.omega_minus)
@@ -955,11 +1012,8 @@ def level_certificate(
         else:
             lb_minus = lb_minus + grown
 
-    direct_pool: list[tuple[Atom, GroupElement | None]] = [(a, None) for a in gen_atoms]
-    for e in extra:
-        if e.word is not None and len(e.word) == 1 and e.word[0][0] == "x":
-            direct_pool.append((e.word[0], e))
-    for atom, _ in direct_pool:
+    single = [e.word[0] for e in extra if e.word is not None and len(e.word) == 1]
+    for atom in list(gen_atoms) + [a for a in single if a[0] == "x"]:
         _, root, value = atom
         if root in plus_set and value not in lb_plus:
             note(Witness(side=+1, root=root, value=value, trace=(("atom_seed", atom),)))
@@ -994,26 +1048,13 @@ def level_certificate(
             break
 
     lower = SigmaPair(lb_plus, lb_minus)
-    matched = lower == target
-
-    norm_ok = True
-    for _ in range(normalizer_samples):
-        length = 1 + rng.randrange(8)
-        g = sample_word_rng(rep, gen_atoms, length, rng) if gen_atoms else rep.identity()
-        for e in extra:
-            if rng.randrange(2):
-                g = g * e
-        if not in_normalizer(g, target):
-            norm_ok = False
-            break
-
     return LevelCertificate(
         witnesses=witnesses,
         lower=lower,
         target=target,
-        matched=matched,
-        normalizer_consistent=norm_ok,
-        complete=matched or budget > 0,
+        matched=lower == target,
+        normalizer_consistent=generators_in_normalizer(rep, gen_atoms, extra, lower),
+        complete=lower == target or budget > 0,
         seed=seed,
     )
 
@@ -1035,33 +1076,26 @@ def level_reduction_check(
     sigma: SigmaPair,
     by: Ideal,
     seed: int = 0,
-    n_samples: int = 50,
     budget: int = 400,
 ) -> bool:
-    """Witness values reduce to generators of the reduced level, and reduced
-    word samples satisfy the reduced normalizer conditions."""
+    """Witness values reduce to generators of the reduced level, and the
+    generators reduced mod ``by`` normalize the reduced level's elementary
+    group."""
     cert = level_certificate(rep, gen_atoms, extra, sigma, budget=budget, seed=seed)
     if not cert.matched:
         return False
     reduced = sigma.reduce(by)
-    plus_vals = [by.reduce_elem(w.value) for w in cert.witnesses if w.side > 0]
-    minus_vals = [by.reduce_elem(w.value) for w in cert.witnesses if w.side < 0]
     qspec = by.quotient_spec()
-    if Ideal.from_elems(qspec, plus_vals) != reduced.plus:
-        return False
-    if Ideal.from_elems(qspec, minus_vals) != reduced.minus:
-        return False
-
-    rng = SplitMix64(seed + 1)
-    for _ in range(n_samples):
-        length = 1 + rng.randrange(8)
-        g = sample_word_rng(rep, gen_atoms, length, rng)
-        for e in extra:
-            if rng.randrange(2):
-                g = g * e
-        if not in_normalizer(rep.reduce(g, by), reduced):
+    for side, ideal in ((1, reduced.plus), (-1, reduced.minus)):
+        values = [by.reduce_elem(w.value) for w in cert.witnesses if w.side == side]
+        if Ideal.from_elems(qspec, values) != ideal:
             return False
-    return True
+    return generators_in_normalizer(
+        get_representation(rep.wm, qspec),
+        [(kind, root, by.reduce_elem(value)) for kind, root, value in gen_atoms],
+        [rep.reduce(e, by) for e in extra],
+        reduced,
+    )
 
 
 def parse_sigma(spec: RingSpec, text: str) -> SigmaPair:

@@ -38,14 +38,14 @@ from .forms import (
     pi_form_vanishes_on_samples,
 )
 from .errors import InternalConsistencyError
-from .rep import get_representation, rep_tables, sample_word_rng, weyl_monomial
+from .rep import get_representation, rep_tables, representation, sample_word_rng, weyl_monomial
 from .rings import Ideal, RingSpec, named_ring
 from .rng import SplitMix64
 from .roots import build_case, orbit_decomposition, partner_root
 from .weights import build_weights, sigma_split
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteResult:
     name: str
     passed: bool
@@ -348,10 +348,8 @@ def steinberg_suite(
 def root_type_suite(
     tag: str, l: int | None = None, ring_name: str = "z8", n_samples: int = 500, seed: int = 2026
 ) -> list[SuiteResult]:
-    case = build_case(tag, l)
-    wm = build_weights(case)
-    ring = named_ring(ring_name)
-    rep = get_representation(wm, ring)
+    rep = representation(tag, l, named_ring(ring_name))
+    case, ring = rep.case, rep.ring
     rng = SplitMix64(seed)
     nonzero = [v for v in ring.elements() if not v.is_zero()]
     atoms = [("x", a, v) for a in case.phi for v in nonzero]
@@ -429,10 +427,8 @@ def forms_suite(
 def decomposition_suite(
     tag: str, l: int | None = None, ring_name: str = "z8", n_samples: int = 200, seed: int = 2026
 ) -> list[SuiteResult]:
-    case = build_case(tag, l)
-    wm = build_weights(case)
-    ring = named_ring(ring_name)
-    rep = get_representation(wm, ring)
+    rep = representation(tag, l, named_ring(ring_name))
+    case, wm, ring = rep.case, rep.wm, rep.ring
     rng = SplitMix64(seed)
     nonzero = [v for v in ring.elements() if not v.is_zero()]
     atoms = [("x", a, v) for a in case.phi for v in nonzero]
@@ -470,10 +466,8 @@ def normalizer_suite(
     n_transporter: int = 50,
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    case = build_case(tag, l)
-    wm = build_weights(case)
-    ring = named_ring(ring_name)
-    rep = get_representation(wm, ring)
+    rep = representation(tag, l, named_ring(ring_name))
+    case, ring = rep.case, rep.ring
     out: list[SuiteResult] = []
     units = list(ring.units())
     for sigma_text in sigma_texts:
@@ -515,10 +509,8 @@ def extraction_suite(
     n_samples: int = 100,
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    case = build_case(tag, l)
-    wm = build_weights(case)
-    ring = named_ring(ring_name)
-    rep = get_representation(wm, ring)
+    rep = representation(tag, l, named_ring(ring_name))
+    case, wm, ring = rep.case, rep.wm, rep.ring
     sigma = parse_sigma(ring, sigma_text)
     rng = SplitMix64(seed)
     nonzero = [v for v in ring.elements() if not v.is_zero()]
@@ -652,10 +644,8 @@ def corner_ideal_suite(
     n_samples: int = 200,
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    case = build_case(tag, l)
-    wm = build_weights(case)
-    ring = named_ring(ring_name)
-    rep = get_representation(wm, ring)
+    rep = representation(tag, l, named_ring(ring_name))
+    wm, ring = rep.wm, rep.ring
     out: list[SuiteResult] = []
 
     for sigma_text, check in (("(2),(0)", "products"), ("(0),(2)", "cube")):
@@ -695,16 +685,14 @@ def reduction_suite(
     ring_name: str = "z4",
     seed: int = 2026,
 ) -> list[SuiteResult]:
-    case = build_case(tag, l)
-    wm = build_weights(case)
-    ring = named_ring(ring_name)
-    rep = get_representation(wm, ring)
+    rep = representation(tag, l, named_ring(ring_name))
+    ring = rep.ring
     by = Ideal.from_elems(ring, [ring.el(2)])
     out = []
     for sigma_text in ("(2),(0)", "(2),(2)"):
         sigma = parse_sigma(ring, sigma_text)
         atoms = sigma_generator_atoms(rep, sigma)
-        ok = level_reduction_check(rep, atoms, [], sigma, by, seed=seed, n_samples=40, budget=300)
+        ok = level_reduction_check(rep, atoms, [], sigma, by, seed=seed, budget=300)
         out.append(_result(f"level-reduction-{sigma_text}", [] if ok else ["reduction mismatch"]))
     return out
 

@@ -9,6 +9,7 @@ configuration, so identical configuration and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -31,7 +32,7 @@ from .checks import (
 from .errors import BudgetExhausted, DomainError, NonUnitError, UnsupportedCaseError
 from .forms import bilinear_form_signs, build_pi_form
 from .matrices import RMat
-from .rep import get_representation, sample_word_rng
+from .rep import representation, sample_word_rng
 from .rings import RingElem, RingSpec, named_ring
 from .rng import SplitMix64
 from .roots import build_case
@@ -180,6 +181,11 @@ def _load_extra(rep, path: str | None):
     return [rep.element_from_word(atoms) for atoms in words]
 
 
+def _subsystem_atoms(rep) -> list:
+    """x_alpha(v) for every subsystem root alpha and nonzero v, root by root."""
+    return sigma_generator_atoms(rep, SigmaPair.zero(rep.ring))
+
+
 def _suites_exit(suites: list[SuiteResult]) -> int:
     return 0 if all(s.passed for s in suites) else 1
 
@@ -256,7 +262,7 @@ def cmd_decompose(args) -> int:
         mat = RMat.from_json(ring, data["rows"])
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise DomainError(f"malformed matrix file {args.infile}: {exc!r}") from None
-    rep = get_representation(build_weights(build_case(tag, l)), ring)
+    rep = representation(tag, l, ring)
     g = rep.from_matrix(mat)
     v, g1, u = chevalley_matsumoto(g)
     config = {"command": "decompose", "case": tag, "l": l, "ring": ring.to_json()}
@@ -269,20 +275,20 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_level(args) -> int:
+def _certify(args, command: str) -> tuple:
+    """The level certificate of the subgroup generated by the subsystem and
+    the extra elements, aimed at ``--target`` (the unit level without it),
+    and the report's configuration."""
     tag, l = _case_args(args)
     ring = _ring_arg(args)
-    rep = get_representation(build_weights(build_case(tag, l)), ring)
-    target = parse_sigma(ring, args.target)
+    rep = representation(tag, l, ring)
+    target = parse_sigma(ring, args.target) if args.target else SigmaPair.full(ring)
     extra = _load_extra(rep, args.extra)
-    base_atoms = [
-        ("x", alpha, v) for alpha in rep.case.delta for v in ring.elements() if not v.is_zero()
-    ]
     cert = level_certificate(
-        rep, base_atoms, extra, target, budget=args.budget, seed=args.seed
+        rep, _subsystem_atoms(rep), extra, target, budget=args.budget, seed=args.seed
     )
     config = {
-        "command": "level",
+        "command": command,
         "case": tag,
         "l": l,
         "ring": ring.to_json(),
@@ -291,14 +297,16 @@ def cmd_level(args) -> int:
         "budget": args.budget,
         "extra": args.extra,
     }
-    _emit(
-        _report(
-            config,
-            certificate=cert.to_json(),
-            witnesses=[w.to_json() for w in cert.witnesses],
-        ),
-        args.out,
-    )
+    return cert, config
+
+
+def _certificate_body(cert) -> dict:
+    return {"certificate": cert.to_json(), "witnesses": [w.to_json() for w in cert.witnesses]}
+
+
+def cmd_level(args) -> int:
+    cert, config = _certify(args, "level")
+    _emit(_report(config, **_certificate_body(cert)), args.out)
     if not cert.complete:
         return 3
     return 0 if cert.matched else 1
@@ -307,14 +315,11 @@ def cmd_level(args) -> int:
 def cmd_normcheck(args) -> int:
     tag, l = _case_args(args)
     ring = _ring_arg(args)
-    rep = get_representation(build_weights(build_case(tag, l)), ring)
+    rep = representation(tag, l, ring)
     sigma = parse_sigma(ring, args.sigma)
     atoms = sigma_generator_atoms(rep, sigma)
-    units = list(ring.units())
-    torus = [("h", a, u) for a in rep.case.simple_roots for u in units]
-    delta_nz = [
-        ("x", a, v) for a in rep.case.delta for v in ring.elements() if not v.is_zero()
-    ]
+    torus = [("h", a, u) for a in rep.case.simple_roots for u in ring.units()]
+    delta_nz = _subsystem_atoms(rep)
     rng = SplitMix64(args.seed)
     failures = []
     checked_transporter = 0
@@ -349,57 +354,21 @@ def cmd_normcheck(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    tag, l = _case_args(args)
-    ring = _ring_arg(args)
-    rep = get_representation(build_weights(build_case(tag, l)), ring)
-    extra = _load_extra(rep, args.extra)
-    base_atoms = [
-        ("x", alpha, v) for alpha in rep.case.delta for v in ring.elements() if not v.is_zero()
-    ]
-    if args.target:
-        target = parse_sigma(ring, args.target)
-    else:
-        probe = level_certificate(
-            rep, base_atoms, extra, SigmaPair.full(ring), budget=args.budget, seed=args.seed
-        )
-        target = probe.lower
-    cert = level_certificate(rep, base_atoms, extra, target, budget=args.budget, seed=args.seed)
-
-    rng = SplitMix64(args.seed + 1)
-    norm_fail = None
-    for i in range(args.samples):
-        g = sample_word_rng(rep, base_atoms, 1 + rng.randrange(6), rng)
-        for e in extra:
-            if rng.randrange(2):
-                g = g * e
-        if not in_normalizer(g, cert.lower):
-            norm_fail = f"sample {i} escapes the normalizer conditions of the certified level"
-            break
+    cert, config = _certify(args, "experiment")
+    if not args.target:
+        # without a target, the level certified is the witnessed one
+        cert = dataclasses.replace(cert, target=cert.lower, matched=True)
+    upper = cert.normalizer_consistent
     suites = [
         SuiteResult("level-witnesses", cert.matched, None if cert.matched else "lower bound below target"),
-        SuiteResult("sandwich-normalizer", norm_fail is None, norm_fail),
-    ]
-    config = {
-        "command": "experiment",
-        "case": tag,
-        "l": l,
-        "ring": ring.to_json(),
-        "target": args.target,
-        "samples": args.samples,
-        "seed": args.seed,
-        "budget": args.budget,
-        "extra": args.extra,
-    }
-    _emit(
-        _report(
-            config,
-            suites=suites,
-            certificate=cert.to_json(),
-            witnesses=[w.to_json() for w in cert.witnesses],
-            sandwich={"level": cert.lower.describe(), "verdict": norm_fail is None},
+        SuiteResult(
+            "sandwich-normalizer",
+            upper,
+            None if upper else "a generator escapes the normalizer conditions of the certified level",
         ),
-        args.out,
-    )
+    ]
+    sandwich = {"level": cert.lower.describe(), "verdict": upper}
+    _emit(_report(config, suites=suites, sandwich=sandwich, **_certificate_body(cert)), args.out)
     if not cert.complete:
         return 3
     return _suites_exit(suites)
@@ -467,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normcheck)
 
     p = sub.add_parser("experiment", help="level certificate plus sandwich verdict")
-    common(p, ring=True, budget=True, samples=True)
+    common(p, ring=True, budget=True)
     p.add_argument("--target", default=None)
     p.add_argument("--extra", default=None)
     p.set_defaults(func=cmd_experiment)

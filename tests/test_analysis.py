@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from chevalley.analysis import (
@@ -29,6 +31,7 @@ from chevalley.analysis import (
     transporter_check,
 )
 from chevalley import analysis
+from chevalley.checks import SuiteResult
 from chevalley.errors import DomainError, InternalConsistencyError
 from chevalley.rep import GroupElement, get_representation, representation, sample_word_rng
 from chevalley.rings import Ideal, RingSpec, named_ring
@@ -669,7 +672,7 @@ def test_level_reduction(rep_b_z4):
     assert reduced.plus.is_zero() and reduced.minus.is_zero()
     assert reduced.spec.size == 2
     atoms = sigma_generator_atoms(rep, sigma)
-    assert level_reduction_check(rep, atoms, [], sigma, two, seed=47, n_samples=25, budget=200)
+    assert level_reduction_check(rep, atoms, [], sigma, two, seed=47, budget=200)
 
 
 def test_reduction_edge_ideals(rep_b_z4):
@@ -955,3 +958,167 @@ def test_block_diagonal_part_matches_entrywise_copy(ring_name):
         assert levi.mat == expected
         assert (levi.mat * levi.inv_mat).is_identity()
         assert levi.word is None
+
+
+# -- the exact upper bound ------------------------------------------------------------
+
+
+def _additive_closure(ring, values):
+    """The additive subgroup generated by the values, by enumeration."""
+    span = {ring.zero}
+    frontier = list(span)
+    while frontier:
+        x = frontier.pop()
+        for v in values:
+            if x + v not in span:
+                span.add(x + v)
+                frontier.append(x + v)
+    return span
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        named_ring("z12"),
+        named_ring("z8"),
+        named_ring("f2t2"),
+        named_ring("f3t2"),
+        RingSpec.from_json({"factors": [{"kind": "zmod", "p": 2, "k": 1}] * 2}),
+        RingSpec.from_json({"factors": [{"kind": "zmod", "p": 2, "k": 2}, {"kind": "poly", "p": 2, "k": 2}]}),
+    ],
+)
+def test_additive_span_matches_the_enumerated_closure(ring):
+    """The skip rule of the exact check: a value is new exactly when it is
+    outside the additive subgroup of the values before it."""
+    elements = list(ring.elements())
+    rng = SplitMix64(ring.size)
+    for _ in range(30):
+        values = [elements[rng.randrange(len(elements))] for _ in range(1 + rng.randrange(5))]
+        span = analysis._additive_span(ring)
+        for i, v in enumerate(values):
+            new = v not in _additive_closure(ring, values[:i])
+            assert analysis._grow_span(span, analysis._coefficients(v)) == new
+
+
+def test_additive_span_over_the_integers():
+    ring = RingSpec.integers()
+    span = analysis._additive_span(ring)
+    grown = [analysis._grow_span(span, [v]) for v in (6, 12, -6, 4, 8, 2, 1, 5)]
+    assert grown == [True, False, False, True, False, False, True, False]
+
+
+@pytest.mark.parametrize("rep_name", ["rep_b_z4", "rep_c_z4"])
+def test_planted_escaping_generator_is_refused(rep_name, request):
+    """x_beta(1) for an upper-orbit root beta is outside the normalizer at
+    (2),(0), as a root atom or as an extra element, after the subsystem."""
+    rep = request.getfixturevalue(rep_name)
+    sigma = parse_sigma(rep.ring, "(2),(0)")
+    delta = _delta_atoms(rep)
+    assert analysis.generators_in_normalizer(rep, delta, [], sigma)
+    for beta in rep.case.omega_plus:
+        assert not analysis.generators_in_normalizer(rep, [("x", beta, rep.ring.one)], [], sigma)
+    beta = rep.case.omega_plus[-1]
+    assert not analysis.generators_in_normalizer(rep, delta, [rep.x(beta, 1)], sigma)
+    assert not analysis.generators_in_normalizer(rep, delta + [("x", beta, rep.ring.el(3))], [], sigma)
+
+
+def _small(ring):
+    """2 over Z/n, t over F_p[t]/(t^k)."""
+    return ring.from_parts([(0, 1)]) if ring == named_ring("f2t2") else ring.el(2)
+
+
+@pytest.mark.parametrize("tag", ["b", "c"])
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2"])
+def test_subsystem_generators_normalize_every_level(tag, ring_name):
+    ring = named_ring(ring_name)
+    rep = representation(tag, None, ring)
+    small = Ideal.from_elems(ring, [_small(ring)])
+    zero, unit = Ideal.zero(ring), Ideal.unit(ring)
+    for sigma in (
+        SigmaPair(small, zero),
+        SigmaPair(small, small),
+        SigmaPair(zero, zero),
+        SigmaPair(unit, unit),
+    ):
+        assert analysis.generators_in_normalizer(rep, _delta_atoms(rep), [], sigma)
+
+
+def test_every_value_outside_the_span_is_tested():
+    """At (t),(0), x_beta(t) passes and x_beta(1) does not: a rule that tests
+    only the first value of each root would pass the pair."""
+    ring = named_ring("f2t2")
+    rep = representation("b", None, ring)
+    t = ring.from_parts([(0, 1)])
+    sigma = SigmaPair(Ideal.from_elems(ring, [t]), Ideal.zero(ring))
+    beta = rep.case.omega_plus[0]
+    assert analysis.generators_in_normalizer(rep, [("x", beta, t)], [], sigma)
+    assert not analysis.generators_in_normalizer(rep, [("x", beta, t), ("x", beta, ring.one)], [], sigma)
+
+
+def test_disagreeing_predicates_raise(rep_b_z4, monkeypatch):
+    rep = rep_b_z4
+    sigma = parse_sigma(rep.ring, "(2),(0)")
+    beta = rep.case.omega_plus[0]
+    monkeypatch.setattr(analysis, "transporter_check", lambda g, s: False)
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        analysis.generators_in_normalizer(rep, _delta_atoms(rep), [], sigma)
+    monkeypatch.setattr(analysis, "transporter_check", lambda g, s: True)
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        analysis.generators_in_normalizer(rep, [("x", beta, rep.ring.one)], [], sigma)
+
+
+def test_passed_check_holds_for_every_word(rep_b_z4):
+    """A passed check implies the normalizer conditions on any product of the
+    generators: 1000 seeded words in the subsystem, the level generators of
+    (2),(0) and two extra elements."""
+    rep = rep_b_z4
+    sigma = parse_sigma(rep.ring, "(2),(0)")
+    atoms = _delta_atoms(rep) + sigma_generator_atoms(rep, sigma)
+    top = rep.case.max_root
+    extra = [rep.x(top, 2), rep.x(top, 2).conjugate(rep.h(rep.case.simple_roots[0], 3))]
+    assert analysis.generators_in_normalizer(rep, atoms, extra, sigma)
+    rng = SplitMix64(83)
+    for _ in range(1000):
+        g = sample_word_rng(rep, atoms, rng.randrange(6), rng)
+        for e in extra:
+            if rng.randrange(2):
+                g = g * e
+        assert in_normalizer(g, sigma)
+
+
+def test_certificate_states_the_upper_bound_at_the_witnessed_level(rep_b_z4):
+    """The upper bound is proved at the witnessed level, not at the target: a
+    run stopped before it witnesses the extra element's level reports the
+    extra outside the normalizer of what it did witness."""
+    rep = rep_b_z4
+    g = rep.x(rep.case.omega_plus[0], 2).conjugate(rep.x(rep.case.delta[0], 1))
+    full = SigmaPair.full(rep.ring)
+    stopped = level_certificate(rep, _delta_atoms(rep), [g], full, budget=0, seed=5)
+    assert stopped.lower == SigmaPair.zero(rep.ring) and not stopped.complete
+    assert not stopped.normalizer_consistent
+    # with x_beta(2) itself among the extras, the level (2),(0) is witnessed
+    extra = [g, rep.x(rep.case.omega_plus[0], 2)]
+    cert = level_certificate(rep, _delta_atoms(rep), extra, full, budget=0, seed=5)
+    assert cert.lower == parse_sigma(rep.ring, "(2),(0)")
+    assert cert.normalizer_consistent
+
+
+def test_certificate_over_the_integers():
+    """The exact check needs no enumeration of the ring: it runs over Z."""
+    ring = RingSpec.integers()
+    rep = representation("b", None, ring)
+    atoms = [("x", a, ring.el(v)) for a in rep.case.delta for v in (1, -1, 2)]
+    target = SigmaPair(Ideal.from_elems(ring, [ring.el(2)]), Ideal.zero(ring))
+    cert = level_certificate(rep, atoms, [rep.x(rep.case.max_root, 2)], target, budget=20, seed=3)
+    assert cert.matched and cert.normalizer_consistent
+    escape = rep.x(rep.case.max_root, 1).conjugate(rep.x(rep.case.delta[0], 1))
+    assert not analysis.generators_in_normalizer(rep, atoms, [escape], target)
+
+
+def test_result_values_are_frozen(rep_b_z4):
+    cert = level_certificate(rep_b_z4, _delta_atoms(rep_b_z4), [], SigmaPair.zero(rep_b_z4.ring), budget=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.matched = False
+    result = SuiteResult("name", True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.passed = False

@@ -164,8 +164,6 @@ def test_experiment_and_determinism(capsys, tmp_path):
         "9",
         "--budget",
         "300",
-        "--samples",
-        "30",
     ]
     code = main(argv)
     first = capsys.readouterr().out
@@ -273,3 +271,27 @@ def test_modulus_above_the_exactness_bound_is_a_usage_error(capsys):
     code = main(["normcheck", "--case", "b", "--ring", "z4294967311", "--sigma", "(2),(0)"])
     assert code == 2
     assert "2^63" in capsys.readouterr().err
+
+
+def test_experiment_stopped_by_its_budget_is_incomplete(capsys, tmp_path):
+    """The certificate is that of the single search: a budget stop exits 3,
+    as the same search under ``level`` does."""
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps([{"kind": "x", "root": [1, 2, 2, 3, 2, 1], "value": 2}]))
+    common = ["--case", "b", "--ring", "z4", "--extra", str(extra), "--budget", "1"]
+    code, report = run(capsys, "experiment", *common)
+    assert code == 3
+    assert report["certificate"]["complete"] is False
+    assert report["sandwich"] == {"level": "(2),(0)", "verdict": True}
+    code, report = run(capsys, "level", *common, "--target", "R,R")
+    assert code == 3
+
+
+def test_experiment_takes_no_sample_count(capsys, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--case", "b", "--ring", "z4", "--samples", "5"])
+    assert err.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "b", "ring": "z4", "samples": 5}))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert "samples" in capsys.readouterr().err
