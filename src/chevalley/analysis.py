@@ -272,7 +272,7 @@ def _block_diagonal_part(g: GroupElement) -> GroupElement:
     since that elimination is the invertibility check."""
     cross = _cross_component_mask(g.rep.wm)
     mat = RMat(g.mat.spec, g.mat.n, [np.where(cross, 0, blk) for blk in g.mat.blocks])
-    return GroupElement(g.rep, mat, mat.inv(), word=None)
+    return GroupElement(g.rep, mat, mat.inv())
 
 
 def _split_at_top(split, g: GroupElement, lam: Weight) -> tuple[GroupElement, GroupElement]:
@@ -858,36 +858,26 @@ def _corner_lines(wm):
 # -- transporter and level certificates -------------------------------------------------------
 
 
-def transporter_check(
-    g: GroupElement, sigma: SigmaPair, max_generators: int | None = None, seed: int = 0
-) -> bool:
-    """Conjugation by g carries every enumerated level generator into the
-    congruence conditions.  Samples when the enumeration is capped.
+def transporter_check(g: GroupElement, sigma: SigmaPair) -> bool:
+    """Conjugation by g carries every level generator into the congruence
+    conditions.
 
     Only the two lines of each conjugate g X g^-1 that ``in_G_sigma`` reads
     are computed, for every atom in one batched pass (``_top_line_mask``):
     one gather and one matrix product per side, then one ideal test per side.
 
-    Without a cap, one atom per root decides the whole family.  For
+    One atom per root decides the whole family.  For
     X = x_alpha(xi) = e + xi P_alpha, the off-top entries of both lines are xi
     times those of g P_alpha g^-1, so the parameters xi that pass form an
     ideal, and the family passes exactly when a generator of each parameter
     ideal does.  The test suite checks the verdicts against the full
     conjugates of every enumerated atom, ``in_G_sigma(x.conjugate(g), sigma)``.
     """
-    rep = g.rep
-    if max_generators is None:
-        atoms = []
-        for roots, ideal in _generator_families(rep, sigma):
-            if not ideal.is_zero():
-                value = ideal.generator()
-                atoms += [(alpha, value) for alpha in roots]
-    else:
-        atoms = sigma_generator_atoms(rep, sigma)
-        if len(atoms) > max_generators:
-            rng = SplitMix64(seed)
-            atoms = [atoms[rng.randrange(len(atoms))] for _ in range(max_generators)]
-        atoms = [(alpha, value) for _, alpha, value in atoms]
+    atoms = []
+    for roots, ideal in _generator_families(g.rep, sigma):
+        if not ideal.is_zero():
+            value = ideal.generator()
+            atoms += [(alpha, value) for alpha in roots]
     return bool(_top_line_mask(g, atoms, sigma).all())
 
 
@@ -930,9 +920,9 @@ def generators_in_normalizer(
     The root elements of ``gen_atoms`` are tested once each, except that a
     value v for a root alpha is skipped when v lies in the additive span of
     the values already tested for alpha: x_alpha is a homomorphism from
-    (R, +).  Each generator is tested with ``in_normalizer`` and with the
-    uncapped ``transporter_check``; the two are independent
-    characterisations, so a disagreement raises InternalConsistencyError.
+    (R, +).  Each generator is tested with ``in_normalizer`` and with
+    ``transporter_check``; the two are independent characterisations, so a
+    disagreement raises InternalConsistencyError.
     """
     spans: dict = {}
     generators = []
@@ -1022,13 +1012,20 @@ def level_certificate(
 
     pool_elements = [rep.element_from_word((a,)) for a in gen_atoms[: min(len(gen_atoms), 512)]]
     pool_elements += extra
+    # each extra element is examined itself first, outside the stall count:
+    # a uniform draw from the pool rarely picks one among many atoms
+    unseen = list(extra)
     stable = 0
     while budget > 0 and stable < 40:
         budget -= 1
-        base = pool_elements[rng.randrange(len(pool_elements))]
-        length = rng.randrange(5)
-        w = sample_word_rng(rep, gen_atoms, length, rng) if gen_atoms else rep.identity()
-        cand = base.conjugate(w)
+        drawn = not unseen
+        if drawn:
+            base = pool_elements[rng.randrange(len(pool_elements))]
+            length = rng.randrange(5)
+            w = sample_word_rng(rep, gen_atoms, length, rng) if gen_atoms else rep.identity()
+            cand = base.conjugate(w)
+        else:
+            cand = unseen.pop(0)
         before = (lb_plus, lb_minus)
         try:
             if in_parabolic(cand, None):
@@ -1043,7 +1040,7 @@ def level_certificate(
             # the sample does not meet an extraction's preconditions; a
             # broken invariant (InternalConsistencyError) propagates
             pass
-        stable = 0 if (lb_plus, lb_minus) != before else stable + 1
+        stable = 0 if (lb_plus, lb_minus) != before else stable + drawn
         if SigmaPair(lb_plus, lb_minus) == target:
             break
 

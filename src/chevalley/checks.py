@@ -319,12 +319,14 @@ def steinberg_suite(
         for alpha, beta in pairs:
             xi = nonzero[rng.randrange(len(nonzero))]
             zeta = nonzero[rng.randrange(len(nonzero))]
-            if not (rep.x(alpha, xi) * rep.x(alpha, zeta)) == rep.x(alpha, xi + zeta):
+            if not rep.element_from_word((("x", alpha, xi), ("x", alpha, zeta))) == rep.x(alpha, xi + zeta):
                 fails.append(f"additivity fails for {alpha} over {ring.describe()}")
                 break
             if beta == alpha or beta == tuple(-x for x in alpha):
                 continue
-            comm = rep.x(alpha, xi).commutator(rep.x(beta, zeta))
+            comm = rep.element_from_word(
+                (("x", alpha, xi), ("x", beta, zeta), ("x", alpha, -xi), ("x", beta, -zeta))
+            )
             s = tuple(x + y for x, y in zip(alpha, beta))
             if s in phi_set:
                 n_const = pair_signs.get((alpha, beta))

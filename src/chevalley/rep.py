@@ -10,11 +10,12 @@ conjugate of a simple pattern by a monomial Weyl matrix, one simple reflection
 at a time; this pins one concrete sign table whose correctness is checked by
 the relation suite rather than against any published table.
 
-A group element holds its matrix; its exact inverse and its generator word
-are computed on first read.  For an element built from a generator word the
-inverse is the replay of the reversed word, for a product it is the product of
-the factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
-elimination, because that elimination is its invertibility check.
+A group element holds its matrix; its exact inverse is computed on first
+read.  For an element built from a generator word the inverse is the replay of
+the reversed word, for a product it is the product of the factors' inverses.
+``from_matrix`` inverts eagerly, by per-factor elimination, because that
+elimination is its invertibility check.  Only an element built from a word
+keeps its word; products, inverses and reductions derive none.
 """
 
 from __future__ import annotations
@@ -161,54 +162,36 @@ class _Lazy:
         return self.value
 
 
-def _concat_words(a, b):
-    return None if a is None or b is None else a + b
-
-
-def _inverse_word(word):
-    return None if word is None else tuple(invert_atom(a) for a in reversed(word))
-
-
 class GroupElement:
     """A module automorphism.
 
-    ``inv_mat`` (the exact inverse) and ``word`` (the generator word, or None
-    for matrix-only elements) are computed on first read and then kept.  The
-    deferred computations hold the factors' inverse and word data, never the
-    factors' forward matrices.  ``corner_table`` is filled by
-    ``analysis.corner_ideals`` on its first read.
+    ``inv_mat`` (the exact inverse) is computed on first read and then kept;
+    the deferred computation holds the factors' inverses, never their forward
+    matrices.  ``word`` is the atoms of an element built by
+    ``element_from_word`` (``()`` for ``identity``), else None.
+    ``corner_table`` is filled by ``analysis.corner_ideals`` on its first read.
     """
 
-    __slots__ = ("rep", "mat", "_inv", "_word", "corner_table")
+    __slots__ = ("rep", "mat", "_inv", "word", "corner_table")
 
     def __init__(self, rep: "Representation", mat: RMat, inv, word=None):
-        """``inv`` and ``word`` are values or ``_Lazy`` nodes."""
+        """``inv`` is a value or a ``_Lazy`` node."""
         self.rep = rep
         self.mat = mat
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
-        self._word = word if isinstance(word, _Lazy) else _Lazy(word)
+        self.word = word
         self.corner_table = None
 
     @property
     def inv_mat(self) -> RMat:
         return self._inv.get()
 
-    @property
-    def word(self):
-        return self._word.get()
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.rep,
-            self.mat * other.mat,
-            _Lazy(fn=operator.mul, args=(other._inv, self._inv)),
-            _Lazy(fn=_concat_words, args=(self._word, other._word)),
-        )
+        inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
+        return GroupElement(self.rep, self.mat * other.mat, inv)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(
-            self.rep, self.inv_mat, self.mat, _Lazy(fn=_inverse_word, args=(self._word,))
-        )
+        return GroupElement(self.rep, self.inv_mat, self.mat)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """by * self * by^-1."""
@@ -239,17 +222,6 @@ class GroupElement:
     def check(self) -> None:
         if not (self.mat * self.inv_mat).is_identity():
             raise InternalConsistencyError("stored inverse does not invert the matrix")
-
-
-def invert_atom(atom: Atom) -> Atom:
-    kind, root, value = atom
-    if kind == "x":
-        return ("x", root, -value)
-    if kind == "w":
-        return ("w", root, -value)
-    if kind == "h":
-        return ("h", root, value.inv())
-    raise DomainError(f"unknown atom kind {kind!r}")
 
 
 class Representation:
@@ -346,7 +318,7 @@ class Representation:
         elimination is the invertibility check (``NonUnitError``)."""
         if mat.n != self.n or mat.spec != self.ring:
             raise DomainError("matrix does not match the representation")
-        return GroupElement(self, mat.copy(), mat.inv(), word=None)
+        return GroupElement(self, mat.copy(), mat.inv())
 
     # -- vectors --------------------------------------------------------------------
 
@@ -365,16 +337,10 @@ class Representation:
         """Image under the reduction homomorphism modulo the ideal."""
         if ideal.spec != self.ring:
             raise DomainError("ideal over a different ring")
-        qrep = get_representation(self.wm, ideal.quotient_spec())
-
-        def reduce_word(word):
-            return None if word is None else tuple((k, r, ideal.reduce_elem(v)) for k, r, v in word)
-
         return GroupElement(
-            qrep,
+            get_representation(self.wm, ideal.quotient_spec()),
             g.mat.reduce(ideal),
             _Lazy(fn=lambda inv: inv.reduce(ideal), args=(g._inv,)),
-            _Lazy(fn=reduce_word, args=(g._word,)),
         )
 
 

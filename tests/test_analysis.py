@@ -594,21 +594,6 @@ def test_batched_top_line_mask_matches_full_conjugates(tag, l, ring_name, plus, 
     assert verdicts == {True, False}
 
 
-def test_sampled_transporter_matches_full_conjugates(rep_c_z4):
-    rep = rep_c_z4
-    sigma = parse_sigma(rep.ring, "(2),(0)")
-    atoms = sigma_generator_atoms(rep, sigma)
-    verdicts = []
-    for g in _members_and_escapes(rep, sigma, seed=53, n=2):
-        for seed in range(12):
-            rng = SplitMix64(seed)
-            picked = [atoms[rng.randrange(len(atoms))] for _ in range(3)]
-            verdict = transporter_check(g, sigma, max_generators=3, seed=seed)
-            assert verdict == _transporter_oracle(g, sigma, picked)
-            verdicts.append(verdict)
-    assert True in verdicts and False in verdicts
-
-
 def test_certificate_subsystem_only(rep_b_z4):
     rep = rep_b_z4
     target = SigmaPair.zero(rep.ring)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -295,3 +296,33 @@ def test_experiment_takes_no_sample_count(capsys, tmp_path):
     cfg.write_text(json.dumps({"case": "b", "ring": "z4", "samples": 5}))
     assert main(["experiment", "--config", str(cfg)]) == 2
     assert "samples" in capsys.readouterr().err
+
+
+def test_experiment_examines_each_word_extra_itself(capsys, tmp_path):
+    """A conjugate of x_max(2) given as one word is one of 121 pool elements,
+    so a uniform draw rarely picks it: every extra is examined itself before
+    the random draws."""
+    d, top = [0, 1, 0, 0, 0, 0], [1, 2, 2, 3, 2, 1]
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps([{"word": [["x", d, 1], ["x", top, 2], ["x", d, -1]]}]))
+    common = ["--case", "b", "--ring", "z4", "--extra", str(extra)]
+    for seed in range(4):
+        code, report = run(capsys, "experiment", *common, "--seed", str(seed))
+        assert code == 0, seed
+        assert report["sandwich"] == {"level": "(2),(0)", "verdict": True}, seed
+
+
+# sha256 of the stdout of commands whose reports are fixed by their seeds;
+# reports are byte-identical by contract, so any change is a behaviour change
+REPORT_SHA256 = {
+    ("relcheck", "--case", "b", "--seed", "5"): "6c3ee417d951604940ece535a406125d69fb7f96e5e053485e3352312872c962",
+    ("relcheck", "--case", "c"): "45e6fda9372f52fe1fee6257866000671a2dae0be46b6d17f4f7c36e76ca24e3",
+    ("lemmas", "--case", "a", "--l", "5"): "f7b86fa9893e1b04b021542a75a40cad8428a0f2c73a14258d8227ff3de678fb",
+    ("selftest",): "3e4a2afaebfbb78b86c3d84ce079bc3555da3676ecfb5de09f28b506fba166ea",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256), ids=" ".join)
+def test_reports_are_byte_identical(capsys, argv):
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256[argv]
