@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -418,9 +419,6 @@ class Witness:
     value: RingElem
     trace: tuple[TraceOp, ...]
 
-    def replay(self, rep: Representation, seed: GroupElement | None = None) -> GroupElement:
-        return replay_trace(rep, self.trace, seed)
-
     def to_json(self):
         return {
             "side": self.side,
@@ -430,19 +428,53 @@ class Witness:
         }
 
 
+def _atom(rep: Representation, atom: Atom) -> GroupElement:
+    return rep.element_from_word((atom,))
+
+
+def _atom_json(atom: Atom):
+    a_kind, root, value = atom
+    return [a_kind, list(root), value.to_json()]
+
+
+class _Op(NamedTuple):
+    apply: Callable  # (rep, current element or None, argument) -> next element
+    encode: Callable  # argument -> JSON
+
+
+# Every trace op but ``seed``, which starts a trace at the supplied element.
+# Extraction records and applies each step through ``_step``; ``replay_trace``
+# and ``_trace_op_json`` read the same table.
+_TRACE_OPS = {
+    "atom_seed": _Op(lambda rep, h, atom: _atom(rep, atom), _atom_json),
+    "unipotent_part": _Op(lambda rep, h, lam: levi_unipotent_split(h, lam)[0], list),
+    "opposite_unipotent_part": _Op(lambda rep, h, lam: opposite_levi_split(h, lam)[0], list),
+    "rmul": _Op(lambda rep, h, atom: h * _atom(rep, atom), _atom_json),
+    "commute": _Op(lambda rep, h, atom: h.commutator(_atom(rep, atom)), _atom_json),
+    "conj_atom": _Op(lambda rep, h, atom: _atom(rep, atom).conjugate(h), _atom_json),
+    "inv_conj_atom": _Op(lambda rep, h, atom: _atom(rep, atom).conjugate(h.inverse()), _atom_json),
+}
+
+
+def _step(trace: list[TraceOp], h: GroupElement, kind: str, arg) -> GroupElement:
+    """Record one op on the trace and return its result on h."""
+    trace.append((kind, arg))
+    return _TRACE_OPS[kind].apply(h.rep, h, arg)
+
+
 def _trace_op_json(op: TraceOp):
     kind = op[0]
-    if kind in ("seed",):
+    if kind == "seed":
         return [kind]
-    if kind in ("unipotent_part", "opposite_unipotent_part"):
-        return [kind, list(op[1])]
-    if kind in ("atom_seed", "rmul", "commute", "conj_atom", "inv_conj_atom"):
-        a_kind, root, value = op[1]
-        return [kind, [a_kind, list(root), value.to_json()]]
-    raise DomainError(f"unknown trace op {kind!r}")
+    if kind not in _TRACE_OPS:
+        raise DomainError(f"unknown trace op {kind!r}")
+    return [kind, _TRACE_OPS[kind].encode(op[1])]
 
 
 def replay_trace(rep: Representation, trace, seed: GroupElement | None = None) -> GroupElement:
+    """The element a trace builds: ``seed`` starts at the seed element, then
+    every other op applies its ``_TRACE_OPS`` entry.  A malformed trace is a
+    DomainError."""
     h: GroupElement | None = None
     for op in trace:
         kind = op[0]
@@ -450,22 +482,12 @@ def replay_trace(rep: Representation, trace, seed: GroupElement | None = None) -
             if seed is None:
                 raise DomainError("trace needs a seed element")
             h = seed
-        elif kind == "atom_seed":
-            h = rep.element_from_word((op[1],))
-        elif kind == "unipotent_part":
-            h = levi_unipotent_split(h, op[1])[0]
-        elif kind == "opposite_unipotent_part":
-            h = opposite_levi_split(h, op[1])[0]
-        elif kind == "rmul":
-            h = h * rep.element_from_word((op[1],))
-        elif kind == "commute":
-            h = h.commutator(rep.element_from_word((op[1],)))
-        elif kind == "conj_atom":
-            h = rep.element_from_word((op[1],)).conjugate(h)
-        elif kind == "inv_conj_atom":
-            h = rep.element_from_word((op[1],)).conjugate(h.inverse())
-        else:
+        elif kind not in _TRACE_OPS:
             raise DomainError(f"unknown trace op {kind!r}")
+        elif h is None and kind != "atom_seed":
+            raise DomainError(f"trace op {kind!r} has no element to act on")
+        else:
+            h = _TRACE_OPS[kind].apply(rep, h, op[1])
     if h is None:
         raise DomainError("empty trace")
     return h
@@ -479,12 +501,35 @@ class MembershipVerdict:
 # -- extraction from the parabolic ----------------------------------------------------------
 
 
+def _by_height(root: Root):
+    """The canonical order of roots: by height, then lexicographically."""
+    return height(root), root
+
+
 def _simple_raiser(case, beta: Root) -> Root:
     """A simple root whose sum with the given positive root is again a root."""
     for simple in case.simple_roots:
         if case.root_add(beta, simple) is not None:
             return simple
     raise InternalConsistencyError(f"no simple raiser for {beta}")
+
+
+def _corner_coords(h: GroupElement, side: int) -> dict:
+    """The orbit coordinates of h on the top row (side +1) or the top column
+    (side -1)."""
+    case, lam0 = h.rep.case, h.rep.wm.lam0
+    if side > 0:
+        return coords_row(h, lam0, case.omega_plus)
+    return coords_col(h, lam0, _negated(case.omega_plus))
+
+
+def _strip(h: GroupElement, trace: list[TraceOp], coords: dict, keep) -> GroupElement:
+    """Multiply away every coordinate whose root is not in ``keep``, in the
+    canonical root order."""
+    for b, v in sorted(coords.items(), key=lambda kv: _by_height(kv[0])):
+        if b not in keep:
+            h = _step(trace, h, "rmul", ("x", b, -v))
+    return h
 
 
 def _greedy_to_corner(
@@ -497,23 +542,18 @@ def _greedy_to_corner(
     extreme root by commutators with subsystem root elements."""
     rep = h.rep
     case = rep.case
-    wm = rep.wm
-    lam0 = wm.lam0
     target = case.max_root if side > 0 else tuple(-x for x in case.max_root)
     guard = 4 * len(case.omega_plus) * height(case.max_root) + 16
     while True:
         guard -= 1
         if guard < 0:
             raise InternalConsistencyError("corner reduction did not terminate")
-        if side > 0:
-            coords = coords_row(h, lam0, case.omega_plus)
-        else:
-            coords = coords_col(h, lam0, _negated(case.omega_plus))
+        coords = _corner_coords(h, side)
         if any(v in ideal for v in coords.values()):
             raise InternalConsistencyError("cold coordinate appeared during reduction")
         if not coords:
             raise InternalConsistencyError("all coordinates vanished during reduction")
-        roots = sorted(coords.keys(), key=lambda r: (height(r), r))
+        roots = sorted(coords.keys(), key=_by_height)
         if len(roots) == 1 and roots[0] == target:
             return Witness(side=side, root=target, value=coords[target], trace=tuple(trace))
         pick = next((r for r in roots if r != target), None)
@@ -521,12 +561,9 @@ def _greedy_to_corner(
             raise InternalConsistencyError("stuck at the extreme root with company")
         if side > 0:
             s = _simple_raiser(case, pick)
-            atom: Atom = ("x", s, rep.ring.one)
         else:
-            s = _simple_raiser(case, tuple(-x for x in pick))
-            atom = ("x", tuple(-x for x in s), rep.ring.one)
-        h = h.commutator(rep.element_from_word((atom,)))
-        trace.append(("commute", atom))
+            s = tuple(-x for x in _simple_raiser(case, tuple(-x for x in pick)))
+        h = _step(trace, h, "commute", ("x", s, rep.ring.one))
 
 
 def extract_from_parabolic(g: GroupElement, ideal: Ideal, side: int = +1) -> Witness | None:
@@ -536,52 +573,28 @@ def extract_from_parabolic(g: GroupElement, ideal: Ideal, side: int = +1) -> Wit
     Returns None when every unipotent coordinate lies inside the ideal.  The
     returned trace replays from the supplied element.
     """
-    rep = g.rep
-    case = rep.case
-    wm = rep.wm
-    lam0 = wm.lam0
     trace: list[TraceOp] = [("seed",)]
-    if side > 0:
-        u, _ = levi_unipotent_split(g, None)
-        trace.append(("unipotent_part", lam0))
-        coords = coords_row(u, lam0, case.omega_plus)
-    else:
-        u, _ = opposite_levi_split(g, None)
-        trace.append(("opposite_unipotent_part", lam0))
-        coords = coords_col(u, lam0, _negated(case.omega_plus))
-
-    hot = {r: v for r, v in coords.items() if v not in ideal}
+    part = "unipotent_part" if side > 0 else "opposite_unipotent_part"
+    u = _step(trace, g, part, g.rep.wm.lam0)
+    coords = _corner_coords(u, side)
+    hot = {r for r, v in coords.items() if v not in ideal}
     if not hot:
         return None
-    h = u
-    for r, v in sorted(coords.items(), key=lambda kv: (height(kv[0]), kv[0])):
-        if r in hot:
-            continue
-        atom: Atom = ("x", r, -v)
-        h = h * rep.element_from_word((atom,))
-        trace.append(("rmul", atom))
-    return _greedy_to_corner(h, trace, ideal, side)
+    return _greedy_to_corner(_strip(u, trace, coords, hot), trace, ideal, side)
 
 
 # -- extraction from the stabilizer of a lower weight line ------------------------------------
 
 
-def _first_escape_conj(
-    g: GroupElement, roots, sigma: SigmaPair, inverse_side: bool = False
-) -> tuple[Root, GroupElement] | None:
+def _first_escape(g: GroupElement, roots, sigma: SigmaPair, inverse_side: bool = False) -> Root | None:
     """First root gamma (canonical order) whose unit root element escapes the
     congruence conditions after conjugation by g (or by its inverse).  The
     top lines of every candidate conjugate come from one batched pass
-    (``_top_line_mask``); the full conjugate is built for the escaping root
-    alone."""
-    rep = g.rep
-    by = g.inverse() if inverse_side else g
-    order = sorted(roots, key=lambda r: (height(r), r))
-    passes = _top_line_mask(by, [(gamma, rep.ring.one) for gamma in order], sigma)
-    if passes.all():
-        return None
-    gamma = order[int(np.argmin(passes))]
-    return gamma, rep.x(gamma, 1).conjugate(by)
+    (``_top_line_mask``); no conjugate is built."""
+    order = sorted(roots, key=_by_height)
+    one = g.rep.ring.one
+    passes = _top_line_mask(g.inverse() if inverse_side else g, [(gamma, one) for gamma in order], sigma)
+    return None if passes.all() else order[int(np.argmin(passes))]
 
 
 def extract_from_weight_stabilizer(
@@ -600,6 +613,7 @@ def extract_from_weight_stabilizer(
     rep = g.rep
     wm = rep.wm
     case = rep.case
+    one = rep.ring.one
     if wm.component_of(lam1) != 1:
         raise DomainError("weight must lie in the first non-trivial component")
     failures = root_type_failures(g)
@@ -615,95 +629,66 @@ def extract_from_weight_stabilizer(
     split = sigma_split(wm, lam1)
     trace: list[TraceOp] = [("seed",)]
 
-    found = _first_escape_conj(g, split.core, plus_only)
-    if found is None:
+    gamma1 = _first_escape(g, split.core, plus_only)
+    if gamma1 is None:
         raise InternalConsistencyError("no escaping conjugate in the overlap core")
-    gamma1, g1 = found
-    atom1: Atom = ("x", gamma1, rep.ring.one)
-    trace.append(("conj_atom", atom1))
+    g1 = _step(trace, g, "conj_atom", ("x", gamma1, one))
 
-    u1, l1 = levi_unipotent_split(g1, lam1)
+    _, l1 = levi_unipotent_split(g1, lam1)
     if not in_G_sigma(l1, sigma):
         # the Levi part escapes: push the escape into the unipotent radical
-        found2 = _first_escape_conj(l1, split.zero, sigma, inverse_side=True)
-        if found2 is None:
+        gamma2 = _first_escape(l1, split.zero, sigma, inverse_side=True)
+        if gamma2 is None:
             raise InternalConsistencyError("no escaping conjugate in the shift subsystem roots")
-        gamma2, _ = found2
-        atom2: Atom = ("x", gamma2, rep.ring.one)
-        h = rep.element_from_word((atom2,)).conjugate(g1.inverse())
-        trace.append(("inv_conj_atom", atom2))
-        expected = rep.element_from_word((atom2,)).conjugate(l1.inverse())
-        if not h == expected:
+        atom2: Atom = ("x", gamma2, one)
+        h = _step(trace, g1, "inv_conj_atom", atom2)
+        if not h == _TRACE_OPS["inv_conj_atom"].apply(rep, l1, atom2):
             raise InternalConsistencyError("abelian radical commutation failed")
     else:
-        found2 = _first_escape_conj(g1, split.core, plus_only)
-        if found2 is None:
+        gamma2 = _first_escape(g1, split.core, plus_only)
+        if gamma2 is None:
             raise InternalConsistencyError("no second escaping conjugate in the core")
-        gamma2, g2 = found2
-        atom2 = ("x", gamma2, rep.ring.one)
-        trace.append(("conj_atom", atom2))
-        h, l2 = levi_unipotent_split(g2, lam1)
-        trace.append(("unipotent_part", lam1))
-        if not in_G_sigma(l2, sigma):
+        g2 = _step(trace, g1, "conj_atom", ("x", gamma2, one))
+        h = _step(trace, g2, "unipotent_part", lam1)
+        if not in_G_sigma(h.inverse() * g2, sigma):  # the Levi part of g2
             raise InternalConsistencyError("conjugated Levi part escaped unexpectedly")
         if in_G_sigma(h, sigma):
             raise InternalConsistencyError("unipotent part does not carry the escape")
 
     beta0 = split.minus[0]
+    plus_roots = set(split.plus)
     while budget > 0:
         budget -= 1
         if not in_parabolic(h, lam1):
             raise InternalConsistencyError("radical element left the line stabilizer")
         coords = coords_row(h, lam1, split.all_roots)
-        hot_plus = {b: v for b, v in coords.items() if b in set(split.plus) and v not in sigma.plus}
+        hot_plus = {b: v for b, v in coords.items() if b in plus_roots and v not in sigma.plus}
         xi0 = coords.get(beta0)
         if hot_plus:
             if xi0 is None or xi0 in sigma.minus:
                 # strip every certified factor, leaving the hot upper product
-                for b, v in sorted(coords.items(), key=lambda kv: (height(kv[0]), kv[0])):
-                    if b in hot_plus:
-                        continue
-                    atom = ("x", b, -v)
-                    h = h * rep.element_from_word((atom,))
-                    trace.append(("rmul", atom))
-                canonical = tuple(
-                    ("x", b, hot_plus[b])
-                    for b in sorted(hot_plus.keys(), key=lambda r: (height(r), r))
-                )
+                h = _strip(h, trace, coords, hot_plus)
+                canonical = tuple(("x", b, hot_plus[b]) for b in sorted(hot_plus, key=_by_height))
                 if not h == rep.element_from_word(canonical):
                     raise InternalConsistencyError("stripping left a non-radical remainder")
                 return _greedy_to_corner(h, trace, sigma.plus, +1)
             # the lower factor is not certified: shift it away
-            pivot = min(hot_plus.keys(), key=lambda r: (height(r), r))
-            support = set(coords.keys())
-            options = []
-            for gamma in split.overlap:
-                if case.root_add(pivot, gamma) is None:
-                    continue
-                if case.root_add(gamma, beta0) is not None:
-                    continue
-                options.append(gamma)
+            pivot = min(hot_plus, key=_by_height)
+            options = [
+                gamma
+                for gamma in split.overlap
+                if case.root_add(pivot, gamma) is not None and case.root_add(gamma, beta0) is None
+            ]
             if not options:
                 raise InternalConsistencyError("no shifting root for the hot pivot")
             best = next(
-                (
-                    gm
-                    for gm in options
-                    if tuple(b - c for b, c in zip(beta0, gm)) not in support
-                ),
+                (gm for gm in options if tuple(b - c for b, c in zip(beta0, gm)) not in coords),
                 options[0],
             )
-            atom = ("x", best, rep.ring.one)
-            h = h.commutator(rep.element_from_word((atom,)))
-            trace.append(("commute", atom))
+            h = _step(trace, h, "commute", ("x", best, one))
             continue
         if xi0 is not None and xi0 not in sigma.minus:
-            for b, v in sorted(coords.items(), key=lambda kv: (height(kv[0]), kv[0])):
-                if b == beta0:
-                    continue
-                atom = ("x", b, -v)
-                h = h * rep.element_from_word((atom,))
-                trace.append(("rmul", atom))
+            h = _strip(h, trace, coords, {beta0})
             if not h == rep.x(beta0, xi0):
                 raise InternalConsistencyError("stripping did not leave a single root element")
             return Witness(side=-1, root=beta0, value=xi0, trace=tuple(trace))
@@ -759,23 +744,15 @@ def extract_from_nilpotent(g: GroupElement, b: Ideal) -> NilpotentStep:
     if alpha is None or alpha not in set(rep.case.delta):
         raise InternalConsistencyError("component neighbour difference is not a subsystem root")
     atom: Atom = ("x", alpha, rep.ring.one)
-    h = rep.element_from_word((atom,)).conjugate(g)
-    trace = (("seed",), ("conj_atom", atom))
+    trace: list[TraceOp] = [("seed",)]
+    h = _step(trace, g, "conj_atom", atom)
 
     # the conjugating root element scales the relevant inverse column
     col = g.inverse().column(lam1)
-    moved = rep.act(rep.element_from_word((atom,)), col)
+    moved = rep.act(_atom(rep, atom), col)
     scale = g.inv_entry(nu, lam1)
-    ok = False
-    for sgn in (1, -1):
-        factor = rep.ring.one + (scale if sgn > 0 else -scale)
-        test = col.copy()
-        for i in range(wm.dim):
-            test.set_entry(i, col.entry(i) * factor)
-        if moved == test:
-            ok = True
-            break
-    if not ok:
+    entries = [(moved.entry(i), col.entry(i)) for i in range(wm.dim)]
+    if not any(all(m == c * (rep.ring.one + s) for m, c in entries) for s in (scale, -scale)):
         raise InternalConsistencyError("line stabilization identity fails")
 
     if not in_parabolic(h, lam1):
@@ -784,7 +761,7 @@ def extract_from_nilpotent(g: GroupElement, b: Ideal) -> NilpotentStep:
         raise InternalConsistencyError("conjugate fell into the opposite parabolic")
     if g.mat.is_zero_at(wm.idx(lam0), wm.idx(lam1)) or h.mat.is_zero_at(wm.idx(lam0), wm.idx(nu)):
         raise InternalConsistencyError("top-row escape did not transfer")
-    return NilpotentStep(element=h, lam1=lam1, trace=trace)
+    return NilpotentStep(element=h, lam1=lam1, trace=tuple(trace))
 
 
 # -- column stabilizers and corner ideals -----------------------------------------------------
@@ -931,7 +908,7 @@ def generators_in_normalizer(
         if kind != "x" or _grow_span(
             spans.setdefault(root, _additive_span(rep.ring)), _coefficients(value)
         ):
-            generators.append(rep.element_from_word((atom,)))
+            generators.append(_atom(rep, atom))
     for g in generators + list(extra):
         inside = in_normalizer(g, sigma)
         if inside != transporter_check(g, sigma):
@@ -985,32 +962,21 @@ def level_certificate(
     bound at the witnessed level (``generators_in_normalizer``).
     """
     rng = SplitMix64(seed)
-    case = rep.case
-    plus_set = set(case.omega_plus)
-    minus_set = set(case.omega_minus)
-
+    sides = {r: +1 for r in rep.case.omega_plus} | {r: -1 for r in rep.case.omega_minus}
     witnesses: list[Witness] = []
-    lb_plus = Ideal.zero(rep.ring)
-    lb_minus = Ideal.zero(rep.ring)
+    lb = {+1: Ideal.zero(rep.ring), -1: Ideal.zero(rep.ring)}  # the witnessed level by side
 
     def note(w: Witness):
-        nonlocal lb_plus, lb_minus
         witnesses.append(w)
-        grown = Ideal.from_elems(rep.ring, [w.value])
-        if w.side > 0:
-            lb_plus = lb_plus + grown
-        else:
-            lb_minus = lb_minus + grown
+        lb[w.side] = lb[w.side] + Ideal.from_elems(rep.ring, [w.value])
 
     single = [e.word[0] for e in extra if e.word is not None and len(e.word) == 1]
     for atom in list(gen_atoms) + [a for a in single if a[0] == "x"]:
-        _, root, value = atom
-        if root in plus_set and value not in lb_plus:
-            note(Witness(side=+1, root=root, value=value, trace=(("atom_seed", atom),)))
-        elif root in minus_set and value not in lb_minus:
-            note(Witness(side=-1, root=root, value=value, trace=(("atom_seed", atom),)))
+        side = sides.get(atom[1])
+        if side and atom[2] not in lb[side]:
+            note(Witness(side=side, root=atom[1], value=atom[2], trace=(("atom_seed", atom),)))
 
-    pool_elements = [rep.element_from_word((a,)) for a in gen_atoms[: min(len(gen_atoms), 512)]]
+    pool_elements = [_atom(rep, a) for a in gen_atoms[: min(len(gen_atoms), 512)]]
     pool_elements += extra
     # each extra element is examined itself first, outside the stall count:
     # a uniform draw from the pool rarely picks one among many atoms
@@ -1026,25 +992,22 @@ def level_certificate(
             cand = base.conjugate(w)
         else:
             cand = unseen.pop(0)
-        before = (lb_plus, lb_minus)
+        before = dict(lb)
         try:
-            if in_parabolic(cand, None):
-                got = extract_from_parabolic(cand, lb_plus, side=+1)
-                if got is not None:
-                    note(_reseat(got, cand))
-            if in_opposite_parabolic(cand, None):
-                got = extract_from_parabolic(cand, lb_minus, side=-1)
-                if got is not None:
-                    note(_reseat(got, cand))
+            for side, inside in ((+1, in_parabolic), (-1, in_opposite_parabolic)):
+                if inside(cand, None):
+                    got = extract_from_parabolic(cand, lb[side], side=side)
+                    if got is not None:
+                        note(_reseat(got, cand))
         except DomainError:
             # the sample does not meet an extraction's preconditions; a
             # broken invariant (InternalConsistencyError) propagates
             pass
-        stable = 0 if (lb_plus, lb_minus) != before else stable + drawn
-        if SigmaPair(lb_plus, lb_minus) == target:
+        stable = 0 if lb != before else stable + drawn
+        if SigmaPair(lb[+1], lb[-1]) == target:
             break
 
-    lower = SigmaPair(lb_plus, lb_minus)
+    lower = SigmaPair(lb[+1], lb[-1])
     return LevelCertificate(
         witnesses=witnesses,
         lower=lower,

@@ -9,6 +9,7 @@ replay bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -459,6 +460,22 @@ def decomposition_suite(
 # -- normalizer and transporter ------------------------------------------------------------------
 
 
+def level_members(rep, sigma: SigmaPair, seed: int):
+    """An endless stream of members of the normalizer of the level-sigma
+    elementary group, each a word of up to 4 generating atoms, then up to 2
+    torus atoms, then up to 4 subsystem atoms, drawn from SplitMix64(seed)."""
+    atoms = sigma_generator_atoms(rep, sigma)
+    torus = [("h", a, u) for a in rep.case.simple_roots for u in rep.ring.units()]
+    subsystem = sigma_generator_atoms(rep, SigmaPair.zero(rep.ring))
+    rng = SplitMix64(seed)
+    while True:
+        yield (
+            sample_word_rng(rep, atoms, rng.randrange(5), rng)
+            * sample_word_rng(rep, torus, rng.randrange(3), rng)
+            * sample_word_rng(rep, subsystem, rng.randrange(5), rng)
+        )
+
+
 def normalizer_suite(
     tag: str,
     l: int | None = None,
@@ -469,23 +486,12 @@ def normalizer_suite(
     seed: int = 2026,
 ) -> list[SuiteResult]:
     rep = representation(tag, l, named_ring(ring_name))
-    case, ring = rep.case, rep.ring
     out: list[SuiteResult] = []
-    units = list(ring.units())
     for sigma_text in sigma_texts:
-        sigma = parse_sigma(ring, sigma_text)
-        atoms = sigma_generator_atoms(rep, sigma)
-        torus = [("h", a, u) for a in case.simple_roots for u in units]
-        delta_nz = [("x", a, v) for a in case.delta for v in ring.elements() if not v.is_zero()]
-        rng = SplitMix64(seed)
+        sigma = parse_sigma(rep.ring, sigma_text)
         fails = []
         kept = []
-        for i in range(n_words):
-            g = (
-                sample_word_rng(rep, atoms, rng.randrange(5), rng)
-                * sample_word_rng(rep, torus, rng.randrange(3), rng)
-                * sample_word_rng(rep, delta_nz, rng.randrange(5), rng)
-            )
+        for i, g in enumerate(islice(level_members(rep, sigma, seed), n_words)):
             if not in_normalizer(g, sigma):
                 fails.append(f"word {i} escapes the normalizer conditions")
                 break

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from itertools import islice
 
 from .analysis import (
     SigmaPair,
@@ -26,15 +27,15 @@ from .analysis import (
 from .checks import (
     SuiteResult,
     lemma_suites,
+    level_members,
     selftest_suites,
     steinberg_suite,
 )
 from .errors import BudgetExhausted, DomainError, NonUnitError, UnsupportedCaseError
 from .forms import bilinear_form_signs, build_pi_form
 from .matrices import RMat
-from .rep import representation, sample_word_rng
+from .rep import representation
 from .rings import RingElem, RingSpec, named_ring
-from .rng import SplitMix64
 from .roots import build_case
 from .weights import build_weights
 
@@ -181,11 +182,6 @@ def _load_extra(rep, path: str | None):
     return [rep.element_from_word(atoms) for atoms in words]
 
 
-def _subsystem_atoms(rep) -> list:
-    """x_alpha(v) for every subsystem root alpha and nonzero v, root by root."""
-    return sigma_generator_atoms(rep, SigmaPair.zero(rep.ring))
-
-
 def _suites_exit(suites: list[SuiteResult]) -> int:
     return 0 if all(s.passed for s in suites) else 1
 
@@ -284,9 +280,8 @@ def _certify(args, command: str) -> tuple:
     rep = representation(tag, l, ring)
     target = parse_sigma(ring, args.target) if args.target else SigmaPair.full(ring)
     extra = _load_extra(rep, args.extra)
-    cert = level_certificate(
-        rep, _subsystem_atoms(rep), extra, target, budget=args.budget, seed=args.seed
-    )
+    subsystem = sigma_generator_atoms(rep, SigmaPair.zero(ring))  # level zero: the subsystem alone
+    cert = level_certificate(rep, subsystem, extra, target, budget=args.budget, seed=args.seed)
     config = {
         "command": command,
         "case": tag,
@@ -317,18 +312,9 @@ def cmd_normcheck(args) -> int:
     ring = _ring_arg(args)
     rep = representation(tag, l, ring)
     sigma = parse_sigma(ring, args.sigma)
-    atoms = sigma_generator_atoms(rep, sigma)
-    torus = [("h", a, u) for a in rep.case.simple_roots for u in ring.units()]
-    delta_nz = _subsystem_atoms(rep)
-    rng = SplitMix64(args.seed)
     failures = []
     checked_transporter = 0
-    for i in range(args.samples):
-        g = (
-            sample_word_rng(rep, atoms, rng.randrange(5), rng)
-            * sample_word_rng(rep, torus, rng.randrange(3), rng)
-            * sample_word_rng(rep, delta_nz, rng.randrange(5), rng)
-        )
+    for i, g in enumerate(islice(level_members(rep, sigma, args.seed), args.samples)):
         if not in_normalizer(g, sigma):
             failures.append(f"sample {i} violates the normalizer conditions")
             break

@@ -21,7 +21,7 @@ from .errors import DomainError, InternalConsistencyError, UnsupportedCaseError
 from .rep import rep_tables
 from .rings import RingElem, RingSpec
 from .rng import SplitMix64
-from .roots import Root
+from .roots import Root, _fraction_rref
 from .weights import Weight, WeightModule
 
 
@@ -201,32 +201,13 @@ def _orbit_vector_int(wm: WeightModule, rng: SplitMix64, roots, length: int = 14
 
 def _fraction_kernel(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
     """Right kernel of an integer matrix, solved exactly."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots = _fraction_rref(rows)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 

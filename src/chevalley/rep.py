@@ -322,14 +322,8 @@ class Representation:
 
     # -- vectors --------------------------------------------------------------------
 
-    def basis_vector(self, lam: Weight) -> RVec:
-        return RVec.basis(self.ring, self.n, self.wm.idx(lam))
-
     def act(self, g: GroupElement, v: RVec) -> RVec:
         return g.mat.mul_vec(v)
-
-    def act_covector(self, w: RVec, g: GroupElement) -> RVec:
-        return g.mat.transpose().mul_vec(w)
 
     # -- reduction --------------------------------------------------------------------
 

@@ -161,20 +161,33 @@ def _phi_set_of(case: EmbeddingCase) -> frozenset:
     return frozenset(case.phi)
 
 
+def _fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q by exact Gauss-Jordan elimination:
+    the rows (nonzero rows first) and the pivot column of each nonzero row."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pivot = mat[r][c]
+        mat[r] = [v / pivot for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat, pivots
+
+
 @lru_cache(maxsize=None)
 def _cartan_inverse_of(case: EmbeddingCase) -> tuple[tuple[Fraction, ...], ...]:
     l = case.l
-    aug = [[Fraction(case.cartan[i][j]) for j in range(l)] + [Fraction(int(i == k)) for k in range(l)] for i in range(l)]
-    for col in range(l):
-        piv = next(r for r in range(col, l) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(l):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[l:]) for row in aug)
+    augmented = [list(row) + [int(i == k) for k in range(l)] for i, row in enumerate(case.cartan)]
+    reduced, _ = _fraction_rref(augmented)
+    return tuple(tuple(row[l:]) for row in reduced)
 
 
 def _enumerate_roots(cartan) -> list[Root]:

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -323,6 +325,25 @@ def test_weight_stabilizer_witness(rep_b_z4):
     assert replay_trace(rep, res.trace, g) == rep.x(res.root, res.value)
 
 
+MALFORMED_TRACES = {
+    "rmul-first": lambda rep: [("rmul", ("x", rep.case.delta[0], rep.ring.one))],
+    "split-first": lambda rep: [("unipotent_part", rep.wm.lam0)],
+    "empty": lambda rep: [],
+    "unknown-op": lambda rep: [("twist", rep.wm.lam0)],
+    "seed-without-element": lambda rep: [("seed",)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+def test_replay_refuses_malformed_traces(rep_b_z4, name):
+    """Every malformed trace is a DomainError, also an op with no element to
+    act on."""
+    with pytest.raises(DomainError):
+        replay_trace(rep_b_z4, MALFORMED_TRACES[name](rep_b_z4))
+    with pytest.raises(DomainError):
+        analysis._trace_op_json(("twist", rep_b_z4.wm.lam0))
+
+
 def test_nilpotent_vanishing_examples(rep_b_z4):
     rep = rep_b_z4
     b = Ideal.from_elems(rep.ring, [rep.ring.el(2)])
@@ -540,19 +561,20 @@ def test_line_only_escape_matches_full_conjugates(tag, ring_name):
                 for gamma in rep.case.phi:
                     conj = rep.x(gamma, 1).conjugate(by)
                     escapes = not in_G_sigma(conj, sigma)
-                    got = analysis._first_escape_conj(g, [gamma], sigma, inverse_side)
-                    assert (got is not None) == escapes
-                    if escapes:
-                        assert got[0] == gamma and got[1] == conj and got[1].word == conj.word
+                    got = analysis._first_escape(g, [gamma], sigma, inverse_side)
+                    assert got == (gamma if escapes else None)
                     verdicts.append(escapes)
-                got = analysis._first_escape_conj(g, rep.case.phi, sigma, inverse_side)
+                got = analysis._first_escape(g, rep.case.phi, sigma, inverse_side)
                 expected = _escape_reference(g, rep.case.phi, sigma, inverse_side)
                 if expected is None:
                     assert got is None
                 else:
-                    assert got[0] == expected[0]
-                    assert got[1] == expected[1]
-                    assert got[1].word == expected[1].word
+                    # the trace op that extraction records builds the same conjugate
+                    kind = "inv_conj_atom" if inverse_side else "conj_atom"
+                    trace = []
+                    built = analysis._step(trace, g, kind, ("x", got, ring.one))
+                    assert got == expected[0] and built == expected[1]
+                    assert trace == [(kind, ("x", expected[0], ring.one))]
     assert True in verdicts and False in verdicts
 
 
@@ -1107,3 +1129,64 @@ def test_result_values_are_frozen(rep_b_z4):
     result = SuiteResult("name", True)
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.passed = False
+
+
+# -- pinned witness traces ---------------------------------------------------------------------
+
+
+def _pinned_trace_records(rep):
+    """Witness and step traces of every extraction kind over Z/4 at level
+    (2),(0), from fixed SplitMix64 draws: (JSON records, the traces)."""
+    ring, case, wm = rep.ring, rep.case, rep.wm
+    sigma = parse_sigma(ring, "(2),(0)")
+    two = Ideal.from_elems(ring, [ring.el(2)])
+    rng = SplitMix64(20191)
+    records, traces = [], []
+    for side in (+1, -1):
+        for _ in range(4):
+            roots = [case.omega_plus[rng.randrange(len(case.omega_plus))] for _ in range(3)]
+            word = tuple(
+                ("x", r if side > 0 else tuple(-x for x in r), ring.el(1 + rng.randrange(3)))
+                for r in roots
+            )
+            g = rep.element_from_word(word) * sample_word_rng(rep, _delta_atoms(rep), rng.randrange(3), rng)
+            wit = extract_from_parabolic(g, two, side=side)
+            records.append(["parabolic", side, wit.to_json() if wit is not None else None])
+            traces += [wit.trace] if wit is not None else []
+    weyl = [("w", a, ring.one) for a in case.delta]
+    for _ in range(8):
+        lam1 = wm.lambda1[rng.randrange(len(wm.lambda1))]
+        plus = sigma_split(wm, lam1).plus
+        base = rep.x(plus[rng.randrange(len(plus))], ring.el((1, 3)[rng.randrange(2)]))
+        g = base.conjugate(sample_word_rng(rep, weyl, rng.randrange(4), rng))
+        lam1 = next(lam for lam in wm.lambda1 if in_parabolic(g, lam))
+        res = extract_from_weight_stabilizer(g, lam1, sigma)
+        records.append(["stabilizer", list(lam1), res.to_json()])
+        traces.append(res.trace)
+    pool = [("x", a, ring.el(2)) for a in case.phi]
+    for _ in range(6):
+        g = sample_word_rng(rep, pool, 1 + rng.randrange(4), rng)
+        if not in_opposite_parabolic(g):
+            step = extract_from_nilpotent(g, two)
+            records.append(["nilpotent", list(step.lam1), [analysis._trace_op_json(op) for op in step.trace]])
+            traces.append(step.trace)
+    atoms = _delta_atoms(rep) + [("x", case.omega_plus[3], ring.el(2))]
+    cert = level_certificate(rep, atoms, [], sigma, budget=2, seed=11)
+    records.append(["certificate", cert.to_json()])
+    traces += [w.trace for w in cert.witnesses]
+    return records, traces
+
+
+PINNED_TRACES_SHA256 = "534671e1110fdf316816dc90009a6651d32d39e797420184e1999c7cf13b8b4c"
+
+
+def test_witness_traces_are_pinned(rep_b_z4):
+    """Extraction keeps its traces op for op: parabolic on both sides, hot
+    weight-stabilizer instances, nilpotent steps and certificate atom seeds."""
+    records, traces = _pinned_trace_records(rep_b_z4)
+    assert {op[0] for trace in traces for op in trace} == {
+        "seed", "atom_seed", "unipotent_part", "opposite_unipotent_part",
+        "rmul", "commute", "conj_atom", "inv_conj_atom",
+    }
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_TRACES_SHA256

@@ -1,6 +1,7 @@
 import pytest
 
 from chevalley.errors import NonUnitError
+from chevalley.matrices import RVec
 from chevalley.rep import (
     get_representation,
     is_component_blocked,
@@ -156,10 +157,9 @@ def test_vector_and_covector_actions():
     rng = SplitMix64(31)
     atoms = [("x", a, v) for a in rep.case.phi for v in ring.elements() if not v.is_zero()]
     g = sample_word_rng(rep, atoms, 5, rng)
-    v = rep.basis_vector(wm.lam0)
+    v = RVec.basis(ring, rep.n, wm.idx(wm.lam0))
     assert rep.act(g, v) == g.column(wm.lam0)
-    w = rep.basis_vector(wm.lam0)
-    assert rep.act_covector(w, g) == g.row(wm.lam0)
+    assert g.mat.transpose().mul_vec(v) == g.row(wm.lam0)
 
 
 def test_matrix_only_elements_get_exact_inverses():
