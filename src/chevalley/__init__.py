@@ -23,11 +23,9 @@ from .analysis import (
     levi_unipotent_split,
     nilpotent_vanishing_check,
     opposite_levi_split,
-    parabolic_profile,
     parse_sigma,
     replay_trace,
     root_type_failures,
-    is_root_type,
     sigma_generator_atoms,
     transporter_check,
 )

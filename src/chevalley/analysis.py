@@ -11,17 +11,15 @@ that replays to the claimed root element exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BudgetExhausted,
-    DomainError,
-    InternalConsistencyError,
-)
+from .errors import BudgetExhausted, DomainError, InternalConsistencyError
 from .matrices import RMat, mat_col, mat_row, pattern_images, signed_entries
 from .rep import (
     Atom,
@@ -30,10 +28,8 @@ from .rep import (
     _cross_component_mask,
     get_representation,
     is_component_blocked,
-    sample_word_rng,
 )
 from .rings import Ideal, RingElem, RingSpec
-from .rng import SplitMix64
 from .roots import Root, height
 from .weights import Weight, sigma_split
 
@@ -71,7 +67,8 @@ class SigmaPair:
         return self.plus <= other.plus and self.minus <= other.minus
 
     def describe(self) -> str:
-        return f"{self.plus.describe()},{self.minus.describe()}"
+        """The level as ``parse_sigma`` reads it, with R for the unit ideal."""
+        return ",".join("R" if i.is_unit_ideal() else i.describe() for i in (self.plus, self.minus))
 
     def to_json(self):
         return {"plus": self.plus.to_json(), "minus": self.minus.to_json()}
@@ -121,19 +118,6 @@ def in_opposite_parabolic(g: GroupElement, lam: Weight | None = None) -> bool:
     lam = wm.lam0 if lam is None else lam
     rows, cols = _off_indices(wm, lam)
     return not g.mat.nonzero_at(cols, rows)
-
-
-@dataclass(frozen=True)
-class ParabolicProfile:
-    in_p: bool
-    in_p_minus: bool
-    in_levi: bool
-
-
-def parabolic_profile(g: GroupElement, lam: Weight | None = None) -> ParabolicProfile:
-    p = in_parabolic(g, lam)
-    pm = in_opposite_parabolic(g, lam)
-    return ParabolicProfile(in_p=p, in_p_minus=pm, in_levi=p and pm)
 
 
 @lru_cache(maxsize=256)
@@ -245,10 +229,6 @@ def root_type_failures(g: GroupElement) -> list[str]:
         alpha = rep.case.phi[owner[np.argmin(coherent)]]
         failures.append(f"sign-incoherent entries over root {alpha}")
     return failures
-
-
-def is_root_type(g: GroupElement) -> bool:
-    return not root_type_failures(g)
 
 
 # -- parabolic splits -------------------------------------------------------------------
@@ -850,12 +830,18 @@ def transporter_check(g: GroupElement, sigma: SigmaPair) -> bool:
     ideal does.  The test suite checks the verdicts against the full
     conjugates of every enumerated atom, ``in_G_sigma(x.conjugate(g), sigma)``.
     """
+    return bool(_top_line_mask(g, _family_atoms(g.rep, sigma), sigma).all())
+
+
+def _family_atoms(rep: Representation, sigma: SigmaPair) -> list[tuple[Root, RingElem]]:
+    """One (root, value) atom per root of the generating family, the value a
+    generator of the root's ideal; the roots of a zero ideal are left out."""
     atoms = []
-    for roots, ideal in _generator_families(g.rep, sigma):
+    for roots, ideal in _generator_families(rep, sigma):
         if not ideal.is_zero():
             value = ideal.generator()
             atoms += [(alpha, value) for alpha in roots]
-    return bool(_top_line_mask(g, atoms, sigma).all())
+    return atoms
 
 
 def _grow_span(rows: dict, v: list[int]) -> bool:
@@ -889,10 +875,10 @@ def _coefficients(x: RingElem) -> list[int]:
 
 def generators_in_normalizer(
     rep: Representation, gen_atoms: list[Atom], extra: list[GroupElement], sigma: SigmaPair
-) -> bool:
-    """H = <gen_atoms, extra> lies in the normalizer N of the level-sigma
-    elementary group.  Exact: N is a group, so H <= N exactly when every
-    generator is in N.
+) -> list[GroupElement]:
+    """The generators of H = <gen_atoms, extra> outside the normalizer N of
+    the level-sigma elementary group.  Exact: N is a group, so H <= N exactly
+    when the list is empty.
 
     The root elements of ``gen_atoms`` are tested once each, except that a
     value v for a root alpha is skipped when v lies in the additive span of
@@ -909,6 +895,7 @@ def generators_in_normalizer(
             spans.setdefault(root, _additive_span(rep.ring)), _coefficients(value)
         ):
             generators.append(_atom(rep, atom))
+    failing = []
     for g in generators + list(extra):
         inside = in_normalizer(g, sigma)
         if inside != transporter_check(g, sigma):
@@ -916,23 +903,26 @@ def generators_in_normalizer(
                 "normalizer conditions and transporter check disagree on a generator"
             )
         if not inside:
-            return False
-    return True
+            failing.append(g)
+    return failing
 
 
 @dataclass(frozen=True)
 class LevelCertificate:
-    """Witnessed lower bound for the level of a generated subgroup, and
-    whether the generated subgroup normalizes the elementary group of that
-    level."""
+    """Witnessed lower bound for the level of a generated subgroup, and why
+    the search stopped: ``closed`` when every generator normalizes the
+    elementary group of that level, which proves the sandwich there;
+    ``budget`` or ``unresolved`` when the search ended without it."""
 
     witnesses: list[Witness]
     lower: SigmaPair
     target: SigmaPair
     matched: bool
-    normalizer_consistent: bool
-    complete: bool
-    seed: int
+    stop: str
+
+    @property
+    def normalizer_consistent(self) -> bool:
+        return self.stop == "closed"
 
     def to_json(self):
         return {
@@ -941,9 +931,32 @@ class LevelCertificate:
             "target": self.target.to_json(),
             "matched": self.matched,
             "normalizer_consistent": self.normalizer_consistent,
-            "complete": self.complete,
-            "seed": self.seed,
+            "stop": self.stop,
         }
+
+
+def _word_trace(g: GroupElement) -> tuple[TraceOp, ...]:
+    """The ops that build g from its word, or ``seed`` when it has none."""
+    if not g.word:
+        return (("seed",),)
+    return (("atom_seed", g.word[0]),) + tuple(("rmul", atom) for atom in g.word[1:])
+
+
+def _extraction_chain(c: GroupElement, sigma: SigmaPair) -> Witness | None:
+    """The first witness outside sigma from the parabolic on each side, then
+    from the stabilizer of the first first-component line c stabilizes.  A
+    step whose preconditions c misses (DomainError) yields nothing."""
+    lam1 = next((lam for lam in c.rep.wm.lambda1 if in_parabolic(c, lam)), None)
+    for extract, args, applies in (
+        (extract_from_parabolic, (c, sigma.plus, +1), in_parabolic(c)),
+        (extract_from_parabolic, (c, sigma.minus, -1), in_opposite_parabolic(c)),
+        (extract_from_weight_stabilizer, (c, lam1, sigma), lam1 is not None),
+    ):
+        with suppress(DomainError):
+            got = extract(*args) if applies else None
+            if isinstance(got, Witness):
+                return got
+    return None
 
 
 def level_certificate(
@@ -952,79 +965,69 @@ def level_certificate(
     extra: list[GroupElement],
     target: SigmaPair,
     budget: int = 400,
-    seed: int = 0,
 ) -> LevelCertificate:
-    """Accumulate root-element witnesses from the generated subgroup until the
-    witnessed level stops growing or the budget runs out.
+    """Witness the level of H = <E(Delta), gen_atoms, extra> (extraction uses
+    the subsystem's root elements) up to the fixpoint where every generator
+    normalizes the elementary group E(lower) of the witnessed level.
 
-    The lower bound grows monotonically; the certificate never claims more
-    than its witnesses replay.  ``normalizer_consistent`` is the exact upper
-    bound at the witnessed level (``generators_in_normalizer``).
+    Witnesses start from the ``"x"`` atoms on orbit roots.  Extraction then
+    runs on a worklist that starts with the generators outside the normalizer
+    (``generators_in_normalizer``); an element that yields no witness adds
+    its conjugates g X g^-1 and commutators [g, X] for each root element X
+    of E(lower) that it moves out of the congruence conditions.  A witness
+    raises the level and restarts the worklist.  Each examined element costs
+    one unit of ``budget``.  Every witness replays (``_reseat``) from its
+    generator's word, or from the generator when it has none.
     """
-    rng = SplitMix64(seed)
     sides = {r: +1 for r in rep.case.omega_plus} | {r: -1 for r in rep.case.omega_minus}
     witnesses: list[Witness] = []
     lb = {+1: Ideal.zero(rep.ring), -1: Ideal.zero(rep.ring)}  # the witnessed level by side
 
-    def note(w: Witness):
-        witnesses.append(w)
+    def note(w: Witness, start: GroupElement | None):
+        witnesses.append(_reseat(rep, w, start))
         lb[w.side] = lb[w.side] + Ideal.from_elems(rep.ring, [w.value])
 
     single = [e.word[0] for e in extra if e.word is not None and len(e.word) == 1]
-    for atom in list(gen_atoms) + [a for a in single if a[0] == "x"]:
-        side = sides.get(atom[1])
-        if side and atom[2] not in lb[side]:
-            note(Witness(side=side, root=atom[1], value=atom[2], trace=(("atom_seed", atom),)))
+    for kind, root, value in list(gen_atoms) + single:
+        side = sides.get(root)
+        if kind == "x" and side and value not in lb[side]:
+            note(Witness(side, root, value, (("atom_seed", (kind, root, value)),)), None)
 
-    pool_elements = [_atom(rep, a) for a in gen_atoms[: min(len(gen_atoms), 512)]]
-    pool_elements += extra
-    # each extra element is examined itself first, outside the stall count:
-    # a uniform draw from the pool rarely picks one among many atoms
-    unseen = list(extra)
-    stable = 0
-    while budget > 0 and stable < 40:
-        budget -= 1
-        drawn = not unseen
-        if drawn:
-            base = pool_elements[rng.randrange(len(pool_elements))]
-            length = rng.randrange(5)
-            w = sample_word_rng(rep, gen_atoms, length, rng) if gen_atoms else rep.identity()
-            cand = base.conjugate(w)
+    level = stop = None
+    while stop is None:
+        lower = SigmaPair(lb[+1], lb[-1])
+        if lower != level:
+            # restart at the new level; the atoms are tested once no extra fails
+            level = lower
+            failing = generators_in_normalizer(rep, [], extra, lower)
+            failing = failing or generators_in_normalizer(rep, gen_atoms, [], lower)
+            work = deque((g, _word_trace(g), g, None) for g in failing)  # (h, its ops, generator, next op)
+            level_atoms = [("x", root, value) for root, value in _family_atoms(rep, lower)]
+        if not failing:
+            stop = "closed"
+        elif not work:
+            stop = "unresolved"
+        elif budget <= 0:
+            stop = "budget"
         else:
-            cand = unseen.pop(0)
-        before = dict(lb)
-        try:
-            for side, inside in ((+1, in_parabolic), (-1, in_opposite_parabolic)):
-                if inside(cand, None):
-                    got = extract_from_parabolic(cand, lb[side], side=side)
-                    if got is not None:
-                        note(_reseat(got, cand))
-        except DomainError:
-            # the sample does not meet an extraction's preconditions; a
-            # broken invariant (InternalConsistencyError) propagates
-            pass
-        stable = 0 if lb != before else stable + drawn
-        if SigmaPair(lb[+1], lb[-1]) == target:
-            break
-
-    lower = SigmaPair(lb[+1], lb[-1])
-    return LevelCertificate(
-        witnesses=witnesses,
-        lower=lower,
-        target=target,
-        matched=lower == target,
-        normalizer_consistent=generators_in_normalizer(rep, gen_atoms, extra, lower),
-        complete=lower == target or budget > 0,
-        seed=seed,
-    )
+            budget -= 1
+            h, trace, start, op = work.popleft()
+            if op is not None:
+                h, trace = _TRACE_OPS[op[0]].apply(rep, h, op[1]), trace + (op,)
+            got = _extraction_chain(h, lower)
+            if got is not None:
+                note(replace(got, trace=trace + got.trace[1:]), start)
+                continue
+            mask = _top_line_mask(h, [atom[1:] for atom in level_atoms], lower)
+            escapes = [atom for atom, inside in zip(level_atoms, mask) if not inside]
+            work.extend((h, trace, start, (kind, atom)) for kind in ("conj_atom", "commute") for atom in escapes)
+    return LevelCertificate(witnesses=witnesses, lower=lower, target=target, matched=lower == target, stop=stop)
 
 
-def _reseat(w: Witness, seed_elt: GroupElement) -> Witness:
-    """Attach the concrete seed element to a trace-based witness by replaying
-    it once for validation."""
-    got = replay_trace(seed_elt.rep, w.trace, seed_elt)
-    expect = seed_elt.rep.x(w.root, w.value)
-    if not got == expect:
+def _reseat(rep: Representation, w: Witness, start: GroupElement | None) -> Witness:
+    """Check by one replay, from ``start`` where the trace begins with
+    ``seed``, that a witness's trace builds the claimed root element."""
+    if not replay_trace(rep, w.trace, start) == rep.x(w.root, w.value):
         raise InternalConsistencyError("witness trace does not replay to the claimed element")
     return w
 
@@ -1035,13 +1038,12 @@ def level_reduction_check(
     extra: list[GroupElement],
     sigma: SigmaPair,
     by: Ideal,
-    seed: int = 0,
     budget: int = 400,
 ) -> bool:
     """Witness values reduce to generators of the reduced level, and the
     generators reduced mod ``by`` normalize the reduced level's elementary
     group."""
-    cert = level_certificate(rep, gen_atoms, extra, sigma, budget=budget, seed=seed)
+    cert = level_certificate(rep, gen_atoms, extra, sigma, budget=budget)
     if not cert.matched:
         return False
     reduced = sigma.reduce(by)
@@ -1050,7 +1052,7 @@ def level_reduction_check(
         values = [by.reduce_elem(w.value) for w in cert.witnesses if w.side == side]
         if Ideal.from_elems(qspec, values) != ideal:
             return False
-    return generators_in_normalizer(
+    return not generators_in_normalizer(
         get_representation(rep.wm, qspec),
         [(kind, root, by.reduce_elem(value)) for kind, root, value in gen_atoms],
         [rep.reduce(e, by) for e in extra],

@@ -691,7 +691,6 @@ def reduction_suite(
     tag: str,
     l: int | None = None,
     ring_name: str = "z4",
-    seed: int = 2026,
 ) -> list[SuiteResult]:
     rep = representation(tag, l, named_ring(ring_name))
     ring = rep.ring
@@ -700,7 +699,7 @@ def reduction_suite(
     for sigma_text in ("(2),(0)", "(2),(2)"):
         sigma = parse_sigma(ring, sigma_text)
         atoms = sigma_generator_atoms(rep, sigma)
-        ok = level_reduction_check(rep, atoms, [], sigma, by, seed=seed, budget=300)
+        ok = level_reduction_check(rep, atoms, [], sigma, by, budget=300)
         out.append(_result(f"level-reduction-{sigma_text}", [] if ok else ["reduction mismatch"]))
     return out
 
@@ -725,6 +724,6 @@ def selftest_suites(seed: int = 2026) -> list[SuiteResult]:
         ("b", normalizer_suite("b", n_words=60, n_transporter=8, seed=seed)),
         ("b", extraction_suite("b", n_samples=20, seed=seed)),
         ("b", corner_ideal_suite("b", n_samples=30, seed=seed)),
-        ("b", reduction_suite("b", seed=seed)),
+        ("b", reduction_suite("b")),
     ]
     return [SuiteResult(f"{prefix}:{r.name}", r.passed, r.counterexample) for prefix, results in runs for r in results]

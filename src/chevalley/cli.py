@@ -281,14 +281,13 @@ def _certify(args, command: str) -> tuple:
     target = parse_sigma(ring, args.target) if args.target else SigmaPair.full(ring)
     extra = _load_extra(rep, args.extra)
     subsystem = sigma_generator_atoms(rep, SigmaPair.zero(ring))  # level zero: the subsystem alone
-    cert = level_certificate(rep, subsystem, extra, target, budget=args.budget, seed=args.seed)
+    cert = level_certificate(rep, subsystem, extra, target, budget=args.budget)
     config = {
         "command": command,
         "case": tag,
         "l": l,
         "ring": ring.to_json(),
         "target": args.target,
-        "seed": args.seed,
         "budget": args.budget,
         "extra": args.extra,
     }
@@ -302,7 +301,7 @@ def _certificate_body(cert) -> dict:
 def cmd_level(args) -> int:
     cert, config = _certify(args, "level")
     _emit(_report(config, **_certificate_body(cert)), args.out)
-    if not cert.complete:
+    if cert.stop != "closed":
         return 3
     return 0 if cert.matched else 1
 
@@ -355,7 +354,7 @@ def cmd_experiment(args) -> int:
     ]
     sandwich = {"level": cert.lower.describe(), "verdict": upper}
     _emit(_report(config, suites=suites, sandwich=sandwich, **_certificate_body(cert)), args.out)
-    if not cert.complete:
+    if cert.stop != "closed":
         return 3
     return _suites_exit(suites)
 
@@ -374,10 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=False, sigma=False, budget=False, samples=False):
+    def common(p, seed=False, ring=False, sigma=False, budget=False, samples=False):
         p.add_argument("--case", choices=["a", "b", "c"])
         p.add_argument("--l", type=int, default=None, help="rank for case a")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="also write the report to this file")
         p.add_argument("--config", default=None, help="JSON file with default argument values")
         if ring:
@@ -395,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("lemmas", help="combinatorial and relation suites")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("relcheck", help="generator relation suite")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_relcheck)
 
     p = sub.add_parser("forms", help="invariant bilinear and quadratic forms")
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_level)
 
     p = sub.add_parser("normcheck", help="normalizer conditions on sampled words")
-    common(p, ring=True, sigma=True, samples=True)
+    common(p, seed=True, ring=True, sigma=True, samples=True)
     p.set_defaults(func=cmd_normcheck)
 
     p = sub.add_parser("experiment", help="level certificate plus sandwich verdict")
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("selftest", help="all suites at reduced sample counts")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_selftest)
 
     return parser

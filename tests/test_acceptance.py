@@ -93,5 +93,5 @@ def test_criterion_8_corner_ideal_bounds():
 
 
 def test_criterion_9_level_reduction():
-    results = reduction_suite("b", ring_name="z4", seed=2026)
+    results = reduction_suite("b", ring_name="z4")
     _verdict(9, "level reduction over Z/4 modulo (2)", results)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from chevalley.analysis import (
@@ -23,7 +24,6 @@ from chevalley.analysis import (
     levi_unipotent_split,
     nilpotent_vanishing_check,
     opposite_levi_split,
-    parabolic_profile,
     parse_sigma,
     replay_trace,
     ring_commutator_identity_holds,
@@ -166,17 +166,6 @@ def test_moving_the_top_line_breaks_zero_level(rep_c_z4):
     assert not in_normalizer(g, sigma)
 
 
-def test_parabolic_profile(rep_b_z4):
-    rep = rep_b_z4
-    beta = rep.case.omega_plus[0]
-    prof = parabolic_profile(rep.x(beta, 1))
-    assert prof.in_p and not prof.in_p_minus and not prof.in_levi
-    prof = parabolic_profile(rep.x(tuple(-x for x in beta), 1))
-    assert prof.in_p_minus and not prof.in_p
-    prof = parabolic_profile(rep.h(rep.case.alpha1, 3))
-    assert prof.in_levi
-
-
 # -- decompositions ------------------------------------------------------------------------
 
 
@@ -231,8 +220,13 @@ def test_levi_split_examples(rep_b_z4):
 def test_levi_split_rejects_outsiders(rep_b_z4):
     rep = rep_b_z4
     beta = rep.case.omega_plus[0]
+    upper, lower = rep.x(beta, 1), rep.x(tuple(-x for x in beta), 1)
+    assert in_parabolic(upper) and not in_opposite_parabolic(upper)
+    assert in_opposite_parabolic(lower) and not in_parabolic(lower)
+    torus = rep.h(rep.case.alpha1, 3)
+    assert in_parabolic(torus) and in_opposite_parabolic(torus)
     with pytest.raises(DomainError):
-        levi_unipotent_split(rep.x(tuple(-x for x in beta), 1))
+        levi_unipotent_split(lower)
 
 
 def test_levi_split_at_lower_weight(rep_b_z4):
@@ -619,35 +613,58 @@ def test_batched_top_line_mask_matches_full_conjugates(tag, l, ring_name, plus, 
 def test_certificate_subsystem_only(rep_b_z4):
     rep = rep_b_z4
     target = SigmaPair.zero(rep.ring)
-    cert = level_certificate(rep, _delta_atoms(rep), [], target, budget=60, seed=31)
+    cert = level_certificate(rep, _delta_atoms(rep), [], target, budget=60)
     assert cert.matched and cert.lower == target
     assert cert.normalizer_consistent
 
 
 def test_certificate_propagates_broken_invariants(rep_b_z4, monkeypatch):
+    """Extraction runs only on a generator outside the normalizer: here
+    x_beta(1) x_delta(1), a parabolic member that escapes the zero level."""
     rep = rep_b_z4
     target = SigmaPair.zero(rep.ring)
+    extra = [rep.element_from_word((("x", rep.case.omega_plus[0], 1), ("x", rep.case.delta[0], 1)))]
 
     def broken(*args, **kwargs):
         raise InternalConsistencyError("planted")
 
     monkeypatch.setattr(analysis, "extract_from_parabolic", broken)
     with pytest.raises(InternalConsistencyError, match="planted"):
-        level_certificate(rep, _delta_atoms(rep), [], target, budget=5, seed=31)
+        level_certificate(rep, _delta_atoms(rep), extra, target, budget=5)
 
     def refused(*args, **kwargs):
         raise DomainError("not applicable")
 
     monkeypatch.setattr(analysis, "extract_from_parabolic", refused)
-    cert = level_certificate(rep, _delta_atoms(rep), [], target, budget=5, seed=31)
-    assert cert.witnesses == []
+    monkeypatch.setattr(analysis, "extract_from_weight_stabilizer", refused)
+    cert = level_certificate(rep, _delta_atoms(rep), extra, target, budget=5)
+    assert cert.witnesses == [] and cert.stop == "budget"
+
+
+def test_certificate_seeds_only_root_atoms(rep_b_z4):
+    """A Weyl atom on an orbit root is no root element: it seeds no witness."""
+    rep = rep_b_z4
+    cert = level_certificate(rep, [("w", rep.case.omega_plus[0], rep.ring.one)], [], SigmaPair.zero(rep.ring), budget=0)
+    assert cert.lower == SigmaPair.zero(rep.ring) and cert.witnesses == []
+
+
+def test_certificate_stops_unresolved_when_the_worklist_runs_dry(rep_b_z4, monkeypatch):
+    """An element that yields no witness and has no escaping atom adds
+    nothing to the worklist; once none is left the search is unresolved."""
+    rep = rep_b_z4
+    g = rep.x(rep.case.omega_plus[0], 1).conjugate(rep.x(rep.case.delta[0], 1))
+    monkeypatch.setattr(analysis, "_extraction_chain", lambda h, sigma: None)
+    monkeypatch.setattr(analysis, "_top_line_mask", lambda h, atoms, sigma: np.ones(len(atoms), dtype=bool))
+    monkeypatch.setattr(analysis, "generators_in_normalizer", lambda rep, atoms, extra, sigma: list(extra))
+    cert = level_certificate(rep, _delta_atoms(rep), [g], SigmaPair.full(rep.ring), budget=50)
+    assert cert.stop == "unresolved" and not cert.normalizer_consistent
 
 
 def test_certificate_with_extra_generator(rep_b_z4):
     rep = rep_b_z4
     target = parse_sigma(rep.ring, "(2),(0)")
     extra = [rep.x(rep.case.max_root, 2)]
-    cert = level_certificate(rep, _delta_atoms(rep), extra, target, budget=200, seed=37)
+    cert = level_certificate(rep, _delta_atoms(rep), extra, target, budget=200)
     assert cert.matched
     assert cert.normalizer_consistent
     for w in cert.witnesses:
@@ -659,7 +676,7 @@ def test_certificate_of_full_level_generators(rep_b_z4):
     rep = rep_b_z4
     sigma = parse_sigma(rep.ring, "(2),(2)")
     atoms = sigma_generator_atoms(rep, sigma)
-    cert = level_certificate(rep, atoms, [], sigma, budget=200, seed=41)
+    cert = level_certificate(rep, atoms, [], sigma, budget=200)
     assert cert.matched and cert.lower == sigma
 
 
@@ -667,7 +684,7 @@ def test_grown_level_with_unit_generator(rep_b_z4):
     rep = rep_b_z4
     target = parse_sigma(rep.ring, "R,(0)")
     extra = [rep.x(rep.case.max_root, 1)]
-    cert = level_certificate(rep, _delta_atoms(rep), extra, target, budget=200, seed=43)
+    cert = level_certificate(rep, _delta_atoms(rep), extra, target, budget=200)
     assert cert.lower.plus.is_unit_ideal()
 
 
@@ -679,7 +696,7 @@ def test_level_reduction(rep_b_z4):
     assert reduced.plus.is_zero() and reduced.minus.is_zero()
     assert reduced.spec.size == 2
     atoms = sigma_generator_atoms(rep, sigma)
-    assert level_reduction_check(rep, atoms, [], sigma, two, seed=47, budget=200)
+    assert level_reduction_check(rep, atoms, [], sigma, two, budget=200)
 
 
 def test_reduction_edge_ideals(rep_b_z4):
@@ -722,7 +739,7 @@ def test_machinery_over_truncated_polynomial_ring():
     sp = sigma_split(rep.wm, lam1)
     res = extract_from_weight_stabilizer(rep.x(sp.plus[0], ring.one), lam1, sigma)
     assert isinstance(res, Witness)
-    cert = level_certificate(rep, atoms, [], sigma, budget=100, seed=9)
+    cert = level_certificate(rep, atoms, [], sigma, budget=100)
     assert cert.matched
 
 
@@ -743,7 +760,7 @@ def test_machinery_over_mixed_modulus_ring():
     wit = extract_from_parabolic(rep.x(beta, 1), sig.plus, side=+1)
     assert wit is not None
     assert replay_trace(rep, wit.trace, rep.x(beta, 1)) == rep.x(wit.root, wit.value)
-    cert = level_certificate(rep, atoms, [], sig, budget=150, seed=31)
+    cert = level_certificate(rep, atoms, [], sig, budget=150)
     assert cert.matched
     assert sig.reduce(sig.plus).spec.size == 2
 
@@ -1021,12 +1038,12 @@ def test_planted_escaping_generator_is_refused(rep_name, request):
     rep = request.getfixturevalue(rep_name)
     sigma = parse_sigma(rep.ring, "(2),(0)")
     delta = _delta_atoms(rep)
-    assert analysis.generators_in_normalizer(rep, delta, [], sigma)
+    assert not analysis.generators_in_normalizer(rep, delta, [], sigma)
     for beta in rep.case.omega_plus:
-        assert not analysis.generators_in_normalizer(rep, [("x", beta, rep.ring.one)], [], sigma)
+        assert analysis.generators_in_normalizer(rep, [("x", beta, rep.ring.one)], [], sigma) == [rep.x(beta, 1)]
     beta = rep.case.omega_plus[-1]
-    assert not analysis.generators_in_normalizer(rep, delta, [rep.x(beta, 1)], sigma)
-    assert not analysis.generators_in_normalizer(rep, delta + [("x", beta, rep.ring.el(3))], [], sigma)
+    assert analysis.generators_in_normalizer(rep, delta, [rep.x(beta, 1)], sigma) == [rep.x(beta, 1)]
+    assert analysis.generators_in_normalizer(rep, delta + [("x", beta, rep.ring.el(3))], [], sigma) == [rep.x(beta, 3)]
 
 
 def _small(ring):
@@ -1047,7 +1064,7 @@ def test_subsystem_generators_normalize_every_level(tag, ring_name):
         SigmaPair(zero, zero),
         SigmaPair(unit, unit),
     ):
-        assert analysis.generators_in_normalizer(rep, _delta_atoms(rep), [], sigma)
+        assert not analysis.generators_in_normalizer(rep, _delta_atoms(rep), [], sigma)
 
 
 def test_every_value_outside_the_span_is_tested():
@@ -1058,8 +1075,8 @@ def test_every_value_outside_the_span_is_tested():
     t = ring.from_parts([(0, 1)])
     sigma = SigmaPair(Ideal.from_elems(ring, [t]), Ideal.zero(ring))
     beta = rep.case.omega_plus[0]
-    assert analysis.generators_in_normalizer(rep, [("x", beta, t)], [], sigma)
-    assert not analysis.generators_in_normalizer(rep, [("x", beta, t), ("x", beta, ring.one)], [], sigma)
+    assert not analysis.generators_in_normalizer(rep, [("x", beta, t)], [], sigma)
+    assert analysis.generators_in_normalizer(rep, [("x", beta, t), ("x", beta, ring.one)], [], sigma) == [rep.x(beta, 1)]
 
 
 def test_disagreeing_predicates_raise(rep_b_z4, monkeypatch):
@@ -1083,7 +1100,7 @@ def test_passed_check_holds_for_every_word(rep_b_z4):
     atoms = _delta_atoms(rep) + sigma_generator_atoms(rep, sigma)
     top = rep.case.max_root
     extra = [rep.x(top, 2), rep.x(top, 2).conjugate(rep.h(rep.case.simple_roots[0], 3))]
-    assert analysis.generators_in_normalizer(rep, atoms, extra, sigma)
+    assert not analysis.generators_in_normalizer(rep, atoms, extra, sigma)
     rng = SplitMix64(83)
     for _ in range(1000):
         g = sample_word_rng(rep, atoms, rng.randrange(6), rng)
@@ -1100,14 +1117,79 @@ def test_certificate_states_the_upper_bound_at_the_witnessed_level(rep_b_z4):
     rep = rep_b_z4
     g = rep.x(rep.case.omega_plus[0], 2).conjugate(rep.x(rep.case.delta[0], 1))
     full = SigmaPair.full(rep.ring)
-    stopped = level_certificate(rep, _delta_atoms(rep), [g], full, budget=0, seed=5)
-    assert stopped.lower == SigmaPair.zero(rep.ring) and not stopped.complete
+    stopped = level_certificate(rep, _delta_atoms(rep), [g], full, budget=0)
+    assert stopped.lower == SigmaPair.zero(rep.ring) and stopped.stop == "budget"
     assert not stopped.normalizer_consistent
     # with x_beta(2) itself among the extras, the level (2),(0) is witnessed
     extra = [g, rep.x(rep.case.omega_plus[0], 2)]
-    cert = level_certificate(rep, _delta_atoms(rep), extra, full, budget=0, seed=5)
+    cert = level_certificate(rep, _delta_atoms(rep), extra, full, budget=0)
     assert cert.lower == parse_sigma(rep.ring, "(2),(0)")
     assert cert.normalizer_consistent
+
+
+@pytest.mark.parametrize(
+    "tag, l, ring_name",
+    [("b", None, "z4"), ("c", None, "z4"), ("a", 6, "z8"), ("b", None, "f2t2"), ("c", None, "z8")],
+)
+def test_certificate_closes_at_the_level_of_known_words(tag, l, ring_name):
+    """Ground truth: H is generated by the subsystem and one word of 2 to 4
+    root elements on pairwise distinct orbit roots, conjugated by a word of up
+    to 3 subsystem root elements.  H lies in E(sigma), sigma the ideals of
+    its upper and of its lower values, and the certificate must close at
+    exactly sigma, with every witness replaying from the word alone."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    case = rep.case
+    values = [v for v in ring.elements() if not v.is_zero()]
+    upper = set(case.omega_plus)
+    rng = SplitMix64(2019 + len(case.phi) + ring.size)
+    for i in range(8):
+        roots = list(case.omega_plus) + list(case.omega_minus)
+        rng.shuffle(roots)
+        atoms = [("x", r, rng.choice(values)) for r in roots[: 2 + rng.randrange(3)]]
+        w = [("x", rng.choice(case.delta), rng.choice(values)) for _ in range(rng.randrange(4))]
+        word = tuple(w + atoms + [(k, r, -v) for k, r, v in reversed(w)])
+        sigma = SigmaPair(
+            Ideal.from_elems(ring, [v for _, r, v in atoms if r in upper]),
+            Ideal.from_elems(ring, [v for _, r, v in atoms if r not in upper]),
+        )
+        cert = level_certificate(rep, _delta_atoms(rep), [rep.element_from_word(word)], sigma)
+        assert cert.stop == "closed" and cert.lower == sigma, (i, word)
+        for wit in cert.witnesses:
+            assert replay_trace(rep, wit.trace) == rep.x(wit.root, wit.value), (i, word)
+
+
+@pytest.mark.parametrize(
+    "tag, ring_name, word, level",
+    [
+        (
+            "b",
+            "z4",
+            [([0, 0, 1, 1, 0, 0], 2), ([0, 0, 0, 1, 1, 1], 2), ([1, 2, 2, 3, 2, 1], 2), ([1, 0, 1, 1, 1, 1], 1),
+             ([1, 1, 1, 2, 2, 1], 3), ([-1, -1, -1, -1, 0, 0], 2), ([0, 0, 0, 1, 1, 1], 2), ([0, 0, 1, 1, 0, 0], 2)],
+            "R,(2)",
+        ),
+        (
+            "c",
+            "z8",
+            [([0, 1, 1, 2, 1, 1, 1], 5), ([1, 1, 2, 3, 3, 2, 1], 7), ([0, -1, -1, -2, -2, -1, -1], 1),
+             ([1, 1, 1, 1, 1, 1, 1], 3)],
+            "R,R",
+        ),
+    ],
+    ids=["b-z4", "c-z8"],
+)
+def test_certificate_extracts_beyond_the_first_conjugates(tag, ring_name, word, level):
+    """Neither these words nor their conjugates and commutators with the
+    escaping root elements yield a witness at the zero level: the worklist
+    must go on to the conjugates of those."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, None, ring)
+    extra = [rep.element_from_word(tuple(("x", tuple(r), ring.el(v)) for r, v in word))]
+    cert = level_certificate(rep, _delta_atoms(rep), extra, SigmaPair.full(ring))
+    assert cert.stop == "closed" and cert.lower == parse_sigma(ring, level)
+    for wit in cert.witnesses:
+        assert replay_trace(rep, wit.trace) == rep.x(wit.root, wit.value)
 
 
 def test_certificate_over_the_integers():
@@ -1116,10 +1198,10 @@ def test_certificate_over_the_integers():
     rep = representation("b", None, ring)
     atoms = [("x", a, ring.el(v)) for a in rep.case.delta for v in (1, -1, 2)]
     target = SigmaPair(Ideal.from_elems(ring, [ring.el(2)]), Ideal.zero(ring))
-    cert = level_certificate(rep, atoms, [rep.x(rep.case.max_root, 2)], target, budget=20, seed=3)
+    cert = level_certificate(rep, atoms, [rep.x(rep.case.max_root, 2)], target, budget=20)
     assert cert.matched and cert.normalizer_consistent
     escape = rep.x(rep.case.max_root, 1).conjugate(rep.x(rep.case.delta[0], 1))
-    assert not analysis.generators_in_normalizer(rep, atoms, [escape], target)
+    assert analysis.generators_in_normalizer(rep, atoms, [escape], target) == [escape]
 
 
 def test_result_values_are_frozen(rep_b_z4):
@@ -1171,13 +1253,13 @@ def _pinned_trace_records(rep):
             records.append(["nilpotent", list(step.lam1), [analysis._trace_op_json(op) for op in step.trace]])
             traces.append(step.trace)
     atoms = _delta_atoms(rep) + [("x", case.omega_plus[3], ring.el(2))]
-    cert = level_certificate(rep, atoms, [], sigma, budget=2, seed=11)
+    cert = level_certificate(rep, atoms, [], sigma, budget=2)
     records.append(["certificate", cert.to_json()])
     traces += [w.trace for w in cert.witnesses]
     return records, traces
 
 
-PINNED_TRACES_SHA256 = "534671e1110fdf316816dc90009a6651d32d39e797420184e1999c7cf13b8b4c"
+PINNED_TRACES_SHA256 = "de84f4e095490aa31c5574094d6585402b25fabef34a0a3de7be8d7112c12926"
 
 
 def test_witness_traces_are_pinned(rep_b_z4):

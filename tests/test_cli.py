@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from chevalley.analysis import replay_trace
 from chevalley.cli import main
+from chevalley.rep import representation
+from chevalley.rings import RingElem, named_ring
+from chevalley.roots import build_case
 
 
 def run(capsys, *argv):
@@ -100,8 +104,6 @@ def test_level_command(capsys, tmp_path):
         str(extra),
         "--target",
         "(2),(0)",
-        "--seed",
-        "7",
         "--budget",
         "400",
     )
@@ -121,8 +123,6 @@ def test_level_command_unreachable_target(capsys):
         "z4",
         "--target",
         "(2),(0)",
-        "--seed",
-        "3",
         "--budget",
         "120",
     )
@@ -161,8 +161,6 @@ def test_experiment_and_determinism(capsys, tmp_path):
         "z4",
         "--extra",
         str(extra),
-        "--seed",
-        "9",
         "--budget",
         "300",
     ]
@@ -274,17 +272,22 @@ def test_modulus_above_the_exactness_bound_is_a_usage_error(capsys):
     assert "2^63" in capsys.readouterr().err
 
 
+# x_-max(2) x_alpha1(1) over Z/4: one word mixing the two orbits
+MIXED_WORD = [["x", [-1, -2, -2, -3, -2, -1], 2], ["x", [1, 0, 0, 0, 0, 0], 1]]
+
+
 def test_experiment_stopped_by_its_budget_is_incomplete(capsys, tmp_path):
     """The certificate is that of the single search: a budget stop exits 3,
-    as the same search under ``level`` does."""
+    as the same search under ``level`` does.  The extra mixes the two orbits,
+    so the search needs extraction, which a zero budget forbids."""
     extra = tmp_path / "extra.json"
-    extra.write_text(json.dumps([{"kind": "x", "root": [1, 2, 2, 3, 2, 1], "value": 2}]))
-    common = ["--case", "b", "--ring", "z4", "--extra", str(extra), "--budget", "1"]
+    extra.write_text(json.dumps([{"word": MIXED_WORD}]))
+    common = ["--case", "b", "--ring", "z4", "--extra", str(extra), "--budget", "0"]
     code, report = run(capsys, "experiment", *common)
     assert code == 3
-    assert report["certificate"]["complete"] is False
-    assert report["sandwich"] == {"level": "(2),(0)", "verdict": True}
-    code, report = run(capsys, "level", *common, "--target", "R,R")
+    assert report["certificate"]["stop"] == "budget"
+    assert report["sandwich"] == {"level": "(0),(0)", "verdict": False}
+    code, report = run(capsys, "level", *common, "--target", "R,(2)")
     assert code == 3
 
 
@@ -299,17 +302,75 @@ def test_experiment_takes_no_sample_count(capsys, tmp_path):
 
 
 def test_experiment_examines_each_word_extra_itself(capsys, tmp_path):
-    """A conjugate of x_max(2) given as one word is one of 121 pool elements,
-    so a uniform draw rarely picks it: every extra is examined itself before
-    the random draws."""
+    """A conjugate of x_max(2) given as one word fails the normalizer of the
+    zero level, so the search examines it, and its witness replays from the
+    word."""
     d, top = [0, 1, 0, 0, 0, 0], [1, 2, 2, 3, 2, 1]
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps([{"word": [["x", d, 1], ["x", top, 2], ["x", d, -1]]}]))
-    common = ["--case", "b", "--ring", "z4", "--extra", str(extra)]
-    for seed in range(4):
-        code, report = run(capsys, "experiment", *common, "--seed", str(seed))
-        assert code == 0, seed
-        assert report["sandwich"] == {"level": "(2),(0)", "verdict": True}, seed
+    code, report = run(capsys, "experiment", "--case", "b", "--ring", "z4", "--extra", str(extra))
+    assert code == 0
+    assert report["sandwich"] == {"level": "(2),(0)", "verdict": True}
+    assert report["certificate"]["stop"] == "closed"
+    assert all(w["trace"][0][0] == "atom_seed" for w in report["witnesses"])
+
+
+@pytest.mark.parametrize(
+    "case, ring, two",
+    [("b", "z4", 2), ("c", "z4", 2), ("a6", "z8", 2), ("b", "f2t2", [[0, 1]])],
+    ids=["b-z4", "c-z4", "a6-z8", "b-f2t2"],
+)
+def test_experiment_closes_on_a_word_mixing_the_orbits(capsys, tmp_path, case, ring, two):
+    """Ground truth: H is generated by the subsystem and x_-max(2) x_beta(1),
+    beta the lowest upper-orbit root (t in place of 2 over F2[t]/(t^2)).  Its
+    level is R on the upper orbit and (2) on the lower one; the certificate
+    closes there, and every witness replays from the report alone."""
+    tag, l = case[0], int(case[1:]) if case[1:] else None
+    roots = build_case(tag, l)
+    beta = min(roots.omega_plus, key=lambda r: (sum(r), r))
+    word = [["x", [-x for x in roots.max_root], two], ["x", list(beta), 1]]
+    if (case, ring) == ("b", "z4"):
+        assert word == MIXED_WORD
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps([{"word": word}]))
+    argv = ["experiment", "--case", tag, "--ring", ring, "--extra", str(extra)] + (["--l", str(l)] if l else [])
+    code, report = run(capsys, *argv)
+    assert code == 0
+    assert report["certificate"]["stop"] == "closed"
+    assert report["certificate"]["lower"] == {"plus": [0], "minus": [1]}
+    assert report["sandwich"]["verdict"] is True
+    if ring != "f2t2":
+        assert report["sandwich"]["level"] == "R,(2)"
+    rep = representation(tag, l, named_ring(ring))
+    for w in report["witnesses"]:
+        value = RingElem.from_json(rep.ring, w["value"])
+        assert replay_trace(rep, _trace_from_json(rep, w["trace"])) == rep.x(tuple(w["root"]), value)
+
+
+def _trace_from_json(rep, ops):
+    """A report's trace as ops: an atom is [kind, root, value], a weight a
+    list of coordinates."""
+    def arg(data):
+        if isinstance(data[0], str):
+            kind, root, value = data
+            return kind, tuple(root), RingElem.from_json(rep.ring, value)
+        return tuple(data)
+
+    return [(op[0], arg(op[1])) for op in ops]
+
+
+def test_seed_is_refused_where_nothing_reads_it(capsys, tmp_path):
+    """Only the sampling commands take --seed; elsewhere the flag and the
+    config key are usage errors."""
+    level = ["level", "--case", "b", "--ring", "z4", "--target", "(0),(0)"]
+    for argv in (level, ["experiment", "--case", "b", "--ring", "z4"], ["info", "--case", "b"], ["forms", "--case", "b"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--seed", "1"])
+        assert err.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert main(level + ["--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 # sha256 of the stdout of commands whose reports are fixed by their seeds;
