@@ -1061,17 +1061,16 @@ def level_reduction_check(
 
 
 def parse_sigma(spec: RingSpec, text: str) -> SigmaPair:
-    """Parse level strings like ``(2),(0)`` or ``R,(2)``."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
+    """Parse a level as ``SigmaPair.describe`` writes it, such as ``(2),(0)``,
+    ``R,((0, 1))`` or ``((2, 0)),(1)``: two ideals split at the one comma
+    outside parentheses, each ``R`` or as ``Ideal.parse`` reads it."""
+    depth, commas = 0, []
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            commas.append(i)
+    if len(commas) != 1:
         raise DomainError("level must have exactly two components")
-    ideals = []
-    for p in parts:
-        if p in ("R", "r", "(1)", "1"):
-            ideals.append(Ideal.unit(spec))
-        else:
-            p = p.strip("()")
-            if not p.lstrip("-").isdigit():
-                raise DomainError(f"cannot parse ideal {p!r}")
-            ideals.append(Ideal.from_elems(spec, [spec.el(int(p))]))
-    return SigmaPair(ideals[0], ideals[1])
+    cut = commas[0]
+    ideals = [text[:cut].strip(), text[cut + 1 :].strip()]
+    return SigmaPair(*(Ideal.unit(spec) if t in ("R", "r") else Ideal.parse(spec, t) for t in ideals))

@@ -10,19 +10,29 @@ conjugate of a simple pattern by a monomial Weyl matrix, one simple reflection
 at a time; this pins one concrete sign table whose correctness is checked by
 the relation suite rather than against any published table.
 
-A group element holds its matrix; its exact inverse is computed on first
-read.  For an element built from a generator word the inverse is the replay of
-the reversed word, for a product it is the product of the factors' inverses.
-``from_matrix`` inverts eagerly, by per-factor elimination, because that
-elimination is its invertibility check.  Only an element built from a word
-keeps its word; products, inverses and reductions derive none.
+A group element holds its matrix and its exact inverse, the inverse computed
+on first read; ``inverse`` swaps the two, and leaves the new matrix deferred
+only for a word short enough that products read just its atoms.  An element
+built from a generator word also keeps its expanded root elements
+x_1 ... x_k, and its inverse keeps theirs (reversed, with negated
+parameters).  Such an element acts by line updates: it is built as row
+updates of the identity, last atom first, and its inverse is the same replay
+of the inverse atoms.  A product with a factor of k <= min(n // 32, 4) such
+atoms is a copy of the other factor's matrix with the atoms applied (row
+updates on the left, column updates on the right); its inverse is the other
+factor's inverse with the inverse atoms applied on the other side.  Any other
+product multiplies the matrices, and its inverse is the product of the
+factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
+elimination, because that elimination is its invertibility check.  Only an
+element built from a word keeps its word; products, inverses and
+reductions derive none.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,12 +79,25 @@ def weyl_monomial(patterns: dict, n: int, alpha: Root) -> tuple[np.ndarray, np.n
 def rep_tables(wm: WeightModule) -> RepTables:
     case = wm.case
     n = wm.dim
-    idx = wm.index
+    # every weight as one integer key (its coordinates in base ``base``), so
+    # that all lam + alpha are looked up at once in the sorted keys
+    table = np.array(wm.weights, dtype=np.int64)
+    low, base = int(table.min()), int(table.max() - table.min()) + 1
+    if base ** table.shape[1] >= 2**63:
+        raise InternalConsistencyError("weight coordinates too wide for int64 keys")
+    radix = base ** np.arange(table.shape[1], dtype=np.int64)
+    keys = (table - low) @ radix
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
 
     def shifts(root):
         """(sources, targets) of the weights that ``root`` shifts."""
-        pairs = [(i, idx[mu]) for i, lam in enumerate(wm.weights) if (mu := wm.shift(lam, root)) is not None]
-        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        moved = table + np.array(case.root_fund_coords(root), dtype=np.int64)
+        inside = ((moved >= low) & (moved < low + base)).all(axis=1)
+        moved_keys = (moved - low) @ radix
+        pos = np.minimum(np.searchsorted(sorted_keys, moved_keys), n - 1)
+        srcs = np.flatnonzero(inside & (sorted_keys[pos] == moved_keys))
+        return srcs, order[pos[srcs]]
 
     pat: dict = {}
     for alpha in case.simple_roots:
@@ -167,31 +190,63 @@ class GroupElement:
 
     ``inv_mat`` (the exact inverse) is computed on first read and then kept;
     the deferred computation holds the factors' inverses, never their forward
-    matrices.  ``word`` is the atoms of an element built by
-    ``element_from_word`` (``()`` for ``identity``), else None.
+    matrices.  The ``mat`` of a short word's inverse is computed on first
+    read too (``__getattr__``).
+    ``word`` is the atoms of an element built by ``element_from_word``
+    (``()`` for ``identity``), else None; ``_expanded`` holds the root
+    elements of such an element or of its inverse, else None.
     ``corner_table`` is filled by ``analysis.corner_ideals`` on its first read.
     """
 
-    __slots__ = ("rep", "mat", "_inv", "word", "corner_table")
+    __slots__ = ("rep", "mat", "_mat", "_inv", "word", "_expanded", "corner_table")
 
-    def __init__(self, rep: "Representation", mat: RMat, inv, word=None):
-        """``inv`` is a value or a ``_Lazy`` node."""
+    def __init__(self, rep: "Representation", mat, inv, word=None, expanded=None):
+        """``mat`` and ``inv`` are values or ``_Lazy`` nodes."""
         self.rep = rep
-        self.mat = mat
+        if isinstance(mat, _Lazy):
+            self._mat = mat
+        else:
+            self.mat = mat
+            self._mat = None
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
         self.word = word
+        self._expanded = expanded
         self.corner_table = None
+
+    def __getattr__(self, name: str):
+        # reached only for a ``mat`` still deferred: compute it, then keep it
+        if name != "mat" or self._mat is None:
+            raise AttributeError(name)
+        self.mat = self._mat.get()
+        return self.mat
 
     @property
     def inv_mat(self) -> RMat:
         return self._inv.get()
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
-        return GroupElement(self.rep, self.mat * other.mat, inv)
+        rep = self.rep
+        if other.rep is not rep:
+            raise DomainError("product of elements of different representations")
+        a, b = self._expanded, other._expanded
+        cut = rep._max_line_atoms
+        if a is not None and len(a.xs) <= cut and (b is None or len(a.xs) <= len(b.xs)):
+            word, base, left = a, other, True
+        elif b is not None and len(b.xs) <= cut:
+            word, base, left = b, self, False
+        else:
+            inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
+            return GroupElement(rep, self.mat * other.mat, inv)
+        inv = _Lazy(fn=lambda m: rep._apply_atoms(m.copy(), word.inverse(), not left), args=(base._inv,))
+        return GroupElement(rep, rep._apply_atoms(base.mat.copy(), word, left), inv)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.rep, self.inv_mat, self.mat)
+        expanded = None if self._expanded is None else self._expanded.inverse()
+        if expanded is not None and len(expanded.xs) <= self.rep._max_line_atoms:
+            # products read only the atoms of so short a word: defer the matrix
+            mat = self._mat if self._mat is not None else _Lazy(self.mat)
+            return GroupElement(self.rep, self._inv, mat, expanded=expanded)
+        return GroupElement(self.rep, self.inv_mat, self.mat, expanded=expanded)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """by * self * by^-1."""
@@ -234,6 +289,12 @@ class Representation:
         self.ring = ring
         self.tables = rep_tables(wm)
         self.n = wm.dim
+        # A product applies a factor's root elements as line updates when it
+        # has at most this many, n // 32 and at most 4.  Over Z/4 one atom
+        # costs about one dense product at n = 27, a half at n = 56, a quarter
+        # at n = 128, and a fifth as a column update at n = 512; other rings
+        # favour the atoms more.
+        self._max_line_atoms = min(self.n // 32, 4)
 
     # -- scalars ---------------------------------------------------------------
 
@@ -257,7 +318,7 @@ class Representation:
 
     def identity(self) -> GroupElement:
         ident = RMat.identity(self.ring, self.n)
-        return GroupElement(self, ident, ident.copy(), word=())
+        return GroupElement(self, ident, ident.copy(), word=(), expanded=_Expanded(()))
 
     def expand_atoms(self, atoms) -> list[tuple[Root, RingElem]]:
         out = []
@@ -282,19 +343,23 @@ class Representation:
         atoms = tuple(
             (kind, root, self.scalar(value)) for kind, root, value in atoms
         )
-        xs = self.expand_atoms(atoms)
-        mat = RMat.identity(self.ring, self.n)
-        for root, value in xs:
-            mat.apply_x_right(self.pattern(root), value)
-        return GroupElement(self, mat, _Lazy(fn=partial(self._replay_inverse, xs)), word=atoms)
+        expanded = _Expanded(tuple(self.expand_atoms(atoms)))
+        mat = self._apply_atoms(RMat.identity(self.ring, self.n), expanded, True)
+        inv = _Lazy(fn=lambda: self._apply_atoms(RMat.identity(self.ring, self.n), expanded.inverse(), True))
+        return GroupElement(self, mat, inv, word=atoms, expanded=expanded)
 
-    def _replay_inverse(self, xs) -> RMat:
-        """Inverse of the product of the expanded atoms: the reversed word
-        with negated parameters."""
-        inv = RMat.identity(self.ring, self.n)
-        for root, value in reversed(xs):
-            inv.apply_x_right(self.pattern(root), -value)
-        return inv
+    def _apply_atoms(self, mat: RMat, expanded: "_Expanded", left: bool) -> RMat:
+        """``mat`` times the product x_1 ... x_k of ``expanded``, in place:
+        x_1 ... x_k * mat by row updates, last atom first, when ``left``, else
+        mat * x_1 ... x_k by column updates, first atom first."""
+        xs = expanded.factors()
+        if left:
+            for root, value in reversed(xs):
+                mat.apply_x_left(self.pattern(root), value)
+        else:
+            for root, value in xs:
+                mat.apply_x_right(self.pattern(root), value)
+        return mat
 
     def x(self, alpha: Root, xi) -> GroupElement:
         return self.element_from_word((("x", alpha, self.scalar(xi)),))
@@ -336,6 +401,26 @@ class Representation:
             g.mat.reduce(ideal),
             _Lazy(fn=lambda inv: inv.reduce(ideal), args=(g._inv,)),
         )
+
+
+class _Expanded:
+    """The expanded root elements (root, value) of a word element,
+    x_1 ... x_k, or with ``inverted`` those of its inverse,
+    x_k(-v_k) ... x_1(-v_1), whose values are negated only when read."""
+
+    __slots__ = ("xs", "inverted")
+
+    def __init__(self, xs: tuple, inverted: bool = False):
+        self.xs = xs
+        self.inverted = inverted
+
+    def inverse(self) -> "_Expanded":
+        return _Expanded(self.xs, not self.inverted)
+
+    def factors(self) -> tuple:
+        if not self.inverted:
+            return self.xs
+        return tuple((root, -value) for root, value in reversed(self.xs))
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ matter of exponent bookkeeping and keeps every operation exact.
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -577,6 +578,29 @@ class Ideal:
             return "(1)"
         g = self.generator()
         return f"({g.parts if len(g.parts) > 1 else g.parts[0]})"
+
+    @staticmethod
+    def parse(spec: RingSpec, text: str) -> "Ideal":
+        """Read ``(g)`` as ``describe`` writes it: g an integer, mapped
+        diagonally into the ring, or the tuple of the generator's residues
+        (a ring of one factor drops the outer tuple).  A nonzero integer that
+        is zero in the ring is refused, since it would silently name (0)."""
+        try:
+            value = ast.literal_eval(text.strip())
+        except (ValueError, TypeError, SyntaxError, RecursionError):
+            value = None
+        if type(value) is int:
+            if value and spec.el(value).is_zero():
+                raise DomainError(f"{value} is zero in {spec.describe()}; write the ideal (0) as (0)")
+            return Ideal.from_elems(spec, [spec.el(value)])
+        if type(value) is tuple:
+            parts = (value,) if len(spec.factors) == 1 else value
+            if len(parts) == len(spec.factors) and all(
+                type(p) is tuple and all(type(c) is int for c in p) if f.kind == POLY else type(p) is int
+                for f, p in zip(spec.factors, parts)
+            ):
+                return Ideal.from_elems(spec, [spec.from_parts(parts)])
+        raise DomainError(f"cannot parse ideal {text.strip()!r}")
 
 
 def _val_int(n: int, p: int) -> int:

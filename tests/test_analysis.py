@@ -35,6 +35,7 @@ from chevalley.analysis import (
 from chevalley import analysis
 from chevalley.checks import SuiteResult
 from chevalley.errors import DomainError, InternalConsistencyError
+from chevalley.matrices import RMat
 from chevalley.rep import GroupElement, get_representation, representation, sample_word_rng
 from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
@@ -92,6 +93,24 @@ def test_identity_and_full_level(rep_b_z4):
         g = sample_word_rng(rep, atoms, 5, rng)
         assert in_normalizer(g, full)
         assert in_G_sigma(g, full)
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z8", "z12", "f2t2"])
+def test_every_level_reads_back_from_its_description(ring_name):
+    import itertools
+
+    ring = named_ring(ring_name)
+    ideals = [Ideal(ring, parts) for parts in itertools.product(*(range(f.k + 1) for f in ring.factors))]
+    for plus in ideals:
+        for minus in ideals:
+            sigma = SigmaPair(plus, minus)
+            assert parse_sigma(ring, sigma.describe()) == sigma, sigma.describe()
+
+
+@pytest.mark.parametrize("text", ["(2)", "(2),(0),(1)", "x,(2)", "R,(2)", "(2.5),(0)", "((1, 2, 3)),(0)", "((2),(0)"])
+def test_malformed_levels_are_refused(text):
+    with pytest.raises(DomainError):
+        parse_sigma(named_ring("f2t2"), text)
 
 
 @pytest.mark.parametrize("tag,l", [("c", None), ("a", 6)])
@@ -198,6 +217,66 @@ def test_corner_decomposition_needs_unit_corner(rep_b_z4):
     assert not w.entry(wm.lam0, wm.lam0).is_unit()
     with pytest.raises(DomainError):
         chevalley_matsumoto(w)
+
+
+def _big_cell_words(rep, rng, trials):
+    """Seeded (lower, levi, upper) words: up to 3 distinct roots of each
+    orbit, up to 4 Levi atoms."""
+    case = rep.case
+    plus = list(case.omega_plus)
+    nonzero = [v for v in rep.ring.elements() if not v.is_zero()]
+
+    def value():
+        return nonzero[rng.randrange(len(nonzero))]
+
+    for _ in range(trials):
+        rng.shuffle(plus)
+        lower = tuple(("x", tuple(-x for x in b), value()) for b in plus[: rng.randrange(4)])
+        rng.shuffle(plus)
+        upper = tuple(("x", b, value()) for b in plus[: rng.randrange(4)])
+        levi = tuple(("x", case.delta[rng.randrange(len(case.delta))], value()) for _ in range(rng.randrange(5)))
+        yield lower, levi, upper
+
+
+def test_corner_decomposition_round_trip_a8_f2t2():
+    rep = representation("a", 8, named_ring("f2t2"))
+    for lower, levi, upper in _big_cell_words(rep, SplitMix64(53), 6):
+        g = rep.from_matrix(rep.element_from_word(lower + levi + upper).mat)
+        v, g1, u = chevalley_matsumoto(g)
+        assert v == rep.element_from_word(lower)
+        assert g1 == rep.element_from_word(levi)
+        assert u == rep.element_from_word(upper)
+        assert v * g1 * u == g
+
+
+def _count_matrix_products(monkeypatch) -> list:
+    calls = []
+    product = RMat.__mul__
+
+    def counted(a, b):
+        calls.append(a.n)
+        return product(a, b)
+
+    monkeypatch.setattr(RMat, "__mul__", counted)
+    return calls
+
+
+def test_short_words_multiply_without_matrix_products(monkeypatch):
+    rep = representation("a", 8, named_ring("f2t2"))
+    rng = SplitMix64(59)
+    cases = list(_big_cell_words(rep, rng, 4))
+    elements = [rep.from_matrix(rep.element_from_word(lower + levi + upper).mat) for lower, levi, upper in cases]
+    phi = sorted(rep.case.phi)
+    x = rep.x(phi[rng.randrange(len(phi))], 1)
+    short = rep.element_from_word([("x", phi[rng.randrange(len(phi))], 1) for _ in range(3)])
+    calls = _count_matrix_products(monkeypatch)
+    factors = [chevalley_matsumoto(g) for g in elements]
+    conjugate = x.conjugate(short)
+    assert calls == []
+    monkeypatch.undo()
+    assert conjugate.mat == short.mat * x.mat * short.inv_mat
+    for (lower, levi, upper), (v, g1, u) in zip(cases, factors):
+        assert (v, g1, u) == tuple(rep.element_from_word(w) for w in (lower, levi, upper))
 
 
 def test_levi_split_examples(rep_b_z4):

@@ -28,6 +28,16 @@ def test_sign_table_is_crystal(tag, l):
             assert all(s == 1 for s in signs)
 
 
+@pytest.mark.parametrize("tag,l", CASES)
+def test_patterns_move_exactly_the_shifted_weights(tag, l):
+    wm = default_module(tag, l)
+    tables = rep_tables(wm)
+    for root in wm.case.phi:
+        srcs, dsts, _ = tables.patterns[root]
+        shifted = [(i, wm.idx(mu)) for i, lam in enumerate(wm.weights) if (mu := wm.shift(lam, root)) is not None]
+        assert list(zip(srcs.tolist(), dsts.tolist())) == shifted, root
+
+
 def test_root_element_basics():
     ring = RingSpec.zmod(8)
     rep = representation("b", None, ring)
@@ -293,3 +303,47 @@ def test_from_matrix_rejects_a_singular_matrix():
     mat.set_entry(3, 3, ring.el(2))
     with pytest.raises(NonUnitError):
         rep.from_matrix(mat)
+
+
+# -- products with a word factor ----------------------------------------------------------------
+
+_EXPANDED = {"x": 1, "w": 3, "h": 6}
+
+
+@pytest.mark.parametrize(
+    "tag,l,ring_name",
+    [("c", None, "z4"), ("c", None, "z12"), ("c", None, "f2t2"), ("c", None, "int"), ("a", 8, "z4"), ("a", 8, "f2t2")],
+)
+def test_products_with_a_word_factor_equal_matrix_products(tag, l, ring_name):
+    from chevalley.rings import named_ring
+
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    phi = sorted(rep.case.phi)
+    if ring.is_finite:
+        values = [v for v in ring.elements() if not v.is_zero()]
+        units = list(ring.units())
+    else:
+        values, units = [ring.el(v) for v in (-2, -1, 1, 3)], [ring.one, -ring.one]
+    rng = SplitMix64(len(ring_name) + rep.n)
+
+    def atom(kind):
+        pool = values if kind == "x" else units
+        return (kind, phi[rng.randrange(len(phi))], pool[rng.randrange(len(pool))])
+
+    cut = rep._max_line_atoms
+    kinds = [(), ("x",), ("w",), ("x",) * cut, ("x",) * (cut + 1), ("x", "h"), ("w", "x", "x")]
+    lengths = {sum(_EXPANDED[k] for k in word) for word in kinds}
+    assert min(lengths) == 0 and any(0 < k <= cut for k in lengths) and max(lengths) > cut
+    long_word = rep.element_from_word([atom("x") for _ in range(cut + 3)])
+    bases = [long_word.inverse()]
+    if ring.is_finite:
+        bases.append(rep.from_matrix(long_word.mat))
+    for word in [rep.identity()] + [rep.element_from_word([atom(k) for k in ks]) for ks in kinds]:
+        for base in bases:
+            for g, ref in ((base * word, base.mat * word.mat), (word * base, word.mat * base.mat)):
+                assert g.mat == ref
+                g.check()
+            inverse = word.inverse()
+            assert (base * inverse).mat == base.mat * word.inv_mat
+            (inverse * base).check()
