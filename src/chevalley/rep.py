@@ -10,22 +10,19 @@ conjugate of a simple pattern by a monomial Weyl matrix, one simple reflection
 at a time; this pins one concrete sign table whose correctness is checked by
 the relation suite rather than against any published table.
 
-A group element holds its matrix and its exact inverse, the inverse computed
-on first read; ``inverse`` swaps the two, and leaves the new matrix deferred
-only for a word short enough that products read just its atoms.  An element
-built from a generator word also keeps its expanded root elements
-x_1 ... x_k, and its inverse keeps theirs (reversed, with negated
-parameters).  Such an element acts by line updates: it is built as row
-updates of the identity, last atom first, and its inverse is the same replay
-of the inverse atoms.  A product with a factor of k <= min(n // 32, 4) such
-atoms is a copy of the other factor's matrix with the atoms applied (row
-updates on the left, column updates on the right); its inverse is the other
-factor's inverse with the inverse atoms applied on the other side.  Any other
-product multiplies the matrices, and its inverse is the product of the
-factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
-elimination, because that elimination is its invertibility check.  Only an
-element built from a word keeps its word; products, inverses and
-reductions derive none.
+A group element holds its matrix; its exact inverse is computed on first
+read, and ``inverse`` swaps the two.  An element built from a generator word
+of at most min(n // 32, 4) root elements x_1 ... x_k also keeps them, and its
+inverse keeps theirs (reversed, with negated parameters).  A product with
+such a factor is a copy of the other factor's matrix with the atoms applied
+as line updates (row updates on the left, column updates on the right); its
+inverse is the other factor's inverse with the inverse atoms applied on the
+other side.  Any other product multiplies the matrices, and its inverse is
+the product of the factors' inverses.  Every word is built by row updates of
+the identity, last atom first, and its inverse is the same replay of the
+inverse atoms.  ``from_matrix`` inverts eagerly, by per-factor elimination,
+because that elimination is its invertibility check.  Only an element built
+from a word keeps its word; products, inverses and reductions derive none.
 """
 
 from __future__ import annotations
@@ -190,35 +187,23 @@ class GroupElement:
 
     ``inv_mat`` (the exact inverse) is computed on first read and then kept;
     the deferred computation holds the factors' inverses, never their forward
-    matrices.  The ``mat`` of a short word's inverse is computed on first
-    read too (``__getattr__``).
-    ``word`` is the atoms of an element built by ``element_from_word``
-    (``()`` for ``identity``), else None; ``_expanded`` holds the root
-    elements of such an element or of its inverse, else None.
+    matrices.  ``word`` is the atoms of an element built by
+    ``element_from_word`` (``()`` for ``identity``), else None; ``_expanded``
+    is the tuple of (root, value) factors of such an element, or of its
+    inverse, when it has at most ``rep._max_line_atoms`` of them, else None.
     ``corner_table`` is filled by ``analysis.corner_ideals`` on its first read.
     """
 
-    __slots__ = ("rep", "mat", "_mat", "_inv", "word", "_expanded", "corner_table")
+    __slots__ = ("rep", "mat", "_inv", "word", "_expanded", "corner_table")
 
-    def __init__(self, rep: "Representation", mat, inv, word=None, expanded=None):
-        """``mat`` and ``inv`` are values or ``_Lazy`` nodes."""
+    def __init__(self, rep: "Representation", mat: RMat, inv, word=None, expanded=None):
+        """``inv`` is a value or a ``_Lazy`` node."""
         self.rep = rep
-        if isinstance(mat, _Lazy):
-            self._mat = mat
-        else:
-            self.mat = mat
-            self._mat = None
+        self.mat = mat
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
         self.word = word
         self._expanded = expanded
         self.corner_table = None
-
-    def __getattr__(self, name: str):
-        # reached only for a ``mat`` still deferred: compute it, then keep it
-        if name != "mat" or self._mat is None:
-            raise AttributeError(name)
-        self.mat = self._mat.get()
-        return self.mat
 
     @property
     def inv_mat(self) -> RMat:
@@ -229,23 +214,19 @@ class GroupElement:
         if other.rep is not rep:
             raise DomainError("product of elements of different representations")
         a, b = self._expanded, other._expanded
-        cut = rep._max_line_atoms
-        if a is not None and len(a.xs) <= cut and (b is None or len(a.xs) <= len(b.xs)):
-            word, base, left = a, other, True
-        elif b is not None and len(b.xs) <= cut:
-            word, base, left = b, self, False
+        if a is not None and (b is None or len(a) <= len(b)):
+            xs, base, left = a, other, True
+        elif b is not None:
+            xs, base, left = b, self, False
         else:
             inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
             return GroupElement(rep, self.mat * other.mat, inv)
-        inv = _Lazy(fn=lambda m: rep._apply_atoms(m.copy(), word.inverse(), not left), args=(base._inv,))
-        return GroupElement(rep, rep._apply_atoms(base.mat.copy(), word, left), inv)
+        inv = _Lazy(fn=lambda m: rep._apply_atoms(m.copy(), _inverse_factors(xs), not left), args=(base._inv,))
+        return GroupElement(rep, rep._apply_atoms(base.mat.copy(), xs, left), inv)
 
     def inverse(self) -> "GroupElement":
-        expanded = None if self._expanded is None else self._expanded.inverse()
-        if expanded is not None and len(expanded.xs) <= self.rep._max_line_atoms:
-            # products read only the atoms of so short a word: defer the matrix
-            mat = self._mat if self._mat is not None else _Lazy(self.mat)
-            return GroupElement(self.rep, self._inv, mat, expanded=expanded)
+        xs = self._expanded
+        expanded = None if xs is None else _inverse_factors(xs)
         return GroupElement(self.rep, self.inv_mat, self.mat, expanded=expanded)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
@@ -318,7 +299,7 @@ class Representation:
 
     def identity(self) -> GroupElement:
         ident = RMat.identity(self.ring, self.n)
-        return GroupElement(self, ident, ident.copy(), word=(), expanded=_Expanded(()))
+        return GroupElement(self, ident, ident.copy(), word=(), expanded=())
 
     def expand_atoms(self, atoms) -> list[tuple[Root, RingElem]]:
         out = []
@@ -343,16 +324,16 @@ class Representation:
         atoms = tuple(
             (kind, root, self.scalar(value)) for kind, root, value in atoms
         )
-        expanded = _Expanded(tuple(self.expand_atoms(atoms)))
-        mat = self._apply_atoms(RMat.identity(self.ring, self.n), expanded, True)
-        inv = _Lazy(fn=lambda: self._apply_atoms(RMat.identity(self.ring, self.n), expanded.inverse(), True))
+        xs = tuple(self.expand_atoms(atoms))
+        mat = self._apply_atoms(RMat.identity(self.ring, self.n), xs, True)
+        inv = _Lazy(fn=lambda: self._apply_atoms(RMat.identity(self.ring, self.n), _inverse_factors(xs), True))
+        expanded = xs if len(xs) <= self._max_line_atoms else None
         return GroupElement(self, mat, inv, word=atoms, expanded=expanded)
 
-    def _apply_atoms(self, mat: RMat, expanded: "_Expanded", left: bool) -> RMat:
-        """``mat`` times the product x_1 ... x_k of ``expanded``, in place:
-        x_1 ... x_k * mat by row updates, last atom first, when ``left``, else
-        mat * x_1 ... x_k by column updates, first atom first."""
-        xs = expanded.factors()
+    def _apply_atoms(self, mat: RMat, xs: tuple, left: bool) -> RMat:
+        """``mat`` times the product x_1 ... x_k of the factors ``xs``, in
+        place: x_1 ... x_k * mat by row updates, last atom first, when
+        ``left``, else mat * x_1 ... x_k by column updates, first atom first."""
         if left:
             for root, value in reversed(xs):
                 mat.apply_x_left(self.pattern(root), value)
@@ -403,24 +384,9 @@ class Representation:
         )
 
 
-class _Expanded:
-    """The expanded root elements (root, value) of a word element,
-    x_1 ... x_k, or with ``inverted`` those of its inverse,
-    x_k(-v_k) ... x_1(-v_1), whose values are negated only when read."""
-
-    __slots__ = ("xs", "inverted")
-
-    def __init__(self, xs: tuple, inverted: bool = False):
-        self.xs = xs
-        self.inverted = inverted
-
-    def inverse(self) -> "_Expanded":
-        return _Expanded(self.xs, not self.inverted)
-
-    def factors(self) -> tuple:
-        if not self.inverted:
-            return self.xs
-        return tuple((root, -value) for root, value in reversed(self.xs))
+def _inverse_factors(xs: tuple) -> tuple:
+    """The factors of (x_1 ... x_k)^-1 = x_k(-v_k) ... x_1(-v_1)."""
+    return tuple((root, -value) for root, value in reversed(xs))
 
 
 @lru_cache(maxsize=None)

@@ -584,7 +584,8 @@ class Ideal:
         """Read ``(g)`` as ``describe`` writes it: g an integer, mapped
         diagonally into the ring, or the tuple of the generator's residues
         (a ring of one factor drops the outer tuple).  A nonzero integer that
-        is zero in the ring is refused, since it would silently name (0)."""
+        is zero in the ring, or a residue outside its factor's range, is
+        refused, since it would silently name another ideal."""
         try:
             value = ast.literal_eval(text.strip())
         except (ValueError, TypeError, SyntaxError, RecursionError):
@@ -599,7 +600,10 @@ class Ideal:
                 type(p) is tuple and all(type(c) is int for c in p) if f.kind == POLY else type(p) is int
                 for f, p in zip(spec.factors, parts)
             ):
-                return Ideal.from_elems(spec, [spec.from_parts(parts)])
+                g = spec.from_parts(parts)
+                if g.parts != parts:
+                    raise DomainError(f"residues {value} out of range for {spec.describe()}")
+                return Ideal.from_elems(spec, [g])
         raise DomainError(f"cannot parse ideal {text.strip()!r}")
 
 

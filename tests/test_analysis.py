@@ -107,10 +107,14 @@ def test_every_level_reads_back_from_its_description(ring_name):
             assert parse_sigma(ring, sigma.describe()) == sigma, sigma.describe()
 
 
-@pytest.mark.parametrize("text", ["(2)", "(2),(0),(1)", "x,(2)", "R,(2)", "(2.5),(0)", "((1, 2, 3)),(0)", "((2),(0)"])
-def test_malformed_levels_are_refused(text):
+@pytest.mark.parametrize(
+    "ring_name,text",
+    [("f2t2", t) for t in ["(2)", "(2),(0),(1)", "x,(2)", "R,(2)", "(2.5),(0)", "((1, 2, 3)),(0)", "((2),(0)", "R,((2, 0))"]]
+    + [("z12", "((5, 1)),(0)"), ("z12", "((1, -1)),(0)")],
+)
+def test_malformed_levels_are_refused(ring_name, text):
     with pytest.raises(DomainError):
-        parse_sigma(named_ring("f2t2"), text)
+        parse_sigma(named_ring(ring_name), text)
 
 
 @pytest.mark.parametrize("tag,l", [("c", None), ("a", 6)])
