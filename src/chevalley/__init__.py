@@ -39,13 +39,7 @@ from .forms import (
     square_equation,
 )
 from .matrices import RMat, RVec
-from .rep import (
-    GroupElement,
-    Representation,
-    get_representation,
-    representation,
-    sample_word,
-)
+from .rep import GroupElement, Representation, get_representation, representation
 from .rings import Factor, Ideal, RingElem, RingSpec, named_ring
 from .rng import SplitMix64
 from .roots import EmbeddingCase, build_case, orbit_decomposition, partner_root, weyl_orbit

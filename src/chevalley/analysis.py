@@ -844,33 +844,18 @@ def _family_atoms(rep: Representation, sigma: SigmaPair) -> list[tuple[Root, Rin
     return atoms
 
 
-def _grow_span(rows: dict, v: list[int]) -> bool:
-    """Add v to the integer lattice with echelon basis ``rows`` (pivot
-    column -> row), by Euclid's algorithm on rows.  v was already in the
-    lattice exactly when no pivot was added and none shrank."""
-    grown = False
-    for c in range(len(v)):
-        b = rows.get(c, [0] * len(v))
-        pivot = abs(b[c])
-        while v[c]:
-            q = b[c] // v[c]
-            b, v = v, [x - q * y for x, y in zip(b, v)]
-        if b[c]:
-            rows[c] = b
-            grown = grown or not pivot or abs(b[c]) < pivot
-    return grown
+@lru_cache(maxsize=None)
+def _orbit_sides(case) -> dict:
+    """+1 for the upper orbit's roots, -1 for the lower one's; the
+    subsystem's roots are absent."""
+    return {r: +1 for r in case.omega_plus} | {r: -1 for r in case.omega_minus}
 
 
-def _additive_span(spec: RingSpec) -> dict:
-    """The coefficient lattice of zero in R: each coefficient's modulus times
-    its unit vector, one coefficient per factor slice as in the factor's
-    block layout.  ``_grow_span`` extends it to the span of ring values."""
-    moduli = [c for f in spec.factors for c in [f.layout[1]] * f.layout[0]]
-    return {j: [m if i == j else 0 for i in range(len(moduli))] for j, m in enumerate(moduli) if m}
-
-
-def _coefficients(x: RingElem) -> list[int]:
-    return [c for part in x.parts for c in (part if isinstance(part, tuple) else (part,))]
+def _word_in_level(rep: Representation, word, sigma: SigmaPair) -> bool:
+    """Every root element of the expanded word lies in E(sigma): a subsystem
+    root with any value, an orbit root with a value in the ideal of its side."""
+    sides, ideals = _orbit_sides(rep.case), {+1: sigma.plus, -1: sigma.minus}
+    return all(root not in sides or value in ideals[sides[root]] for root, value in rep.expand_atoms(word))
 
 
 def generators_in_normalizer(
@@ -880,23 +865,16 @@ def generators_in_normalizer(
     the level-sigma elementary group.  Exact: N is a group, so H <= N exactly
     when the list is empty.
 
-    The root elements of ``gen_atoms`` are tested once each, except that a
-    value v for a root alpha is skipped when v lies in the additive span of
-    the values already tested for alpha: x_alpha is a homomorphism from
-    (R, +).  Each generator is tested with ``in_normalizer`` and with
-    ``transporter_check``; the two are independent characterisations, so a
-    disagreement raises InternalConsistencyError.
+    A generator whose word lies in E(sigma) (``_word_in_level``) is in N by
+    definition and is not tested; an atom is a one-atom word, and an extra
+    without a word is always tested.  Each other generator is tested with
+    ``in_normalizer`` and with ``transporter_check``; the two are independent
+    characterisations, so a disagreement raises InternalConsistencyError.
     """
-    spans: dict = {}
-    generators = []
-    for atom in gen_atoms:
-        kind, root, value = atom
-        if kind != "x" or _grow_span(
-            spans.setdefault(root, _additive_span(rep.ring)), _coefficients(value)
-        ):
-            generators.append(_atom(rep, atom))
+    generators = [_atom(rep, atom) for atom in gen_atoms if not _word_in_level(rep, (atom,), sigma)]
+    generators += [g for g in extra if g.word is None or not _word_in_level(rep, g.word, sigma)]
     failing = []
-    for g in generators + list(extra):
+    for g in generators:
         inside = in_normalizer(g, sigma)
         if inside != transporter_check(g, sigma):
             raise InternalConsistencyError(
@@ -969,6 +947,8 @@ def level_certificate(
     """Witness the level of H = <E(Delta), gen_atoms, extra> (extraction uses
     the subsystem's root elements) up to the fixpoint where every generator
     normalizes the elementary group E(lower) of the witnessed level.
+    ``gen_atoms`` are generators beyond E(Delta), which H contains anyway;
+    the CLI passes none.
 
     Witnesses start from the ``"x"`` atoms on orbit roots.  Extraction then
     runs on a worklist that starts with the generators outside the normalizer
@@ -979,7 +959,7 @@ def level_certificate(
     one unit of ``budget``.  Every witness replays (``_reseat``) from its
     generator's word, or from the generator when it has none.
     """
-    sides = {r: +1 for r in rep.case.omega_plus} | {r: -1 for r in rep.case.omega_minus}
+    sides = _orbit_sides(rep.case)
     witnesses: list[Witness] = []
     lb = {+1: Ideal.zero(rep.ring), -1: Ideal.zero(rep.ring)}  # the witnessed level by side
 

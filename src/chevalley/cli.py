@@ -21,7 +21,6 @@ from .analysis import (
     in_normalizer,
     level_certificate,
     parse_sigma,
-    sigma_generator_atoms,
     transporter_check,
 )
 from .checks import (
@@ -280,8 +279,7 @@ def _certify(args, command: str) -> tuple:
     rep = representation(tag, l, ring)
     target = parse_sigma(ring, args.target) if args.target else SigmaPair.full(ring)
     extra = _load_extra(rep, args.extra)
-    subsystem = sigma_generator_atoms(rep, SigmaPair.zero(ring))  # level zero: the subsystem alone
-    cert = level_certificate(rep, subsystem, extra, target, budget=args.budget)
+    cert = level_certificate(rep, [], extra, target, budget=args.budget)
     config = {
         "command": command,
         "case": tag,

@@ -284,7 +284,7 @@ class Representation:
             if x.spec != self.ring:
                 raise DomainError("scalar over a different ring")
             return x
-        return self.ring.el(int(x))
+        return self.ring.el(x)
 
     def sign(self, lam: Weight, alpha: Root) -> int:
         return self.tables.signs[(self.wm.idx(lam), alpha)]
@@ -400,12 +400,8 @@ def representation(tag: str, l: int | None, ring: RingSpec) -> Representation:
     return get_representation(build_weights(build_case(tag, l)), ring)
 
 
-def sample_word(rep: Representation, atoms: list[Atom], length: int, seed: int) -> GroupElement:
-    """Product of ``length`` atoms drawn deterministically from the pool."""
-    return sample_word_rng(rep, atoms, length, SplitMix64(seed))
-
-
 def sample_word_rng(rep: Representation, atoms: list[Atom], length: int, rng: SplitMix64) -> GroupElement:
+    """Product of ``length`` atoms drawn from the pool by ``rng``."""
     if length == 0 or not atoms:
         return rep.identity()
     picked = tuple(rng.choice(atoms) for _ in range(length))

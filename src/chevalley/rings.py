@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _iproduct
@@ -156,20 +157,20 @@ class RingSpec:
 
     def _reduce_part(self, i: int, part):
         f = self.factors[i]
-        if f.kind == ZMOD:
-            m = f.modulus
-            return int(part) % m if m > 0 else 0
         if f.kind == POLY:
-            if isinstance(part, int):
-                part = (part,) + (0,) * (f.k - 1)
-            part = tuple(part)
+            part = tuple(part) if isinstance(part, (tuple, list)) else (part,) + (0,) * (f.k - 1)
             if len(part) != f.k:
                 raise DomainError(f"poly residue needs {f.k} coefficients")
-            return tuple(int(c) % f.p for c in part)
-        return int(part)
+            return tuple(_integer(c) % f.p for c in part)
+        part = _integer(part)
+        if f.kind == ZMOD:
+            m = f.modulus
+            return part % m if m > 0 else 0
+        return part
 
     def el(self, x: int) -> "RingElem":
         """The image of an integer under the diagonal embedding."""
+        x = _integer(x)
         return RingElem(self, tuple(self._reduce_part(i, x) for i in range(len(self.factors))))
 
     def from_parts(self, parts) -> "RingElem":
@@ -232,6 +233,15 @@ def _check_same_spec(a, b) -> None:
 
 
 # -- per-factor scalar kernels ----------------------------------------------
+
+
+def _integer(x) -> int:
+    """x as an int.  Integers pass, numpy's too; a float or a string, which
+    ``int`` would truncate or parse, raises DomainError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{x!r} is not an integer") from None
 
 
 def _poly_mul(a, b, p, k):
@@ -362,7 +372,7 @@ class RingElem:
 
     @staticmethod
     def from_json(spec: RingSpec, data) -> "RingElem":
-        if isinstance(data, int):
+        if not isinstance(data, (list, tuple)):
             return spec.el(data)
         return spec.from_parts(tuple(tuple(p) if isinstance(p, list) else p for p in data))
 

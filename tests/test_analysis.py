@@ -1070,50 +1070,6 @@ def test_block_diagonal_part_matches_entrywise_copy(ring_name):
 # -- the exact upper bound ------------------------------------------------------------
 
 
-def _additive_closure(ring, values):
-    """The additive subgroup generated by the values, by enumeration."""
-    span = {ring.zero}
-    frontier = list(span)
-    while frontier:
-        x = frontier.pop()
-        for v in values:
-            if x + v not in span:
-                span.add(x + v)
-                frontier.append(x + v)
-    return span
-
-
-@pytest.mark.parametrize(
-    "ring",
-    [
-        named_ring("z12"),
-        named_ring("z8"),
-        named_ring("f2t2"),
-        named_ring("f3t2"),
-        RingSpec.from_json({"factors": [{"kind": "zmod", "p": 2, "k": 1}] * 2}),
-        RingSpec.from_json({"factors": [{"kind": "zmod", "p": 2, "k": 2}, {"kind": "poly", "p": 2, "k": 2}]}),
-    ],
-)
-def test_additive_span_matches_the_enumerated_closure(ring):
-    """The skip rule of the exact check: a value is new exactly when it is
-    outside the additive subgroup of the values before it."""
-    elements = list(ring.elements())
-    rng = SplitMix64(ring.size)
-    for _ in range(30):
-        values = [elements[rng.randrange(len(elements))] for _ in range(1 + rng.randrange(5))]
-        span = analysis._additive_span(ring)
-        for i, v in enumerate(values):
-            new = v not in _additive_closure(ring, values[:i])
-            assert analysis._grow_span(span, analysis._coefficients(v)) == new
-
-
-def test_additive_span_over_the_integers():
-    ring = RingSpec.integers()
-    span = analysis._additive_span(ring)
-    grown = [analysis._grow_span(span, [v]) for v in (6, 12, -6, 4, 8, 2, 1, 5)]
-    assert grown == [True, False, False, True, False, False, True, False]
-
-
 @pytest.mark.parametrize("rep_name", ["rep_b_z4", "rep_c_z4"])
 def test_planted_escaping_generator_is_refused(rep_name, request):
     """x_beta(1) for an upper-orbit root beta is outside the normalizer at
@@ -1137,6 +1093,9 @@ def _small(ring):
 @pytest.mark.parametrize("tag", ["b", "c"])
 @pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2"])
 def test_subsystem_generators_normalize_every_level(tag, ring_name):
+    """What ``generators_in_normalizer`` relies on when it skips a generator
+    inside E(sigma): each x_delta(1), and each x_alpha(g) for an orbit root
+    alpha and g the generator of its side's ideal, passes both predicates."""
     ring = named_ring(ring_name)
     rep = representation(tag, None, ring)
     small = Ideal.from_elems(ring, [_small(ring)])
@@ -1147,7 +1106,9 @@ def test_subsystem_generators_normalize_every_level(tag, ring_name):
         SigmaPair(zero, zero),
         SigmaPair(unit, unit),
     ):
-        assert not analysis.generators_in_normalizer(rep, _delta_atoms(rep), [], sigma)
+        for root, value in analysis._family_atoms(rep, sigma):  # x_delta(1) for every delta
+            g = rep.x(root, value)
+            assert in_normalizer(g, sigma) and transporter_check(g, sigma), (sigma.describe(), root)
 
 
 def test_every_value_outside_the_span_is_tested():
@@ -1166,12 +1127,33 @@ def test_disagreeing_predicates_raise(rep_b_z4, monkeypatch):
     rep = rep_b_z4
     sigma = parse_sigma(rep.ring, "(2),(0)")
     beta = rep.case.omega_plus[0]
+    wordless = rep.from_matrix(rep.x(beta, 2).mat)  # inside the normalizer, tested since it has no word
     monkeypatch.setattr(analysis, "transporter_check", lambda g, s: False)
     with pytest.raises(InternalConsistencyError, match="disagree"):
-        analysis.generators_in_normalizer(rep, _delta_atoms(rep), [], sigma)
+        analysis.generators_in_normalizer(rep, [], [wordless], sigma)
     monkeypatch.setattr(analysis, "transporter_check", lambda g, s: True)
     with pytest.raises(InternalConsistencyError, match="disagree"):
         analysis.generators_in_normalizer(rep, [("x", beta, rep.ring.one)], [], sigma)
+
+
+def test_only_generators_outside_the_level_reach_the_predicates(rep_b_z4, monkeypatch):
+    """Subsystem atoms, orbit atoms with values in sigma and word extras
+    inside E(sigma) are in the normalizer by definition and never tested; an
+    orbit atom outside sigma and an extra without a word are tested by both
+    predicates."""
+    rep = rep_b_z4
+    sigma = parse_sigma(rep.ring, "(2),(0)")
+    beta, gamma, d = rep.case.omega_plus[0], rep.case.omega_minus[0], rep.case.delta[0]
+    calls = {"in_normalizer": [], "transporter_check": []}
+    for name, seen in calls.items():
+        real = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda g, s, real=real, seen=seen: seen.append(g) or real(g, s))
+    inside = rep.element_from_word((("x", d, 1), ("x", beta, 2), ("x", gamma, 0), ("w", d, 3), ("x", d, -1)))
+    assert not analysis.generators_in_normalizer(rep, _delta_atoms(rep) + [("x", beta, 2)], [inside], sigma)
+    assert calls == {"in_normalizer": [], "transporter_check": []}
+    wordless = rep.from_matrix(rep.x(beta, 2).mat)
+    assert analysis.generators_in_normalizer(rep, [("x", beta, 1)], [wordless], sigma) == [rep.x(beta, 1)]
+    assert calls["in_normalizer"] == calls["transporter_check"] == [rep.x(beta, 1), wordless]
 
 
 def test_passed_check_holds_for_every_word(rep_b_z4):

@@ -387,3 +387,40 @@ REPORT_SHA256 = {
 def test_reports_are_byte_identical(capsys, argv):
     assert main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256[argv]
+
+
+def _pinned_extras(tag, up, down):
+    """x_max(up), x_-beta(down) with beta the lowest upper-orbit root, and
+    the word x_d(1) x_max(2) x_d(-1) for the first subsystem root d with
+    d + max a root."""
+    case = build_case(tag, None)
+    top = list(case.max_root)
+    d = next(list(r) for r in case.delta if tuple(a + b for a, b in zip(r, top)) in case._phi_set)
+    beta = min(case.omega_plus, key=lambda r: (sum(r), r))
+    return [
+        {"kind": "x", "root": top, "value": up},
+        {"kind": "x", "root": [-x for x in beta], "value": down},
+        {"word": [["x", d, 1], ["x", top, 2], ["x", d, -1]]},
+    ]
+
+
+# sha256 and exit code of certificate reports; the report embeds the --extra
+# path, so each run writes its extra file under a fixed relative name
+CERTIFICATE_SHA256 = {
+    ("experiment", "b", "z4", 2, 2): (0, "d850140bc995fa83a0e0293df1c3712daee47a9b12311f4b5be20f2a88162796"),
+    ("experiment", "c", "z8", 4, 2): (0, "9e62b9aa0efab96135675d9bac1e9b3a4009f0141851d1d3bba25e50eaa73774"),
+    ("level", "b", "z4", 2, 2, "--target", "R,(2)"): (
+        1,
+        "dbac1062bfd054285925c0d8dc435968fd71f5fa014697127f0c2d961846cb49",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CERTIFICATE_SHA256, key=str), ids=lambda k: " ".join(map(str, k)))
+def test_certificate_reports_are_byte_identical(capsys, monkeypatch, tmp_path, key):
+    command, tag, ring, up, down, *rest = key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "extra.json").write_text(json.dumps(_pinned_extras(tag, up, down)))
+    code, digest = CERTIFICATE_SHA256[key]
+    assert main([command, "--case", tag, "--ring", ring, "--extra", "extra.json", *rest]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

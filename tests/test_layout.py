@@ -12,7 +12,7 @@ import pytest
 
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat, RVec, check_exact, mat_col, pattern_images
-from chevalley.rep import representation, sample_word
+from chevalley.rep import representation, sample_word_rng
 from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
 
@@ -379,7 +379,7 @@ def test_largest_modulus_below_the_bound_is_exact():
     rng = SplitMix64(11)
     values = [ring.el(rng.randrange(p)) for _ in range(12)]
     atoms = [("x", rep.case.phi[rng.randrange(len(rep.case.phi))], v) for v in values]
-    g = sample_word(rep, atoms, 12, seed=5)
+    g = sample_word_rng(rep, atoms, 12, SplitMix64(5))
     assert (g * g.inverse()).is_identity()
     exact = g.mat.blocks[0][0].astype(object)
     square = (g.mat * g.mat).blocks[0][0]

@@ -1,16 +1,16 @@
+import numpy as np
 import pytest
 
-from chevalley.errors import NonUnitError
+from chevalley.errors import DomainError, NonUnitError
 from chevalley.matrices import RVec
 from chevalley.rep import (
     get_representation,
     is_component_blocked,
     rep_tables,
     representation,
-    sample_word,
     sample_word_rng,
 )
-from chevalley.rings import Ideal, RingSpec
+from chevalley.rings import Ideal, RingElem, RingSpec, named_ring
 from chevalley.rng import SplitMix64
 from chevalley.weights import default_module, pairing_wr
 
@@ -77,6 +77,16 @@ def test_weyl_needs_unit():
         rep.w(rep.case.alpha1, 2)
     with pytest.raises(NonUnitError):
         rep.h(rep.case.alpha1, 0)
+    # a float or a string is refused, not truncated or parsed; numpy's integers pass
+    for bad in (2.7, 2.0, "3"):
+        with pytest.raises(DomainError):
+            rep.x(rep.case.alpha1, bad)
+        with pytest.raises(DomainError):
+            RingElem.from_json(ring, bad)
+    with pytest.raises(DomainError):
+        named_ring("f2t2").from_parts([(1, 0.5)])
+    assert rep.x(rep.case.alpha1, np.int64(11)) == rep.x(rep.case.alpha1, 3)
+    assert named_ring("f2t2").el(np.int64(3)) == named_ring("f2t2").one
 
 
 def test_z_element_identities():
@@ -113,9 +123,9 @@ def test_sample_word_deterministic_and_trivial():
     ring = RingSpec.zmod(4)
     rep = representation("b", None, ring)
     atoms = [("x", a, ring.one) for a in rep.case.delta]
-    assert sample_word(rep, atoms, 0, seed=9).is_identity()
-    a = sample_word(rep, atoms, 6, seed=9)
-    b = sample_word(rep, atoms, 6, seed=9)
+    assert sample_word_rng(rep, atoms, 0, SplitMix64(9)).is_identity()
+    a = sample_word_rng(rep, atoms, 6, SplitMix64(9))
+    b = sample_word_rng(rep, atoms, 6, SplitMix64(9))
     assert a == b and a.word == b.word
 
 
@@ -275,9 +285,9 @@ def test_only_elements_built_from_words_keep_a_word(ring_name):
     atoms = [("x", a, v) for a in rep.case.phi for v in ring.elements() if not v.is_zero()]
     atoms += [("w", a, u) for a in rep.case.simple_roots for u in ring.units()]
     atoms += [("h", a, u) for a in rep.case.simple_roots for u in ring.units()]
-    a = sample_word(rep, atoms, 3, seed=47)
-    b = sample_word(rep, atoms, 2, seed=48)
-    assert len(a.word) == 3 and a.word == sample_word(rep, atoms, 3, seed=47).word
+    a = sample_word_rng(rep, atoms, 3, SplitMix64(47))
+    b = sample_word_rng(rep, atoms, 2, SplitMix64(48))
+    assert len(a.word) == 3 and a.word == sample_word_rng(rep, atoms, 3, SplitMix64(47)).word
     picked = (atoms[0], atoms[-1], atoms[len(atoms) // 2])
     assert rep.element_from_word(picked).word == picked
     alpha = rep.case.omega_plus[0]
