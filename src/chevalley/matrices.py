@@ -9,13 +9,15 @@ and a vector block shape (s, n).  A factor is two numbers, its layout (s, c):
 * Z             -- s = 1, an object array of exact Python integers, c = 0
   (never reduced).
 
-Every block operation is one code path over this layout.  A product is a
-truncated convolution of slices, each slice product reduced mod c before the
+The layout is ``Factor.layout``, which ring scalars use too.  Every block
+operation is one code path over this layout.  A product is a truncated
+convolution of slices, each slice product reduced mod c before the
 sum (a float64 matmul serves a matrix product when its entries stay below
 2^52, since it is much faster).  The root-element action is a line update:
 rows for a left action and for vectors, and rows of the transposed view for a
 right action.  The source and target index sets of a root pattern never
-overlap (the module is minuscule), so in-place updates are safe.
+overlap (the module is minuscule), so in-place updates are safe.  An ideal
+test reads the ideal's per-slice divisors (``Ideal.divisors``).
 
 Exactness: with coefficients reduced into [0, c), every int64 kernel is exact
 when (c - 1)^2 * n < 2^63, since a slice product sums n products of two
@@ -110,11 +112,6 @@ def _update_lines(blk: np.ndarray, c: int, targets, sources, signs, part) -> Non
         line[targets] = acc % c if c else acc
 
 
-def _part(f, coeffs: list):
-    """One factor's part of a ring element from its slice coefficients."""
-    return tuple(coeffs) if f.kind == POLY else coeffs[0]
-
-
 class _Blocks:
     """The per-factor blocks of a matrix or a vector.  Entry indices select
     over the trailing axes, every coefficient slice at once."""
@@ -138,7 +135,7 @@ class _Blocks:
         index = (slice(None),) + index
         return RingElem(
             self.spec,
-            tuple(_part(f, blk[index].tolist()) for f, blk in zip(self.spec.factors, self.blocks)),
+            tuple(f.part(blk[index].tolist()) for f, blk in zip(self.spec.factors, self.blocks)),
         )
 
     def _set(self, index: tuple, x: RingElem) -> None:
@@ -160,17 +157,12 @@ class _Blocks:
         """Per selected entry, whether it lies outside the ideal; None when
         the ideal holds every entry."""
         out = None
-        for f, j, blk in zip(self.spec.factors, ideal.parts, self.blocks):
-            if f.kind == POLY:
-                # (t^j): an entry is outside when one of its first j slices is nonzero
-                hits = [sl[index] != 0 for sl in blk[:j]]
-            else:
-                # (p^j), or (j) in Z, whose zero ideal tests exact zeros
-                d = j if f.kind == INT else f.p**j
-                vals = blk[0][index]
-                hits = [(vals % d if d else vals) != 0]
-            for hit in hits:
-                out = hit if out is None else out | hit
+        for blk, ds in zip(self.blocks, ideal.divisors):
+            for sl, d in zip(blk, ds):
+                if d != 1:
+                    vals = sl[index]
+                    hit = (vals % d if d else vals) != 0
+                    out = hit if out is None else out | hit
         return out
 
     def in_ideal_at(self, ideal: Ideal, *index) -> bool:
@@ -434,7 +426,7 @@ def signed_entries(vec: RVec, idx, signs) -> list:
     for f, blk in zip(vec.spec.factors, vec.blocks):
         vals = _mod(blk[:, idx] * signs, f.layout[1])
         nonzero |= (vals != 0).any(axis=0)
-        columns.append([_part(f, coeffs) for coeffs in vals.T.tolist()])
+        columns.append([f.part(coeffs) for coeffs in vals.T.tolist()])
     spec = vec.spec
     return [
         RingElem(spec, parts) if nz else None
@@ -447,7 +439,7 @@ def pattern_images(mat: RMat, vec: RVec, table, values) -> _Blocks:
     columns of an (n, m) stack.
 
     ``table`` = (srcs, dsts, signs, owner) holds the atoms' patterns
-    concatenated, owner[k] the atom of entry k; as in ``RVec.apply_x``,
+    concatenated, owner[k] the atom of entry k; as in ``RMat.apply_x_left``,
     P_a vec carries signs * vec[srcs] to dsts.  The targets of a pattern are
     distinct, so each stack entry is updated once.  All columns come from
     one gather, one entrywise slice product with the parameters xi_a and one

@@ -7,10 +7,27 @@ A ring spec is a product of factors, each one of:
 * ``poly``  -- F_p[t]/(t^k),
 * ``int``   -- the ring of integers (at most one factor, and then the only one).
 
+Every factor has one layout (s, c), which the matrix blocks of ``matrices``
+share: a residue is s coefficient slices, each reduced mod c.
+
+* Z/p^k         -- s = 1, c = p^k (c = 1 in the zero ring),
+* F_p[t]/(t^k)  -- s = k, slice i the t^i coefficient, c = p,
+* Z             -- s = 1, c = 0 (never reduced).
+
+A residue is an int over Z/p^k and Z, the tuple of its slices over
+F_p[t]/(t^k) (``Factor.part``).  Element arithmetic reads only the layout:
+sums add slices mod c, a product is the truncated convolution of the slices,
+a unit is a residue whose constant slice is coprime to c (over Z, c = 0, that
+leaves +-1), and an inverse is a Newton lift of the constant slice's inverse.
+
 Every ideal of such a product is principal per factor: in a chain factor it is
 (pi^j) for the uniformizer pi and some 0 <= j <= k (j = k is the zero ideal),
-and in the integers it is (m) for some m >= 0.  This makes ideal arithmetic a
-matter of exponent bookkeeping and keeps every operation exact.
+and in the integers it is (m) for some m >= 0.  A residue lies in it when each
+slice is a multiple of that slice's divisor (``Factor.divisors``), so
+membership and enumeration are layout rules too.  The factor kinds still
+differ in validation, ``describe`` and JSON, in the ideal lattice (exponents
+meet by min and max in a chain factor, generators by gcd and lcm in Z), and in
+canonical generators and quotients.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _iproduct
-from math import gcd
+from math import gcd, prod
 from typing import Iterator
 
 from .errors import DomainError, NonUnitError, SpecMismatchError
@@ -68,6 +85,9 @@ class Factor:
     k: int = 0
 
     def __post_init__(self):
+        # a bool, a float or a string for p or k would name another ring
+        object.__setattr__(self, "p", _integer(self.p))
+        object.__setattr__(self, "k", _integer(self.k))
         if self.kind == ZMOD:
             if not _is_prime(self.p) or self.k < 0:
                 raise DomainError(f"zmod factor needs a prime and k >= 0, got {self}")
@@ -84,19 +104,31 @@ class Factor:
 
     @cached_property
     def layout(self) -> tuple[int, int]:
-        """(s, c) of the factor's matrix blocks: s coefficient slices, each
-        reduced mod c; c = 0 for the integers, which are never reduced."""
+        """(s, c): s coefficient slices, each reduced mod c; c = 0 for the
+        integers, which are never reduced."""
         if self.kind == POLY:
             return self.k, self.p
         return 1, (self.modulus if self.kind == ZMOD else 0)
 
     @property
     def size(self) -> int | None:
-        if self.kind == ZMOD:
-            return self.modulus
-        if self.kind == POLY:
-            return self.p**self.k
-        return None
+        s, c = self.layout
+        return c**s if c else None
+
+    def part(self, coeffs):
+        """A residue from its slice coefficients: their tuple over
+        F_p[t]/(t^k), the single coefficient otherwise."""
+        return tuple(coeffs) if self.kind == POLY else coeffs[0]
+
+    def divisors(self, j: int) -> tuple[int, ...]:
+        """Per slice, the d_i such that a residue lies in the ideal with part
+        j exactly when slice i is a multiple of d_i, where 0 divides only 0:
+        j itself over Z; in a chain factor p^(j - i) for the slices i < j,
+        written 0 once it reaches c, and 1 for the others."""
+        if self.kind == INT:
+            return (j,)
+        s, c = self.layout
+        return tuple(self.p ** (j - i) % c if i < j else 1 for i in range(s))
 
 
 @dataclass(frozen=True)
@@ -130,17 +162,16 @@ class RingSpec:
 
     @property
     def is_finite(self) -> bool:
-        return all(f.kind != INT for f in self.factors)
+        return all(self.moduli)
+
+    @cached_property
+    def moduli(self) -> tuple[int, ...]:
+        """The slice modulus c of each factor."""
+        return tuple(f.layout[1] for f in self.factors)
 
     @property
     def size(self) -> int | None:
-        n = 1
-        for f in self.factors:
-            s = f.size
-            if s is None:
-                return None
-            n *= s
-        return n
+        return prod(f.size for f in self.factors) if self.is_finite else None
 
     def describe(self) -> str:
         parts = []
@@ -156,17 +187,15 @@ class RingSpec:
     # -- element constructors ---------------------------------------------
 
     def _reduce_part(self, i: int, part):
+        """A residue given as an integer, or as its slices over
+        F_p[t]/(t^k), reduced into the factor's layout."""
         f = self.factors[i]
-        if f.kind == POLY:
-            part = tuple(part) if isinstance(part, (tuple, list)) else (part,) + (0,) * (f.k - 1)
-            if len(part) != f.k:
-                raise DomainError(f"poly residue needs {f.k} coefficients")
-            return tuple(_integer(c) % f.p for c in part)
-        part = _integer(part)
-        if f.kind == ZMOD:
-            m = f.modulus
-            return part % m if m > 0 else 0
-        return part
+        s, c = f.layout
+        if f.kind == POLY and isinstance(part, (tuple, list)):
+            if len(part) != s:
+                raise DomainError(f"poly residue needs {s} coefficients")
+            return tuple([_integer(x) % c for x in part])
+        return f.part((_mod(_integer(part), c),) + (0,) * (s - 1))
 
     def el(self, x: int) -> "RingElem":
         """The image of an integer under the diagonal embedding."""
@@ -191,14 +220,7 @@ class RingSpec:
         """All elements of a finite ring, in a fixed order."""
         if not self.is_finite:
             raise DomainError("cannot enumerate an infinite ring")
-        ranges = []
-        for f in self.factors:
-            if f.kind == ZMOD:
-                ranges.append([i for i in range(max(f.modulus, 1))] or [0])
-            else:
-                ranges.append([tuple(c) for c in _iproduct(range(f.p), repeat=f.k)])
-        for parts in _iproduct(*ranges):
-            yield RingElem(self, tuple(parts))
+        yield from _multiples(self, [(1,) * f.layout[0] for f in self.factors])
 
     def units(self) -> Iterator["RingElem"]:
         for x in self.elements():
@@ -223,7 +245,7 @@ class RingSpec:
             if d["kind"] == INT:
                 factors.append(Factor(INT))
             else:
-                factors.append(Factor(d["kind"], int(d["p"]), int(d["k"])))
+                factors.append(Factor(d["kind"], d["p"], d["k"]))
         return RingSpec(tuple(factors))
 
 
@@ -236,54 +258,79 @@ def _check_same_spec(a, b) -> None:
 
 
 def _integer(x) -> int:
-    """x as an int.  Integers pass, numpy's too; a float or a string, which
-    ``int`` would truncate or parse, raises DomainError."""
+    """x as an int.  Integers pass, numpy's too; a bool, a float or a string,
+    which ``int`` would take as 0 or 1, truncate or parse, raises
+    DomainError."""
+    if isinstance(x, bool):
+        raise DomainError(f"{x!r} is not an integer")
     try:
         return operator.index(x)
     except TypeError:
         raise DomainError(f"{x!r} is not an integer") from None
 
 
-def _poly_mul(a, b, p, k):
-    out = [0] * k
+def _mod(x, c: int):
+    """x mod c; c = 0 leaves it, as over the integers."""
+    return x % c if c else x
+
+
+def _product(a, b, c: int) -> tuple:
+    """The truncated product of two coefficient sequences mod c: slice t sums
+    a_i b_(t-i) over i <= t."""
+    s = len(a)
+    out = [0] * s
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(k - i):
-            out[i + j] = (out[i + j] + ai * b[j]) % p
+        if ai:
+            for j in range(s - i):
+                out[i + j] = (out[i + j] + ai * b[j]) % c
     return tuple(out)
 
 
-def _poly_inv(a, p, k):
-    if a[0] % p == 0:
-        raise NonUnitError("constant term is divisible by p")
-    x = (pow(a[0], -1, p),) + (0,) * (k - 1)
-    # Newton iteration doubles the precision in t each round.
+def _is_unit(a, c: int) -> bool:
+    """The constant slice is coprime to c: over Z (c = 0) it is +-1, and in
+    the zero ring (c = 1) every residue is a unit."""
+    return gcd(a[0] if isinstance(a, tuple) else a, c) == 1
+
+
+def _inverse(a: tuple, c: int) -> tuple:
+    """The inverse of a unit's coefficient sequence: the constant slice's
+    inverse mod c, lifted by Newton steps x <- x (2 - a x), each doubling the
+    precision in t."""
+    x = (pow(a[0], -1, c),) + (0,) * (len(a) - 1)
     prec = 1
-    while prec < k:
-        ax = _poly_mul(a, x, p, k)
-        two_minus = tuple((2 if i == 0 else 0) - c for i, c in enumerate(ax))
-        x = _poly_mul(x, two_minus, p, k)
+    while prec < len(a):
+        step = [-v for v in _product(a, x, c)]
+        step[0] += 2
+        x = _product(x, step, c)
         prec *= 2
     return x
 
 
-def _factor_val(f: Factor, part) -> int:
-    """Valuation of a residue in a chain factor (k for zero)."""
-    if f.kind == ZMOD:
-        if part == 0:
-            return f.k
-        v = 0
-        while part % f.p == 0:
-            part //= f.p
-            v += 1
-        return v
-    if f.kind == POLY:
-        for i, c in enumerate(part):
-            if c % f.p != 0:
-                return i
-        return f.k
-    raise DomainError("valuation is only defined in chain factors")
+def _valuation(part, p: int, k: int) -> int:
+    """The least i + v_p(a_i) over the slices a_i of a residue, capped at k
+    (so k for zero); an integer residue is its own single slice."""
+    v = k
+    for i, a in enumerate(part if isinstance(part, tuple) else (part,)):
+        if i >= v:
+            break
+        if a:
+            while a % p == 0 and i < v:
+                a //= p
+                i += 1
+            v = i
+    return v
+
+
+def _multiples(spec: RingSpec, divisors) -> Iterator["RingElem"]:
+    """The elements of a finite spec whose slices are multiples of the given
+    divisors (per factor, per slice; 0 allows only 0), in lexicographic
+    order."""
+    options = []
+    for f, ds in zip(spec.factors, divisors):
+        c = f.layout[1]
+        options.append([f.part(cs) for cs in _iproduct(*(range(0, c, d or c) for d in ds))])
+    for parts in _iproduct(*options):
+        yield RingElem(spec, parts)
 
 
 @dataclass(frozen=True)
@@ -294,26 +341,20 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         _check_same_spec(self, other)
         out = []
-        for f, a, b in zip(self.spec.factors, self.parts, other.parts):
-            if f.kind == ZMOD:
-                m = f.modulus
-                out.append((a + b) % m if m > 0 else 0)
-            elif f.kind == POLY:
-                out.append(tuple((x + y) % f.p for x, y in zip(a, b)))
+        for a, b, c in zip(self.parts, other.parts, self.spec.moduli):
+            if isinstance(a, tuple):
+                out.append(tuple([(x + y) % c for x, y in zip(a, b)]))
             else:
-                out.append(a + b)
+                out.append((a + b) % c if c else a + b)
         return RingElem(self.spec, tuple(out))
 
     def __neg__(self) -> "RingElem":
         out = []
-        for f, a in zip(self.spec.factors, self.parts):
-            if f.kind == ZMOD:
-                m = f.modulus
-                out.append((-a) % m if m > 0 else 0)
-            elif f.kind == POLY:
-                out.append(tuple((-x) % f.p for x in a))
+        for a, c in zip(self.parts, self.spec.moduli):
+            if isinstance(a, tuple):
+                out.append(tuple([-x % c for x in a]))
             else:
-                out.append(-a)
+                out.append(-a % c if c else -a)
         return RingElem(self.spec, tuple(out))
 
     def __sub__(self, other: "RingElem") -> "RingElem":
@@ -322,49 +363,29 @@ class RingElem:
     def __mul__(self, other: "RingElem") -> "RingElem":
         _check_same_spec(self, other)
         out = []
-        for f, a, b in zip(self.spec.factors, self.parts, other.parts):
-            if f.kind == ZMOD:
-                m = f.modulus
-                out.append((a * b) % m if m > 0 else 0)
-            elif f.kind == POLY:
-                out.append(_poly_mul(a, b, f.p, f.k))
+        for a, b, c in zip(self.parts, other.parts, self.spec.moduli):
+            if isinstance(a, tuple):
+                out.append(_product(a, b, c))
             else:
-                out.append(a * b)
+                out.append(a * b % c if c else a * b)
         return RingElem(self.spec, tuple(out))
 
     def is_zero(self) -> bool:
-        return self == self.spec.zero
+        return not any(any(a) if isinstance(a, tuple) else a for a in self.parts)
 
     def is_unit(self) -> bool:
-        for f, a in zip(self.spec.factors, self.parts):
-            if f.kind == INT:
-                if a not in (1, -1):
-                    return False
-            elif f.kind == ZMOD:
-                if f.k > 0 and a % f.p == 0:
-                    return False
-            else:
-                if a[0] % f.p == 0:
-                    return False
-        return True
+        return all(map(_is_unit, self.parts, self.spec.moduli))
 
     def inv(self) -> "RingElem":
         out = []
-        for f, a in zip(self.spec.factors, self.parts):
-            if f.kind == INT:
-                if a not in (1, -1):
-                    raise NonUnitError(f"{a} is not invertible over the integers")
-                out.append(a)
-            elif f.kind == ZMOD:
-                m = f.modulus
-                if m == 1:
-                    out.append(0)
-                    continue
-                if a % f.p == 0:
-                    raise NonUnitError(f"{a} is not a unit mod {m}")
-                out.append(pow(a, -1, m))
+        for a, c in zip(self.parts, self.spec.moduli):
+            if not _is_unit(a, c):
+                raise NonUnitError(f"{a} is not a unit mod {c}" if c else f"{a} is not invertible over the integers")
+            if isinstance(a, tuple):
+                out.append(_inverse(a, c))
             else:
-                out.append(_poly_inv(a, f.p, f.k))
+                # one slice: Newton's seed is the inverse; over Z, +-1 is its own
+                out.append(pow(a, -1, c) if c else a)
         return RingElem(self.spec, tuple(out))
 
     def to_json(self):
@@ -421,7 +442,7 @@ class Ideal:
             else:
                 v = f.k
                 for x in elems:
-                    v = min(v, _factor_val(f, x.parts[i]))
+                    v = _valuation(x.parts[i], f.p, v)
                 parts.append(v)
         return Ideal(spec, tuple(parts))
 
@@ -470,16 +491,19 @@ class Ideal:
     def __le__(self, other: "Ideal") -> bool:
         return other.contains(self)
 
+    @cached_property
+    def divisors(self) -> tuple[tuple[int, ...], ...]:
+        """``Factor.divisors`` of each factor's part."""
+        return tuple(f.divisors(j) for f, j in zip(self.spec.factors, self.parts))
+
     def __contains__(self, x: RingElem) -> bool:
         _check_same_spec(self, x)
-        for f, j, part in zip(self.spec.factors, self.parts, x.parts):
-            if f.kind == INT:
-                if j == 0:
-                    if part != 0:
+        for part, ds in zip(x.parts, self.divisors):
+            if isinstance(part, tuple):
+                for a, d in zip(part, ds):
+                    if a % d if d else a:
                         return False
-                elif part % j != 0:
-                    return False
-            elif _factor_val(f, part) < j:
+            elif part % ds[0] if ds[0] else part:
                 return False
         return True
 
@@ -504,19 +528,7 @@ class Ideal:
     def elements(self) -> Iterator[RingElem]:
         if not self.spec.is_finite:
             raise DomainError("cannot enumerate an ideal of an infinite ring")
-        ranges = []
-        for f, j in zip(self.spec.factors, self.parts):
-            if f.kind == ZMOD:
-                step = f.p**j
-                m = f.modulus
-                ranges.append(list(range(0, m, step)) if j < f.k else [0])
-            else:
-                opts = []
-                for tail in _iproduct(range(f.p), repeat=f.k - j):
-                    opts.append((0,) * j + tail)
-                ranges.append(opts)
-        for parts in _iproduct(*ranges):
-            yield RingElem(self.spec, tuple(parts))
+        yield from _multiples(self.spec, self.divisors)
 
     # -- quotients -----------------------------------------------------------
 
@@ -567,9 +579,7 @@ class Ideal:
                 elif j == 1:
                     parts.append(0)
                 else:
-                    for p, k in factorize(j):
-                        vb = k if b == 0 else min(k, _val_int(b, p))
-                        parts.append(vb)
+                    parts.extend(_valuation(b, p, k) for p, k in factorize(j))
             else:
                 parts.append(min(j, b))
         return Ideal(qspec, tuple(parts))
@@ -579,7 +589,7 @@ class Ideal:
 
     @staticmethod
     def from_json(spec: RingSpec, data) -> "Ideal":
-        return Ideal(spec, tuple(int(j) for j in data))
+        return Ideal(spec, tuple(_integer(j) for j in data))
 
     def describe(self) -> str:
         if self.is_zero():
@@ -615,15 +625,6 @@ class Ideal:
                     raise DomainError(f"residues {value} out of range for {spec.describe()}")
                 return Ideal.from_elems(spec, [g])
         raise DomainError(f"cannot parse ideal {text.strip()!r}")
-
-
-def _val_int(n: int, p: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @lru_cache(maxsize=None)

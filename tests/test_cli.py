@@ -254,6 +254,28 @@ def test_malformed_matrix_file_is_a_usage_error(capsys, tmp_path):
     assert main(["decompose", "--in", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "factor", [{"kind": "zmod", "p": 2.5, "k": 2.9}, {"kind": "zmod", "p": "3", "k": True}, {"kind": "poly", "p": 2, "k": 2.0}]
+)
+def test_ring_json_with_non_integers_is_a_usage_error(capsys, tmp_path, factor):
+    """p and k are refused, not truncated or parsed into another ring."""
+    ring = {"factors": [factor]}
+    assert main(["normcheck", "--case", "b", "--ring", json.dumps(ring), "--sigma", "(0),(0)"]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"case": "b", "ring": ring, "rows": [[1]]}))
+    assert main(["decompose", "--in", str(path)]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
+def test_extra_value_true_is_a_usage_error(capsys, tmp_path):
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps([{"kind": "x", "root": [1, 0, 0, 0, 0, 0], "value": True}]))
+    code = main(["level", "--case", "b", "--ring", "z4", "--target", "(2),(0)", "--extra", str(extra)])
+    assert code == 2
+    assert "True is not an integer" in capsys.readouterr().err
+
+
 def test_key_errors_inside_a_command_propagate(monkeypatch):
     import chevalley.cli as cli
 

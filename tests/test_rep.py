@@ -77,8 +77,9 @@ def test_weyl_needs_unit():
         rep.w(rep.case.alpha1, 2)
     with pytest.raises(NonUnitError):
         rep.h(rep.case.alpha1, 0)
-    # a float or a string is refused, not truncated or parsed; numpy's integers pass
-    for bad in (2.7, 2.0, "3"):
+    # a bool, a float or a string is refused, not read as 0/1, truncated or
+    # parsed; numpy's integers pass
+    for bad in (True, 2.7, 2.0, "3"):
         with pytest.raises(DomainError):
             rep.x(rep.case.alpha1, bad)
         with pytest.raises(DomainError):

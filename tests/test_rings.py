@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chevalley.errors import DomainError, NonUnitError, SpecMismatchError
@@ -173,3 +174,19 @@ def test_serialization_roundtrip():
     assert RingElem.from_json(spec, x.to_json()) == x
     ideal = Ideal(spec, (1, 1))
     assert Ideal.from_json(spec, ideal.to_json()) == ideal
+
+
+def test_ring_and_ideal_json_refuse_non_integers():
+    for factor in ({"kind": "zmod", "p": 2.5, "k": 2}, {"kind": "zmod", "p": "3", "k": 1}, {"kind": "zmod", "p": 3, "k": True}):
+        with pytest.raises(DomainError):
+            RingSpec.from_json({"factors": [factor]})
+    for p, k in ((2.5, 2), (np.int64(2), 2.0), (3, True)):
+        with pytest.raises(DomainError):
+            Factor("zmod", p, k)
+    assert Factor("zmod", np.int64(2), np.int64(2)).p.__class__ is int
+    z4 = named_ring("z4")
+    for bad in ([1.7], ["1"], [True]):
+        with pytest.raises(DomainError):
+            Ideal.from_json(z4, bad)
+    with pytest.raises(DomainError):
+        RingElem.from_json(z4, [True])
