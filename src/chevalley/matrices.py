@@ -10,16 +10,20 @@ and a vector block shape (s, n).  A factor is two numbers, its layout (s, c):
   (never reduced).
 
 The layout is ``Factor.layout``, which ring scalars use too.  Every block
-operation is one code path over this layout.  A product is a truncated
-convolution of slices, each slice product reduced mod c before the
-sum (a float64 matmul serves a matrix product when its entries stay below
-2^52, since it is much faster).  The root-element action is a line update:
+operation is one code path over this layout, and every reduction is
+``rings._mod``, a bit mask for a power-of-two c.  A product is a truncated
+convolution of slices.  A matrix product runs in float64 when
+(c - 1)^2 * n * s < 2^52, since it is much faster: the stacks convert once,
+and each output slice sums its terms exactly before one conversion and one
+reduction.  Otherwise it runs in int64 and each slice product is reduced
+before the sum.  The root-element action is a line update:
 rows for a left action and for vectors, and rows of the transposed view for a
 right action.  The source and target index sets of a root pattern never
 overlap (the module is minuscule), so in-place updates are safe.  An ideal
 test reads the ideal's per-slice divisors (``Ideal.divisors``).
 
-Exactness: with coefficients reduced into [0, c), every int64 kernel is exact
+Exactness: blocks hold coefficients reduced into [0, c) (``set_entry``
+reduces the residues it stores), and then every int64 kernel is exact
 when (c - 1)^2 * n < 2^63, since a slice product sums n products of two
 coefficients (a line update sums s + 1 of them).  ``check_exact`` enforces the
 bound wherever blocks are made, so a modulus above it raises ``DomainError``
@@ -31,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NonUnitError, UnsupportedCaseError
-from .rings import INT, POLY, Ideal, RingElem, RingSpec, factorize
+from .rings import INT, POLY, Ideal, RingElem, RingSpec, _mod, factorize
 
 _FLOAT_SAFE = 2**52
 _INT64_SAFE = 2**63
@@ -49,10 +53,6 @@ def check_exact(spec: RingSpec, n: int) -> None:
             )
 
 
-def _mod(x, c: int):
-    return x % c if c else x
-
-
 def _dtype(c: int):
     return np.int64 if c else object
 
@@ -66,33 +66,31 @@ def _zero_blocks(spec: RingSpec, n: int, shape: tuple) -> list:
     return blocks
 
 
-def _float_ok(c: int, n: int) -> bool:
-    return 0 < c and (c - 1) ** 2 * n < _FLOAT_SAFE
-
-
-def _slice_product(x: np.ndarray, y: np.ndarray, c: int, use_float: bool) -> np.ndarray:
-    if use_float:
-        prod = x.astype(np.float64) @ y.astype(np.float64)
-        prod = np.rint(prod, out=prod).astype(np.int64)
-    else:
-        prod = x @ y
-    if c:
-        prod %= c
-    return prod
+def _float_ok(layout: tuple, n: int) -> bool:
+    """A product of two (s, n, n) stacks over the layout (s, c) may run in
+    float64: a slice sums at most s * n products of two coefficients below c,
+    so it stays an exact float64 integer below 2^52."""
+    s, c = layout
+    return 0 < c and (c - 1) ** 2 * n * s < _FLOAT_SAFE
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, c: int, use_float: bool) -> np.ndarray:
     """The truncated product of two slice stacks: slice t is the sum over
-    i <= t of a[i] @ b[t - i], each term reduced mod c before the sum."""
-    if len(a) == 1:
-        return _slice_product(a[0], b[0], c, use_float)[None]
-    out = np.empty(a.shape[:-1] + b.shape[2:], dtype=np.int64)
+    i <= t of a[i] @ b[t - i], reduced mod c.  In float64 the stacks convert
+    once and a slice's terms sum exactly before one reduction; in int64 each
+    term is reduced before it is added, which ``check_exact`` keeps exact."""
+    if use_float:
+        a, b = a.astype(np.float64), b.astype(np.float64)
+    out = np.empty(a.shape[:-1] + b.shape[2:], dtype=_dtype(c))
     for t in range(len(a)):
-        acc = _slice_product(a[0], b[t], c, use_float)
+        acc = a[0] @ b[t]
         for i in range(1, t + 1):
-            acc += _slice_product(a[i], b[t - i], c, use_float)
-        out[t] = acc % c
-    return out
+            if use_float:
+                acc += a[i] @ b[t - i]
+            else:
+                acc = _mod(acc, c) + _mod(a[i] @ b[t - i], c)
+        out[t] = acc
+    return _mod(out, c)
 
 
 def _update_lines(blk: np.ndarray, c: int, targets, sources, signs, part) -> None:
@@ -109,7 +107,7 @@ def _update_lines(blk: np.ndarray, c: int, targets, sources, signs, part) -> Non
         for i in range(t + 1):
             if coeffs[i]:
                 acc += (signs * coeffs[i]) * blk[t - i][sources]
-        line[targets] = acc % c if c else acc
+        line[targets] = _mod(acc, c)
 
 
 class _Blocks:
@@ -142,8 +140,9 @@ class _Blocks:
         if x.spec != self.spec:
             raise DomainError("entry belongs to a different ring")
         index = (slice(None),) + index
-        for blk, part in zip(self.blocks, x.parts):
-            blk[index] = part
+        # the kernels assume coefficients in [0, c): reduce what a caller built
+        for i, (blk, part) in enumerate(zip(self.blocks, x.parts)):
+            blk[index] = self.spec._reduce_part(i, part)
 
     # -- masked predicates ---------------------------------------------------------
     # A predicate indexes each coefficient slice on its own: a leading full
@@ -160,8 +159,7 @@ class _Blocks:
         for blk, ds in zip(self.blocks, ideal.divisors):
             for sl, d in zip(blk, ds):
                 if d != 1:
-                    vals = sl[index]
-                    hit = (vals % d if d else vals) != 0
+                    hit = _mod(sl[index], d) != 0
                     out = hit if out is None else out | hit
         return out
 
@@ -248,8 +246,7 @@ class RMat(_Blocks):
         n = self.n
         blocks = []
         for f, a, b in zip(self.spec.factors, self.blocks, other.blocks):
-            c = f.layout[1]
-            blocks.append(_convolve(a, b, c, _float_ok(c, n)))
+            blocks.append(_convolve(a, b, f.layout[1], _float_ok(f.layout, n)))
         return RMat(self.spec, n, blocks)
 
     def __add__(self, other: "RMat") -> "RMat":
@@ -323,7 +320,7 @@ class RMat(_Blocks):
                 if not self.is_identity():
                     raise UnsupportedCaseError("matrix inversion over the integers is not supported")
                 return self.copy()
-            use_float = _float_ok(c, n)
+            use_float = _float_ok(f.layout, n)
             x = np.zeros_like(blk)
             x[0] = _inv_zmod(blk[0], f.p, f.k if s == 1 else 1, n)
             prec = 1
@@ -332,7 +329,7 @@ class RMat(_Blocks):
                 step = _convolve(blk, x, c, use_float)
                 step *= -1
                 step[0][np.diag_indices(n)] += 2
-                step %= c
+                step = _mod(step, c)
                 x = _convolve(x, step, c, use_float)
                 prec *= 2
             blocks.append(x)
@@ -362,38 +359,33 @@ class RMat(_Blocks):
 
 
 def _inv_zmod(a: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
-    """Gauss-Jordan inverse mod p^k.  The pivot of a column is its first unit
-    entry on or below the diagonal, found with one ``nonzero`` when the
-    diagonal entry is not a unit; every other row with a nonzero entry in the
-    pivot column is cleared in one outer-product update."""
+    """Gauss-Jordan inverse mod p^k on the augmented rows [a | e].  The pivot
+    of a column is its first unit entry on or below the diagonal, found with
+    one ``nonzero`` when the diagonal entry is not a unit; every other row
+    with a nonzero entry in the pivot column is cleared in one outer-product
+    update.  Columns left of the pivot are already those of e, zero in the
+    pivot row, so an update reads and writes only the columns from the pivot
+    on."""
     m = p**k
     if m == 1:
         return np.zeros_like(a)
-    work = a.astype(np.int64) % m
-    out = np.zeros_like(work)
-    np.fill_diagonal(out, 1)
+    work = np.concatenate([_mod(a.astype(np.int64), m), np.identity(n, dtype=np.int64)], axis=1)
     for col in range(n):
-        if work[col, col] % p:
-            piv = col
-        else:
-            units = (work[col:, col] % p).nonzero()[0]
+        if not _mod(work[col, col], p):
+            units = _mod(work[col:, col], p).nonzero()[0]
             if not len(units):
                 raise NonUnitError("no unit pivot; matrix is not invertible over the local factor")
             piv = col + int(units[0])
             work[[col, piv]] = work[[piv, col]]
-            out[[col, piv]] = out[[piv, col]]
         inv_piv = pow(int(work[col, col]), -1, m)
         if inv_piv != 1:
-            work[col] = (work[col] * inv_piv) % m
-            out[col] = (out[col] * inv_piv) % m
+            work[col, col:] = _mod(work[col, col:] * inv_piv, m)
         factors = work[:, col].copy()
         factors[col] = 0
         rows = factors.nonzero()[0]
         if len(rows):
-            f = factors[rows, None]
-            work[rows] = (work[rows] - f * work[col]) % m
-            out[rows] = (out[rows] - f * out[col]) % m
-    return out
+            work[rows, col:] = _mod(work[rows, col:] - factors[rows, None] * work[col, col:], m)
+    return work[:, n:]
 
 
 class RVec(_Blocks):
@@ -461,7 +453,7 @@ def pattern_images(mat: RMat, vec: RVec, table, values) -> _Blocks:
             for i in range(t + 1):
                 acc = acc + xi[i] * moved[t - i]
             sl[dsts, owner] = _mod(acc, c)
-        blocks.append(_convolve(a, cols, c, _float_ok(c, mat.n)))
+        blocks.append(_convolve(a, cols, c, _float_ok(f.layout, mat.n)))
     return _Blocks(mat.spec, mat.n, blocks)
 
 

@@ -1,6 +1,7 @@
 """The block kernels of ``matrices`` against plain-Python references that
 work on ``RingElem`` entries, over every factor kind, a product of factors and
-a zero-ring factor; plus the int64 exactness bound.  Inputs come from seeded
+a zero-ring factor; plus the int64 exactness bound, the float64 bound and
+the power-of-two mask at their edges.  Inputs come from seeded
 ``SplitMix64`` streams, so every run replays bit-exactly."""
 
 import ast
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
-from chevalley.matrices import RMat, RVec, check_exact, mat_col, pattern_images
+from chevalley import matrices, rings
+from chevalley.matrices import RMat, RVec, _float_ok, check_exact, mat_col, pattern_images
 from chevalley.rep import representation, sample_word_rng
 from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
@@ -352,6 +354,18 @@ def test_factor_kind_dispatch_stays_in_rings_and_matrices():
     assert not offenders, offenders
 
 
+def test_matrices_reduces_only_through_the_ring_helper():
+    """``matrices`` has no ``%`` or ``%=`` and no ``_mod`` of its own: every
+    reduction goes through ``rings._mod``, which masks power-of-two moduli."""
+    path = Path(__file__).resolve().parents[1] / "src" / "chevalley" / "matrices.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            offenders.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert not offenders, offenders
+    assert matrices._mod is rings._mod
+
+
 # -- the int64 exactness bound -------------------------------------------------------
 
 
@@ -386,3 +400,98 @@ def test_largest_modulus_below_the_bound_is_exact():
     assert np.array_equal(square, (exact @ exact) % p)
     column = g.mat.mul_vec(mat_col(g.mat, 3)).blocks[0][0]
     assert np.array_equal(column, (exact @ exact[:, 3]) % p)
+
+
+# -- reductions by bit mask and the float64 product ----------------------------------
+
+
+def _random_blocks(spec, n, rng, fill=None):
+    """Per factor an (s, n, n) block with random coefficients in [0, c), or
+    every coefficient ``fill(c)``."""
+    blocks = []
+    for f in spec.factors:
+        s, c = f.layout
+        coeffs = [fill(c) if fill else rng.randrange(c) for _ in range(s * n * n)]
+        blocks.append(np.array(coeffs, dtype=np.int64).reshape(s, n, n))
+    return blocks
+
+
+def _ref_product(a, b, c):
+    """The truncated product of two slice stacks in exact integers."""
+    a, b = a.astype(object), b.astype(object)
+    return np.array([sum(a[i] @ b[t - i] for i in range(t + 1)) % c for t in range(len(a))], dtype=np.int64)
+
+
+def _check_products(spec, n, seed):
+    rng = SplitMix64(seed)
+    c = spec.factors[0].layout[1]
+    pairs = [[RMat(spec, n, _random_blocks(spec, n, rng)) for _ in range(2)] for _ in range(2)]
+    # every coefficient c - 1: each slice sum reaches its largest value
+    pairs.append([RMat(spec, n, _random_blocks(spec, n, rng, fill=lambda c: c - 1))] * 2)
+    for a, b in pairs:
+        assert np.array_equal((a * b).blocks[0], _ref_product(a.blocks[0], b.blocks[0], c))
+
+
+def test_power_of_two_modulus_at_the_int64_bound_is_exact():
+    c = 2**29  # the largest power of two with (c - 1)^2 * 27 < 2^63
+    n = 27
+    assert (c - 1) ** 2 * n < 2**63 <= (2 * c - 1) ** 2 * n
+    spec = named_ring(f"z{c}")
+    assert not _float_ok(spec.factors[0].layout, n)
+    _check_products(spec, n, 29)
+
+    rng = SplitMix64(30)
+    a = RMat(spec, n, _random_blocks(spec, n, rng))
+    exact = a.blocks[0][0].astype(object)
+    srcs, dsts, _ = _random_pattern(rng, n)
+    signs = np.where(np.arange(len(srcs)) % 2, 1, -1).astype(np.int64)
+    xi = c - 3
+    x = np.identity(n, dtype=np.int64).astype(object)
+    x[dsts, srcs] = signs.astype(object) * xi % c
+    right, left = a.copy(), a.copy()
+    right.apply_x_right((srcs, dsts, signs), spec.el(xi))
+    left.apply_x_left((srcs, dsts, signs), spec.el(xi))
+    assert np.array_equal(right.blocks[0][0], exact @ x % c)
+    assert np.array_equal(left.blocks[0][0], x @ exact % c)
+
+    # P L U with unit triangular L and U is invertible; the row permutation
+    # leaves even diagonal entries, so the elimination has to swap pivots
+    lower = np.tril(_random_blocks(spec, n, rng)[0][0], -1) + np.identity(n, dtype=np.int64)
+    upper = np.triu(_random_blocks(spec, n, rng)[0][0], 1) + np.identity(n, dtype=np.int64)
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        order[i], order[j] = order[j], order[i]
+    m = (lower.astype(object) @ upper.astype(object) % c)[order]
+    assert any(m[i, i] % 2 == 0 for i in range(n))
+    inv = RMat(spec, n, [m.astype(np.int64)[None]]).inv().blocks[0][0].astype(object)
+    ident = np.identity(n, dtype=np.int64).astype(object)
+    assert np.array_equal(m @ inv % c, ident)
+    assert np.array_equal(inv @ m % c, ident)
+
+
+@pytest.mark.parametrize("e", [23, 24])
+def test_products_on_both_sides_of_the_float_switch(e):
+    spec = named_ring(f"z{2**e}")
+    # (2^23 - 1)^2 * 27 < 2^52 <= (2^24 - 1)^2 * 27
+    assert _float_ok(spec.factors[0].layout, 27) == (e == 23)
+    _check_products(spec, 27, e)
+
+
+@pytest.mark.parametrize(
+    "name, use_float",
+    [
+        ("f2t3", True),
+        ("f3t3", True),
+        # (p - 1)^2 * 27 < 2^52, but a slice of t^8 sums 8 * 27 products
+        ("f8388593t8", False),
+        # two unreduced slice products would pass 2^63
+        ("f536870909t2", False),
+    ],
+)
+def test_poly_products_match_the_exact_convolution(name, use_float):
+    """The float path sums a slice's terms before one reduction, so its bound
+    counts the slices; the int64 path reduces each term first."""
+    spec = named_ring(name)
+    assert _float_ok(spec.factors[0].layout, 27) == use_float
+    _check_products(spec, 27, sum(map(ord, name)))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from chevalley.errors import NonUnitError, UnsupportedCaseError
+from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat, RVec, _inv_zmod, mat_col, mat_row, signed_entries
-from chevalley.rings import Factor, Ideal, RingSpec, named_ring
+from chevalley.rings import Factor, Ideal, RingElem, RingSpec, named_ring
 from chevalley.rng import SplitMix64
 
 
@@ -63,6 +63,23 @@ def test_entry_roundtrip_multi_factor():
     m.set_entry(0, 1, x)
     assert m.entry(0, 1) == x
     assert m.entry(1, 0) == spec.zero
+
+
+def test_unreduced_entries_are_reduced_when_set():
+    z4 = named_ring("z4")
+    big = RingElem(z4, (2**30 + 1,))  # built directly, so not reduced
+    m = RMat.identity(z4, 3)
+    m.set_entry(0, 1, big)
+    m.set_entry(1, 2, big)
+    assert m.entry(0, 1) == z4.el(1)
+    assert (m * m).entry(0, 2) == z4.el(1)
+    f2t2 = named_ring("f2t2")
+    v = RVec.zeros(f2t2, 2)
+    v.set_entry(0, RingElem(f2t2, ((3, -1),)))
+    assert v.entry(0) == f2t2.from_parts([(1, 1)])
+    for bad in (RingElem(z4, (1.5,)), RingElem(z4, (True,)), RingElem(f2t2, ((1,),))):
+        with pytest.raises(DomainError):
+            m.set_entry(0, 0, bad)
 
 
 def test_reduce_matrix():

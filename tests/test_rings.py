@@ -190,3 +190,13 @@ def test_ring_and_ideal_json_refuse_non_integers():
             Ideal.from_json(z4, bad)
     with pytest.raises(DomainError):
         RingElem.from_json(z4, [True])
+
+
+def test_ideal_parts_must_be_integers():
+    z4 = named_ring("z4")
+    for bad in ((True,), (1.5,), ("1",), (np.float64(1.0),)):
+        with pytest.raises(DomainError):
+            Ideal(z4, bad)
+    ideal = Ideal(z4, (np.int64(1),))
+    assert ideal == Ideal(z4, (1,)) and type(ideal.parts[0]) is int
+    assert ideal.to_json() == [1]
