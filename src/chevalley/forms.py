@@ -7,19 +7,23 @@ invariance under the root elements and are found by propagation from the top
 weight.  The quadratic form vanishes on the orbit of the highest weight
 vector; it starts from the equation of a weight square and is pushed down a
 shortest path to the lowest weight, one root element substitution at a time.
+
+Both are built from the root patterns (source, target, sign arrays): the
+sign propagation runs over all pattern entries at once, and a push
+x^T s x with x = e + N is a column update then a row update of s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, UnsupportedCaseError
+from .errors import DomainError, InternalConsistencyError, SpecMismatchError, UnsupportedCaseError
 from .rep import rep_tables
-from .rings import RingElem, RingSpec
+from .rings import RingElem, RingSpec, _mod
 from .rng import SplitMix64
 from .roots import Root, _fraction_rref
 from .weights import Weight, WeightModule
@@ -44,42 +48,29 @@ def x_int_matrix(wm: WeightModule, alpha: Root, value: int = 1) -> np.ndarray:
 @lru_cache(maxsize=None)
 def bilinear_form_signs(wm: WeightModule) -> dict:
     """Signs eps with h(u, v) = sum_lam eps_lam u_lam v_(-lam), invariant under
-    every root element."""
+    every root element: eps_mu = -c * c' * eps_lam for each pattern entry
+    lam -> mu with sign c, where c' is the sign of the entry -mu -> -lam of
+    the same pattern.  eps spreads from the top weight, breadth first."""
     _require_second_type(wm)
-    tables = rep_tables(wm)
+    pats = list(rep_tables(wm).patterns.values())
     idx = wm.index
+    neg = np.array([idx[wm.minus(lam)] for lam in wm.weights])
+    owner = np.repeat(np.arange(len(pats)), [len(p[0]) for p in pats])
+    srcs, dsts, signs = (np.concatenate(a) for a in zip(*pats))
+    sign_at = np.zeros((len(pats), wm.dim), dtype=np.int64)
+    sign_at[owner, srcs] = signs
+    factor = -signs * sign_at[owner, neg[dsts]]
 
-    eps: dict = {wm.lam0: 1}
-    frontier = [wm.lam0]
-    roots = list(wm.case.phi)
-    while frontier:
-        nxt = []
-        for lam in frontier:
-            for alpha in roots:
-                mu = wm.shift(lam, alpha)
-                if mu is None or mu in eps:
-                    continue
-                opposite = wm.minus(mu)  # equals -(lam+alpha)
-                c_lam = tables.signs[(idx[lam], alpha)]
-                c_opp = tables.signs[(idx[opposite], alpha)]
-                eps[mu] = -c_lam * c_opp * eps[lam]
-                nxt.append(mu)
-        frontier = nxt
-    if len(eps) != wm.dim:
+    eps = np.zeros(wm.dim, dtype=np.int64)
+    eps[0] = 1  # weights[0] is the top weight
+    # each round sets a weight to +-1; a zero factor sets none and fails below
+    while (new := (eps[dsts] == 0) & (factor * eps[srcs] != 0)).any():
+        eps[dsts[new]] = factor[new] * eps[srcs[new]]
+    if not eps.all():
         raise InternalConsistencyError("sign propagation did not reach every weight")
-
-    # global consistency: every edge constraint must agree
-    for lam in wm.weights:
-        for alpha in roots:
-            mu = wm.shift(lam, alpha)
-            if mu is None:
-                continue
-            opposite = wm.minus(mu)
-            c_lam = tables.signs[(idx[lam], alpha)]
-            c_opp = tables.signs[(idx[opposite], alpha)]
-            if eps[mu] != -c_lam * c_opp * eps[lam]:
-                raise InternalConsistencyError("bilinear sign constraints conflict")
-    return eps
+    if (eps[dsts] != factor * eps[srcs]).any():
+        raise InternalConsistencyError("bilinear sign constraints conflict")
+    return dict(zip(wm.weights, eps.tolist()))
 
 
 def bilinear_matrix(wm: WeightModule) -> np.ndarray:
@@ -116,11 +107,10 @@ def find_square(wm: WeightModule, lam: Weight, mu: Weight) -> WeightSquare:
     matched by non-root differences."""
     if wm.distance(lam, mu) != 2:
         raise DomainError("the defining pair must be at distance two")
-    members = {lam, mu}
-    for nu in wm.weights:
-        if wm.distance(nu, lam) == 1 and wm.distance(nu, mu) == 1:
-            members.add(nu)
-    members = tuple(sorted(members, key=wm.idx))
+    i, j = wm.idx(lam), wm.idx(mu)
+    near = (wm.distances[i] == 1) & (wm.distances[j] == 1)
+    near[[i, j]] = True
+    members = tuple(wm.weights[k] for k in np.flatnonzero(near))
     if len(members) < 4:
         raise DomainError("the common neighbour set is too small to be a square")
 
@@ -153,19 +143,29 @@ class QuadraticForm:
 
     def coefficient(self, lam: Weight, mu: Weight) -> int:
         i, j = sorted((self.wm.idx(lam), self.wm.idx(mu)))
-        for a, b, c in self.coeffs:
-            if (a, b) == (i, j):
-                return c
-        return 0
+        return next((c for a, b, c in self.coeffs if (a, b) == (i, j)), 0)
 
     def evaluate_int(self, v) -> int:
         return sum(c * int(v[i]) * int(v[j]) for i, j, c in self.coeffs)
 
+    @cached_property
+    def _arrays(self) -> np.ndarray:
+        return np.array(self.coeffs, dtype=np.int64).reshape(-1, 3).T
+
     def evaluate(self, v, ring: RingSpec) -> RingElem:
-        total = ring.zero
-        for i, j, c in self.coeffs:
-            total = total + ring.el(c) * v.entry(i) * v.entry(j)
-        return total
+        """The form at a vector over the ring, from its blocks.  Per factor and
+        slice, v[i] v[j] convolved (exact by ``check_exact``) and the
+        coefficients are reduced before their product, so every sum is exact."""
+        if v.spec != ring:
+            raise SpecMismatchError(f"vector over {v.spec.describe()} vs {ring.describe()}")
+        i, j, coeffs = self._arrays
+        parts = []
+        for f, blk in zip(ring.factors, v.blocks):
+            s, c = f.layout
+            a, b = blk[:, i], blk[:, j]
+            slices = (_mod(sum(a[k] * b[t - k] for k in range(t + 1)), c) for t in range(s))
+            parts.append(f.part([int(_mod(_mod(x * _mod(coeffs, c), c).sum(), c)) for x in slices]))
+        return RingElem(ring, tuple(parts))
 
     def dual_through(self, wm_signs: dict) -> "QuadraticForm":
         """Transport to covector coordinates through the bilinear isomorphism."""
@@ -185,9 +185,10 @@ class QuadraticForm:
 
 def _orbit_vector_int(wm: WeightModule, rng: SplitMix64, roots, length: int = 14) -> np.ndarray:
     """A column of a random word over the roots, with integer parameters,
-    applied to the top vector."""
+    applied to the top vector.  A step with |value| <= 2 at most triples the
+    largest entry, so int64 holds every entry exactly for length < 39."""
     tables = rep_tables(wm)
-    v = np.zeros(wm.dim, dtype=object)
+    v = np.zeros(wm.dim, dtype=np.int64)
     v[wm.idx(wm.lam0)] = 1
     for _ in range(length):
         alpha = roots[rng.randrange(len(roots))]
@@ -283,15 +284,10 @@ def _form_matrix(form: QuadraticForm) -> np.ndarray:
 
 
 def _form_from_matrix(wm: WeightModule, s: np.ndarray) -> QuadraticForm:
-    if np.any(np.diagonal(s) != 0):
+    if np.diagonal(s).any():
         raise InternalConsistencyError("quadratic form acquired diagonal terms")
-    coeffs = []
-    n = wm.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if s[i, j] != 0:
-                coeffs.append((i, j, int(s[i, j])))
-    return QuadraticForm(wm=wm, coeffs=tuple(coeffs))
+    i, j = np.nonzero(np.triu(s))
+    return QuadraticForm(wm=wm, coeffs=tuple(zip(i.tolist(), j.tolist(), s[i, j].tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -311,13 +307,17 @@ def build_pi_form(wm: WeightModule) -> QuadraticForm:
     form = square_equation(wm, square)
 
     path = _canonical_shortest_path(wm, mu1, bottom)
+    patterns = rep_tables(wm).patterns
     s = _form_matrix(form)
     for step in range(len(path) - 1):
         gamma = wm.root_between(path[step], path[step + 1])
         if gamma is None:
             raise InternalConsistencyError("path step is not a root")
-        x = x_int_matrix(wm, gamma)
-        s = x.T @ s @ x
+        # s <- x^T s x for x = e + N, N[dsts, srcs] = signs: s x is a column
+        # update, and x^T (s x) a row update
+        srcs, dsts, signs = patterns[gamma]
+        s[:, srcs] += s[:, dsts] * signs
+        s[srcs, :] += s[dsts, :] * signs[:, None]
         corner = s[wm.idx(lam0), wm.idx(path[step + 1])]
         if corner not in (1, -1):
             raise InternalConsistencyError(f"intermediate corner coefficient {corner}")

@@ -307,7 +307,8 @@ class RMat(_Blocks):
 
     def inv(self) -> "RMat":
         """Inverse by elimination with unit pivots on the constant slice, then
-        a Newton lift in t.
+        slice by slice: slice t of a x = e gives x_t = -x_0 (a_1 x_(t-1) +
+        ... + a_t x_0), whose sum is exact as in ``_convolve``.
 
         Works over any finite spec; over the integers only via the identity
         shortcut, since general integer inverses are not representable.
@@ -321,17 +322,15 @@ class RMat(_Blocks):
                     raise UnsupportedCaseError("matrix inversion over the integers is not supported")
                 return self.copy()
             use_float = _float_ok(f.layout, n)
+            dtype = np.float64 if use_float else np.int64
             x = np.zeros_like(blk)
             x[0] = _inv_zmod(blk[0], f.p, f.k if s == 1 else 1, n)
-            prec = 1
-            while prec < s:
-                # x <- x (2 - a x) truncated to t^s
-                step = _convolve(blk, x, c, use_float)
-                step *= -1
-                step[0][np.diag_indices(n)] += 2
-                step = _mod(step, c)
-                x = _convolve(x, step, c, use_float)
-                prec *= 2
+            a, xs = blk.astype(dtype), x.astype(dtype)
+            for t in range(1, s):
+                terms = (a[i] @ xs[t - i] for i in range(1, t + 1))
+                acc = sum(terms) if use_float else sum(_mod(m, c) for m in terms)
+                acc = _mod(acc.astype(np.int64), c).astype(dtype)
+                xs[t] = x[t] = _mod(-(xs[0] @ acc).astype(np.int64), c)
             blocks.append(x)
         return RMat(self.spec, n, blocks)
 

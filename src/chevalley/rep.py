@@ -38,7 +38,7 @@ from .matrices import RMat, RVec, check_exact, mat_col, mat_row
 from .rings import Ideal, RingElem, RingSpec
 from .rng import SplitMix64
 from .roots import Root, height
-from .weights import Weight, WeightModule, build_weights
+from .weights import Weight, WeightModule, build_weights, shift_table
 
 Atom = tuple[str, Root, RingElem]  # kinds: "x", "w", "h"
 
@@ -76,30 +76,11 @@ def weyl_monomial(patterns: dict, n: int, alpha: Root) -> tuple[np.ndarray, np.n
 def rep_tables(wm: WeightModule) -> RepTables:
     case = wm.case
     n = wm.dim
-    # every weight as one integer key (its coordinates in base ``base``), so
-    # that all lam + alpha are looked up at once in the sorted keys
-    table = np.array(wm.weights, dtype=np.int64)
-    low, base = int(table.min()), int(table.max() - table.min()) + 1
-    if base ** table.shape[1] >= 2**63:
-        raise InternalConsistencyError("weight coordinates too wide for int64 keys")
-    radix = base ** np.arange(table.shape[1], dtype=np.int64)
-    keys = (table - low) @ radix
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    def shifts(root):
-        """(sources, targets) of the weights that ``root`` shifts."""
-        moved = table + np.array(case.root_fund_coords(root), dtype=np.int64)
-        inside = ((moved >= low) & (moved < low + base)).all(axis=1)
-        moved_keys = (moved - low) @ radix
-        pos = np.minimum(np.searchsorted(sorted_keys, moved_keys), n - 1)
-        srcs = np.flatnonzero(inside & (sorted_keys[pos] == moved_keys))
-        return srcs, order[pos[srcs]]
-
+    shifts = shift_table(wm)
     pat: dict = {}
     for alpha in case.simple_roots:
         for root in (alpha, tuple(-x for x in alpha)):
-            srcs, dsts = shifts(root)
+            srcs, dsts = shifts[root]
             pat[root] = (srcs, dsts, np.ones(len(srcs), dtype=np.int64))
 
     # monomial matrices of the simple w_i(1)
@@ -134,7 +115,7 @@ def rep_tables(wm: WeightModule) -> RepTables:
 
     signs = {}
     for root, (srcs, dsts, c) in pat.items():
-        want_srcs, want_dsts = shifts(root)
+        want_srcs, want_dsts = shifts[root]
         if not np.array_equal(srcs, want_srcs):
             raise InternalConsistencyError(f"pattern support mismatch for {root}")
         if (np.abs(c) != 1).any():

@@ -135,21 +135,6 @@ class EmbeddingCase:
     def _fund_coords(self) -> dict:
         return {alpha: self._cartan_image(alpha) for alpha in self.phi}
 
-    def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _cartan_inverse_of(self)
-
-    def root_coords_of_fund(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        """Simple-root coordinates of a root-lattice vector given in the
-        fundamental-weight basis; raises if the result is not integral."""
-        inv = self.cartan_inverse()
-        out = []
-        for i in range(self.l):
-            v = sum(inv[i][j] * coords[j] for j in range(self.l))
-            if v.denominator != 1:
-                raise InternalConsistencyError("vector is not in the root lattice")
-            out.append(int(v))
-        return tuple(out)
-
     def describe(self) -> str:
         names = {"a": f"D_{self.l}", "b": "E_6", "c": "E_7"}
         sub = {"a": f"A_{self.l - 1}", "b": "D_5", "c": "E_6"}
@@ -180,14 +165,6 @@ def _fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
                 mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
         pivots.append(c)
     return mat, pivots
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse_of(case: EmbeddingCase) -> tuple[tuple[Fraction, ...], ...]:
-    l = case.l
-    augmented = [list(row) + [int(i == k) for k in range(l)] for i, row in enumerate(case.cartan)]
-    reduced, _ = _fraction_rref(augmented)
-    return tuple(tuple(row[l:]) for row in reduced)
 
 
 def _enumerate_roots(cartan) -> list[Root]:

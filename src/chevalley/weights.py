@@ -17,6 +17,13 @@ minuscule module: an edge changes the pairing with lam by (lam, alpha) in
 {-1, 0, 1}, so d >= q - (lam, mu); and the nonzero root-lattice vector
 lam - mu pairs to 2 with some root alpha (no minuscule weight lies in the root
 lattice), so mu + alpha is a weight one step closer to lam.
+
+The weights are found and ordered with arrays: the orbit spreads by all
+simple reflections of a frontier at once, and every depth (top - lam in
+simple-root coordinates) is one integer product with den * C^-1, the matrix
+the distances use too.  The shift table holds, for each root, the weights it
+shifts and their images as index arrays, found by one sorted-key lookup; the
+root patterns of ``rep_tables`` and the neighbour lists are read from it.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from math import lcm
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .roots import EmbeddingCase, Root, _irreducible_components, build_case, height
+from .roots import EmbeddingCase, Root, _fraction_rref, _irreducible_components, build_case, height
 
 Weight = tuple[int, ...]
 
@@ -37,13 +44,6 @@ def pairing_wr(lam: Weight, alpha: Root) -> int:
     """Pairing of a weight (fundamental coordinates) with a root (simple-root
     coordinates)."""
     return sum(x * y for x, y in zip(lam, alpha))
-
-
-def reflect_weight(case: EmbeddingCase, lam: Weight, alpha: Root) -> Weight:
-    """Image of a weight under the reflection in a root."""
-    n = pairing_wr(lam, alpha)
-    fund = case.root_fund_coords(alpha)
-    return tuple(x - n * y for x, y in zip(lam, fund))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +76,7 @@ class WeightModule:
     @cached_property
     def distances(self) -> np.ndarray:
         """Weight-graph distances by the Gram formula, indexed like weights."""
-        inv = self.case.cartan_inverse()
-        den = lcm(*(x.denominator for row in inv for x in row))
-        gram = np.array([[int(x * den) for x in row] for row in inv], dtype=np.int64)
+        den, gram = _gram(self.case)
         w = np.array(self.weights, dtype=np.int64)
         num = (w @ gram) @ w.T
         num = num[0, 0] - num  # weights[0] is the top weight
@@ -87,10 +85,16 @@ class WeightModule:
         return num // den
 
     def component_of(self, lam: Weight) -> int:
-        return _component_map_of(self)[lam]
+        try:
+            return _component_map_of(self)[lam]
+        except KeyError:
+            raise _not_a_weight(self, lam) from None
 
     def idx(self, lam: Weight) -> int:
-        return self.index[lam]
+        try:
+            return self.index[lam]
+        except KeyError:
+            raise _not_a_weight(self, lam) from None
 
     # -- shifts and distance -------------------------------------------------
 
@@ -109,7 +113,10 @@ class WeightModule:
 
     def neighbors(self, lam: Weight) -> tuple[Weight, ...]:
         """Weights at distance one in the weight graph."""
-        return _neighbors_of(self)[lam]
+        try:
+            return _neighbors_of(self)[lam]
+        except KeyError:
+            raise _not_a_weight(self, lam) from None
 
     def minus(self, lam: Weight) -> Weight:
         neg = tuple(-x for x in lam)
@@ -165,7 +172,13 @@ class WeightModule:
         return tuple(reversed(word))
 
     def reflect(self, lam: Weight, alpha: Root) -> Weight:
-        return reflect_weight(self.case, lam, alpha)
+        """Image of a weight under the reflection in a root."""
+        n = pairing_wr(lam, alpha)
+        return tuple(x - n * y for x, y in zip(lam, self.case.root_fund_coords(alpha)))
+
+
+def _not_a_weight(wm: WeightModule, lam) -> DomainError:
+    return DomainError(f"{lam!r} is not a weight of {wm.case.describe()}")
 
 
 @lru_cache(maxsize=None)
@@ -184,53 +197,83 @@ def _fund_to_root_of(wm: WeightModule) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _gram(case: EmbeddingCase) -> tuple[int, np.ndarray]:
+    """(den, den * C^-1): the form in fundamental-weight coordinates, and the
+    map from them to simple-root coordinates, as one integer matrix."""
+    l = case.l
+    augmented = [list(row) + [int(i == k) for k in range(l)] for i, row in enumerate(case.cartan)]
+    inv = [row[l:] for row in _fraction_rref(augmented)[0]]
+    den = lcm(*(x.denominator for row in inv for x in row))
+    return den, np.array([[int(x * den) for x in row] for row in inv], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def shift_table(wm: WeightModule) -> dict:
+    """For each root of Phi, the index arrays (srcs, dsts) of the weights lam
+    with lam + root again a weight and of those sums, srcs ascending.  A
+    weight's key is its coordinates as digits in base ``base`` from ``low``,
+    with room for a root on either side: key(lam + root) is key(lam) plus the
+    root's offset, with no carry, so all sums are looked up at once."""
+    case = wm.case
+    table = np.array(wm.weights, dtype=np.int64)
+    fund = np.array([case.root_fund_coords(r) for r in case.phi], dtype=np.int64)
+    pad = int(np.abs(fund).max())
+    low, base = int(table.min()) - pad, int(table.max() - table.min()) + 2 * pad + 1
+    if base**case.l >= 2**63:
+        raise InternalConsistencyError("weight coordinates too wide for int64 keys")
+    radix = base ** np.arange(case.l, dtype=np.int64)
+    keys = (table - low) @ radix
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    moved_keys = keys + (fund @ radix)[:, None]  # (root, weight)
+    pos = np.minimum(np.searchsorted(sorted_keys, moved_keys), wm.dim - 1)
+    hits = sorted_keys[pos] == moved_keys
+    return {r: (np.flatnonzero(hit), order[p[hit]]) for r, hit, p in zip(case.phi, hits, pos)}
+
+
+@lru_cache(maxsize=None)
 def _neighbors_of(wm: WeightModule) -> dict:
-    fund_roots = list(_fund_to_root_of(wm).keys())
-    out = {}
-    for lam in wm.weights:
-        nbrs = []
-        for fr in fund_roots:
-            mu = tuple(x - y for x, y in zip(lam, fr))
-            if mu in wm.weight_set:
-                nbrs.append(mu)
-        out[lam] = tuple(nbrs)
-    return out
+    """lam - alpha for alpha in ``case.phi`` order: the shift table of -alpha,
+    concatenated in that order and stably sorted by source weight."""
+    table = shift_table(wm)
+    srcs, dsts = (np.concatenate(a) for a in zip(*(table[tuple(-x for x in r)] for r in wm.case.phi)))
+    order = np.argsort(srcs, kind="stable")
+    cuts = np.cumsum(np.bincount(srcs, minlength=wm.dim))[:-1]
+    ws = wm.weights
+    return {lam: tuple(ws[j] for j in part) for lam, part in zip(ws, np.split(dsts[order], cuts))}
 
 
 @lru_cache(maxsize=None)
 def build_weights(case: EmbeddingCase) -> WeightModule:
     """Weights of the basic module as the Weyl orbit of the top weight."""
     top = tuple(1 if i == case.alpha1_index else 0 for i in range(case.l))
-    orbit = {top}
+    # the reflection in simple root i moves lam by -lam_i times that root
+    simple = np.array([case.root_fund_coords(a) for a in case.simple_roots], dtype=np.int64)
+    orbit = {top: None}
     frontier = [top]
     while frontier:
-        nxt = []
-        for lam in frontier:
-            for alpha in case.simple_roots:
-                mu = reflect_weight(case, lam, alpha)
-                if mu not in orbit:
-                    orbit.add(mu)
-                    nxt.append(mu)
-        frontier = nxt
+        f = np.array(frontier, dtype=np.int64)
+        moved = (f[:, None, :] - f[:, :, None] * simple).reshape(-1, case.l)
+        frontier = [mu for mu in dict.fromkeys(map(tuple, moved.tolist())) if mu not in orbit]
+        orbit.update(dict.fromkeys(frontier))
 
     # depth data: top - lam in simple-root coordinates
-    depth = {}
-    for lam in orbit:
-        diff = tuple(t - x for t, x in zip(top, lam))
-        coeffs = case.root_coords_of_fund(diff)
-        if any(c < 0 for c in coeffs):
-            raise InternalConsistencyError("weight above the top weight")
-        depth[lam] = coeffs
+    den, gram = _gram(case)
+    num = (np.array(top) - np.array(list(orbit), dtype=np.int64)) @ gram.T
+    if (num % den).any():
+        raise InternalConsistencyError("weight differs from the top weight outside the root lattice")
+    if (num < 0).any():
+        raise InternalConsistencyError("weight above the top weight")
+    depth = dict(zip(orbit, (num // den).tolist()))
 
     weights = sorted(orbit, key=lambda lam: (sum(depth[lam]), depth[lam]))
     if weights[0] != top:
         raise InternalConsistencyError("top weight is not minimal in the canonical order")
 
     # components: constant crossed-root coefficient of (top - lam)
-    comp_key = {lam: depth[lam][case.alpha1_index] for lam in weights}
-    n_comp = max(comp_key.values()) + 1
+    comp_key = [depth[lam][case.alpha1_index] for lam in weights]
     components = tuple(
-        tuple(lam for lam in weights if comp_key[lam] == i) for i in range(n_comp)
+        tuple(lam for lam, k in zip(weights, comp_key) if k == i) for i in range(max(comp_key) + 1)
     )
     if any(not c for c in components):
         raise InternalConsistencyError("empty diagram component")

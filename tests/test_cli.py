@@ -402,6 +402,9 @@ REPORT_SHA256 = {
     ("relcheck", "--case", "c"): "45e6fda9372f52fe1fee6257866000671a2dae0be46b6d17f4f7c36e76ca24e3",
     ("lemmas", "--case", "a", "--l", "5"): "f7b86fa9893e1b04b021542a75a40cad8428a0f2c73a14258d8227ff3de678fb",
     ("selftest",): "3e4a2afaebfbb78b86c3d84ce079bc3555da3676ecfb5de09f28b506fba166ea",
+    ("forms", "--case", "a", "--l", "8"): "3dff357328fb44586fe56def8c5b8c3863f00b58d18df91bcd0928b3b4d47e6b",
+    ("forms", "--case", "a", "--l", "10"): "24164ced69abd48648d0eb132a8a0ecce632b91d57e69ac7599951ddfd4cff23",
+    ("forms", "--case", "c"): "7cb452c40879d0d61bcf1ba0d18b5ba942e4bf7ab011a7d1e638f9543088f846",
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
-from chevalley.matrices import RMat, RVec, _inv_zmod, mat_col, mat_row, signed_entries
+from chevalley.matrices import RMat, RVec, _float_ok, _inv_zmod, mat_col, mat_row, signed_entries
 from chevalley.rings import Factor, Ideal, RingElem, RingSpec, named_ring
 from chevalley.rng import SplitMix64
 
@@ -37,6 +37,65 @@ def test_inverse_roundtrip(spec):
         inv = m.inv()
         assert (m * inv).is_identity()
         assert (inv * m).is_identity()
+
+
+# a prime with (p - 1)^2 * 27 above 2^52 and below 2^63: at n = 27 its
+# products leave the float64 path for the int64 one
+BIG_P = 134217757
+
+
+def _random_lu(spec, n, rng):
+    """L U with L unit lower and U unit upper triangular, every coefficient
+    slice random: invertible, with all slices in play."""
+    lower, upper = [], []
+    for f in spec.factors:
+        s, c = f.layout
+        draw = lambda: np.array([[[rng.randrange(c) for _ in range(n)] for _ in range(n)] for _ in range(s)])
+        lo, up = np.tril(draw(), -1), np.triu(draw(), 1)
+        lo[0] += np.identity(n, dtype=np.int64)
+        up[0] += np.identity(n, dtype=np.int64)
+        lower.append(lo)
+        upper.append(up)
+    return RMat(spec, n, lower) * RMat(spec, n, upper)
+
+
+def _newton_inverse(m):
+    """The inverse by the Newton lift x <- x (2 - m x), which doubles the
+    t-adic precision at each step, from the inverses of the constant slices."""
+    x = RMat.zeros(m.spec, m.n)
+    for f, xb, mb in zip(m.spec.factors, x.blocks, m.blocks):
+        xb[0] = _inv_zmod(mb[0], f.p, f.k if f.kind == "zmod" else 1, m.n)
+    two = RMat.identity(m.spec, m.n) + RMat.identity(m.spec, m.n)
+    for _ in range(max(f.layout[0] for f in m.spec.factors).bit_length()):
+        x = x * (two - m * x)
+    return x
+
+
+@pytest.mark.parametrize(
+    "spec,use_float",
+    [
+        (RingSpec.poly(2, 2), True),
+        (RingSpec.poly(3, 3), True),
+        (RingSpec.poly(2, 4), True),
+        (RingSpec((Factor("poly", 2, 2), Factor("zmod", 3, 2), Factor("poly", 5, 3))), True),
+        (RingSpec.poly(BIG_P, 2), False),
+        (RingSpec.poly(BIG_P, 3), False),
+        (RingSpec((Factor("poly", BIG_P, 2), Factor("zmod", 2, 3))), False),
+    ],
+    ids=str,
+)
+def test_slice_inverse_matches_the_newton_lift(spec, use_float):
+    """Slice by slice, x_t = -x_0 (a_1 x_(t-1) + ... + a_t x_0), gives the
+    inverse that the Newton lift gives, in float64 and in int64."""
+    n = 27
+    poly = next(f for f in spec.factors if f.kind == "poly")
+    assert _float_ok(poly.layout, n) == use_float
+    rng = SplitMix64(11)
+    for _ in range(3):
+        m = _random_lu(spec, n, rng)
+        inv = m.inv()
+        assert inv == _newton_inverse(m)
+        assert (m * inv).is_identity() and (inv * m).is_identity()
 
 
 def test_non_invertible_raises():

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import pytest
@@ -92,6 +93,34 @@ def test_gram_distances_match_the_graph_search(tag, l):
     assert wm.distances.tolist() == _bfs_distances(wm)
     lam, mu = wm.weights[0], wm.weights[-1]
     assert type(wm.distance(lam, mu)) is int
+
+
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None)] + [("a", l) for l in range(5, 11)])
+def test_neighbors_follow_the_definition(tag, l):
+    """neighbors(lam) lists lam - alpha for the roots alpha of Phi, in
+    ``case.phi`` order, that give a weight."""
+    wm = default_module(tag, l)
+    funds = [wm.case.root_fund_coords(alpha) for alpha in wm.case.phi]
+    for lam in wm.weights:
+        shifted = (tuple(x - y for x, y in zip(lam, fund)) for fund in funds)
+        assert wm.neighbors(lam) == tuple(mu for mu in shifted if mu in wm.weight_set)
+
+
+def test_a_non_weight_raises_domain_error():
+    wm = default_module("b")
+    bad = (9,) * 6
+    lookups = [
+        wm.idx,
+        wm.component_of,
+        wm.neighbors,
+        lambda lam: wm.distance(lam, wm.lam0),
+        lambda lam: wm.distance(wm.lam0, lam),
+    ]
+    for lookup in lookups:
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            lookup(bad)
+    lam = wm.weights[5]
+    assert wm.idx(lam) == 5 and wm.component_of(lam) == 1 and wm.distance(lam, lam) == 0
 
 
 def test_case_c_diameter():
