@@ -249,11 +249,20 @@ def _radical_frozen_mask(wm):
 
 
 def _block_diagonal_part(g: GroupElement) -> GroupElement:
-    """The diagonal component blocks of g.  Its inverse is computed at once,
-    since that elimination is the invertibility check."""
+    """The diagonal component blocks L of g, with their inverse.  For
+    g = u L with u block-unitriangular, g^-1 = L^-1 u^-1 has the diagonal
+    blocks L^-1, so those of g^-1 are taken when they invert L; otherwise L
+    is inverted by elimination, which is the invertibility check.  Over the
+    integers, where elimination is refused, this lets a word split."""
     cross = _cross_component_mask(g.rep.wm)
-    mat = RMat(g.mat.spec, g.mat.n, [np.where(cross, 0, blk) for blk in g.mat.blocks])
-    return GroupElement(g.rep, mat, mat.inv())
+
+    def diagonal(m: RMat) -> RMat:
+        return RMat(m.spec, m.n, [np.where(cross, 0, blk) for blk in m.blocks])
+
+    mat, inv = diagonal(g.mat), diagonal(g.inv_mat)
+    if not (mat * inv).is_identity():
+        inv = mat.inv()
+    return GroupElement(g.rep, mat, inv)
 
 
 def _split_at_top(split, g: GroupElement, lam: Weight) -> tuple[GroupElement, GroupElement]:

@@ -10,19 +10,22 @@ conjugate of a simple pattern by a monomial Weyl matrix, one simple reflection
 at a time; this pins one concrete sign table whose correctness is checked by
 the relation suite rather than against any published table.
 
-A group element holds its matrix; its exact inverse is computed on first
-read, and ``inverse`` swaps the two.  An element built from a generator word
-of at most min(n // 32, 4) root elements x_1 ... x_k also keeps them, and its
-inverse keeps theirs (reversed, with negated parameters).  A product with
-such a factor is a copy of the other factor's matrix with the atoms applied
-as line updates (row updates on the left, column updates on the right); its
-inverse is the other factor's inverse with the inverse atoms applied on the
-other side.  Any other product multiplies the matrices, and its inverse is
-the product of the factors' inverses.  Every word is built by row updates of
-the identity, last atom first, and its inverse is the same replay of the
-inverse atoms.  ``from_matrix`` inverts eagerly, by per-factor elimination,
-because that elimination is its invertibility check.  Only an element built
-from a word keeps its word; products, inverses and reductions derive none.
+A group element holds its matrix and its exact inverse as lazy nodes, each
+computed on first read, and ``inverse`` swaps the two.  An element built
+from a generator word builds neither until it is read: its matrix is the
+identity with the word's root elements x_1 ... x_k applied as row updates,
+last atom first, and its inverse the same replay of the inverse atoms
+(reversed, with negated parameters).  Such an element of at most
+max(1, min(n // 32, 4)) root elements keeps them, and so does its inverse.
+A product with such a factor is a copy of the other factor's matrix with the
+atoms applied as line updates (row updates on the left, column updates on
+the right), so the factor's own matrix is never built; its inverse is the
+other factor's inverse with the inverse atoms applied on the other side.
+Any other product multiplies the matrices, and its inverse is the product of
+the factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
+elimination, because that elimination is its invertibility check.  Only an
+element built from a word keeps its word; products, inverses and reductions
+derive none.
 """
 
 from __future__ import annotations
@@ -45,11 +48,11 @@ Atom = tuple[str, Root, RingElem]  # kinds: "x", "w", "h"
 
 @dataclass(frozen=True, eq=False)
 class RepTables:
-    """Ring-independent action data: root patterns and the sign table."""
+    """Ring-independent action data: the root patterns, whose signs are the
+    structure constants."""
 
     wm: WeightModule
-    patterns: dict  # root -> (srcs, dsts, signs) int arrays
-    signs: dict  # (weight index, root) -> +-1
+    patterns: dict  # root -> (srcs, dsts, signs) int arrays, srcs ascending
     weyl_perm: dict  # simple root index -> (perm, signs) of w_i(1)
 
 
@@ -113,7 +116,6 @@ def rep_tables(wm: WeightModule) -> RepTables:
         pat[alpha] = conj(pat[beta], weyl_perm[i])
         pat[neg_alpha] = conj(pat[neg_beta], weyl_perm[i])
 
-    signs = {}
     for root, (srcs, dsts, c) in pat.items():
         want_srcs, want_dsts = shifts[root]
         if not np.array_equal(srcs, want_srcs):
@@ -122,9 +124,8 @@ def rep_tables(wm: WeightModule) -> RepTables:
             raise InternalConsistencyError(f"structure constant {c[np.abs(c) != 1][0]} for {root}")
         if not np.array_equal(dsts, want_dsts):
             raise InternalConsistencyError(f"pattern target mismatch for {root}")
-        signs.update(((int(s), root), int(x)) for s, x in zip(srcs, c))
 
-    return RepTables(wm=wm, patterns=pat, signs=signs, weyl_perm=weyl_perm)
+    return RepTables(wm=wm, patterns=pat, weyl_perm=weyl_perm)
 
 
 class _Lazy:
@@ -166,25 +167,30 @@ class _Lazy:
 class GroupElement:
     """A module automorphism.
 
-    ``inv_mat`` (the exact inverse) is computed on first read and then kept;
-    the deferred computation holds the factors' inverses, never their forward
-    matrices.  ``word`` is the atoms of an element built by
-    ``element_from_word`` (``()`` for ``identity``), else None; ``_expanded``
-    is the tuple of (root, value) factors of such an element, or of its
-    inverse, when it has at most ``rep._max_line_atoms`` of them, else None.
-    ``corner_table`` is filled by ``analysis.corner_ideals`` on its first read.
+    ``mat`` and ``inv_mat`` (the exact inverse) are ``_Lazy`` nodes, each
+    computed on first read and then kept; a deferred matrix holds the
+    factors' matrices and a deferred inverse their inverses, never the other
+    one.  ``word`` is the atoms of an element built by ``element_from_word``
+    (``()`` for ``identity``), else None; ``_expanded`` is the tuple of
+    (root, value) factors of such an element, or of its inverse, when it has
+    at most ``rep._max_line_atoms`` of them, else None.  ``corner_table`` is
+    filled by ``analysis.corner_ideals`` on its first read.
     """
 
-    __slots__ = ("rep", "mat", "_inv", "word", "_expanded", "corner_table")
+    __slots__ = ("rep", "_mat", "_inv", "word", "_expanded", "corner_table")
 
-    def __init__(self, rep: "Representation", mat: RMat, inv, word=None, expanded=None):
-        """``inv`` is a value or a ``_Lazy`` node."""
+    def __init__(self, rep: "Representation", mat, inv, word=None, expanded=None):
+        """``mat`` and ``inv`` are values or ``_Lazy`` nodes."""
         self.rep = rep
-        self.mat = mat
+        self._mat = mat if isinstance(mat, _Lazy) else _Lazy(mat)
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
         self.word = word
         self._expanded = expanded
         self.corner_table = None
+
+    @property
+    def mat(self) -> RMat:
+        return self._mat.get()
 
     @property
     def inv_mat(self) -> RMat:
@@ -200,15 +206,17 @@ class GroupElement:
         elif b is not None:
             xs, base, left = b, self, False
         else:
+            mat = _Lazy(fn=operator.mul, args=(self._mat, other._mat))
             inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
-            return GroupElement(rep, self.mat * other.mat, inv)
+            return GroupElement(rep, mat, inv)
+        mat = _Lazy(fn=lambda m: rep._apply_atoms(m.copy(), xs, left), args=(base._mat,))
         inv = _Lazy(fn=lambda m: rep._apply_atoms(m.copy(), _inverse_factors(xs), not left), args=(base._inv,))
-        return GroupElement(rep, rep._apply_atoms(base.mat.copy(), xs, left), inv)
+        return GroupElement(rep, mat, inv)
 
     def inverse(self) -> "GroupElement":
         xs = self._expanded
         expanded = None if xs is None else _inverse_factors(xs)
-        return GroupElement(self.rep, self.inv_mat, self.mat, expanded=expanded)
+        return GroupElement(self.rep, self._inv, self._mat, expanded=expanded)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """by * self * by^-1."""
@@ -252,11 +260,12 @@ class Representation:
         self.tables = rep_tables(wm)
         self.n = wm.dim
         # A product applies a factor's root elements as line updates when it
-        # has at most this many, n // 32 and at most 4.  Over Z/4 one atom
-        # costs about one dense product at n = 27, a half at n = 56, a quarter
-        # at n = 128, and a fifth as a column update at n = 512; other rings
-        # favour the atoms more.
-        self._max_line_atoms = min(self.n // 32, 4)
+        # has at most this many: n // 32, at least 1 and at most 4.  Over Z/4
+        # one atom costs about one dense product at n = 27, a half at n = 56,
+        # a quarter at n = 128, and a fifth as a column update at n = 512;
+        # other rings favour the atoms more.  A single atom always wins, since
+        # its own matrix is then never built.
+        self._max_line_atoms = max(1, min(self.n // 32, 4))
 
     # -- scalars ---------------------------------------------------------------
 
@@ -268,7 +277,13 @@ class Representation:
         return self.ring.el(x)
 
     def sign(self, lam: Weight, alpha: Root) -> int:
-        return self.tables.signs[(self.wm.idx(lam), alpha)]
+        """The structure constant of x_alpha on the lam basis vector."""
+        srcs, _, signs = self.pattern(alpha)
+        i = self.wm.idx(lam)
+        k = int(np.searchsorted(srcs, i))
+        if k == len(srcs) or srcs[k] != i:
+            raise DomainError(f"root {alpha} does not shift the weight {lam}")
+        return int(signs[k])
 
     def pattern(self, alpha: Root):
         try:
@@ -306,7 +321,9 @@ class Representation:
             (kind, root, self.scalar(value)) for kind, root, value in atoms
         )
         xs = tuple(self.expand_atoms(atoms))
-        mat = self._apply_atoms(RMat.identity(self.ring, self.n), xs, True)
+        for root, _ in xs:  # refuse a non-root now, not on the first read
+            self.pattern(root)
+        mat = _Lazy(fn=lambda: self._apply_atoms(RMat.identity(self.ring, self.n), xs, True))
         inv = _Lazy(fn=lambda: self._apply_atoms(RMat.identity(self.ring, self.n), _inverse_factors(xs), True))
         expanded = xs if len(xs) <= self._max_line_atoms else None
         return GroupElement(self, mat, inv, word=atoms, expanded=expanded)
@@ -360,8 +377,8 @@ class Representation:
             raise DomainError("ideal over a different ring")
         return GroupElement(
             get_representation(self.wm, ideal.quotient_spec()),
-            g.mat.reduce(ideal),
-            _Lazy(fn=lambda inv: inv.reduce(ideal), args=(g._inv,)),
+            _Lazy(fn=lambda m: m.reduce(ideal), args=(g._mat,)),
+            _Lazy(fn=lambda m: m.reduce(ideal), args=(g._inv,)),
         )
 
 

@@ -208,11 +208,11 @@ class RingSpec:
             raise DomainError("wrong number of residues")
         return RingElem(self, tuple(self._reduce_part(i, p) for i, p in enumerate(parts)))
 
-    @property
+    @cached_property
     def zero(self) -> "RingElem":
         return self.el(0)
 
-    @property
+    @cached_property
     def one(self) -> "RingElem":
         return self.el(1)
 

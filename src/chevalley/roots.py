@@ -108,7 +108,7 @@ class EmbeddingCase:
     def alpha2(self) -> Root:
         return tuple(1 if i == self.alpha2_index else 0 for i in range(self.l))
 
-    @property
+    @cached_property
     def simple_roots(self) -> tuple[Root, ...]:
         return tuple(tuple(1 if i == j else 0 for j in range(self.l)) for i in range(self.l))
 
@@ -176,8 +176,10 @@ def _enumerate_roots(cartan) -> list[Root]:
     while frontier:
         nxt = []
         for gamma in frontier:
-            for i, alpha in enumerate(simple):
-                if cartan_pairing(cartan, gamma, alpha) == -1:
+            # the pairings of gamma with every simple root: one Cartan product
+            row = [sum(x * a for x, a in zip(gamma, col)) for col in zip(*cartan)]
+            for alpha, p in zip(simple, row):
+                if p == -1:
                     s = tuple(x + y for x, y in zip(gamma, alpha))
                     if s not in positive:
                         positive.add(s)

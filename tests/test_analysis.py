@@ -34,7 +34,7 @@ from chevalley.analysis import (
 )
 from chevalley import analysis
 from chevalley.checks import SuiteResult
-from chevalley.errors import DomainError, InternalConsistencyError
+from chevalley.errors import DomainError, InternalConsistencyError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat
 from chevalley.rep import GroupElement, get_representation, representation, sample_word_rng
 from chevalley.rings import Ideal, RingSpec, named_ring
@@ -1065,6 +1065,61 @@ def test_block_diagonal_part_matches_entrywise_copy(ring_name):
         assert levi.mat == expected
         assert (levi.mat * levi.inv_mat).is_identity()
         assert levi.word is None
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2"])
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 6)])
+def test_levi_inverse_from_the_inverse_matches_elimination(monkeypatch, tag, l, ring_name):
+    """On parabolic and opposite-parabolic members the Levi inverse is read
+    off g^-1 with no elimination.  On a word that mixes both orbits it is
+    not, and elimination gives it or refuses a singular block."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    case = rep.case
+    values = [v for v in ring.elements() if not v.is_zero()]
+    rng = SplitMix64(rep.n + len(ring_name))
+
+    def sample(roots):
+        atoms = [("x", a, v) for a in roots for v in values] + [("h", case.alpha1, u) for u in ring.units()]
+        return [sample_word_rng(rep, atoms, 7, rng) for _ in range(3)]
+
+    parabolic = sample(case.delta + case.omega_plus) + sample(case.delta + case.omega_minus)
+    mixed = sample(case.omega_plus + case.omega_minus)
+    inversions = []
+    real_inv = RMat.inv
+    monkeypatch.setattr(RMat, "inv", lambda m: inversions.append(m) or real_inv(m))
+    for g in parabolic:
+        levi = analysis._block_diagonal_part(g)
+        assert inversions == []
+        assert levi.inv_mat == real_inv(levi.mat)
+        inversions.clear()
+    for g in mixed:
+        try:
+            levi = analysis._block_diagonal_part(g)
+        except NonUnitError:
+            assert len(inversions) == 1
+        else:
+            assert levi.inv_mat == real_inv(levi.mat)
+        assert len(inversions) == 1
+        inversions.clear()
+
+
+def test_levi_split_of_an_integer_word_needs_no_elimination():
+    """Over Z elimination is refused, but the Levi inverse of a word comes
+    from the word's inverse, so its split succeeds."""
+    rep = representation("b", None, RingSpec.integers())
+    case = rep.case
+    levi_word = rep.element_from_word(
+        [("x", case.delta[0], 2), ("x", case.delta[3], -1), ("h", case.alpha1, -1), ("w", case.delta[5], 1)]
+    )
+    alpha = case.omega_plus[2]
+    g = rep.x(alpha, 5) * levi_word
+    with pytest.raises(UnsupportedCaseError):
+        levi_word.mat.inv()
+    u, l = levi_unipotent_split(g)
+    assert u == rep.x(alpha, 5) and l == levi_word
+    v, l2 = opposite_levi_split(rep.x(tuple(-x for x in alpha), -4) * levi_word)
+    assert v == rep.x(tuple(-x for x in alpha), -4) and l2 == levi_word
 
 
 # -- the exact upper bound ------------------------------------------------------------

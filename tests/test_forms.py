@@ -163,7 +163,7 @@ def test_x_int_matrix_matches_pattern():
 def _bfs_signs(wm):
     """The bilinear signs by a plain breadth-first propagation over weights
     and roots, one ``shift`` at a time, then a sweep over every constraint."""
-    tables = rep_tables(wm)
+    rep = get_representation(wm, RingSpec.zmod(4))
     eps = {wm.lam0: 1}
     frontier = [wm.lam0]
     while frontier:
@@ -173,8 +173,8 @@ def _bfs_signs(wm):
                 mu = wm.shift(lam, alpha)
                 if mu is None or mu in eps:
                     continue
-                c_lam = tables.signs[(wm.idx(lam), alpha)]
-                c_opp = tables.signs[(wm.idx(wm.minus(mu)), alpha)]
+                c_lam = rep.sign(lam, alpha)
+                c_opp = rep.sign(wm.minus(mu), alpha)
                 eps[mu] = -c_lam * c_opp * eps[lam]
                 nxt.append(mu)
         frontier = nxt
@@ -182,8 +182,8 @@ def _bfs_signs(wm):
         for alpha in wm.case.phi:
             mu = wm.shift(lam, alpha)
             if mu is not None:
-                c_lam = tables.signs[(wm.idx(lam), alpha)]
-                c_opp = tables.signs[(wm.idx(wm.minus(mu)), alpha)]
+                c_lam = rep.sign(lam, alpha)
+                c_opp = rep.sign(wm.minus(mu), alpha)
                 assert eps[mu] == -c_lam * c_opp * eps[lam]
     return eps
 
@@ -310,7 +310,7 @@ def test_broken_patterns_fail_the_sign_sweep(monkeypatch, damage):
         patterns[alpha] = (srcs, dsts, np.concatenate([-signs[:1], signs[1:]]))
     else:
         patterns[alpha] = (srcs[1:], dsts[1:], signs[1:])
-    broken = RepTables(wm=wm, patterns=patterns, signs=tables.signs, weyl_perm=tables.weyl_perm)
+    broken = RepTables(wm=wm, patterns=patterns, weyl_perm=tables.weyl_perm)
     monkeypatch.setattr(forms, "rep_tables", lambda _: broken)
     with pytest.raises(InternalConsistencyError):
         bilinear_form_signs.__wrapped__(wm)

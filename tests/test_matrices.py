@@ -115,6 +115,26 @@ def test_integer_inverse_unsupported():
         m.inv()
 
 
+@pytest.mark.parametrize("name", ["z4", "z12", "f2t2", "int", "z4-zero"])
+def test_is_identity_reads_every_slice_and_factor(name):
+    # z4-zero: Z/4 x Z/1, whose second factor is the zero ring
+    spec = Ideal(named_ring("z12"), (2, 0)).quotient_spec() if name == "z4-zero" else named_ring(name)
+    assert RMat.identity(spec, 4).is_identity()
+    assert not RMat.zeros(spec, 4).is_identity()
+    t = spec.from_parts([(0, 1)]) if name == "f2t2" else None
+    changes = [(1, 2, spec.el(1)), (2, 2, spec.el(0))]
+    if t is None:
+        changes.append((3, 3, spec.el(3)))
+    else:
+        changes += [(0, 0, spec.one + t), (0, 3, t)]
+    if name == "z12":
+        changes.append((1, 1, spec.el(4)))  # one in the Z/3 factor only
+    for i, j, x in changes:
+        m = RMat.identity(spec, 4)
+        m.set_entry(i, j, x)
+        assert not m.is_identity(), (i, j, x)
+
+
 def test_entry_roundtrip_multi_factor():
     spec = RingSpec((Factor("zmod", 2, 3), Factor("poly", 3, 2)))
     m = RMat.zeros(spec, 2)

@@ -21,7 +21,9 @@ CASES = [("a", 5), ("b", None), ("c", None)]
 def test_sign_table_is_crystal(tag, l):
     wm = default_module(tag, l)
     tables = rep_tables(wm)
-    assert all(c in (1, -1) for c in tables.signs.values())
+    rep = get_representation(wm, RingSpec.zmod(4))
+    shifted = [(lam, alpha) for lam in wm.weights for alpha in wm.case.phi if wm.shift(lam, alpha) is not None]
+    assert all(rep.sign(lam, alpha) in (1, -1) for lam, alpha in shifted)
     for i, alpha in enumerate(wm.case.simple_roots):
         for root in (alpha, tuple(-x for x in alpha)):
             _, _, signs = tables.patterns[root]
@@ -323,7 +325,16 @@ _EXPANDED = {"x": 1, "w": 3, "h": 6}
 
 @pytest.mark.parametrize(
     "tag,l,ring_name",
-    [("c", None, "z4"), ("c", None, "z12"), ("c", None, "f2t2"), ("c", None, "int"), ("a", 8, "z4"), ("a", 8, "f2t2")],
+    [
+        ("b", None, "z4"),
+        ("b", None, "f2t2"),
+        ("c", None, "z4"),
+        ("c", None, "z12"),
+        ("c", None, "f2t2"),
+        ("c", None, "int"),
+        ("a", 8, "z4"),
+        ("a", 8, "f2t2"),
+    ],
 )
 def test_products_with_a_word_factor_equal_matrix_products(tag, l, ring_name):
     from chevalley.rings import named_ring
@@ -358,3 +369,46 @@ def test_products_with_a_word_factor_equal_matrix_products(tag, l, ring_name):
             inverse = word.inverse()
             assert (base * inverse).mat == base.mat * word.inv_mat
             (inverse * base).check()
+
+
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 8)])
+def test_products_with_a_word_leave_its_matrix_unbuilt(tag, l):
+    """A word of one root element is applied as a line update, so neither its
+    matrix nor its inverse is built by a product, by the product's inverse,
+    or by the word's own inverse."""
+    ring = RingSpec.zmod(4)
+    rep = representation(tag, l, ring)
+    phi = sorted(rep.case.phi)
+    rng = SplitMix64(rep.n)
+    base = rep.element_from_word([("x", phi[rng.randrange(len(phi))], 1 + rng.randrange(3)) for _ in range(6)])
+    assert base._mat.fn is not None and base._inv.fn is not None
+    base.check()
+    word = rep.x(phi[rng.randrange(len(phi))], 3)
+    inverse = word.inverse()
+    products = [base * word, word * base, base * inverse, inverse * base]
+    for g in products:
+        g.check()
+        g.inverse().check()
+    assert word._mat.fn is not None and word._inv.fn is not None
+    assert [g.mat for g in products[:2]] == [base.mat * word.mat, word.mat * base.mat]
+    assert [g.mat for g in products[2:]] == [base.mat * word.inv_mat, word.inv_mat * base.mat]
+
+
+def test_a_word_checks_its_roots_before_building():
+    rep = representation("b", None, RingSpec.zmod(4))
+    alpha = rep.case.phi[0]
+    with pytest.raises(DomainError):
+        rep.element_from_word((("x", alpha, 1), ("x", (9,) * rep.case.l, 1)))
+    with pytest.raises(DomainError):
+        rep.w((0,) * rep.case.l, 1)
+
+
+def test_sign_refuses_a_weight_the_root_does_not_shift():
+    rep = representation("b", None, RingSpec.zmod(4))
+    wm = rep.wm
+    alpha = rep.case.omega_plus[0]
+    fixed = next(lam for lam in wm.weights if wm.shift(lam, alpha) is None)
+    with pytest.raises(DomainError):
+        rep.sign(fixed, alpha)
+    with pytest.raises(DomainError):
+        rep.sign(wm.lam0, (0,) * rep.case.l)
