@@ -16,21 +16,25 @@ convolution of slices.  A matrix product runs in float64 when
 (c - 1)^2 * n * s < 2^52, since it is much faster: the stacks convert once,
 and each output slice sums its terms exactly before one conversion and one
 reduction.  Otherwise it runs in int64 and each slice product is reduced
-before the sum.  The root-element action is a line update:
-rows for a left action and for vectors, and rows of the transposed view for a
-right action.  The source and target index sets of a root pattern never
-overlap (the module is minuscule), so in-place updates are safe.  An ideal
-test reads the ideal's per-slice divisors (``Ideal.divisors``).
+before the sum.  The action of a word factor is a line move
+(``LineMove``), one call of the line kernel ``_update_lines``: rows for a left
+action, and rows of the transposed view for a right action.  A root element
+adds to lines that are not its sources (the module is minuscule); a Weyl or
+torus element assigns to lines that are also sources, which the kernel reads
+before it writes.  An ideal test reads the ideal's per-slice divisors
+(``Ideal.divisors``).
 
 Exactness: blocks hold coefficients reduced into [0, c) (``set_entry``
 reduces the residues it stores), and then every int64 kernel is exact
 when (c - 1)^2 * n < 2^63, since a slice product sums n products of two
-coefficients (a line update sums s + 1 of them).  ``check_exact`` enforces the
-bound wherever blocks are made, so a modulus above it raises ``DomainError``
-instead of wrapping around.
+coefficients (a line move sums at most s + 1 of them).  ``check_exact``
+enforces the bound wherever blocks are made, so a modulus above it raises
+``DomainError`` instead of wrapping around.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,21 +97,55 @@ def _convolve(a: np.ndarray, b: np.ndarray, c: int, use_float: bool) -> np.ndarr
     return _mod(out, c)
 
 
-def _update_lines(blk: np.ndarray, c: int, targets, sources, signs, part) -> None:
-    """blk[:, targets] += signs * part * blk[:, sources] along the first
-    trailing axis, as a truncated convolution: slice t of the targets gains
-    part_i times slice t - i of the sources for every i <= t.  Targets and
-    sources are disjoint, so no update reads a line that another one wrote."""
-    coeffs = part if isinstance(part, tuple) else (part,)
+def _update_lines(blk: np.ndarray, c: int, targets, sources, coeffs, add: bool) -> None:
+    """The line kernel: line targets[i] of ``blk`` along the first trailing
+    axis becomes coeffs * line sources[i], plus its old value when ``add``
+    (else it is assigned).  The product is a truncated convolution: slice t of
+    a target gets coeffs[j][i] times slice t - j of its source for every
+    j <= t, where ``coeffs`` holds one (m, 1) array per coefficient slice, or
+    None for a slice that is zero on every line.
+
+    Slices run from last to first, and each slice gathers all its sources
+    before it writes its targets, so a line that is both a target and a
+    source is read before it is written: with ``add`` the sets are disjoint,
+    and an assignment may permute or scale lines in place."""
+    for t in range(len(blk) - 1, -1, -1):
+        line = blk[t]
+        acc = line[targets] if add else None
+        for j in range(t + 1):
+            if coeffs[j] is not None:
+                term = coeffs[j] * blk[t - j][sources]
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+        line[targets] = 0 if acc is None else _mod(acc, c)
+
+
+def _line_coeffs(c: int, signs: np.ndarray, part) -> list:
+    """signs * v per slice of the residue v, as (m, 1) arrays for
+    ``_update_lines``; None for a zero slice."""
     if not c:
         # exact integers: an int64 product with a large parameter would overflow
         signs = signs.astype(object)
-    for t, line in enumerate(blk):
-        acc = line[targets]
-        for i in range(t + 1):
-            if coeffs[i]:
-                acc += (signs * coeffs[i]) * blk[t - i][sources]
-        line[targets] = _mod(acc, c)
+    signs = signs[:, None]
+    if isinstance(part, tuple):
+        return [signs * v if v else None for v in part]
+    return [signs * part if part else None]
+
+
+class LineMove(NamedTuple):
+    """The action of one word factor with parameter v on lines, for a left
+    (row) action: line targets[i] becomes (its old value, when ``add``, plus)
+    (signs[i] * v + inv_signs[i] * v^-1) times line sources[i].  A right
+    (column) action is the same move with targets and sources swapped.  A
+    root pattern (srcs, dsts, signs) is the move of x_alpha(v)."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    signs: np.ndarray
+    inv_signs: np.ndarray | None = None
+    add: bool = True
 
 
 class _Blocks:
@@ -276,21 +314,29 @@ class RMat(_Blocks):
     def transpose(self) -> "RMat":
         return RMat(self.spec, self.n, [blk.swapaxes(1, 2).copy() for blk in self.blocks])
 
-    # -- root-pattern updates ----------------------------------------------------
+    # -- line moves ------------------------------------------------------------
 
-    def apply_x_right(self, pattern, xi: RingElem) -> None:
-        """self <- self * (e + xi * P) for a root pattern P (column update)."""
-        srcs, dsts, signs = pattern
-        signs = signs[:, None]
-        for f, blk, part in zip(self.spec.factors, self.blocks, xi.parts):
-            _update_lines(blk.swapaxes(1, 2), f.layout[1], srcs, dsts, signs, part)
+    def apply_x_right(self, move, xi: RingElem) -> None:
+        """self <- self * g (column moves) for the word factor g with
+        parameter xi whose ``LineMove`` (or root pattern) is given."""
+        self._apply_move(move, xi, False)
 
-    def apply_x_left(self, pattern, xi: RingElem) -> None:
-        """self <- (e + xi * P) * self (row update)."""
-        srcs, dsts, signs = pattern
-        signs = signs[:, None]
-        for f, blk, part in zip(self.spec.factors, self.blocks, xi.parts):
-            _update_lines(blk, f.layout[1], dsts, srcs, signs, part)
+    def apply_x_left(self, move, xi: RingElem) -> None:
+        """self <- g * self (row moves), as ``apply_x_right``."""
+        self._apply_move(move, xi, True)
+
+    def _apply_move(self, move, xi: RingElem, left: bool) -> None:
+        srcs, dsts, signs, inv_signs, add = move if len(move) == 5 else (*move, None, True)
+        if not left:
+            srcs, dsts = dsts, srcs
+        inv_parts = (None,) * len(xi.parts) if inv_signs is None else xi.inv().parts
+        for f, blk, part, inv_part in zip(self.spec.factors, self.blocks, xi.parts, inv_parts):
+            c = f.layout[1]
+            coeffs = _line_coeffs(c, signs, part)
+            if inv_signs is not None:
+                more = _line_coeffs(c, inv_signs, inv_part)
+                coeffs = [b if a is None else a if b is None else a + b for a, b in zip(coeffs, more)]
+            _update_lines(blk if left else blk.swapaxes(1, 2), c, dsts, srcs, coeffs, add)
 
     # -- quotients -----------------------------------------------------------------
 

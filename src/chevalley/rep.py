@@ -10,34 +10,44 @@ conjugate of a simple pattern by a monomial Weyl matrix, one simple reflection
 at a time; this pins one concrete sign table whose correctness is checked by
 the relation suite rather than against any published table.
 
+A word's atoms are its factors (kind, root, value): x_alpha(v), the Weyl
+element w_alpha(v) = x_alpha(v) x_-alpha(-v^-1) x_alpha(v) (a signed
+permutation of lines) and the torus element h_alpha(v) = w_alpha(v)
+w_alpha(-1) (a diagonal matrix), v a unit for w and h.  Each factor acts as
+one line move (``RepTables.move``): x adds multiples of the source lines to
+the target lines, w swaps the two line sets with scalars, and h scales them,
+so a factor of any kind costs one call of the line kernel.
+
 A group element holds its matrix and its exact inverse as lazy nodes, each
 computed on first read, and ``inverse`` swaps the two.  An element built
 from a generator word builds neither until it is read: its matrix is the
-identity with the word's root elements x_1 ... x_k applied as row updates,
-last atom first, and its inverse the same replay of the inverse atoms
-(reversed, with negated parameters).  Such an element of at most
-max(1, min(n // 32, 4)) root elements keeps them, and so does its inverse.
-A product with such a factor is a copy of the other factor's matrix with the
-atoms applied as line updates (row updates on the left, column updates on
-the right), so the factor's own matrix is never built; its inverse is the
-other factor's inverse with the inverse atoms applied on the other side.
-Any other product multiplies the matrices, and its inverse is the product of
-the factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
+identity with the word's factors g_1 ... g_k applied as row moves, last
+factor first, and its inverse the same replay of the inverse factors
+g_k^-1 ... g_1^-1 (x_alpha(-v), w_alpha(-v), h_alpha(v^-1)), which are
+computed once per word, when first needed.  Such an element of at most
+max(1, min(n // 32, 4)) factors keeps the pair (factors, inverse factors),
+and its inverse keeps the swapped pair.  A product with such a factor is a copy of the other factor's
+matrix with the moves applied (row moves on the left, column moves on the
+right), so the factor's own matrix is never built; its inverse is the other
+factor's inverse with the inverse factors applied on the other side.  Any
+other product multiplies the matrices, and its inverse is the product of the
+factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
 elimination, because that elimination is its invertibility check.  Only an
 element built from a word keeps its word; products, inverses and reductions
-derive none.
+derive none.  ``expand_atoms`` still spells a word out in root elements, for
+the checks that read them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, NonUnitError
-from .matrices import RMat, RVec, check_exact, mat_col, mat_row
+from .matrices import LineMove, RMat, RVec, check_exact, mat_col, mat_row
 from .rings import Ideal, RingElem, RingSpec
 from .rng import SplitMix64
 from .roots import Root, height
@@ -49,11 +59,55 @@ Atom = tuple[str, Root, RingElem]  # kinds: "x", "w", "h"
 @dataclass(frozen=True, eq=False)
 class RepTables:
     """Ring-independent action data: the root patterns, whose signs are the
-    structure constants."""
+    structure constants, and the line move of each word factor kind and root,
+    built on first use."""
 
     wm: WeightModule
     patterns: dict  # root -> (srcs, dsts, signs) int arrays, srcs ascending
     weyl_perm: dict  # simple root index -> (perm, signs) of w_i(1)
+    moves: dict = field(default_factory=dict, repr=False)  # (kind, root) -> LineMove
+
+    def move(self, kind: str, alpha: Root) -> LineMove:
+        """The ``LineMove`` of the factor kind ("x", "w" or "h") at the root.
+
+        With S, D and c the root's sources, targets and signs, and c' the
+        sign of the same pair in the pattern of -alpha, on rows:
+
+        * x_alpha(v): rows D += c v rows S (the pattern itself);
+        * w_alpha(v): rows D <- c v rows S and rows S <- -c' v^-1 rows D;
+        * h_alpha(v): rows S <- v^-1 rows S and rows D <- v rows D.
+
+        The w and h moves are the products x_alpha(v) x_-alpha(-v^-1)
+        x_alpha(v) and w_alpha(v) w_alpha(-1) only when the pattern of -alpha
+        is the transpose of alpha's with c c' = 1 on every pair, so the build
+        checks that and raises ``InternalConsistencyError`` otherwise."""
+        key = (kind, alpha)
+        if key not in self.moves:
+            self.moves[key] = _line_move(self.patterns, kind, alpha)
+        return self.moves[key]
+
+
+def _line_move(patterns: dict, kind: str, alpha: Root) -> LineMove:
+    srcs, dsts, signs = patterns[alpha]
+    neg_srcs, neg_dsts, neg_signs = patterns[tuple(-x for x in alpha)]
+    order = np.argsort(dsts)
+    if not (
+        np.array_equal(neg_srcs, dsts[order])
+        and np.array_equal(neg_dsts, srcs[order])
+        and np.array_equal(neg_signs * signs[order], np.ones_like(neg_signs))
+    ):
+        raise InternalConsistencyError(f"the pattern of -{alpha} is not the signed transpose of {alpha}'s")
+    if kind == "x":
+        return LineMove(srcs, dsts, signs)
+    lines = np.concatenate([srcs, dsts])  # S, then D
+    zeros, ones = np.zeros_like(signs), np.ones_like(signs)
+    if kind == "w":
+        # targets D, then S, from the sources S, then D; c' = c on every pair
+        swapped = np.concatenate([dsts, srcs])
+        return LineMove(lines, swapped, np.concatenate([signs, zeros]), np.concatenate([zeros, -signs]), add=False)
+    if kind == "h":
+        return LineMove(lines, lines, np.concatenate([zeros, ones]), np.concatenate([ones, zeros]), add=False)
+    raise DomainError(f"unknown atom kind {kind!r}")
 
 
 def weyl_monomial(patterns: dict, n: int, alpha: Root) -> tuple[np.ndarray, np.ndarray]:
@@ -171,21 +225,24 @@ class GroupElement:
     computed on first read and then kept; a deferred matrix holds the
     factors' matrices and a deferred inverse their inverses, never the other
     one.  ``word`` is the atoms of an element built by ``element_from_word``
-    (``()`` for ``identity``), else None; ``_expanded`` is the tuple of
-    (root, value) factors of such an element, or of its inverse, when it has
-    at most ``rep._max_line_atoms`` of them, else None.  ``corner_table`` is
-    filled by ``analysis.corner_ideals`` on its first read.
+    (``()`` for ``identity``), else None.  ``_line`` is (k, factors,
+    inverse factors) for such an element of k <= ``_max_line_atoms``
+    factors, with the two factor tuples as ``_Lazy`` nodes (the inverse
+    factors are computed on first read, once), and its inverse holds them
+    swapped; else None.  A factor is an atom (kind, root, value), applied as
+    one ``LineMove``.  ``corner_table`` is filled by
+    ``analysis.corner_ideals`` on its first read.
     """
 
-    __slots__ = ("rep", "_mat", "_inv", "word", "_expanded", "corner_table")
+    __slots__ = ("rep", "_mat", "_inv", "word", "_line", "corner_table")
 
-    def __init__(self, rep: "Representation", mat, inv, word=None, expanded=None):
+    def __init__(self, rep: "Representation", mat, inv, word=None, line=None):
         """``mat`` and ``inv`` are values or ``_Lazy`` nodes."""
         self.rep = rep
         self._mat = mat if isinstance(mat, _Lazy) else _Lazy(mat)
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
         self.word = word
-        self._expanded = expanded
+        self._line = line
         self.corner_table = None
 
     @property
@@ -200,23 +257,23 @@ class GroupElement:
         rep = self.rep
         if other.rep is not rep:
             raise DomainError("product of elements of different representations")
-        a, b = self._expanded, other._expanded
-        if a is not None and (b is None or len(a) <= len(b)):
-            xs, base, left = a, other, True
+        a, b = self._line, other._line
+        if a is not None and (b is None or a[0] <= b[0]):
+            (_, fs, inv_fs), base, left = a, other, True
         elif b is not None:
-            xs, base, left = b, self, False
+            (_, fs, inv_fs), base, left = b, self, False
         else:
             mat = _Lazy(fn=operator.mul, args=(self._mat, other._mat))
             inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
             return GroupElement(rep, mat, inv)
-        mat = _Lazy(fn=lambda m: rep._apply_atoms(m.copy(), xs, left), args=(base._mat,))
-        inv = _Lazy(fn=lambda m: rep._apply_atoms(m.copy(), _inverse_factors(xs), not left), args=(base._inv,))
+        mat = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, left), args=(base._mat, fs))
+        inv = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, not left), args=(base._inv, inv_fs))
         return GroupElement(rep, mat, inv)
 
     def inverse(self) -> "GroupElement":
-        xs = self._expanded
-        expanded = None if xs is None else _inverse_factors(xs)
-        return GroupElement(self.rep, self._inv, self._mat, expanded=expanded)
+        line = self._line
+        swapped = None if line is None else (line[0], line[2], line[1])
+        return GroupElement(self.rep, self._inv, self._mat, line=swapped)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """by * self * by^-1."""
@@ -259,12 +316,12 @@ class Representation:
         self.ring = ring
         self.tables = rep_tables(wm)
         self.n = wm.dim
-        # A product applies a factor's root elements as line updates when it
-        # has at most this many: n // 32, at least 1 and at most 4.  Over Z/4
-        # one atom costs about one dense product at n = 27, a half at n = 56,
-        # a quarter at n = 128, and a fifth as a column update at n = 512;
-        # other rings favour the atoms more.  A single atom always wins, since
-        # its own matrix is then never built.
+        # A product applies a factor's line moves when it has at most this
+        # many factors: n // 32, at least 1 and at most 4.  Over Z/4 one move
+        # costs about one dense product at n = 27, a half at n = 56, a quarter
+        # at n = 128, and a fifth as a column move at n = 512; other rings
+        # favour the moves more.  A single factor always wins, since its own
+        # matrix is then never built.
         self._max_line_atoms = max(1, min(self.n // 32, 4))
 
     # -- scalars ---------------------------------------------------------------
@@ -295,49 +352,66 @@ class Representation:
 
     def identity(self) -> GroupElement:
         ident = RMat.identity(self.ring, self.n)
-        return GroupElement(self, ident, ident.copy(), word=(), expanded=())
+        return GroupElement(self, ident, ident.copy(), word=(), line=(0, _Lazy(()), _Lazy(())))
 
     def expand_atoms(self, atoms) -> list[tuple[Root, RingElem]]:
+        """The word's root elements (root, value): w_alpha(v) is
+        x_alpha(v) x_-alpha(-v^-1) x_alpha(v), and h_alpha(v) is
+        w_alpha(v) w_alpha(-1)."""
         out = []
-        for kind, root, value in atoms:
-            value = self.scalar(value)
+        for kind, root, value in self._factors(atoms):
             if kind == "x":
                 out.append((root, value))
             elif kind == "w":
-                if not value.is_unit():
-                    raise NonUnitError("Weyl element needs a unit parameter")
                 neg = tuple(-x for x in root)
                 out += [(root, value), (neg, -value.inv()), (root, value)]
-            elif kind == "h":
-                if not value.is_unit():
-                    raise NonUnitError("torus element needs a unit parameter")
-                out += self.expand_atoms([("w", root, value), ("w", root, -self.ring.one)])
             else:
-                raise DomainError(f"unknown atom kind {kind!r}")
+                out += self.expand_atoms([("w", root, value), ("w", root, -self.ring.one)])
         return out
 
-    def element_from_word(self, atoms) -> GroupElement:
-        atoms = tuple(
-            (kind, root, self.scalar(value)) for kind, root, value in atoms
-        )
-        xs = tuple(self.expand_atoms(atoms))
-        for root, _ in xs:  # refuse a non-root now, not on the first read
+    def _factors(self, atoms) -> tuple:
+        """The atoms as factors (kind, root, value) over this ring, with
+        their line moves built.  A factor is refused now, not on the first
+        read: a non-root or an unknown kind raises ``DomainError``, and a w or
+        h parameter that is not a unit ``NonUnitError``."""
+        out = []
+        for kind, root, value in atoms:
+            value = self.scalar(value)
             self.pattern(root)
-        mat = _Lazy(fn=lambda: self._apply_atoms(RMat.identity(self.ring, self.n), xs, True))
-        inv = _Lazy(fn=lambda: self._apply_atoms(RMat.identity(self.ring, self.n), _inverse_factors(xs), True))
-        expanded = xs if len(xs) <= self._max_line_atoms else None
-        return GroupElement(self, mat, inv, word=atoms, expanded=expanded)
+            self.tables.move(kind, root)
+            if kind != "x" and not value.is_unit():
+                name = "Weyl" if kind == "w" else "torus"
+                raise NonUnitError(f"{name} element needs a unit parameter")
+            out.append((kind, root, value))
+        return tuple(out)
 
-    def _apply_atoms(self, mat: RMat, xs: tuple, left: bool) -> RMat:
-        """``mat`` times the product x_1 ... x_k of the factors ``xs``, in
-        place: x_1 ... x_k * mat by row updates, last atom first, when
-        ``left``, else mat * x_1 ... x_k by column updates, first atom first."""
+    def element_from_word(self, atoms) -> GroupElement:
+        """The product of the atoms, built on first read.  Its matrix and its
+        inverse replay the factors and the inverse factors on the identity;
+        the inverse factors are computed once, when first needed."""
+        factors = self._factors(atoms)
+        fs = _Lazy(factors)
+        inv_fs = _Lazy(fn=_inverse_factors, args=(fs,))
+
+        def build(f):
+            return self._apply_factors(RMat.identity(self.ring, self.n), f, True)
+
+        mat, inv = _Lazy(fn=build, args=(fs,)), _Lazy(fn=build, args=(inv_fs,))
+        line = (len(factors), fs, inv_fs) if len(factors) <= self._max_line_atoms else None
+        return GroupElement(self, mat, inv, word=factors, line=line)
+
+    def _apply_factors(self, mat: RMat, factors: tuple, left: bool) -> RMat:
+        """``mat`` times the product g_1 ... g_k of the factors, in place, one
+        line move per factor: g_1 ... g_k * mat by row moves, last factor
+        first, when ``left``, else mat * g_1 ... g_k by column moves, first
+        factor first."""
+        move = self.tables.move
         if left:
-            for root, value in reversed(xs):
-                mat.apply_x_left(self.pattern(root), value)
+            for kind, root, value in reversed(factors):
+                mat.apply_x_left(move(kind, root), value)
         else:
-            for root, value in xs:
-                mat.apply_x_right(self.pattern(root), value)
+            for kind, root, value in factors:
+                mat.apply_x_right(move(kind, root), value)
         return mat
 
     def x(self, alpha: Root, xi) -> GroupElement:
@@ -382,9 +456,13 @@ class Representation:
         )
 
 
-def _inverse_factors(xs: tuple) -> tuple:
-    """The factors of (x_1 ... x_k)^-1 = x_k(-v_k) ... x_1(-v_1)."""
-    return tuple((root, -value) for root, value in reversed(xs))
+def _inverse_factors(factors: tuple) -> tuple:
+    """The factors of (g_1 ... g_k)^-1 = g_k^-1 ... g_1^-1, where
+    x_alpha(v)^-1 = x_alpha(-v), w_alpha(v)^-1 = w_alpha(-v) and
+    h_alpha(v)^-1 = h_alpha(v^-1)."""
+    return tuple(
+        (kind, root, value.inv() if kind == "h" else -value) for kind, root, value in reversed(factors)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -227,6 +227,14 @@ class RingSpec:
             if x.is_unit():
                 yield x
 
+    @cached_property
+    def ideal_products(self) -> dict | None:
+        """The products of ideals computed so far, by (a.parts, b.parts):
+        ``Ideal.__mul__`` returns the one frozen instance kept here.  A
+        finite spec has finitely many ideals, so the table stays small; over
+        Z it would be unbounded, and there is none (None)."""
+        return {} if self.is_finite else None
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -250,7 +258,7 @@ class RingSpec:
 
 
 def _check_same_spec(a, b) -> None:
-    if a.spec != b.spec:
+    if a.spec is not b.spec and a.spec != b.spec:
         raise SpecMismatchError(f"operands over {a.spec.describe()} vs {b.spec.describe()}")
 
 
@@ -413,7 +421,11 @@ class RingElem:
 
 @dataclass(frozen=True)
 class Ideal:
-    """Per-factor principal ideal: exponent j in chain factors, generator m in Z."""
+    """Per-factor principal ideal: exponent j in chain factors, generator m in Z.
+
+    Over a finite spec, a product of two ideals is computed once and kept in
+    the spec's ``ideal_products`` table; every later product of the same two
+    ideals returns that shared instance.  Over Z each product is new."""
 
     spec: RingSpec
     parts: tuple[int, ...]
@@ -467,10 +479,17 @@ class Ideal:
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         _check_same_spec(self, other)
+        table = self.spec.ideal_products
+        key = (self.parts, other.parts)
+        if table is not None and key in table:
+            return table[key]
         parts = []
         for f, a, b in zip(self.spec.factors, self.parts, other.parts):
             parts.append(a * b if f.kind == INT else min(a + b, f.k))
-        return Ideal(self.spec, tuple(parts))
+        product = Ideal(self.spec, tuple(parts))
+        if table is not None:
+            table[key] = product
+        return product
 
     def __and__(self, other: "Ideal") -> "Ideal":
         _check_same_spec(self, other)

@@ -320,9 +320,6 @@ def test_from_matrix_rejects_a_singular_matrix():
 
 # -- products with a word factor ----------------------------------------------------------------
 
-_EXPANDED = {"x": 1, "w": 3, "h": 6}
-
-
 @pytest.mark.parametrize(
     "tag,l,ring_name",
     [
@@ -355,7 +352,7 @@ def test_products_with_a_word_factor_equal_matrix_products(tag, l, ring_name):
 
     cut = rep._max_line_atoms
     kinds = [(), ("x",), ("w",), ("x",) * cut, ("x",) * (cut + 1), ("x", "h"), ("w", "x", "x")]
-    lengths = {sum(_EXPANDED[k] for k in word) for word in kinds}
+    lengths = {len(word) for word in kinds}  # one factor per atom, whatever its kind
     assert min(lengths) == 0 and any(0 < k <= cut for k in lengths) and max(lengths) > cut
     long_word = rep.element_from_word([atom("x") for _ in range(cut + 3)])
     bases = [long_word.inverse()]
@@ -392,6 +389,140 @@ def test_products_with_a_word_leave_its_matrix_unbuilt(tag, l):
     assert word._mat.fn is not None and word._inv.fn is not None
     assert [g.mat for g in products[:2]] == [base.mat * word.mat, word.mat * base.mat]
     assert [g.mat for g in products[2:]] == [base.mat * word.inv_mat, word.inv_mat * base.mat]
+
+
+def _expanded_word(rep, atoms):
+    """The word of the atoms' root elements: w and h spelled out in x."""
+    return rep.element_from_word(tuple(("x", root, value) for root, value in rep.expand_atoms(atoms)))
+
+
+def _units(ring):
+    return list(ring.units()) if ring.is_finite else [ring.one, -ring.one]
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 6), ("a", 8)])
+def test_weyl_and_torus_factors_equal_their_root_element_words(tag, l, ring_name):
+    """One line move per w or h factor gives the matrix, and the inverse, of
+    the factor's three or six root elements, for every root and unit."""
+    rep = representation(tag, l, named_ring(ring_name))
+    for alpha in rep.case.phi:
+        for eps in _units(rep.ring):
+            for kind in ("w", "h"):
+                g, ref = rep.element_from_word(((kind, alpha, eps),)), _expanded_word(rep, ((kind, alpha, eps),))
+                assert g.mat == ref.mat and g.inv_mat == ref.inv_mat, (kind, alpha, eps)
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 8)])
+def test_mixed_words_act_as_their_root_element_words(tag, l, ring_name):
+    """Seeded words mixing x, w and h: the element, its inverse, and its
+    products with a built matrix on both sides, through the line moves (a
+    word of at most ``_max_line_atoms`` factors) and through the matrix
+    product (a longer word, or the word's matrix alone), equal the matrices
+    of the expanded words."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    phi = sorted(rep.case.phi)
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, 1, 3)]
+    units = _units(ring)
+    rng = SplitMix64(rep.n + len(ring_name))
+
+    def atom():
+        kind = "xwh"[rng.randrange(3)]
+        pool = values if kind == "x" else units
+        return (kind, phi[rng.randrange(len(phi))], pool[rng.randrange(len(pool))])
+
+    base = _expanded_word(rep, tuple(atom() for _ in range(5)))
+    cut = rep._max_line_atoms
+    for length in (1, cut, cut + 2):
+        atoms = tuple(atom() for _ in range(length))
+        word, ref = rep.element_from_word(atoms), _expanded_word(rep, atoms)
+        assert (word._line is not None) == (length <= cut)
+        assert word.mat == ref.mat and word.inv_mat == ref.inv_mat
+        assert word.inverse().mat == ref.inv_mat
+        for g in (word, word.inverse()):
+            for other in (base, rep.from_matrix(base.mat)) if ring.is_finite else (base,):
+                assert (g * other).mat == g.mat * other.mat
+                assert (other * g).mat == other.mat * g.mat
+                assert (g * other).inv_mat == other.inv_mat * g.inv_mat
+                assert (other * g).inv_mat == g.inv_mat * other.inv_mat
+
+
+def test_a_word_builds_one_line_move_per_factor(monkeypatch):
+    """The word (h, w, x) over Z/4, a single-factor ring, is three calls of
+    the line kernel for its matrix and three for its inverse: a w or h that
+    is spelled out in root elements again would show up here."""
+    from chevalley import matrices
+
+    calls = []
+    kernel = matrices._update_lines
+
+    def counted(*args):
+        calls.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(matrices, "_update_lines", counted)
+    rep = representation("b", None, RingSpec.zmod(4))
+    alpha, beta, gamma = rep.case.phi[:3]
+    word = rep.element_from_word((("h", alpha, 3), ("w", beta, 1), ("x", gamma, 2)))
+    word.mat
+    assert calls == [True, False, False]
+    word.inv_mat
+    assert len(calls) == 6
+
+
+def test_a_words_inverse_factors_are_computed_once_when_needed(monkeypatch):
+    """Reading a word's matrix, or a product's, computes no inverse factors;
+    its inverse, the products' inverses and products with its inverse share
+    one computation."""
+    from chevalley import rep as rep_module
+
+    calls = []
+    inverse_factors = rep_module._inverse_factors
+
+    def counted(factors):
+        calls.append(factors)
+        return inverse_factors(factors)
+
+    monkeypatch.setattr(rep_module, "_inverse_factors", counted)
+    rep = representation("c", None, RingSpec.zmod(4))
+    alpha, beta = rep.case.phi[:2]
+    base = rep.from_matrix(rep.element_from_word((("x", alpha, 1), ("x", beta, 3))).mat)
+    word = rep.h(alpha, 3)
+    products = [word * base, base * word]
+    assert [g.mat for g in products] == [word.mat * base.mat, base.mat * word.mat]
+    assert calls == []
+    inverse = word.inverse()
+    for g in products + [inverse * base, base * inverse]:
+        g.check()
+    assert inverse.mat == word.inv_mat
+    assert calls == [(("h", alpha, rep.ring.el(3)),)]
+
+
+def test_a_flipped_sign_in_the_negative_pattern_fails_the_move_build(monkeypatch):
+    """The w and h moves hold only when the pattern of -alpha is the transpose
+    of alpha's with c c' = 1; one flipped sign there raises when the move is
+    built, so an element with the root is refused."""
+    from chevalley import rep as rep_module
+    from chevalley.errors import InternalConsistencyError
+    from chevalley.rep import RepTables, Representation
+
+    wm = default_module("b", None)
+    tables = rep_tables(wm)
+    alpha = wm.case.phi[0]
+    neg = tuple(-x for x in alpha)
+    patterns = dict(tables.patterns)
+    srcs, dsts, signs = patterns[neg]
+    patterns[neg] = (srcs, dsts, np.concatenate([-signs[:1], signs[1:]]))
+    broken = RepTables(wm=wm, patterns=patterns, weyl_perm=tables.weyl_perm)
+    monkeypatch.setattr(rep_module, "rep_tables", lambda _: broken)
+    rep = Representation(wm, RingSpec.zmod(4))
+    for kind in ("x", "w", "h"):
+        with pytest.raises(InternalConsistencyError):
+            rep.element_from_word(((kind, alpha, 1),))
+    other = next(r for r in wm.case.phi if r not in (alpha, neg))
+    assert rep.w(other, 1).mat == get_representation(wm, RingSpec.zmod(4)).w(other, 1).mat
 
 
 def test_a_word_checks_its_roots_before_building():

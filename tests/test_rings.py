@@ -79,6 +79,32 @@ def test_ideal_product_in_z12():
     assert (two * three).generator() == spec.el(6)
 
 
+@pytest.mark.parametrize("name", ["z4", "z12", "f2t2", "f3t2"])
+def test_ideal_products_come_from_the_spec_table(name):
+    """Every product of two ideals equals the ideal of the product of their
+    generators, and a repeated product is the one instance kept in the
+    spec's table."""
+    spec = named_ring(name)
+    parts = [()]
+    for f in spec.factors:
+        parts = [p + (j,) for p in parts for j in range(f.k + 1)]
+    ideals = [Ideal(spec, p) for p in parts]
+    first = {(a, b): a * b for a in ideals for b in ideals}
+    assert len(spec.ideal_products) == len(ideals) ** 2
+    for (a, b), product in first.items():
+        assert product == Ideal.from_elems(spec, [a.generator() * b.generator()])
+        assert a * b is product
+        assert Ideal(spec, a.parts) * Ideal(spec, b.parts) is product
+        assert a.square() is a * a
+
+
+def test_integer_ideal_products_are_not_tabled():
+    spec = RingSpec.integers()
+    four, six = Ideal(spec, (4,)), Ideal(spec, (6,))
+    assert spec.ideal_products is None
+    assert four * six == Ideal(spec, (24,)) and four * six is not four * six
+
+
 def test_intersection_square_in_z4():
     spec = RingSpec.zmod(4)
     two = Ideal.from_elems(spec, [spec.el(2)])
