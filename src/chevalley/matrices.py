@@ -15,10 +15,15 @@ operation is one code path over this layout, and every reduction is
 convolution of slices.  A matrix product runs in float64 when
 (c - 1)^2 * n * s < 2^52, since it is much faster: the stacks convert once,
 and each output slice sums its terms exactly before one conversion and one
-reduction.  Otherwise it runs in int64 and each slice product is reduced
-before the sum.  The action of a word factor is a line move
+in-place reduction.  Otherwise it runs in int64 and each slice product is
+reduced before the sum.  The float operand stacks and sums of a product, and
+the augmented rows and float slice lift of an inverse, live in a per-thread
+workspace (``_workspace``) that is reused from call to call, so the result
+is the one fresh block; a result is always copied out and never aliases
+the workspace.  The action of a word factor is a line move
 (``LineMove``), one call of the line kernel ``_update_lines``: rows for a left
-action, and rows of the transposed view for a right action.  A root element
+action, and rows of the transposed view for a right action; on a vector,
+its entries.  A root element
 adds to lines that are not its sources (the module is minuscule); a Weyl or
 torus element assigns to lines that are also sources, which the kernel reads
 before it writes.  An ideal test reads the ideal's per-slice divisors
@@ -34,6 +39,8 @@ enforces the bound wherever blocks are made, so a modulus above it raises
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -78,32 +85,67 @@ def _float_ok(layout: tuple, n: int) -> bool:
     return 0 < c and (c - 1) ** 2 * n * s < _FLOAT_SAFE
 
 
+_scratch = threading.local()
+
+
+def _workspace(role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A scratch array of the shape for one role of a kernel, owned by the
+    calling thread: a view of a flat buffer that grows to the largest size
+    asked for and is reused by every later call, so a kernel's temporaries
+    are not fresh blocks.  Views are cached by shape, so a lookup is one
+    dict read.  Its contents are undefined, and a kernel copies out of it,
+    so no result is a view of it."""
+    pool = _scratch.__dict__
+    view = pool.get((role, shape))
+    if view is None:
+        size = math.prod(shape)
+        buf = pool.get(role)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            for key in [k for k in pool if isinstance(k, tuple) and k[0] == role]:
+                del pool[key]
+            buf = pool[role] = np.empty(size, dtype=dtype)
+        view = pool[(role, shape)] = buf[:size].reshape(shape)
+    return view
+
+
 def _convolve(a: np.ndarray, b: np.ndarray, c: int, use_float: bool) -> np.ndarray:
     """The truncated product of two slice stacks: slice t is the sum over
     i <= t of a[i] @ b[t - i], reduced mod c.  In float64 the stacks convert
-    once and a slice's terms sum exactly before one reduction; in int64 each
-    term is reduced before it is added, which ``check_exact`` keeps exact."""
-    if use_float:
-        a, b = a.astype(np.float64), b.astype(np.float64)
+    once into the thread's workspace, and a slice's terms sum there exactly
+    before one conversion into the result, which is then reduced in place:
+    the result is the one fresh block.  In int64 each term is reduced before
+    it is added, which ``check_exact`` keeps exact."""
     out = np.empty(a.shape[:-1] + b.shape[2:], dtype=_dtype(c))
+    if use_float:
+        fa, fb = _workspace("a", a.shape), _workspace("b", b.shape)
+        np.copyto(fa, a)
+        np.copyto(fb, b)
+        acc = _workspace("acc", out.shape[1:])
+        term = _workspace("term", out.shape[1:]) if len(a) > 1 else None
+        for t in range(len(a)):
+            np.matmul(fa[0], fb[t], out=acc)
+            for i in range(1, t + 1):
+                np.matmul(fa[i], fb[t - i], out=term)
+                acc += term
+            out[t] = acc
+        return _mod(out, c, inplace=True)
     for t in range(len(a)):
         acc = a[0] @ b[t]
         for i in range(1, t + 1):
-            if use_float:
-                acc += a[i] @ b[t - i]
-            else:
-                acc = _mod(acc, c) + _mod(a[i] @ b[t - i], c)
+            acc = _mod(acc, c) + _mod(a[i] @ b[t - i], c)
         out[t] = acc
-    return _mod(out, c)
+    return _mod(out, c, inplace=True)
 
 
 def _update_lines(blk: np.ndarray, c: int, targets, sources, coeffs, add: bool) -> None:
     """The line kernel: line targets[i] of ``blk`` along the first trailing
     axis becomes coeffs * line sources[i], plus its old value when ``add``
-    (else it is assigned).  The product is a truncated convolution: slice t of
-    a target gets coeffs[j][i] times slice t - j of its source for every
-    j <= t, where ``coeffs`` holds one (m, 1) array per coefficient slice, or
-    None for a slice that is zero on every line.
+    (else it is assigned); a line is a row of a matrix block, or one entry
+    of a vector block.  The product is a truncated convolution: slice t of a
+    target gets coeffs[j][i] times slice t - j of its source for every
+    j <= t, where ``coeffs`` holds one array per coefficient slice, shaped
+    (m, 1) for a matrix block and (m,) for a vector block, or None for a
+    slice that is zero on every line.
 
     Slices run from last to first, and each slice gathers all its sources
     before it writes its targets, so a line that is both a target and a
@@ -122,13 +164,14 @@ def _update_lines(blk: np.ndarray, c: int, targets, sources, coeffs, add: bool) 
         line[targets] = 0 if acc is None else _mod(acc, c)
 
 
-def _line_coeffs(c: int, signs: np.ndarray, part) -> list:
-    """signs * v per slice of the residue v, as (m, 1) arrays for
-    ``_update_lines``; None for a zero slice."""
+def _line_coeffs(c: int, signs: np.ndarray, part, ndim: int) -> list:
+    """signs * v per slice of the residue v, for ``_update_lines`` on a block
+    of ``ndim`` trailing axes: (m, 1) arrays for a matrix, (m,) for a
+    vector; None for a zero slice."""
     if not c:
         # exact integers: an int64 product with a large parameter would overflow
         signs = signs.astype(object)
-    signs = signs[:, None]
+    signs = signs.reshape((-1,) + (1,) * (ndim - 1))
     if isinstance(part, tuple):
         return [signs * v if v else None for v in part]
     return [signs * part if part else None]
@@ -236,6 +279,22 @@ class _Blocks:
         ideals = {t: Ideal(self.spec, t) for t in set(rows)}
         return [ideals[t] for t in rows]
 
+    def _apply_move(self, move, xi: RingElem, left: bool) -> None:
+        """The word factor's line move: on rows, or for a vector on the
+        entries of a column, when ``left``; else on columns (the rows of the
+        transposed view), or for a vector on the entries of a row."""
+        srcs, dsts, signs, inv_signs, add = move if len(move) == 5 else (*move, None, True)
+        if not left:
+            srcs, dsts = dsts, srcs
+        inv_parts = (None,) * len(xi.parts) if inv_signs is None else xi.inv().parts
+        for f, blk, part, inv_part in zip(self.spec.factors, self.blocks, xi.parts, inv_parts):
+            c, ndim = f.layout[1], blk.ndim - 1
+            coeffs = _line_coeffs(c, signs, part, ndim)
+            if inv_signs is not None:
+                more = _line_coeffs(c, inv_signs, inv_part, ndim)
+                coeffs = [b if a is None else a if b is None else a + b for a, b in zip(coeffs, more)]
+            _update_lines(blk if left or ndim == 1 else blk.swapaxes(1, 2), c, dsts, srcs, coeffs, add)
+
     def signed_copies_at(self, *index, ref) -> np.ndarray:
         """For each selected entry, whether it equals plus or minus the
         selected entry at position ``ref`` of it, with one sign over all
@@ -297,7 +356,7 @@ class RMat(_Blocks):
         if self.spec != other.spec:
             raise DomainError("matrix sum over different rings")
         pairs = zip(self.spec.factors, self.blocks, other.blocks)
-        return RMat(self.spec, self.n, [_mod(op(a, b), f.layout[1]) for f, a, b in pairs])
+        return RMat(self.spec, self.n, [_mod(op(a, b), f.layout[1], inplace=True) for f, a, b in pairs])
 
     def is_identity(self) -> bool:
         """The constant slice's diagonal holds 1 and no other coefficient is
@@ -325,19 +384,6 @@ class RMat(_Blocks):
         """self <- g * self (row moves), as ``apply_x_right``."""
         self._apply_move(move, xi, True)
 
-    def _apply_move(self, move, xi: RingElem, left: bool) -> None:
-        srcs, dsts, signs, inv_signs, add = move if len(move) == 5 else (*move, None, True)
-        if not left:
-            srcs, dsts = dsts, srcs
-        inv_parts = (None,) * len(xi.parts) if inv_signs is None else xi.inv().parts
-        for f, blk, part, inv_part in zip(self.spec.factors, self.blocks, xi.parts, inv_parts):
-            c = f.layout[1]
-            coeffs = _line_coeffs(c, signs, part)
-            if inv_signs is not None:
-                more = _line_coeffs(c, inv_signs, inv_part)
-                coeffs = [b if a is None else a if b is None else a + b for a, b in zip(coeffs, more)]
-            _update_lines(blk if left else blk.swapaxes(1, 2), c, dsts, srcs, coeffs, add)
-
     # -- quotients -----------------------------------------------------------------
 
     def reduce(self, ideal: Ideal) -> "RMat":
@@ -360,7 +406,8 @@ class RMat(_Blocks):
     def inv(self) -> "RMat":
         """Inverse by elimination with unit pivots on the constant slice, then
         slice by slice: slice t of a x = e gives x_t = -x_0 (a_1 x_(t-1) +
-        ... + a_t x_0), whose sum is exact as in ``_convolve``.
+        ... + a_t x_0), whose sum is exact as in ``_convolve``; in float64
+        the slices are lifted into the thread's workspace.
 
         Works over any finite spec; over the integers only via the identity
         shortcut, since general integer inverses are not representable.
@@ -373,16 +420,10 @@ class RMat(_Blocks):
                 if not self.is_identity():
                     raise UnsupportedCaseError("matrix inversion over the integers is not supported")
                 return self.copy()
-            use_float = _float_ok(f.layout, n)
-            dtype = np.float64 if use_float else np.int64
-            x = np.zeros_like(blk)
-            x[0] = _inv_zmod(blk[0], f.p, f.k if s == 1 else 1, n)
-            a, xs = blk.astype(dtype), x.astype(dtype)
-            for t in range(1, s):
-                terms = (a[i] @ xs[t - i] for i in range(1, t + 1))
-                acc = sum(terms) if use_float else sum(_mod(m, c) for m in terms)
-                acc = _mod(acc.astype(np.int64), c).astype(dtype)
-                xs[t] = x[t] = _mod(-(xs[0] @ acc).astype(np.int64), c)
+            x = np.empty_like(blk)
+            _inv_zmod(blk[0], f.p, f.k if s == 1 else 1, n, out=x[0])
+            if s > 1:
+                _lift_inverse(blk, x, c, _float_ok(f.layout, n))
             blocks.append(x)
         return RMat(self.spec, n, blocks)
 
@@ -409,18 +450,54 @@ class RMat(_Blocks):
         return out
 
 
-def _inv_zmod(a: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
-    """Gauss-Jordan inverse mod p^k on the augmented rows [a | e].  The pivot
-    of a column is its first unit entry on or below the diagonal, found with
-    one ``nonzero`` when the diagonal entry is not a unit; every other row
-    with a nonzero entry in the pivot column is cleared in one outer-product
-    update.  Columns left of the pivot are already those of e, zero in the
-    pivot row, so an update reads and writes only the columns from the pivot
-    on."""
+def _lift_inverse(a: np.ndarray, x: np.ndarray, c: int, use_float: bool) -> None:
+    """Slices 1.. of the inverse x of the slice stack a, in place, from its
+    constant slice x[0]: x_t = -x_0 (a_1 x_(t-1) + ... + a_t x_0) mod c.  In
+    float64 both stacks and the sums live in the thread's workspace, and each
+    reduced slice is written into x and copied back for the next ones."""
+    s, n = len(a), a.shape[1]
+    if use_float:
+        fa, fx = _workspace("a", a.shape), _workspace("b", a.shape)
+        np.copyto(fa, a)
+        fx[0] = x[0]
+        acc, term = _workspace("acc", (n, n)), _workspace("term", (n, n))
+        for t in range(1, s):
+            np.matmul(fa[1], fx[t - 1], out=acc)
+            for i in range(2, t + 1):
+                np.matmul(fa[i], fx[t - i], out=term)
+                acc += term
+            x[t] = acc
+            fx[t] = _mod(x[t], c, inplace=True)
+            np.matmul(fx[0], fx[t], out=acc)
+            np.negative(acc, out=acc)
+            x[t] = acc
+            fx[t] = _mod(x[t], c, inplace=True)
+        return
+    for t in range(1, s):
+        acc = _mod(sum(_mod(a[i] @ x[t - i], c) for i in range(1, t + 1)), c)
+        x[t] = _mod(-(x[0] @ acc), c)
+
+
+def _inv_zmod(a: np.ndarray, p: int, k: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Gauss-Jordan inverse mod p^k on the augmented rows [a | e], which live
+    in the thread's workspace; the inverse is written into ``out`` (a fresh
+    array when None) and returned.  The pivot of a column is its first unit
+    entry on or below the diagonal, found with one ``nonzero`` when the
+    diagonal entry is not a unit; every other row with a nonzero entry in the
+    pivot column is cleared in one outer-product update.  Columns left of the
+    pivot are already those of e, zero in the pivot row, so an update reads
+    and writes only the columns from the pivot on."""
+    if out is None:
+        out = np.empty((n, n), dtype=np.int64)
     m = p**k
     if m == 1:
-        return np.zeros_like(a)
-    work = np.concatenate([_mod(a.astype(np.int64), m), np.identity(n, dtype=np.int64)], axis=1)
+        out[...] = 0
+        return out
+    work = _workspace("augmented", (n, 2 * n), np.int64)
+    work[:, :n] = a
+    _mod(work[:, :n], m, inplace=True)
+    work[:, n:] = 0
+    np.fill_diagonal(work[:, n:], 1)
     for col in range(n):
         if not _mod(work[col, col], p):
             units = _mod(work[col:, col], p).nonzero()[0]
@@ -436,7 +513,8 @@ def _inv_zmod(a: np.ndarray, p: int, k: int, n: int) -> np.ndarray:
         rows = factors.nonzero()[0]
         if len(rows):
             work[rows, col:] = _mod(work[rows, col:] - factors[rows, None] * work[col, col:], m)
-    return work[:, n:]
+    out[...] = work[:, n:]
+    return out
 
 
 class RVec(_Blocks):
@@ -459,6 +537,15 @@ class RVec(_Blocks):
 
     def set_entry(self, i: int, x: RingElem) -> None:
         self._set((i,), x)
+
+    def apply_x_left(self, move, xi: RingElem) -> None:
+        """self <- g * self for a column vector (moves on its entries), as
+        ``RMat.apply_x_left``."""
+        self._apply_move(move, xi, True)
+
+    def apply_x_right(self, move, xi: RingElem) -> None:
+        """self <- self * g for a row vector, as ``RMat.apply_x_right``."""
+        self._apply_move(move, xi, False)
 
 
 def signed_entries(vec: RVec, idx, signs) -> list:

@@ -24,18 +24,25 @@ from a generator word builds neither until it is read: its matrix is the
 identity with the word's factors g_1 ... g_k applied as row moves, last
 factor first, and its inverse the same replay of the inverse factors
 g_k^-1 ... g_1^-1 (x_alpha(-v), w_alpha(-v), h_alpha(v^-1)), which are
-computed once per word, when first needed.  Such an element of at most
-max(1, min(n // 32, 4)) factors keeps the pair (factors, inverse factors),
-and its inverse keeps the swapped pair.  A product with such a factor is a copy of the other factor's
-matrix with the moves applied (row moves on the left, column moves on the
-right), so the factor's own matrix is never built; its inverse is the other
-factor's inverse with the inverse factors applied on the other side.  Any
-other product multiplies the matrices, and its inverse is the product of the
-factors' inverses.  ``from_matrix`` inverts eagerly, by per-factor
-elimination, because that elimination is its invertibility check.  Only an
-element built from a word keeps its word; products, inverses and reductions
-derive none.  ``expand_atoms`` still spells a word out in root elements, for
-the checks that read them.
+computed once per word, when first needed.  The factors and the inverse
+factors are the element's private chain, and its inverse holds the chain
+swapped.
+
+A product of two elements with chains whose matrices are both unread is the
+word of the concatenated chain (up to 32 factors), so a conjugate
+by * g * by^-1 or a commutator of words copies and multiplies no matrix, and
+two such words compare equal when g * h^-1 is the identity.  Otherwise a
+chain of at most max(1, min(n // 32, 4)) factors is applied as line moves to
+a copy of the other factor's matrix (row moves on the left, column moves on
+the right), so its own matrix is never built, and a read matrix is reused,
+never rebuilt; any other product multiplies the matrices, and its inverse is
+the product of the factors' inverses.  A row or column of an element with a
+chain and an unread matrix is the basis vector moved by its factors, with no
+matrix built.  ``from_matrix`` inverts eagerly, by per-factor elimination,
+because that elimination is its invertibility check.  Only an element built
+from a word keeps its word; products, inverses and reductions derive none.
+``expand_atoms`` still spells a word out in root elements, for the checks
+that read them.
 """
 
 from __future__ import annotations
@@ -225,24 +232,30 @@ class GroupElement:
     computed on first read and then kept; a deferred matrix holds the
     factors' matrices and a deferred inverse their inverses, never the other
     one.  ``word`` is the atoms of an element built by ``element_from_word``
-    (``()`` for ``identity``), else None.  ``_line`` is (k, factors,
-    inverse factors) for such an element of k <= ``_max_line_atoms``
-    factors, with the two factor tuples as ``_Lazy`` nodes (the inverse
-    factors are computed on first read, once), and its inverse holds them
-    swapped; else None.  A factor is an atom (kind, root, value), applied as
-    one ``LineMove``.  ``corner_table`` is filled by
-    ``analysis.corner_ideals`` on its first read.
+    (``()`` for ``identity``), else None.
+
+    ``_chain`` is private: (k, factors, inverse factors) for an element whose
+    matrix is the product of k known factors, with the two factor tuples as
+    ``_Lazy`` nodes (the inverse factors are computed on first read, once),
+    else None.  A word has one, its inverse holds it swapped, and so has a
+    product of two elements with chains whose matrices are both unread,
+    which is their concatenated chain; only the word keeps ``word``.  A
+    factor is an atom (kind, root, value), applied as one ``LineMove``.
+    ``_line`` is the chain when k <= ``_max_line_atoms``, for the line path
+    of a product.  While the matrix is unread, ``column`` and ``row`` move a
+    basis vector by the chain instead of building it.  ``corner_table`` is
+    filled by ``analysis.corner_ideals`` on its first read.
     """
 
-    __slots__ = ("rep", "_mat", "_inv", "word", "_line", "corner_table")
+    __slots__ = ("rep", "_mat", "_inv", "word", "_chain", "corner_table")
 
-    def __init__(self, rep: "Representation", mat, inv, word=None, line=None):
+    def __init__(self, rep: "Representation", mat, inv, word=None, chain=None):
         """``mat`` and ``inv`` are values or ``_Lazy`` nodes."""
         self.rep = rep
         self._mat = mat if isinstance(mat, _Lazy) else _Lazy(mat)
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
         self.word = word
-        self._line = line
+        self._chain = chain
         self.corner_table = None
 
     @property
@@ -253,10 +266,24 @@ class GroupElement:
     def inv_mat(self) -> RMat:
         return self._inv.get()
 
+    @property
+    def _line(self):
+        chain = self._chain
+        return chain if chain is not None and chain[0] <= self.rep._max_line_atoms else None
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
+        """Two elements with chains and unread matrices multiply to the word
+        of their concatenated chain (up to ``_max_word_factors``), which
+        copies and multiplies nothing; otherwise a short chain is applied as
+        line moves to a copy of the other matrix, and anything else is a
+        matrix product."""
         rep = self.rep
         if other.rep is not rep:
             raise DomainError("product of elements of different representations")
+        a, b = self._chain, other._chain
+        if self._joins(other):
+            fs = _Lazy(fn=operator.add, args=(a[1], b[1]))
+            return rep._word_element(a[0] + b[0], fs, _Lazy(fn=operator.add, args=(b[2], a[2])))
         a, b = self._line, other._line
         if a is not None and (b is None or a[0] <= b[0]):
             (_, fs, inv_fs), base, left = a, other, True
@@ -270,10 +297,22 @@ class GroupElement:
         inv = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, not left), args=(base._inv, inv_fs))
         return GroupElement(rep, mat, inv)
 
+    def _joins(self, other: "GroupElement") -> bool:
+        """Both have chains and unread matrices, and the concatenated chain
+        has at most ``_max_word_factors`` factors."""
+        a, b = self._chain, other._chain
+        return (
+            a is not None
+            and b is not None
+            and self._mat.fn is not None
+            and other._mat.fn is not None
+            and a[0] + b[0] <= self.rep._max_word_factors
+        )
+
     def inverse(self) -> "GroupElement":
-        line = self._line
-        swapped = None if line is None else (line[0], line[2], line[1])
-        return GroupElement(self.rep, self._inv, self._mat, line=swapped)
+        chain = self._chain
+        swapped = None if chain is None else (chain[0], chain[2], chain[1])
+        return GroupElement(self.rep, self._inv, self._mat, chain=swapped)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """by * self * by^-1."""
@@ -284,7 +323,16 @@ class GroupElement:
         return self * other * self.inverse() * other.inverse()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElement) and self.mat == other.mat
+        """Equal matrices.  Two unread words compare as the one word
+        self * other^-1, which is the identity exactly when they are equal:
+        one identity with their moves is built instead of two."""
+        if not isinstance(other, GroupElement):
+            return False
+        if other.rep is self.rep:
+            inverse = other.inverse()
+            if self._joins(inverse):
+                return (self * inverse).is_identity()
+        return self.mat == other.mat
 
     def is_identity(self) -> bool:
         return self.mat.is_identity()
@@ -296,10 +344,20 @@ class GroupElement:
         return self.inv_mat.entry(self.rep.wm.idx(lam), self.rep.wm.idx(mu))
 
     def column(self, mu: Weight) -> RVec:
-        return mat_col(self.mat, self.rep.wm.idx(mu))
+        """Column mu; with an unread matrix and a chain, the factors act on
+        the basis vector by row moves, last factor first, and no matrix is
+        built."""
+        return self._row_or_column(self.rep.wm.idx(mu), True)
 
     def row(self, lam: Weight) -> RVec:
-        return mat_row(self.mat, self.rep.wm.idx(lam))
+        """Row lam; as ``column``, by column moves, first factor first."""
+        return self._row_or_column(self.rep.wm.idx(lam), False)
+
+    def _row_or_column(self, i: int, column: bool) -> RVec:
+        if self._chain is None or self._mat.fn is None:
+            return (mat_col if column else mat_row)(self.mat, i)
+        rep = self.rep
+        return rep._apply_factors(RVec.basis(rep.ring, rep.n, i), self._chain[1].get(), column)
 
     def check(self) -> None:
         if not (self.mat * self.inv_mat).is_identity():
@@ -323,6 +381,12 @@ class Representation:
         # favour the moves more.  A single factor always wins, since its own
         # matrix is then never built.
         self._max_line_atoms = max(1, min(self.n // 32, 4))
+        # A product of two unread chains concatenates them while the result
+        # has at most this many factors.  Its matrix is one identity plus a
+        # line move per factor, and no copy or matrix product, but an operand
+        # used twice (h in h a h^-1) is replayed once per use, so the chains
+        # of repeated conjugations would double at every step without a cap.
+        self._max_word_factors = 32
 
     # -- scalars ---------------------------------------------------------------
 
@@ -352,7 +416,7 @@ class Representation:
 
     def identity(self) -> GroupElement:
         ident = RMat.identity(self.ring, self.n)
-        return GroupElement(self, ident, ident.copy(), word=(), line=(0, _Lazy(()), _Lazy(())))
+        return GroupElement(self, ident, ident.copy(), word=(), chain=(0, _Lazy(()), _Lazy(())))
 
     def expand_atoms(self, atoms) -> list[tuple[Root, RingElem]]:
         """The word's root elements (root, value): w_alpha(v) is
@@ -391,20 +455,24 @@ class Representation:
         the inverse factors are computed once, when first needed."""
         factors = self._factors(atoms)
         fs = _Lazy(factors)
-        inv_fs = _Lazy(fn=_inverse_factors, args=(fs,))
+        return self._word_element(len(factors), fs, _Lazy(fn=_inverse_factors, args=(fs,)), word=factors)
+
+    def _word_element(self, k: int, fs: _Lazy, inv_fs: _Lazy, word=None) -> GroupElement:
+        """The element of the chain of k validated factors, with nothing
+        built: its matrix and inverse replay the factors and the inverse
+        factors on the identity when first read."""
 
         def build(f):
             return self._apply_factors(RMat.identity(self.ring, self.n), f, True)
 
         mat, inv = _Lazy(fn=build, args=(fs,)), _Lazy(fn=build, args=(inv_fs,))
-        line = (len(factors), fs, inv_fs) if len(factors) <= self._max_line_atoms else None
-        return GroupElement(self, mat, inv, word=factors, line=line)
+        return GroupElement(self, mat, inv, word=word, chain=(k, fs, inv_fs))
 
-    def _apply_factors(self, mat: RMat, factors: tuple, left: bool) -> RMat:
-        """``mat`` times the product g_1 ... g_k of the factors, in place, one
-        line move per factor: g_1 ... g_k * mat by row moves, last factor
-        first, when ``left``, else mat * g_1 ... g_k by column moves, first
-        factor first."""
+    def _apply_factors(self, mat, factors: tuple, left: bool):
+        """``mat`` (a matrix, or a vector) times the product g_1 ... g_k of
+        the factors, in place, one line move per factor: g_1 ... g_k * mat by
+        row moves, last factor first, when ``left``, else mat * g_1 ... g_k
+        by column moves, first factor first."""
         move = self.tables.move
         if left:
             for kind, root, value in reversed(factors):

@@ -277,16 +277,21 @@ def _integer(x) -> int:
         raise DomainError(f"{x!r} is not an integer") from None
 
 
-def _mod(x, c: int):
+def _mod(x, c: int, inplace: bool = False):
     """x mod c, for an int or an integer array; c = 0 leaves it, as over the
     integers.  A power of two c keeps the low bits, x & (c - 1), which is
     exact in two's complement for negative x too and gives 0 for c = 1; it
-    costs a fraction of an int64 ``%``."""
+    costs a fraction of an int64 ``%``.  With ``inplace``, an array is
+    reduced in place, so no new block is made, and returned."""
     if not c:
         return x
+    if not inplace:
+        return x % c if c & (c - 1) else x & (c - 1)
     if c & (c - 1):
-        return x % c
-    return x & (c - 1)
+        x %= c
+    else:
+        x &= c - 1
+    return x
 
 
 def _product(a, b, c: int) -> tuple:

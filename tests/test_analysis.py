@@ -1392,3 +1392,31 @@ def test_witness_traces_are_pinned(rep_b_z4):
     }
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_TRACES_SHA256
+
+
+def test_large_a8_conjugate_is_built_without_copies_or_matrix_products(monkeypatch):
+    """The shape of the ``large_a8`` root-type check: x_beta over F2[t]/(t^2)
+    conjugated by a 7-atom word at a8 is one word of 15 factors, so building
+    its matrix runs no ``RMat`` product, and neither the build nor the
+    check copies a block."""
+    from chevalley import matrices
+
+    ring = named_ring("f2t2")
+    rep = representation("a", 8, ring)
+    phi = sorted(rep.case.phi)
+    rng = SplitMix64(8)
+    values = [ring.from_parts((p,)) for p in ((1, 0), (0, 1), (1, 1))]
+
+    def atom():
+        return ("x", phi[rng.randrange(len(phi))], values[rng.randrange(3)])
+
+    root_type_failures(rep.identity())  # the shared identity and masks, built once
+    g = rep.element_from_word((atom(),)).conjugate(rep.element_from_word(tuple(atom() for _ in range(7))))
+    products, copies = [], []
+    mul, copy = RMat.__mul__, matrices._Blocks.copy
+    monkeypatch.setattr(RMat, "__mul__", lambda self, other: products.append(1) or mul(self, other))
+    monkeypatch.setattr(matrices._Blocks, "copy", lambda self: copies.append(1) or copy(self))
+    g.mat
+    assert products == [] and copies == []
+    assert root_type_failures(g) == []
+    assert copies == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chevalley import matrices
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat, RVec, _float_ok, _inv_zmod, mat_col, mat_row, signed_entries
 from chevalley.rings import Factor, Ideal, RingElem, RingSpec, named_ring
@@ -280,3 +281,53 @@ def test_signed_entries_match_boxed_entries(name):
         for pos, c, val in zip(idx, signs, got):
             ref = entry(int(pos)) if c > 0 else -entry(int(pos))
             assert val == (None if ref.is_zero() else ref)
+
+
+def _workspace_buffers():
+    return [buf for buf in matrices._scratch.__dict__.values() if isinstance(buf, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", ["z4", "f2t2", "f3t3"])
+def test_float_products_and_inverses_never_alias_the_workspace(name):
+    """Consecutive float products and inverses return fresh blocks: they
+    share no memory with each other or with the thread's workspace."""
+    spec = named_ring(name)
+    rng = SplitMix64(len(name))
+    mats = [_random_invertible(spec, 12, rng) for _ in range(4)]
+    assert all(_float_ok(f.layout, 12) for f in spec.factors)
+    results = [mats[0] * mats[1], mats[2] * mats[3], mats[0].inv(), mats[1].inv()]
+    blocks = [blk for m in results for blk in m.blocks]
+    buffers = _workspace_buffers()
+    assert buffers
+    for i, blk in enumerate(blocks):
+        assert not any(np.shares_memory(blk, buf) for buf in buffers)
+        assert not any(np.shares_memory(blk, other) for other in blocks[i + 1 :])
+    assert results[0] == mats[0] * mats[1] and results[1] == mats[2] * mats[3]
+    assert (mats[0] * results[2]).is_identity() and (results[3] * mats[1]).is_identity()
+
+
+def test_concurrent_products_equal_the_serial_results():
+    """Each thread has its own workspace: products and inverses computed in
+    four threads at once, switching often, equal the serial results."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = []
+    for name, n in (("f2t2", 40), ("z4", 40), ("f3t3", 24)):
+        spec = named_ring(name)
+        rng = SplitMix64(n + len(name))
+        jobs += [(_random_invertible(spec, n, rng), _random_invertible(spec, n, rng)) for _ in range(3)]
+
+    def work(pair):
+        a, b = pair
+        return [a * b, b * a, a.inv(), (a * b).inv()]
+
+    serial = [work(pair) for pair in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                assert list(pool.map(work, jobs, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)

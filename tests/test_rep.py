@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chevalley.errors import DomainError, NonUnitError
-from chevalley.matrices import RVec
+from chevalley.matrices import RMat, RVec, mat_col, mat_row
 from chevalley.rep import (
     get_representation,
     is_component_blocked,
@@ -543,3 +543,113 @@ def test_sign_refuses_a_weight_the_root_does_not_shift():
         rep.sign(fixed, alpha)
     with pytest.raises(DomainError):
         rep.sign(wm.lam0, (0,) * rep.case.l)
+
+
+def _mixed_atom_sampler(rep, rng):
+    ring = rep.ring
+    phi = sorted(rep.case.phi)
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, 1, 3)]
+    units = _units(ring)
+
+    def atom():
+        kind = "xwh"[rng.randrange(3)]
+        pool = values if kind == "x" else units
+        return (kind, phi[rng.randrange(len(phi))], pool[rng.randrange(len(pool))])
+
+    return atom
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 6)])
+def test_lines_of_an_unread_word_come_from_vectors(tag, l, ring_name):
+    """``column`` and ``row`` of a word whose matrix is unread apply its
+    factors to a basis vector, equal the lines of the built matrix, and
+    leave the matrix unbuilt; so do the lines of its inverse."""
+    rep = representation(tag, l, named_ring(ring_name))
+    rng = SplitMix64(rep.n + 3 * len(ring_name))
+    atom = _mixed_atom_sampler(rep, rng)
+    weights = rep.wm.weights
+    for length in (1, 3, 7):
+        atoms = tuple(atom() for _ in range(length))
+        word, ref = rep.element_from_word(atoms), rep.element_from_word(atoms)
+        for g, mat in ((word, ref.mat), (word.inverse(), ref.inv_mat)):
+            for _ in range(4):
+                i = rng.randrange(rep.n)
+                assert g.column(weights[i]) == mat_col(mat, i)
+                assert g.row(weights[i]) == mat_row(mat, i)
+        assert word._mat.fn is not None and word._inv.fn is not None
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 8)])
+def test_products_of_unread_words_are_words(tag, l, ring_name):
+    """Products, conjugates and commutators of words whose matrices are
+    unread are the words of the concatenated factors: they equal the matrix
+    products, keep ``word`` None, and build neither operand's matrix nor
+    its inverse."""
+    rep = representation(tag, l, named_ring(ring_name))
+    rng = SplitMix64(rep.n + len(ring_name))
+    atom = _mixed_atom_sampler(rep, rng)
+    a, b = (rep.element_from_word(tuple(atom() for _ in range(k))) for k in (3, 7))
+    ra, rb = (rep.element_from_word(g.word) for g in (a, b))
+    cases = [
+        (a * b, ra.mat * rb.mat, 10),
+        (a.conjugate(b), rb.mat * ra.mat * rb.inv_mat, 17),
+        (a.commutator(b), ra.mat * rb.mat * ra.inv_mat * rb.inv_mat, 20),
+        (a.inverse() * b.inverse(), ra.inv_mat * rb.inv_mat, 10),
+    ]
+    for g, ref, k in cases:
+        assert g._chain[0] == k and g.word is None
+        assert g.mat == ref
+        g.check()
+        assert g.inverse().mat == g.inv_mat
+    for g in (a, b):
+        assert g._mat.fn is not None and g._inv.fn is not None
+
+
+def test_a_product_with_a_read_word_reuses_its_matrix(monkeypatch):
+    """Once a word's matrix is read, a product takes the line path (a copy
+    of that matrix with the other factor's moves) or the matrix product, and
+    the read matrix is never rebuilt from the identity."""
+    rep = representation("a", 8, named_ring("f2t2"))
+    phi = sorted(rep.case.phi)
+    one = rep.ring.one
+    cut = rep._max_line_atoms
+    read = rep.element_from_word(tuple(("x", phi[i], one) for i in range(cut + 2)))
+    read.mat
+    short = rep.x(phi[-1], one)
+    long = rep.element_from_word(tuple(("x", phi[-1 - i], one) for i in range(cut + 1)))
+    products = [read * short, short * read, read * long]
+    assert [g._chain for g in products] == [None] * 3
+
+    identities, matmuls = [], []
+    identity, mul = RMat.identity.__func__, RMat.__mul__
+    monkeypatch.setattr(RMat, "identity", classmethod(lambda cls, *a: identities.append(a) or identity(cls, *a)))
+    monkeypatch.setattr(RMat, "__mul__", lambda self, other: matmuls.append(1) or mul(self, other))
+    got = [g.mat for g in products]
+    # the line path builds nothing; the matrix product builds only the long word
+    assert len(identities) == 1 and len(matmuls) == 1
+    short_mat, long_mat = (rep.element_from_word(g.word).mat for g in (short, long))
+    assert got == [read.mat * short_mat, short_mat * read.mat, read.mat * long_mat]
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+def test_unread_words_compare_as_one_word(ring_name):
+    """``==`` on two unread words builds the one word g h^-1: equal
+    spellings of one element compare equal, others unequal, and neither
+    operand's matrix is built."""
+    ring = named_ring(ring_name)
+    rep = representation("c", None, ring)
+    phi = sorted(rep.case.phi)
+    alpha, beta = phi[0], phi[-1]
+    xi, zeta = ring.el(1), ring.el(3)
+    sums = [
+        (rep.element_from_word((("x", alpha, xi), ("x", alpha, zeta))), rep.x(alpha, xi + zeta), True),
+        (rep.w(alpha, 1), rep.element_from_word((("x", alpha, 1), ("x", tuple(-x for x in alpha), -1), ("x", alpha, 1))), True),
+        (rep.x(alpha, xi), rep.x(beta, xi), False),
+        (rep.h(alpha, -1), rep.w(alpha, 1).inverse().inverse() * rep.w(alpha, 1), True),
+    ]
+    for g, h, equal in sums:
+        assert (g == h) is equal and (h == g) is equal
+        assert g._mat.fn is not None and h._mat.fn is not None
+        assert (g.mat == h.mat) is equal
