@@ -26,8 +26,12 @@ action, and rows of the transposed view for a right action; on a vector,
 its entries.  A root element
 adds to lines that are not its sources (the module is minuscule); a Weyl or
 torus element assigns to lines that are also sources, which the kernel reads
-before it writes.  An ideal test reads the ideal's per-slice divisors
-(``Ideal.divisors``).
+before it writes.  Ideals and quotients follow the chain rule of ``rings``,
+read through the layout, never the factor kind: an ideal test reads the
+ideal's per-slice divisors (``Ideal.divisors``); a line's ideal is its number
+of leading zero slices when s > 1, else its gcd with c (p^v for c = p^k); and
+a quotient keeps, per factor of ``Factor.quotient``, the first s slices mod
+that factor's c.
 
 Exactness: blocks hold coefficients reduced into [0, c) (``set_entry``
 reduces the residues it stores), and then every int64 kernel is exact
@@ -46,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonUnitError, UnsupportedCaseError
-from .rings import INT, POLY, Ideal, RingElem, RingSpec, _mod, factorize
+from .rings import Ideal, RingElem, RingSpec, _mod
 
 _FLOAT_SAFE = 2**52
 _INT64_SAFE = 2**63
@@ -265,14 +269,15 @@ class _Blocks:
         Equal ideals are one shared object."""
         parts = []
         for f, blk in zip(self.spec.factors, self.blocks):
+            s, c = f.layout
             vals = [v.reshape(-1, v.shape[-1]) for v in (sl[index] for sl in blk)]
-            if f.kind == POLY:
-                # the valuation is the number of leading slices that vanish
+            if s > 1:
+                # slices mod p: the valuation is the number of leading slices that vanish
                 part = np.logical_and.accumulate([~v.any(axis=0) for v in vals]).sum(axis=0)
             else:
-                # each line's gcd with c; over Z/p^k it is p^v, v the least valuation
-                part = np.gcd.reduce(vals[0], axis=0, initial=f.layout[1])
-                if f.kind != INT:
+                # each line's gcd with c; for c = p^k it is p^v, v the least valuation
+                part = np.gcd.reduce(vals[0], axis=0, initial=c)
+                if c:
                     part = np.searchsorted(f.p ** np.arange(f.k + 1), part)
             parts.append(part.tolist())
         rows = list(zip(*parts))
@@ -392,12 +397,10 @@ class RMat(_Blocks):
             raise DomainError("ideal over a different ring")
         qspec = ideal.quotient_spec()
         check_exact(qspec, self.n)
-        quotients = iter(qspec.factors)
         blocks = []
         for f, j, blk in zip(self.spec.factors, ideal.parts, self.blocks):
-            # Z/(j) splits into one factor per prime power of j
-            for _ in range(len(factorize(j)) if f.kind == INT and j > 1 else 1):
-                s, c = next(quotients).layout
+            for q in f.quotient(j):
+                s, c = q.layout
                 blocks.append(np.array(_mod(blk[:s], c), dtype=_dtype(c)))
         return RMat(qspec, self.n, blocks)
 

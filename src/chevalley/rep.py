@@ -11,38 +11,22 @@ at a time; this pins one concrete sign table whose correctness is checked by
 the relation suite rather than against any published table.
 
 A word's atoms are its factors (kind, root, value): x_alpha(v), the Weyl
-element w_alpha(v) = x_alpha(v) x_-alpha(-v^-1) x_alpha(v) (a signed
-permutation of lines) and the torus element h_alpha(v) = w_alpha(v)
-w_alpha(-1) (a diagonal matrix), v a unit for w and h.  Each factor acts as
-one line move (``RepTables.move``): x adds multiples of the source lines to
-the target lines, w swaps the two line sets with scalars, and h scales them,
-so a factor of any kind costs one call of the line kernel.
+element w_alpha(v) = x_alpha(v) x_-alpha(-v^-1) x_alpha(v) and the torus
+element h_alpha(v) = w_alpha(v) w_alpha(-1), v a unit for w and h.  Each
+factor is one line move (``RepTables.move``): x adds multiples of the source
+lines to the target lines, w swaps the two line sets with scalars, and h
+scales them.
 
-A group element holds its matrix and its exact inverse as lazy nodes, each
-computed on first read, and ``inverse`` swaps the two.  An element built
-from a generator word builds neither until it is read: its matrix is the
-identity with the word's factors g_1 ... g_k applied as row moves, last
-factor first, and its inverse the same replay of the inverse factors
-g_k^-1 ... g_1^-1 (x_alpha(-v), w_alpha(-v), h_alpha(v^-1)), which are
-computed once per word, when first needed.  The factors and the inverse
-factors are the element's private chain, and its inverse holds the chain
-swapped.
-
-A product of two elements with chains whose matrices are both unread is the
-word of the concatenated chain (up to 32 factors), so a conjugate
-by * g * by^-1 or a commutator of words copies and multiplies no matrix, and
-two such words compare equal when g * h^-1 is the identity.  Otherwise a
-chain of at most max(1, min(n // 32, 4)) factors is applied as line moves to
-a copy of the other factor's matrix (row moves on the left, column moves on
-the right), so its own matrix is never built, and a read matrix is reused,
-never rebuilt; any other product multiplies the matrices, and its inverse is
-the product of the factors' inverses.  A row or column of an element with a
-chain and an unread matrix is the basis vector moved by its factors, with no
-matrix built.  ``from_matrix`` inverts eagerly, by per-factor elimination,
-because that elimination is its invertibility check.  Only an element built
-from a word keeps its word; products, inverses and reductions derive none.
-``expand_atoms`` still spells a word out in root elements, for the checks
-that read them.
+A ``GroupElement`` holds its matrix and exact inverse as lazy nodes, each
+computed on first read.  An element built from a word keeps the word's
+factors and inverse factors as a chain: its matrix is the identity moved by
+the factors, a row or column of an unread word is a basis vector moved by
+them, and a product of two unread words is the word of the joined chain (at
+most 32 factors).  Any other product applies a chain of at most
+max(1, min(n // 32, 4)) factors as line moves to a copy of the other matrix,
+or multiplies the matrices.  ``from_matrix`` inverts at once, since the
+elimination is its invertibility check.  ``expand_atoms`` spells a word out
+in root elements.
 """
 
 from __future__ import annotations

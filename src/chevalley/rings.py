@@ -22,12 +22,21 @@ leaves +-1), and an inverse is a Newton lift of the constant slice's inverse.
 
 Every ideal of such a product is principal per factor: in a chain factor it is
 (pi^j) for the uniformizer pi and some 0 <= j <= k (j = k is the zero ideal),
-and in the integers it is (m) for some m >= 0.  A residue lies in it when each
-slice is a multiple of that slice's divisor (``Factor.divisors``), so
-membership and enumeration are layout rules too.  The factor kinds still
-differ in validation, ``describe`` and JSON, in the ideal lattice (exponents
-meet by min and max in a chain factor, generators by gcd and lcm in Z), and in
-canonical generators and quotients.
+and in the integers it is (m) for some m >= 0.  One chain rule serves both
+chain kinds, Z/p^k (pi = p) and F_p[t]/(t^k) (pi = t):
+
+* a residue lies in an ideal when each slice is a multiple of that slice's
+  divisor (``Factor.divisors``), which gives membership and enumeration; the
+  ideal's generator keeps the first nonzero divisor and zeroes the rest;
+* the quotient by (pi^j) is the chain of length j, or Z/(m) split into its
+  prime powers over Z (``Factor.quotient``); an element's image keeps the
+  first s slices of each residue mod the quotient's c;
+* the lattice splits once, on ``RingSpec.is_finite``: in a finite spec the
+  exponents combine by min, max, a sum capped at k, and <=; over Z the
+  generators by gcd, lcm, product and divisibility.
+
+The kinds differ only in validation, ``layout`` and ``part``, the element
+constructors, ``describe`` and JSON.
 """
 
 from __future__ import annotations
@@ -35,10 +44,10 @@ from __future__ import annotations
 import ast
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product as _iproduct
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterator
 
 from .errors import DomainError, NonUnitError, SpecMismatchError
@@ -88,19 +97,14 @@ class Factor:
         # a bool, a float or a string for p or k would name another ring
         object.__setattr__(self, "p", _integer(self.p))
         object.__setattr__(self, "k", _integer(self.k))
-        if self.kind == ZMOD:
-            if not _is_prime(self.p) or self.k < 0:
-                raise DomainError(f"zmod factor needs a prime and k >= 0, got {self}")
-        elif self.kind == POLY:
-            if not _is_prime(self.p) or self.k < 1:
-                raise DomainError(f"poly factor needs a prime and k >= 1, got {self}")
-        elif self.kind != INT:
+        least_k = {ZMOD: 0, POLY: 1}.get(self.kind)
+        if self.kind == INT:
+            if self.p or self.k:
+                raise DomainError(f"int factor takes no p or k, got {self}")
+        elif least_k is None:
             raise DomainError(f"unknown factor kind {self.kind!r}")
-
-    @property
-    def modulus(self) -> int:
-        """p^k for a zmod factor."""
-        return self.p**self.k
+        elif not _is_prime(self.p) or self.k < least_k:
+            raise DomainError(f"{self.kind} factor needs a prime and k >= {least_k}, got {self}")
 
     @cached_property
     def layout(self) -> tuple[int, int]:
@@ -108,7 +112,7 @@ class Factor:
         integers, which are never reduced."""
         if self.kind == POLY:
             return self.k, self.p
-        return 1, (self.modulus if self.kind == ZMOD else 0)
+        return 1, (self.p**self.k if self.kind == ZMOD else 0)
 
     @property
     def size(self) -> int | None:
@@ -123,12 +127,22 @@ class Factor:
     def divisors(self, j: int) -> tuple[int, ...]:
         """Per slice, the d_i such that a residue lies in the ideal with part
         j exactly when slice i is a multiple of d_i, where 0 divides only 0:
-        j itself over Z; in a chain factor p^(j - i) for the slices i < j,
-        written 0 once it reaches c, and 1 for the others."""
-        if self.kind == INT:
-            return (j,)
+        j itself over Z; in a chain factor p^(j - i) for the slices i < j and
+        1 for the others, each reduced mod c (so 0 once it reaches c)."""
         s, c = self.layout
-        return tuple(self.p ** (j - i) % c if i < j else 1 for i in range(s))
+        if not c:
+            return (j,)
+        return tuple([self.p ** (j - i) % c if i < j else 1 % c for i in range(s)])
+
+    def quotient(self, j: int) -> tuple["Factor", ...]:
+        """The factors of the quotient by the ideal with part j: in a chain
+        factor the chain of length j (Z/p^0, the zero ring, at j = 0); over
+        Z, Z/(j) split into its prime powers, Z/1 at j = 1 and Z at j = 0."""
+        if self.layout[1]:
+            return (replace(self, k=j) if j else Factor(ZMOD, self.p, 0),)
+        if not j:
+            return (self,)
+        return tuple(Factor(ZMOD, p, k) for p, k in factorize(j)) or (Factor(ZMOD, 2, 0),)
 
 
 @dataclass(frozen=True)
@@ -160,7 +174,7 @@ class RingSpec:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
+    @cached_property
     def is_finite(self) -> bool:
         return all(self.moduli)
 
@@ -174,15 +188,10 @@ class RingSpec:
         return prod(f.size for f in self.factors) if self.is_finite else None
 
     def describe(self) -> str:
-        parts = []
-        for f in self.factors:
-            if f.kind == ZMOD:
-                parts.append(f"Z/{f.modulus}")
-            elif f.kind == POLY:
-                parts.append(f"F{f.p}[t]/(t^{f.k})")
-            else:
-                parts.append("Z")
-        return " x ".join(parts)
+        return " x ".join(
+            "Z" if f.kind == INT else f"F{f.p}[t]/(t^{f.k})" if f.kind == POLY else f"Z/{f.layout[1]}"
+            for f in self.factors
+        )
 
     # -- element constructors ---------------------------------------------
 
@@ -238,23 +247,12 @@ class RingSpec:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        out = []
-        for f in self.factors:
-            if f.kind == INT:
-                out.append({"kind": INT})
-            else:
-                out.append({"kind": f.kind, "p": f.p, "k": f.k})
+        out = [{"kind": INT} if f.kind == INT else {"kind": f.kind, "p": f.p, "k": f.k} for f in self.factors]
         return {"factors": out}
 
     @staticmethod
     def from_json(data: dict) -> "RingSpec":
-        factors = []
-        for d in data["factors"]:
-            if d["kind"] == INT:
-                factors.append(Factor(INT))
-            else:
-                factors.append(Factor(d["kind"], d["p"], d["k"]))
-        return RingSpec(tuple(factors))
+        return RingSpec(tuple(Factor(d["kind"], d.get("p", 0), d.get("k", 0)) for d in data["factors"]))
 
 
 def _check_same_spec(a, b) -> None:
@@ -436,91 +434,72 @@ class Ideal:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        # a bool or a float would name another ideal; numpy integers become ints
-        if not all(type(j) is int for j in self.parts):
-            object.__setattr__(self, "parts", tuple(_integer(j) for j in self.parts))
-        for f, j in zip(self.spec.factors, self.parts):
-            if f.kind == INT:
-                if j < 0:
-                    raise DomainError("integer ideal generator must be >= 0")
-            elif not 0 <= j <= f.k:
-                raise DomainError(f"ideal exponent {j} out of range for {f}")
+        spec, parts = self.spec, self.parts
+        if len(parts) != len(spec.factors):
+            raise DomainError(f"an ideal of {spec.describe()} needs {len(spec.factors)} parts, got {parts}")
+        finite = spec.is_finite
+        for f, j in zip(spec.factors, parts):
+            if type(j) is not int:
+                # a bool or a float would name another ideal; numpy integers become ints
+                object.__setattr__(self, "parts", tuple(map(_integer, parts)))
+                return self.__post_init__()
+            if j < 0 or finite and j > f.k:
+                raise DomainError(f"ideal part {j} out of range for {f}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(spec: RingSpec) -> "Ideal":
-        return Ideal(spec, tuple(0 if f.kind == INT else f.k for f in spec.factors))
+        return Ideal(spec, tuple(f.k for f in spec.factors))
 
     @staticmethod
     def unit(spec: RingSpec) -> "Ideal":
-        return Ideal(spec, tuple(1 if f.kind == INT else 0 for f in spec.factors))
+        return Ideal(spec, (0,) * len(spec.factors) if spec.is_finite else (1,))
 
     @staticmethod
     def from_elems(spec: RingSpec, elems) -> "Ideal":
-        """The ideal generated by the given elements."""
-        parts = []
-        for i, f in enumerate(spec.factors):
-            if f.kind == INT:
-                g = 0
-                for x in elems:
-                    g = gcd(g, abs(x.parts[i]))
-                parts.append(g)
-            else:
-                v = f.k
-                for x in elems:
-                    v = _valuation(x.parts[i], f.p, v)
-                parts.append(v)
+        """The ideal generated by the given elements: per factor the least
+        valuation, or over Z the gcd."""
+        if not spec.is_finite:
+            return Ideal(spec, (gcd(*(x.parts[0] for x in elems)),))
+        parts = [f.k for f in spec.factors]
+        for x in elems:
+            parts = [_valuation(a, f.p, v) for f, a, v in zip(spec.factors, x.parts, parts)]
         return Ideal(spec, tuple(parts))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Ideal") -> "Ideal":
         _check_same_spec(self, other)
-        parts = []
-        for f, a, b in zip(self.spec.factors, self.parts, other.parts):
-            parts.append(gcd(a, b) if f.kind == INT else min(a, b))
-        return Ideal(self.spec, tuple(parts))
+        return Ideal(self.spec, tuple(map(min if self.spec.is_finite else gcd, self.parts, other.parts)))
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         _check_same_spec(self, other)
         table = self.spec.ideal_products
+        if table is None:
+            return Ideal(self.spec, (self.parts[0] * other.parts[0],))
         key = (self.parts, other.parts)
-        if table is not None and key in table:
-            return table[key]
-        parts = []
-        for f, a, b in zip(self.spec.factors, self.parts, other.parts):
-            parts.append(a * b if f.kind == INT else min(a + b, f.k))
-        product = Ideal(self.spec, tuple(parts))
-        if table is not None:
-            table[key] = product
-        return product
+        if key not in table:
+            parts = tuple(min(a + b, f.k) for f, a, b in zip(self.spec.factors, self.parts, other.parts))
+            table[key] = Ideal(self.spec, parts)
+        return table[key]
 
     def __and__(self, other: "Ideal") -> "Ideal":
         _check_same_spec(self, other)
-        parts = []
-        for f, a, b in zip(self.spec.factors, self.parts, other.parts):
-            if f.kind == INT:
-                parts.append(0 if a == 0 or b == 0 else a * b // gcd(a, b))
-            else:
-                parts.append(max(a, b))
-        return Ideal(self.spec, tuple(parts))
+        return Ideal(self.spec, tuple(map(max if self.spec.is_finite else lcm, self.parts, other.parts)))
 
     def square(self) -> "Ideal":
         return self * self
 
     def contains(self, other: "Ideal") -> bool:
         _check_same_spec(self, other)
-        for f, a, b in zip(self.spec.factors, self.parts, other.parts):
-            if f.kind == INT:
-                if a == 0:
-                    if b != 0:
-                        return False
-                elif b % a != 0:
+        if self.spec.is_finite:
+            for a, b in zip(self.parts, other.parts):
+                if a > b:
                     return False
-            elif a > b:
-                return False
-        return True
+            return True
+        (a,), (b,) = self.parts, other.parts
+        return b % a == 0 if a else b == 0
 
     def __le__(self, other: "Ideal") -> bool:
         return other.contains(self)
@@ -528,7 +507,7 @@ class Ideal:
     @cached_property
     def divisors(self) -> tuple[tuple[int, ...], ...]:
         """``Factor.divisors`` of each factor's part."""
-        return tuple(f.divisors(j) for f, j in zip(self.spec.factors, self.parts))
+        return tuple([f.divisors(j) for f, j in zip(self.spec.factors, self.parts)])
 
     def __contains__(self, x: RingElem) -> bool:
         _check_same_spec(self, x)
@@ -548,16 +527,17 @@ class Ideal:
         return self == Ideal.unit(self.spec)
 
     def generator(self) -> RingElem:
-        """Canonical single generator (pi^j per chain factor, m in Z)."""
+        """Canonical single generator (pi^j per chain factor, m in Z): per
+        factor, the first slice whose divisor is nonzero holds that divisor,
+        and every other slice is 0."""
         parts = []
-        for f, j in zip(self.spec.factors, self.parts):
-            if f.kind == INT:
-                parts.append(j)
-            elif f.kind == ZMOD:
-                parts.append(f.p**j % f.modulus if f.k > 0 else 0)
-            else:
-                parts.append(tuple(1 if i == j else 0 for i in range(f.k)))
-        return self.spec.from_parts(tuple(parts))
+        for f, ds in zip(self.spec.factors, self.divisors):
+            for i, d in enumerate(ds):
+                if d:
+                    ds = ds[: i + 1] + (0,) * (len(ds) - i - 1)
+                    break
+            parts.append(f.part(ds))
+        return RingElem(self.spec, tuple(parts))
 
     def elements(self) -> Iterator[RingElem]:
         if not self.spec.is_finite:
@@ -567,56 +547,26 @@ class Ideal:
     # -- quotients -----------------------------------------------------------
 
     def quotient_spec(self) -> RingSpec:
-        factors = []
-        for f, j in zip(self.spec.factors, self.parts):
-            if f.kind == INT:
-                if j == 0:
-                    factors.append(Factor(INT))
-                elif j == 1:
-                    factors.append(Factor(ZMOD, 2, 0))
-                else:
-                    factors.extend(Factor(ZMOD, p, k) for p, k in factorize(j))
-            elif f.kind == ZMOD:
-                factors.append(Factor(ZMOD, f.p, j))
-            else:
-                factors.append(Factor(POLY, f.p, j) if j > 0 else Factor(ZMOD, f.p, 0))
-        return RingSpec(tuple(factors))
+        return RingSpec(tuple(q for f, j in zip(self.spec.factors, self.parts) for q in f.quotient(j)))
 
     def reduce_elem(self, x: RingElem) -> RingElem:
-        """Image of x in the quotient by this ideal."""
+        """Image of x in the quotient by this ideal: per quotient factor, the
+        first s slices of the residue mod its c."""
         _check_same_spec(self, x)
-        qspec = self.quotient_spec()
         parts = []
         for f, j, part in zip(self.spec.factors, self.parts, x.parts):
-            if f.kind == INT:
-                if j == 0:
-                    parts.append(part)
-                elif j == 1:
-                    parts.append(0)
-                else:
-                    parts.extend(part % p**k for p, k in factorize(j))
-            elif f.kind == ZMOD:
-                parts.append(part % f.p**j if j > 0 else 0)
-            else:
-                parts.append(tuple(part[:j]) if j > 0 else 0)
-        return RingElem(qspec, tuple(parts))
+            slices = part if isinstance(part, tuple) else (part,)
+            for q in f.quotient(j):
+                s, c = q.layout
+                parts.append(q.part([_mod(a, c) for a in slices[:s]]))
+        return RingElem(self.quotient_spec(), tuple(parts))
 
     def reduce_ideal(self, other: "Ideal") -> "Ideal":
-        """Image of another ideal in the quotient by this ideal."""
+        """Image of another ideal in the quotient by this ideal: the ideal
+        generated by the image of its generator."""
         _check_same_spec(self, other)
-        qspec = self.quotient_spec()
-        parts = []
-        for f, j, b in zip(self.spec.factors, self.parts, other.parts):
-            if f.kind == INT:
-                if j == 0:
-                    parts.append(b)
-                elif j == 1:
-                    parts.append(0)
-                else:
-                    parts.extend(_valuation(b, p, k) for p, k in factorize(j))
-            else:
-                parts.append(min(j, b))
-        return Ideal(qspec, tuple(parts))
+        image = self.reduce_elem(other.generator())
+        return Ideal.from_elems(image.spec, [image])
 
     def to_json(self):
         return list(self.parts)
@@ -650,9 +600,10 @@ class Ideal:
             return Ideal.from_elems(spec, [spec.el(value)])
         if type(value) is tuple:
             parts = (value,) if len(spec.factors) == 1 else value
-            if len(parts) == len(spec.factors) and all(
-                type(p) is tuple and all(type(c) is int for c in p) if f.kind == POLY else type(p) is int
-                for f, p in zip(spec.factors, parts)
+            zero = spec.zero.parts
+            if len(parts) == len(zero) and all(
+                type(p) is tuple and all(type(c) is int for c in p) if type(z) is tuple else type(p) is int
+                for z, p in zip(zero, parts)
             ):
                 g = spec.from_parts(parts)
                 if g.parts != parts:

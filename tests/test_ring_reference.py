@@ -155,3 +155,96 @@ def test_ideal_elements_enumerate_only_the_ideal():
     assert [x.parts for x in Ideal(spec, (19,)).elements()] == [(0,), (2**19,)]
     spec = named_ring("f2t20")
     assert [x.parts for x in Ideal(spec, (19,)).elements()] == [((0,) * 20,), ((0,) * 19 + (1,),)]
+
+
+def _least(members, holding):
+    """The ideal with the fewest members among those holding every residue
+    of ``holding``: the ideal the residues generate."""
+    return min((i for i in members if members[i] >= holding), key=lambda i: len(members[i]))
+
+
+def _reduced(f, j, a):
+    """A residue of a chain factor in its quotient by (pi^j): a mod p^j, or
+    the first j coefficients (the zero ring Z/1 once j = 0)."""
+    kind, p, _ = f
+    return a % p**j if kind == "zmod" else tuple(a[:j]) if j else 0
+
+
+def _pi_power(f, j):
+    """pi^j in a chain factor: p^j mod p^k, or the coefficients of t^j."""
+    kind, p, k = f
+    return p**j % p**k if kind == "zmod" else tuple(int(i == j) for i in range(k))
+
+
+def _quotient_factor(f, j):
+    kind, p, _ = f
+    return (kind, p, j) if kind == "zmod" or j else ("zmod", p, 0)
+
+
+def test_ideal_lattice_generators_and_quotients_against_member_sets(ring):
+    """Sums, products, intersections, containment, generators and quotient
+    maps of every pair of ideals, each against the set of its members."""
+    spec, factors, refs, elems = ring
+    members = {}
+    for parts in product(*(range(f[2] + 1) for f in factors)):
+        members[Ideal(spec, parts)] = frozenset(
+            a for a in refs if all(_in_ideal(f, j, u) for f, j, u in zip(factors, parts, a))
+        )
+    for i, mi in members.items():
+        g = i.generator()
+        assert g.parts == tuple(map(_pi_power, factors, i.parts))
+        assert frozenset(tuple(map(_mul, factors, g.parts, r)) for r in refs) == mi
+        q = i.quotient_spec()
+        assert [(f.kind, f.p, f.k) for f in q.factors] == [_quotient_factor(f, j) for f, j in zip(factors, i.parts)]
+        for a, x in zip(refs, elems):
+            image = i.reduce_elem(x)
+            assert image.spec == q
+            assert image.parts == tuple(_reduced(f, j, u) for f, j, u in zip(factors, i.parts, a))
+        for j, mj in members.items():
+            assert i + j == _least(members, frozenset(tuple(map(_add, factors, a, b)) for a in mi for b in mj))
+            assert i * j == _least(members, frozenset(tuple(map(_mul, factors, a, b)) for a in mi for b in mj))
+            assert members[i & j] == mi & mj
+            assert (i <= j) == (mi <= mj)
+            image = {tuple(_reduced(f, e, u) for f, e, u in zip(factors, i.parts, b)) for b in mj}
+            assert {x.parts for x in i.reduce_ideal(j).elements()} == image
+
+
+def _prime_powers(m):
+    """The prime powers p^k exactly dividing m >= 2, found by trial."""
+    return [p ** max(k for k in range(m.bit_length()) if m % p**k == 0)
+            for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]
+
+
+def test_integer_ideal_lattice_generators_and_quotients_against_member_sets():
+    """As above over Z for the ideals (m), m in 0..12, with member sets taken
+    on a window that holds every generator the operations reach (at most
+    12 * 12), so that containment on the window is containment in Z."""
+    spec = named_ring("int")
+    window = range(-300, 301)
+    members = {Ideal(spec, (m,)): frozenset(x for x in window if (x % m == 0 if m else x == 0)) for m in range(145)}
+    small = [Ideal(spec, (m,)) for m in range(13)]
+    for i in small:
+        m = i.parts[0]
+        g = i.generator()
+        assert g.parts == (m,)
+        assert frozenset(g.parts[0] * r for r in window) & members[Ideal.unit(spec)] == members[i]
+        q = i.quotient_spec()
+        moduli = [0] if m == 0 else [1] if m == 1 else _prime_powers(m)
+        assert [f.layout[1] for f in q.factors] == moduli
+        for x in range(-30, 31):
+            image = i.reduce_elem(spec.el(x))
+            assert image.spec == q
+            assert image.parts == tuple(x % c if c else x for c in moduli)
+        for j in small:
+            mi, mj = members[i], members[j]
+            near = [(a, b) for a in mi for b in mj if abs(a) <= 12 and abs(b) <= 12]
+            assert i + j == _least(members, frozenset(a + b for a, b in near))
+            assert i * j == _least(members, frozenset(a * b for a, b in near))
+            assert members[i & j] == mi & mj
+            assert (i <= j) == (mi <= mj)
+            reduced = i.reduce_ideal(j)
+            if m:
+                image = {i.reduce_elem(spec.el(b)).parts for b in mj if abs(b) <= m * 12}
+                assert {x.parts for x in reduced.elements()} == image
+            else:
+                assert reduced == j

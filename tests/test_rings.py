@@ -226,3 +226,30 @@ def test_ideal_parts_must_be_integers():
     ideal = Ideal(z4, (np.int64(1),))
     assert ideal == Ideal(z4, (1,)) and type(ideal.parts[0]) is int
     assert ideal.to_json() == [1]
+
+
+def test_ideal_needs_one_part_per_factor():
+    # z12 has two factors; one part would leave the factor Z/3 unnamed
+    z12 = named_ring("z12")
+    for parts in ([1], [1, 0, 0], []):
+        with pytest.raises(DomainError):
+            Ideal.from_json(z12, parts)
+    with pytest.raises(DomainError):
+        Ideal(named_ring("int"), (2, 3))
+
+
+def test_integer_factor_takes_no_p_or_k():
+    for p, k in ((5, 3), (2, 0), (0, 1)):
+        with pytest.raises(DomainError):
+            Factor("int", p, k)
+    with pytest.raises(DomainError):
+        RingSpec.from_json({"factors": [{"kind": "int", "p": 5, "k": 3}]})
+    assert RingSpec((Factor("int"),)) == RingSpec.integers()
+
+
+def test_ideal_from_elems_reads_an_iterator_once():
+    z12 = named_ring("z12")
+    two = [z12.el(2)]
+    assert Ideal.from_elems(z12, iter(two)) == Ideal.from_elems(z12, two) == Ideal(z12, (1, 0))
+    z = named_ring("int")
+    assert Ideal.from_elems(z, (z.el(v) for v in (-4, 6))) == Ideal(z, (2,))
