@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExhausted, DomainError, InternalConsistencyError
-from .matrices import RMat, mat_col, mat_row, pattern_images, signed_entries
+from .matrices import RMat, checked_inverse, mat_col, mat_row, pattern_images, signed_entries
 from .rep import (
     Atom,
     GroupElement,
@@ -213,11 +213,16 @@ def _root_difference_positions(rep: Representation):
 
 
 def root_type_failures(g: GroupElement) -> list[str]:
-    """Violated matrix identities of conjugates of root elements."""
+    """Violated matrix identities of conjugates of root elements.
+
+    The first is (g - e)^2 = 0.  For an element that preserves the invariant
+    form, (g - e)^2 = g (g - 2e + g^-1) with g^-1 = adj(g), so it is read as
+    (g - e) + adj(g - e) = 0, one gather and no matrix product; any other
+    element squares g - e."""
     rep = g.rep
     failures = []
     nil = g.mat - _identity_mat(rep)
-    if (nil * nil).nonzero_at():
+    if (nil + rep.adjoint(nil) if g._isometry else nil * nil).nonzero_at():
         failures.append("square of (g - e) is nonzero")
     if g.mat.nonzero_at(_distance_mask(rep.wm)):
         failures.append("entry at weight distance >= 2 survives")
@@ -252,17 +257,16 @@ def _block_diagonal_part(g: GroupElement) -> GroupElement:
     """The diagonal component blocks L of g, with their inverse.  For
     g = u L with u block-unitriangular, g^-1 = L^-1 u^-1 has the diagonal
     blocks L^-1, so those of g^-1 are taken when they invert L; otherwise L
-    is inverted by elimination, which is the invertibility check.  Over the
-    integers, where elimination is refused, this lets a word split."""
+    is inverted by elimination, which is the invertibility check
+    (``checked_inverse``).  Over the integers, where elimination is refused,
+    this lets a word split."""
     cross = _cross_component_mask(g.rep.wm)
 
     def diagonal(m: RMat) -> RMat:
         return RMat(m.spec, m.n, [np.where(cross, 0, blk) for blk in m.blocks])
 
-    mat, inv = diagonal(g.mat), diagonal(g.inv_mat)
-    if not (mat * inv).is_identity():
-        inv = mat.inv()
-    return GroupElement(g.rep, mat, inv)
+    mat = diagonal(g.mat)
+    return GroupElement(g.rep, mat, checked_inverse(mat, diagonal(g.inv_mat)))
 
 
 def _split_at_top(split, g: GroupElement, lam: Weight) -> tuple[GroupElement, GroupElement]:

@@ -24,21 +24,29 @@ the factors, a row or column of an unread word is a basis vector moved by
 them, and a product of two unread words is the word of the joined chain (at
 most 32 factors).  Any other product applies a chain of at most
 max(1, min(n // 32, 4)) factors as line moves to a copy of the other matrix,
-or multiplies the matrices.  ``from_matrix`` inverts at once, since the
-elimination is its invertibility check.  ``expand_atoms`` spells a word out
-in root elements.
+or multiplies the matrices.  ``expand_atoms`` spells a word out in root
+elements.
+
+A second-type module carries the invariant form H of
+``forms.bilinear_form_signs``, so an element g that preserves it has
+g^-1 = adj(g) = H^-1 g^T H, a signed transpose read by one gather
+(``Representation.adjoint``).  Elements track whether they are known to
+preserve H.  ``from_matrix`` inverts at once, since that is its
+invertibility check: over a finite ring of a second-type case, one product
+confirms the adjoint as the inverse; else, and always over Z, elimination
+does.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, NonUnitError
-from .matrices import LineMove, RMat, RVec, check_exact, mat_col, mat_row
+from .matrices import LineMove, RMat, RVec, check_exact, checked_inverse, mat_col, mat_row, signed_gather
 from .rings import Ideal, RingElem, RingSpec
 from .rng import SplitMix64
 from .roots import Root, height
@@ -76,6 +84,22 @@ class RepTables:
         if key not in self.moves:
             self.moves[key] = _line_move(self.patterns, kind, alpha)
         return self.moves[key]
+
+    @cached_property
+    def adjoint(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjoint g -> H^-1 g^T H of the invariant form H of a
+        second-type module, which is g^-1 for every g that preserves H, as
+        the (flat gather index, signs) of ``signed_gather``:
+        adj(g)[a, b] = s_a s_b g[-b, -a], with s_a the sign of
+        ``forms.bilinear_form_signs`` at -a, which raises
+        ``UnsupportedCaseError`` for a first-type module."""
+        from .forms import bilinear_form_signs  # forms imports this module
+
+        wm = self.wm
+        eps = bilinear_form_signs(wm)
+        neg = np.array([wm.idx(wm.minus(lam)) for lam in wm.weights])
+        s = np.array([eps[wm.weights[j]] for j in neg], dtype=np.int64)
+        return (neg[None, :] * wm.dim + neg[:, None]).ravel(), np.outer(s, s).ravel()
 
 
 def _line_move(patterns: dict, kind: str, alpha: Root) -> LineMove:
@@ -229,17 +253,25 @@ class GroupElement:
     of a product.  While the matrix is unread, ``column`` and ``row`` move a
     basis vector by the chain instead of building it.  ``corner_table`` is
     filled by ``analysis.corner_ideals`` on its first read.
+
+    ``_isometry`` is private: True only for an element known to preserve the
+    invariant form of a second-type case, so that its inverse is its
+    adjoint (``Representation.adjoint``).  It holds for the identity, words,
+    and products, inverses and reductions of such elements, and for a
+    ``from_matrix`` element whose adjoint passed as its inverse; it
+    defaults to False, which is always safe.
     """
 
-    __slots__ = ("rep", "_mat", "_inv", "word", "_chain", "corner_table")
+    __slots__ = ("rep", "_mat", "_inv", "word", "_chain", "_isometry", "corner_table")
 
-    def __init__(self, rep: "Representation", mat, inv, word=None, chain=None):
+    def __init__(self, rep: "Representation", mat, inv, word=None, chain=None, isometry=False):
         """``mat`` and ``inv`` are values or ``_Lazy`` nodes."""
         self.rep = rep
         self._mat = mat if isinstance(mat, _Lazy) else _Lazy(mat)
         self._inv = inv if isinstance(inv, _Lazy) else _Lazy(inv)
         self.word = word
         self._chain = chain
+        self._isometry = isometry
         self.corner_table = None
 
     @property
@@ -269,6 +301,7 @@ class GroupElement:
             fs = _Lazy(fn=operator.add, args=(a[1], b[1]))
             return rep._word_element(a[0] + b[0], fs, _Lazy(fn=operator.add, args=(b[2], a[2])))
         a, b = self._line, other._line
+        isometry = self._isometry and other._isometry
         if a is not None and (b is None or a[0] <= b[0]):
             (_, fs, inv_fs), base, left = a, other, True
         elif b is not None:
@@ -276,10 +309,10 @@ class GroupElement:
         else:
             mat = _Lazy(fn=operator.mul, args=(self._mat, other._mat))
             inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
-            return GroupElement(rep, mat, inv)
+            return GroupElement(rep, mat, inv, isometry=isometry)
         mat = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, left), args=(base._mat, fs))
         inv = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, not left), args=(base._inv, inv_fs))
-        return GroupElement(rep, mat, inv)
+        return GroupElement(rep, mat, inv, isometry=isometry)
 
     def _joins(self, other: "GroupElement") -> bool:
         """Both have chains and unread matrices, and the concatenated chain
@@ -296,7 +329,7 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         chain = self._chain
         swapped = None if chain is None else (chain[0], chain[2], chain[1])
-        return GroupElement(self.rep, self._inv, self._mat, chain=swapped)
+        return GroupElement(self.rep, self._inv, self._mat, chain=swapped, isometry=self._isometry)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """by * self * by^-1."""
@@ -358,6 +391,8 @@ class Representation:
         self.ring = ring
         self.tables = rep_tables(wm)
         self.n = wm.dim
+        # words preserve the invariant form, which only second-type cases have
+        self._has_form = wm.kind == "second"
         # A product applies a factor's line moves when it has at most this
         # many factors: n // 32, at least 1 and at most 4.  Over Z/4 one move
         # costs about one dense product at n = 27, a half at n = 56, a quarter
@@ -400,7 +435,8 @@ class Representation:
 
     def identity(self) -> GroupElement:
         ident = RMat.identity(self.ring, self.n)
-        return GroupElement(self, ident, ident.copy(), word=(), chain=(0, _Lazy(()), _Lazy(())))
+        chain = (0, _Lazy(()), _Lazy(()))
+        return GroupElement(self, ident, ident.copy(), word=(), chain=chain, isometry=self._has_form)
 
     def expand_atoms(self, atoms) -> list[tuple[Root, RingElem]]:
         """The word's root elements (root, value): w_alpha(v) is
@@ -450,7 +486,7 @@ class Representation:
             return self._apply_factors(RMat.identity(self.ring, self.n), f, True)
 
         mat, inv = _Lazy(fn=build, args=(fs,)), _Lazy(fn=build, args=(inv_fs,))
-        return GroupElement(self, mat, inv, word=word, chain=(k, fs, inv_fs))
+        return GroupElement(self, mat, inv, word=word, chain=(k, fs, inv_fs), isometry=self._has_form)
 
     def _apply_factors(self, mat, factors: tuple, left: bool):
         """``mat`` (a matrix, or a vector) times the product g_1 ... g_k of
@@ -484,11 +520,24 @@ class Representation:
         )
 
     def from_matrix(self, mat: RMat) -> GroupElement:
-        """A matrix-only element.  Its inverse is computed at once: the
-        elimination is the invertibility check (``NonUnitError``)."""
+        """A matrix-only element, with its inverse computed at once, which
+        checks that the matrix is invertible (``NonUnitError``).  Over a
+        finite ring of a second-type case the inverse is the adjoint when one
+        product confirms it, and the element then preserves the form; else,
+        and always over Z, it comes from elimination (``RMat.inv``)."""
         if mat.n != self.n or mat.spec != self.ring:
             raise DomainError("matrix does not match the representation")
-        return GroupElement(self, mat.copy(), mat.inv())
+        mat = mat.copy()
+        if not (self._has_form and self.ring.is_finite):
+            return GroupElement(self, mat, mat.inv())
+        adjoint = self.adjoint(mat)
+        inv = checked_inverse(mat, adjoint)
+        return GroupElement(self, mat, inv, isometry=inv is adjoint)
+
+    def adjoint(self, mat: RMat) -> RMat:
+        """H^-1 mat^T H for the invariant form H, in one gather: the inverse
+        of every matrix that preserves the form (second-type cases only)."""
+        return signed_gather(mat, *self.tables.adjoint)
 
     # -- vectors --------------------------------------------------------------------
 
@@ -505,6 +554,7 @@ class Representation:
             get_representation(self.wm, ideal.quotient_spec()),
             _Lazy(fn=lambda m: m.reduce(ideal), args=(g._mat,)),
             _Lazy(fn=lambda m: m.reduce(ideal), args=(g._inv,)),
+            isometry=g._isometry,
         )
 
 

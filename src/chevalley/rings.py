@@ -244,6 +244,14 @@ class RingSpec:
         Z it would be unbounded, and there is none (None)."""
         return {} if self.is_finite else None
 
+    @cached_property
+    def zero_ideal(self) -> "Ideal":
+        return Ideal(self, tuple(f.k for f in self.factors))
+
+    @cached_property
+    def unit_ideal(self) -> "Ideal":
+        return Ideal(self, (0,) * len(self.factors) if self.is_finite else (1,))
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -450,11 +458,13 @@ class Ideal:
 
     @staticmethod
     def zero(spec: RingSpec) -> "Ideal":
-        return Ideal(spec, tuple(f.k for f in spec.factors))
+        """The zero ideal, one instance per spec (``RingSpec.zero_ideal``)."""
+        return spec.zero_ideal
 
     @staticmethod
     def unit(spec: RingSpec) -> "Ideal":
-        return Ideal(spec, (0,) * len(spec.factors) if spec.is_finite else (1,))
+        """The unit ideal, one instance per spec (``RingSpec.unit_ideal``)."""
+        return spec.unit_ideal
 
     @staticmethod
     def from_elems(spec: RingSpec, elems) -> "Ideal":
@@ -521,10 +531,10 @@ class Ideal:
         return True
 
     def is_zero(self) -> bool:
-        return self == Ideal.zero(self.spec)
+        return self.parts == self.spec.zero_ideal.parts
 
     def is_unit_ideal(self) -> bool:
-        return self == Ideal.unit(self.spec)
+        return self.parts == self.spec.unit_ideal.parts
 
     def generator(self) -> RingElem:
         """Canonical single generator (pi^j per chain factor, m in Z): per

@@ -999,6 +999,30 @@ def test_root_type_failures_match_entrywise_reference(ring_name):
     assert incoherent > 0
 
 
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", [("a", 6), ("c", None)])
+def test_root_type_failures_of_form_preserving_elements_match_the_product_path(tag, l, ring_name):
+    """A word reads (g - e)^2 = 0 off g + adj(g) = 2e; the same matrix as a
+    bare element squares g - e.  Both give the same failures, on conjugates
+    of root elements (which pass) and on products x_alpha x_beta."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    phi = rep.case.phi
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 1, 2)]
+    rng = SplitMix64(89)
+    failing = 0
+    for trial in range(6):
+        xi, eta = values[rng.randrange(len(values))], values[rng.randrange(len(values))]
+        conjugate = rep.x(phi[rng.randrange(len(phi))], xi).conjugate(_any_word(rep, rng, 3))
+        product = rep.x(phi[rng.randrange(len(phi))], xi) * rep.x(phi[rng.randrange(len(phi))], eta)
+        assert root_type_failures(conjugate) == []
+        for g in (conjugate, product):
+            assert g._isometry
+            assert root_type_failures(g) == root_type_failures(GroupElement(rep, g.mat, None))
+        failing += bool(root_type_failures(product))
+    assert failing > 0
+
+
 def test_root_type_failures_flag_an_entry_at_distance_two():
     rep = representation("b", None, named_ring("z4"))
     wm = rep.wm
@@ -1398,7 +1422,8 @@ def test_large_a8_conjugate_is_built_without_copies_or_matrix_products(monkeypat
     """The shape of the ``large_a8`` root-type check: x_beta over F2[t]/(t^2)
     conjugated by a 7-atom word at a8 is one word of 15 factors, so building
     its matrix runs no ``RMat`` product, and neither the build nor the
-    check copies a block."""
+    check copies a block.  The word preserves the invariant form, so the
+    check reads (g - e)^2 = 0 off the adjoint and multiplies nothing."""
     from chevalley import matrices
 
     ring = named_ring("f2t2")
@@ -1419,4 +1444,4 @@ def test_large_a8_conjugate_is_built_without_copies_or_matrix_products(monkeypat
     g.mat
     assert products == [] and copies == []
     assert root_type_failures(g) == []
-    assert copies == []
+    assert products == [] and copies == []

@@ -449,3 +449,45 @@ def test_certificate_reports_are_byte_identical(capsys, monkeypatch, tmp_path, k
     code, digest = CERTIFICATE_SHA256[key]
     assert main([command, "--case", tag, "--ring", ring, "--extra", "extra.json", *rest]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _decompose_file(path, tag, l, ring_name):
+    """A big-cell word matrix x_-b(.) ... x_d(.) ... x_b(.), b over the upper
+    orbit and d over the subsystem, with the ring's nonzero elements cycled
+    as parameters, written as a ``decompose`` input file."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    plus, delta = sorted(rep.case.omega_plus), sorted(rep.case.delta)
+    roots = [tuple(-x for x in b) for b in plus[1::5]] + delta[::7] + plus[::4]
+    values = [v for v in ring.elements() if not v.is_zero()]
+    word = tuple(("x", r, values[i % len(values)]) for i, r in enumerate(roots))
+    rows = rep.element_from_word(word).mat.to_json()
+    path.write_text(json.dumps({"case": tag, "l": l, "ring": ring.to_json(), "rows": rows}))
+
+
+# sha256 of ``decompose`` reports on second-type word matrices
+DECOMPOSE_SHA256 = {
+    ("a", 6, "f2t2"): "fe5350134506e9fafa56d83a830f313d4b8a2f4899e48527fdc17ce66d3d987e",
+    ("c", None, "z4"): "115d3b4d39d1535fb7578a905ed6431a92a0ce373e5e77f683ad77db5a66accf",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DECOMPOSE_SHA256, key=str), ids=lambda k: "-".join(map(str, k)))
+def test_decompose_reports_on_second_type_words_are_byte_identical(capsys, tmp_path, key):
+    path = tmp_path / "matrix.json"
+    _decompose_file(path, *key)
+    assert main(["decompose", "--in", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DECOMPOSE_SHA256[key]
+
+
+def test_decompose_refuses_a_singular_second_type_matrix(capsys, tmp_path):
+    ring = named_ring("z4")
+    rep = representation("c", None, ring)
+    mat = rep.identity().mat
+    mat.set_entry(3, 3, ring.el(2))
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"case": "c", "l": None, "ring": ring.to_json(), "rows": mat.to_json()}))
+    assert main(["decompose", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: no unit pivot; matrix is not invertible over the local factor\n"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from chevalley.errors import DomainError, NonUnitError
+from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat, RVec, mat_col, mat_row
 from chevalley.rep import (
+    GroupElement,
     get_representation,
     is_component_blocked,
     rep_tables,
@@ -653,3 +654,151 @@ def test_unread_words_compare_as_one_word(ring_name):
         assert (g == h) is equal and (h == g) is equal
         assert g._mat.fn is not None and h._mat.fn is not None
         assert (g.mat == h.mat) is equal
+
+
+# -- the adjoint of the invariant form ------------------------------------------------
+
+
+def _nonzero(ring):
+    if not ring.is_finite:
+        return [ring.el(v) for v in (-2, -1, 1, 2)]
+    return [v for v in ring.elements() if not v.is_zero()]
+
+
+def _unit_not_one(ring):
+    return next(v for v in ring.units() if v != ring.one) if ring.is_finite else -ring.one
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2"])
+@pytest.mark.parametrize("tag,l", [("a", 6), ("a", 8), ("c", None)])
+def test_the_adjoint_inverts_every_root_factor(tag, l, ring_name):
+    """adj(g) = H^-1 g^T H is g^-1 on the generators: adj(x_alpha(xi)) =
+    x_alpha(-xi), adj(w_alpha(1)) = w_alpha(-1) and adj(h_alpha(u)) =
+    h_alpha(u^-1), for every root."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    values, u = _nonzero(ring), _unit_not_one(ring)
+    for i, alpha in enumerate(rep.case.phi):
+        xi = values[i % len(values)]
+        assert rep.adjoint(rep.x(alpha, xi).mat) == rep.x(alpha, -xi).mat, alpha
+        assert rep.adjoint(rep.w(alpha, 1).mat) == rep.w(alpha, -1).mat, alpha
+        assert rep.adjoint(rep.h(alpha, u).mat) == rep.h(alpha, u.inv()).mat, alpha
+
+
+def _root_sum(rep, values: dict):
+    """e + the sum of v N_alpha over the roots, where x_alpha(v) = e + v N_alpha.
+    An entry's row and column weights differ by one root, so the N_alpha have
+    disjoint supports and each entry holds one root's term."""
+    mat = rep.identity().mat
+    for alpha, v in values.items():
+        srcs, dsts, signs = rep.pattern(alpha)
+        for s, d, c in zip(srcs.tolist(), dsts.tolist(), signs.tolist()):
+            mat.set_entry(d, s, v if c == 1 else -v)
+    return mat
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2"])
+def test_the_adjoint_negates_every_root_element_at_a10(ring_name):
+    """adj(x_alpha(xi)) = x_alpha(-xi) for every root of a10 (n = 512) at
+    once: adj is linear and fixes e, and the supports of the N_alpha are
+    disjoint, so one gather of their sum checks each root.  The w and h
+    factors are products of root elements, and adj reverses products."""
+    ring = named_ring(ring_name)
+    rep = representation("a", 10, ring)
+    values = _nonzero(ring)
+    xi = {alpha: values[i % len(values)] for i, alpha in enumerate(rep.case.phi)}
+    minus = {alpha: -v for alpha, v in xi.items()}
+    assert rep.adjoint(_root_sum(rep, xi)) == _root_sum(rep, minus)
+
+
+def test_the_adjoint_is_refused_in_first_type_cases():
+    rep = representation("b", None, named_ring("z4"))
+    with pytest.raises(UnsupportedCaseError):
+        rep.adjoint(rep.identity().mat)
+    g = rep.from_matrix(rep.x(rep.case.phi[0], 1).mat)
+    assert not g._isometry
+
+
+SECOND_TYPE = [("a", 6), ("a", 8), ("c", None)]
+
+
+def _word(rep, seed, length=6):
+    rng = SplitMix64(seed)
+    phi, values = rep.case.phi, _nonzero(rep.ring)
+    atoms = [("x", phi[rng.randrange(len(phi))], values[rng.randrange(len(values))]) for _ in range(length)]
+    atoms += [("w", phi[rng.randrange(len(phi))], rep.ring.one), ("h", phi[rng.randrange(len(phi))], _unit_not_one(rep.ring))]
+    return rep.element_from_word(tuple(atoms))
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z8", "z12", "f2t2"])
+@pytest.mark.parametrize("tag,l", SECOND_TYPE)
+def test_from_matrix_reads_a_word_matrix_inverse_off_the_form(monkeypatch, tag, l, ring_name):
+    from chevalley import matrices
+
+    rep = representation(tag, l, named_ring(ring_name))
+    words = [_word(rep, seed) for seed in (1, 2)]
+    eliminated = [w.mat.inv() for w in words]
+    calls = []
+    inv_zmod = matrices._inv_zmod
+    monkeypatch.setattr(matrices, "_inv_zmod", lambda *a, **k: calls.append(1) or inv_zmod(*a, **k))
+    for word, expected in zip(words, eliminated):
+        g = rep.from_matrix(word.mat)
+        assert g._isometry
+        assert g.inv_mat == expected == word.inv_mat
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z8", "z12", "f2t2"])
+@pytest.mark.parametrize("tag,l", SECOND_TYPE)
+def test_from_matrix_eliminates_a_matrix_off_the_form(monkeypatch, tag, l, ring_name):
+    """e with one diagonal unit u != 1 is invertible but moves the form: it
+    is inverted by elimination, stays unflagged, and its root-type check
+    squares g - e.  With a non-unit there instead, it is singular."""
+    from chevalley import analysis, matrices
+
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    mat = rep.identity().mat
+    u = _unit_not_one(ring)
+    mat.set_entry(3, 3, u)
+    calls = []
+    inv_zmod = matrices._inv_zmod
+    monkeypatch.setattr(matrices, "_inv_zmod", lambda *a, **k: calls.append(1) or inv_zmod(*a, **k))
+    g = rep.from_matrix(mat)
+    assert calls and not g._isometry
+    assert (g.mat * g.inv_mat).is_identity()
+    products = []
+    mul = RMat.__mul__
+    monkeypatch.setattr(RMat, "__mul__", lambda self, other: products.append(1) or mul(self, other))
+    # g - e is u - 1 at one diagonal entry, so its square is (u - 1)^2 there
+    square_vanishes = ((u - ring.one) * (u - ring.one)).is_zero()
+    assert analysis.root_type_failures(g) == ([] if square_vanishes else ["square of (g - e) is nonzero"])
+    assert products == [1]
+    mat.set_entry(3, 3, next(v for v in _nonzero(ring) if not v.is_unit()))
+    with pytest.raises(NonUnitError):
+        rep.from_matrix(mat)
+
+
+@pytest.mark.parametrize("tag,l", SECOND_TYPE)
+def test_from_matrix_over_the_integers_still_refuses_a_non_identity(tag, l):
+    rep = representation(tag, l, named_ring("int"))
+    assert rep.from_matrix(rep.identity().mat).is_identity()
+    with pytest.raises(UnsupportedCaseError):
+        rep.from_matrix(_word(rep, 3).mat)
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", SECOND_TYPE)
+def test_form_preservation_is_tracked_through_words_products_and_reductions(tag, l, ring_name):
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    a, b = _word(rep, 4), _word(rep, 5)
+    b.mat  # a read matrix: products take the line or matrix path
+    derived = [rep.identity(), a, a.inverse(), a * b, b * a.inverse(), (a * b).inverse()]
+    if ring.is_finite:
+        derived += [rep.from_matrix(a.mat), rep.reduce(a, Ideal.from_elems(ring, [ring.el(2)]))]
+    for g in derived:
+        assert g._isometry
+        assert g.rep.adjoint(g.mat) == g.inv_mat
+    assert not GroupElement(rep, a.mat, None)._isometry
+    assert not (GroupElement(rep, a.mat, a.inv_mat) * a)._isometry

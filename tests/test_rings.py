@@ -253,3 +253,16 @@ def test_ideal_from_elems_reads_an_iterator_once():
     assert Ideal.from_elems(z12, iter(two)) == Ideal.from_elems(z12, two) == Ideal(z12, (1, 0))
     z = named_ring("int")
     assert Ideal.from_elems(z, (z.el(v) for v in (-4, 6))) == Ideal(z, (2,))
+
+
+@pytest.mark.parametrize("name", ["z4", "z12", "f2t2", "int"])
+def test_zero_and_unit_ideals_are_one_instance_per_spec(name):
+    spec = named_ring(name)
+    zero, unit = Ideal.zero(spec), Ideal.unit(spec)
+    assert Ideal.zero(spec) is zero and Ideal.unit(spec) is unit
+    assert zero.is_zero() and not zero.is_unit_ideal()
+    assert unit.is_unit_ideal() and not unit.is_zero()
+    assert Ideal(spec, zero.parts).is_zero() and Ideal(spec, unit.parts).is_unit_ideal()
+    nonunits = (v for v in spec.elements() if not v.is_zero() and not v.is_unit()) if spec.is_finite else iter([spec.el(2)])
+    proper = Ideal.from_elems(spec, [next(nonunits)])
+    assert not proper.is_zero() and not proper.is_unit_ideal()
