@@ -4,9 +4,19 @@ root elements from overgroup samples.
 Membership in an overgroup is never decided abstractly.  The module works with
 two decidable surrogates: replayable generator words (membership by
 construction) and necessary matrix conditions on rows and columns through the
-top weight.  Extraction procedures run on actual matrices, re-reading root
-coordinates after every commutator; every produced witness carries a trace
-that replays to the claimed root element exactly.
+top weight.
+
+Every produced witness carries a trace of group operations from the supplied
+element to the claimed root element.  Splits, conjugations and strips are
+applied to actual elements.  The final corner reduction runs on root
+coordinates alone: in the abelian unipotent radical U the Chevalley
+commutator formula is linear, [x_beta(xi), x_s(1)] = x_(beta+s)(n xi) with
+n = +-1, and [x_beta(xi), x_s(1)] = e when beta + s is not a root, so a
+commutator of the word of the coordinates xi_beta with x_s(1) is the word of
+the coordinates n xi_beta at beta + s.  The constants n are read off the
+representation, one commutator word per pair (``_commute_table``).  The
+reduction starts only from coordinates of an element that was checked to be
+the word of its coordinates, so its trace replays to the claimed element.
 """
 
 from __future__ import annotations
@@ -328,7 +338,7 @@ def opposite_levi_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gro
 def _coord_positions(rep: Representation, lam: Weight, roots: tuple, on_row: bool):
     """Where the coordinates of the given roots sit on the lam row (or
     column), with the structure constants that turn entries into
-    coordinates: (lam index, positions, signs)."""
+    coordinates: (positions, signs)."""
     wm = rep.wm
     positions, signs = [], []
     for beta in roots:
@@ -340,13 +350,15 @@ def _coord_positions(rep: Representation, lam: Weight, roots: tuple, on_row: boo
             raise DomainError(f"root {beta} does not shift the weight")
         positions.append(wm.idx(mu))
         signs.append(rep.sign(mu, beta) if on_row else rep.sign(lam, beta))
-    return wm.idx(lam), np.array(positions, dtype=np.intp), np.array(signs, dtype=np.int64)
+    return np.array(positions, dtype=np.intp), np.array(signs, dtype=np.int64)
 
 
 def _line_coords(h: GroupElement, lam: Weight, roots, on_row: bool) -> dict:
+    """The nonzero coordinates on the lam line; the line of an unread word is
+    a moved basis vector (``GroupElement.row``/``column``)."""
     roots = tuple(roots)
-    i, positions, signs = _coord_positions(h.rep, lam, roots, on_row)
-    line = mat_row(h.mat, i) if on_row else mat_col(h.mat, i)
+    positions, signs = _coord_positions(h.rep, lam, roots, on_row)
+    line = h.row(lam) if on_row else h.column(lam)
     return {
         beta: val
         for beta, val in zip(roots, signed_entries(line, positions, signs))
@@ -516,6 +528,13 @@ def _corner_coords(h: GroupElement, side: int) -> dict:
     return coords_col(h, lam0, _negated(case.omega_plus))
 
 
+def _is_word_of(h: GroupElement, coords: dict) -> bool:
+    """h is the word of the coordinates (root -> value), taken in the
+    canonical root order."""
+    word = tuple(("x", b, coords[b]) for b in sorted(coords, key=_by_height))
+    return h == h.rep.element_from_word(word)
+
+
 def _strip(h: GroupElement, trace: list[TraceOp], coords: dict, keep) -> GroupElement:
     """Multiply away every coordinate whose root is not in ``keep``, in the
     canonical root order."""
@@ -525,23 +544,59 @@ def _strip(h: GroupElement, trace: list[TraceOp], coords: dict, keep) -> GroupEl
     return h
 
 
+@lru_cache(maxsize=None)
+def _commute_table(rep: Representation, side: int) -> dict:
+    """The commutator formula in the radical of the given side, read off the
+    representation: (s, beta) -> (beta + s, n) for every simple root s
+    (negated on side -1) and orbit root beta of that side with beta + s a
+    root, where [x_beta(xi), x_s(1)] = x_(beta+s)(n xi).
+
+    n is the one coordinate on the top line of the word
+    x_beta(1) x_s(1) x_beta(-1) x_s(-1), a moved basis vector, so no matrix
+    is built; a line with any other coordinates raises
+    InternalConsistencyError."""
+    case, one = rep.case, rep.ring.one
+    orbit, simples = case.omega_plus, case.simple_roots
+    if side < 0:
+        orbit, simples = _negated(orbit), _negated(simples)
+    table = {}
+    for s in simples:
+        for beta in orbit:
+            gamma = case.root_add(beta, s)
+            if gamma is None:
+                continue
+            word = (("x", beta, one), ("x", s, one), ("x", beta, -one), ("x", s, -one))
+            coords = _corner_coords(rep.element_from_word(word), side)
+            if list(coords) != [gamma]:
+                raise InternalConsistencyError(f"[x_{beta}, x_{s}] is not a root element at {gamma}")
+            table[s, beta] = gamma, coords[gamma]
+    return table
+
+
 def _greedy_to_corner(
-    h: GroupElement,
+    rep: Representation,
+    coords: dict,
     trace: list[TraceOp],
     ideal: Ideal,
     side: int,
 ) -> Witness:
     """Drive an all-hot unipotent product to a single root element at the
-    extreme root by commutators with subsystem root elements."""
-    rep = h.rep
+    extreme root by commutators with simple subsystem root elements, on its
+    coordinates.
+
+    ``coords`` (root -> value) must be the coordinates of the element the
+    trace builds, and that element must be the word of its coordinates.
+    Each commutator with x_s(1) is recorded on the trace and maps the
+    coordinates to {beta + s: n xi_beta} by ``_commute_table``; no element
+    is built."""
     case = rep.case
+    table = _commute_table(rep, side)
     target = case.max_root if side > 0 else tuple(-x for x in case.max_root)
     guard = 4 * len(case.omega_plus) * height(case.max_root) + 16
     while True:
         guard -= 1
         if guard < 0:
             raise InternalConsistencyError("corner reduction did not terminate")
-        coords = _corner_coords(h, side)
         if any(v in ideal for v in coords.values()):
             raise InternalConsistencyError("cold coordinate appeared during reduction")
         if not coords:
@@ -556,24 +611,33 @@ def _greedy_to_corner(
             s = _simple_raiser(case, pick)
         else:
             s = tuple(-x for x in _simple_raiser(case, tuple(-x for x in pick)))
-        h = _step(trace, h, "commute", ("x", s, rep.ring.one))
+        trace.append(("commute", ("x", s, rep.ring.one)))
+        coords = {table[s, b][0]: table[s, b][1] * v for b, v in coords.items() if (s, b) in table}
 
 
 def extract_from_parabolic(g: GroupElement, ideal: Ideal, side: int = +1) -> Witness | None:
     """From a parabolic member whose unipotent part escapes the ideal, produce
     a single root element at the extreme root with a value outside the ideal.
 
-    Returns None when every unipotent coordinate lies inside the ideal.  The
-    returned trace replays from the supplied element.
+    Returns None when every unipotent coordinate lies inside the ideal.
+    Otherwise the unipotent part must be the word of its coordinates, as it
+    is for every group element; a matrix-only input whose part is not raises
+    DomainError.  The cold coordinates are stripped and the hot ones reduced
+    by ``_greedy_to_corner``; the returned trace replays from the supplied
+    element to the claimed root element.
     """
+    rep = g.rep
     trace: list[TraceOp] = [("seed",)]
     part = "unipotent_part" if side > 0 else "opposite_unipotent_part"
-    u = _step(trace, g, part, g.rep.wm.lam0)
+    u = _step(trace, g, part, rep.wm.lam0)
     coords = _corner_coords(u, side)
-    hot = {r for r, v in coords.items() if v not in ideal}
+    hot = {r: v for r, v in coords.items() if v not in ideal}
     if not hot:
         return None
-    return _greedy_to_corner(_strip(u, trace, coords, hot), trace, ideal, side)
+    if not _is_word_of(u, coords):
+        raise DomainError("the unipotent part is not the word of its coordinates")
+    _strip(u, trace, coords, hot)  # records the strip; the reduction reads no element
+    return _greedy_to_corner(rep, hot, trace, ideal, side)
 
 
 # -- extraction from the stabilizer of a lower weight line ------------------------------------
@@ -661,10 +725,9 @@ def extract_from_weight_stabilizer(
             if xi0 is None or xi0 in sigma.minus:
                 # strip every certified factor, leaving the hot upper product
                 h = _strip(h, trace, coords, hot_plus)
-                canonical = tuple(("x", b, hot_plus[b]) for b in sorted(hot_plus, key=_by_height))
-                if not h == rep.element_from_word(canonical):
+                if not _is_word_of(h, hot_plus):
                     raise InternalConsistencyError("stripping left a non-radical remainder")
-                return _greedy_to_corner(h, trace, sigma.plus, +1)
+                return _greedy_to_corner(rep, hot_plus, trace, sigma.plus, +1)
             # the lower factor is not certified: shift it away
             pivot = min(hot_plus, key=_by_height)
             options = [

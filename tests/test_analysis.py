@@ -907,6 +907,148 @@ def test_extraction_matches_coordinate_scan(rep_b_z4):
         assert (wit is not None) == expect_witness
 
 
+def _orbit(rep, side):
+    return rep.case.omega_plus if side > 0 else [tuple(-x for x in r) for r in rep.case.omega_plus]
+
+
+@pytest.mark.parametrize("tag", ["b", "c"])
+def test_parabolic_extraction_refuses_a_unipotent_part_that_is_not_its_word(tag):
+    """A matrix-only element with one entry off the top lines raised by 2
+    can be a parabolic member whose unipotent part is not the word of its
+    top-line coordinates.  Extraction then raises DomainError, which the
+    level certificate skips; every witness it does return replays."""
+    ring = named_ring("z4")
+    rep = representation(tag, None, ring)
+    two = Ideal.from_elems(ring, [ring.el(2)])
+    top = rep.wm.idx(rep.wm.lam0)
+    for side in (+1, -1):
+        rng = SplitMix64(23 + side)
+        orbit, refused = _orbit(rep, side), 0
+        for _ in range(40):
+            word = tuple(("x", orbit[rng.randrange(len(orbit))], ring.el(1 + rng.randrange(3))) for _ in range(2))
+            mat = rep.element_from_word(word).mat.copy()
+            i, j = 1 + rng.randrange(rep.n - 1), 1 + rng.randrange(rep.n - 1)
+            i, j = (i + top) % rep.n, (j + top) % rep.n  # never the top line
+            mat.set_entry(i, j, mat.entry(i, j) + ring.el(2))
+            try:
+                g = rep.from_matrix(mat)
+            except NonUnitError:
+                continue
+            try:
+                wit = extract_from_parabolic(g, two, side=side)
+            except DomainError:
+                refused += 1
+                continue
+            assert wit is None or replay_trace(rep, wit.trace, g) == rep.x(wit.root, wit.value)
+        assert refused > 0
+
+
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 6)])
+@pytest.mark.parametrize("ring_name", ["z4", "z8", "f2t2", "int"])
+def test_commute_table_matches_the_matrix_commutators(tag, l, ring_name):
+    """Each table entry (s, beta) -> (beta + s, n) is the full matrix
+    commutator [x_beta(xi), x_s(1)] = x_(beta+s)(n xi), coordinates and
+    all, for every nonzero xi (+-1, +-2 over Z); the pairs left out commute."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, l, ring)
+    case = rep.case
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 1, 2)]
+    for side in (+1, -1):
+        table = analysis._commute_table(rep, side)
+        simples = case.simple_roots if side > 0 else [tuple(-x for x in r) for r in case.simple_roots]
+        pairs = [(s, beta) for s in simples for beta in _orbit(rep, side)]
+        assert set(table) == {(s, beta) for s, beta in pairs if case.root_add(beta, s) is not None}
+        for s, beta in pairs:
+            if (s, beta) not in table:
+                assert rep.x(beta, 1).commutator(rep.x(s, 1)).is_identity()
+                continue
+            gamma, n = table[s, beta]
+            assert gamma == case.root_add(beta, s) and n in (ring.one, -ring.one)
+            for xi in values:
+                c = rep.x(beta, xi).commutator(rep.x(s, 1))
+                c.mat  # built, so the coordinates below are read from the matrix
+                assert analysis._corner_coords(c, side) == {gamma: n * xi}
+                assert c == rep.x(gamma, n * xi)
+
+
+def _matrix_greedy_to_corner(h, trace, ideal, side):
+    """The corner reduction on elements: every commutator is built and the
+    coordinates are read back from its matrix."""
+    rep = h.rep
+    case = rep.case
+    target = case.max_root if side > 0 else tuple(-x for x in case.max_root)
+    guard = 4 * len(case.omega_plus) * height(case.max_root) + 16
+    while True:
+        guard -= 1
+        if guard < 0:
+            raise InternalConsistencyError("corner reduction did not terminate")
+        h.mat  # built, so the coordinates are read from the matrix
+        coords = analysis._corner_coords(h, side)
+        if any(v in ideal for v in coords.values()):
+            raise InternalConsistencyError("cold coordinate appeared during reduction")
+        if not coords:
+            raise InternalConsistencyError("all coordinates vanished during reduction")
+        roots = sorted(coords.keys(), key=analysis._by_height)
+        if len(roots) == 1 and roots[0] == target:
+            return Witness(side=side, root=target, value=coords[target], trace=tuple(trace))
+        pick = next((r for r in roots if r != target), None)
+        if pick is None:
+            raise InternalConsistencyError("stuck at the extreme root with company")
+        if side > 0:
+            s = analysis._simple_raiser(case, pick)
+        else:
+            s = tuple(-x for x in analysis._simple_raiser(case, tuple(-x for x in pick)))
+        h = analysis._step(trace, h, "commute", ("x", s, rep.ring.one))
+
+
+def _all_hot_products(rep, ideal, side, rng, count):
+    """Seeded words of distinct orbit root elements with values outside the
+    ideal, as (element, coordinates)."""
+    hot = [v for v in rep.ring.elements() if v not in ideal]
+    orbit = _orbit(rep, side)
+    for _ in range(count):
+        roots = {orbit[rng.randrange(len(orbit))] for _ in range(1 + rng.randrange(5))}
+        coords = {r: hot[rng.randrange(len(hot))] for r in sorted(roots)}
+        yield rep.element_from_word(tuple(("x", r, v) for r, v in coords.items())), coords
+
+
+@pytest.mark.parametrize(
+    "tag,l,ring_name,ideal", [("b", None, "z4", "(2)"), ("c", None, "z8", "(2)"), ("a", 6, "f2t2", "((0, 1))")]
+)
+def test_coordinate_reduction_matches_the_matrix_loop(tag, l, ring_name, ideal):
+    """The reduction on coordinates gives the same witness (root, value and
+    trace) as the loop that builds and reads every commutator."""
+    rep = representation(tag, l, named_ring(ring_name))
+    ideal = Ideal.parse(rep.ring, ideal)
+    rng = SplitMix64(31)
+    for side in (+1, -1):
+        for h, coords in _all_hot_products(rep, ideal, side, rng, 12):
+            want = _matrix_greedy_to_corner(h, [("seed",)], ideal, side)
+            got = analysis._greedy_to_corner(rep, coords, [("seed",)], ideal, side)
+            assert got == want and got.value not in ideal
+
+
+def test_coordinate_reduction_builds_no_matrix(rep_c_z4, monkeypatch):
+    """With the table built, the reduction makes no identity, matrix
+    product or line move."""
+    from chevalley import matrices
+
+    rep = rep_c_z4
+    ideal = Ideal.from_elems(rep.ring, [rep.ring.el(2)])
+    rng = SplitMix64(37)
+    inputs = [(side, coords) for side in (+1, -1) for _, coords in _all_hot_products(rep, ideal, side, rng, 6)]
+    for side in (+1, -1):
+        analysis._commute_table(rep, side)
+    calls = []
+    identity, mul, update = RMat.identity.__func__, RMat.__mul__, matrices._update_lines
+    monkeypatch.setattr(RMat, "identity", classmethod(lambda cls, *a: calls.append("identity") or identity(cls, *a)))
+    monkeypatch.setattr(RMat, "__mul__", lambda self, other: calls.append("mul") or mul(self, other))
+    monkeypatch.setattr(matrices, "_update_lines", lambda *a: calls.append("move") or update(*a))
+    for side, coords in inputs:
+        analysis._greedy_to_corner(rep, coords, [("seed",)], ideal, side)
+    assert calls == []
+
+
 # -- block line reads against entrywise references ------------------------------------------
 
 
@@ -935,6 +1077,8 @@ def _coords_reference(h, lam, roots, on_row):
 
 @pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
 def test_coordinate_reads_match_entrywise_reference(ring_name):
+    """The lines of an unread word are read from moved basis vectors, which
+    leaves its matrix unread, and match the entries of the built matrix."""
     from chevalley.analysis import coords_col, coords_row
 
     rep = representation("b", None, named_ring(ring_name))
@@ -945,13 +1089,11 @@ def test_coordinate_reads_match_entrywise_reference(ring_name):
         h = _any_word(rep, rng, 1 + i % 6)
         lam1 = wm.lambda1[i % len(wm.lambda1)]
         split_roots = sigma_split(wm, lam1).all_roots
-        for lam, roots, on_row in (
-            (wm.lam0, case.omega_plus, True),
-            (wm.lam0, lower, False),
-            (lam1, split_roots, True),
-        ):
-            got = (coords_row if on_row else coords_col)(h, lam, roots)
-            assert list(got.items()) == list(_coords_reference(h, lam, roots, on_row).items())
+        lines = ((wm.lam0, case.omega_plus, True), (wm.lam0, lower, False), (lam1, split_roots, True))
+        got = [(coords_row if on_row else coords_col)(h, lam, roots) for lam, roots, on_row in lines]
+        assert h._mat.fn is not None
+        for coords, (lam, roots, on_row) in zip(got, lines):
+            assert list(coords.items()) == list(_coords_reference(h, lam, roots, on_row).items())
     with pytest.raises(DomainError):
         coords_row(rep.identity(), wm.lam0, lower)
 
