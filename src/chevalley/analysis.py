@@ -535,6 +535,14 @@ def _is_word_of(h: GroupElement, coords: dict) -> bool:
     return h == h.rep.element_from_word(word)
 
 
+def _strip_failure(h: GroupElement, coords: dict, what: str) -> Exception:
+    """DomainError when h, before a failed strip, is not the word of its line
+    coordinates (a matrix-only input outside the group); else ``what``."""
+    if not _is_word_of(h, coords):
+        return DomainError("the radical element is not the word of its line coordinates")
+    return InternalConsistencyError(what)
+
+
 def _strip(h: GroupElement, trace: list[TraceOp], coords: dict, keep) -> GroupElement:
     """Multiply away every coordinate whose root is not in ``keep``, in the
     canonical root order."""
@@ -665,7 +673,9 @@ def extract_from_weight_stabilizer(
 
     Either certifies that the element satisfies the plus-side congruence
     conditions, or produces a single root element whose value escapes the
-    corresponding ideal, as a replayable trace from the element.
+    corresponding ideal, as a replayable trace from the element.  A
+    matrix-only input whose radical element at lam1 is not the word of its
+    line coordinates, so that stripping fails, raises DomainError.
     """
     rep = g.rep
     wm = rep.wm
@@ -724,9 +734,9 @@ def extract_from_weight_stabilizer(
         if hot_plus:
             if xi0 is None or xi0 in sigma.minus:
                 # strip every certified factor, leaving the hot upper product
-                h = _strip(h, trace, coords, hot_plus)
-                if not _is_word_of(h, hot_plus):
-                    raise InternalConsistencyError("stripping left a non-radical remainder")
+                stripped = _strip(h, trace, coords, hot_plus)
+                if not _is_word_of(stripped, hot_plus):
+                    raise _strip_failure(h, coords, "stripping left a non-radical remainder")
                 return _greedy_to_corner(rep, hot_plus, trace, sigma.plus, +1)
             # the lower factor is not certified: shift it away
             pivot = min(hot_plus, key=_by_height)
@@ -744,9 +754,8 @@ def extract_from_weight_stabilizer(
             h = _step(trace, h, "commute", ("x", best, one))
             continue
         if xi0 is not None and xi0 not in sigma.minus:
-            h = _strip(h, trace, coords, {beta0})
-            if not h == rep.x(beta0, xi0):
-                raise InternalConsistencyError("stripping did not leave a single root element")
+            if not _strip(h, trace, coords, {beta0}) == rep.x(beta0, xi0):
+                raise _strip_failure(h, coords, "stripping did not leave a single root element")
             return Witness(side=-1, root=beta0, value=xi0, trace=tuple(trace))
         raise InternalConsistencyError("element re-entered the congruence conditions")
     raise BudgetExhausted("weight-stabilizer extraction ran out of budget")

@@ -75,7 +75,7 @@ def combinatorial_suite(tag: str, l: int | None = None) -> list[SuiteResult]:
         fails.append(f"neighbour coefficient {case.max_root[case.alpha2_index]}")
     out.append(_result("max-root-coefficients", fails))
 
-    outside = [r for r in case.phi if r not in set(case.delta)]
+    outside = [r for r in case.phi if r[case.alpha1_index] != 0]
     orbits = orbit_decomposition(case, outside, case.delta)
     fails = []
     if sorted(map(len, orbits)) != sorted([len(case.omega_plus), len(case.omega_minus)]):
@@ -84,7 +84,7 @@ def combinatorial_suite(tag: str, l: int | None = None) -> list[SuiteResult]:
         fails.append("orbits differ from the crossed-coefficient split")
     out.append(_result("two-orbits-outside-subsystem", fails))
 
-    inner = [r for r in case.delta if r not in set(case.delta_prime)]
+    inner = [r for r in case.delta if r[case.alpha2_index] != 0]
     orbits2 = orbit_decomposition(case, inner, case.delta_prime)
     fails = []
     split_by_a2 = {
@@ -243,18 +243,8 @@ def steinberg_suite(
     wm = build_weights(case)
     tables = rep_tables(wm)
     out: list[SuiteResult] = []
-    phi = case.phi
-    phi_set = set(phi)
+    phi, reflections = case.phi, case.reflections
     dst, sign = _dense_patterns(tables, phi)
-    index = {r: k for k, r in enumerate(phi)}
-
-    def lookup(vectors: np.ndarray) -> np.ndarray:
-        """Index in Phi of each row of ``vectors``, or -1 for a non-root."""
-        return np.array([index.get(tuple(v), -1) for v in vectors.tolist()], dtype=np.intp)
-
-    roots = np.array(phi, dtype=np.int64)
-    pairings = roots @ np.array(case.cartan, dtype=np.int64) @ roots.T
-    negs = lookup(-roots)
 
     square = sign * np.take_along_axis(sign, dst, axis=1)
     bad = np.flatnonzero(square.any(axis=1))
@@ -265,14 +255,14 @@ def steinberg_suite(
     for i, alpha in enumerate(phi):
         d_ab, s_ab = dst[i][dst], sign * sign[i][dst]  # alpha after beta
         d_ba, s_ba = dst[:, dst[i]], sign[:, dst[i]] * sign[i]  # beta after alpha
-        sums = lookup(roots[i] + roots)
+        sums = np.where(case.pairings[i] == -1, reflections[i], -1)  # -1: not a root
         comm, t_sign = s_ab - s_ba, sign[sums]
         support = t_sign != 0
         same_support = ~((comm != 0) != support).any(axis=1)
         const, constant = _row_constant(comm * t_sign, support)
         commute = ~((d_ab != d_ba) | (s_ab != s_ba)).any(axis=1)
         for k, beta in enumerate(phi):
-            if k == i or k == negs[i]:
+            if k == i or k == reflections[i, i]:
                 continue
             if sums[k] < 0:
                 if not commute[k]:
@@ -301,7 +291,7 @@ def steinberg_suite(
         perm, sgn = np.append(perm, n), np.append(sgn, 0)
         c_sign = np.empty_like(sign)
         c_sign[:, perm] = sgn[dst] * sgn * sign
-        t_sign = sign[lookup(roots - pairings[:, i, None] * roots[i])]
+        t_sign = sign[reflections[:, i]]
         support = t_sign != 0
         _, constant = _row_constant(c_sign * t_sign, support)
         bad = np.flatnonzero(((c_sign != 0) != support).any(axis=1) | ~constant)
@@ -328,8 +318,8 @@ def steinberg_suite(
             comm = rep.element_from_word(
                 (("x", alpha, xi), ("x", beta, zeta), ("x", alpha, -xi), ("x", beta, -zeta))
             )
-            s = tuple(x + y for x, y in zip(alpha, beta))
-            if s in phi_set:
+            s = case.root_add(alpha, beta)
+            if s is not None:
                 n_const = pair_signs.get((alpha, beta))
                 if n_const is None:
                     fails.append(f"no commutator sign established for {alpha}, {beta}")
@@ -357,9 +347,7 @@ def root_type_suite(
     nonzero = [v for v in ring.elements() if not v.is_zero()]
     atoms = [("x", a, v) for a in case.phi for v in nonzero]
 
-    pi3_pairs = [
-        (a, b) for a in case.phi for b in case.phi if a != b and case.pairing(a, b) == 1
-    ]
+    pi3_pairs = [(case.phi[i], case.phi[j]) for i, j in zip(*np.nonzero(case.pairings == 1))]
     fails = []
     for i in range(n_samples):
         w = sample_word_rng(rep, atoms, 2 + rng.randrange(6), rng)

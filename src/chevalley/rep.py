@@ -170,16 +170,12 @@ def rep_tables(wm: WeightModule) -> RepTables:
     for alpha in positives:
         if alpha in pat:
             continue
-        chosen = None
         for i, simple in enumerate(case.simple_roots):
-            if case.pairing(alpha, simple) == 1:
-                beta = tuple(a - s for a, s in zip(alpha, simple))
-                if beta in pat:
-                    chosen = (i, beta)
-                    break
-        if chosen is None:
+            beta = case.reflect(alpha, simple)  # alpha - simple when they pair to 1
+            if case.pairing(alpha, simple) == 1 and beta in pat:
+                break
+        else:
             raise InternalConsistencyError(f"no descent for root {alpha}")
-        i, beta = chosen
         neg_alpha = tuple(-x for x in alpha)
         neg_beta = tuple(-x for x in beta)
         pat[alpha] = conj(pat[beta], weyl_perm[i])

@@ -9,15 +9,24 @@ neighbour carries coefficient two.  The three cases are
 * ``b``: E_6 with D_5 inside (cross alpha_1, neighbour alpha_3),
 * ``c``: E_7 with E_6 inside (cross alpha_7, neighbour alpha_6).
 
-All systems here are simply laced, so the Cartan pairing is symmetric and the
-sum of two roots is again a root exactly when their pairing is -1.
+All systems here are simply laced, so the Cartan pairing is symmetric.  Each
+case keeps two tables indexed like ``phi``: ``pairings = fund @ phi^T``, with
+``fund = phi @ C`` the roots in the fundamental-weight basis, and
+``reflections[i, j]``, the index of phi[i] - (phi[i], phi[j]) phi[j], found by
+one sorted lookup of linear keys: a root's coefficients (each in [-4, 4]) read
+as balanced base-9 digits, so distinct roots have distinct keys.  The negation
+of phi[i] is ``reflections[i, i]``, and phi[i] + phi[j] is a root exactly when
+their pairing is -1, and then it is ``reflections[i, j]``.  Readers find roots
+through ``index``, so a non-root raises DomainError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -51,12 +60,6 @@ def height(alpha: Root) -> int:
     return sum(alpha)
 
 
-def cartan_pairing(cartan, alpha: Root, beta: Root) -> int:
-    """Cartan pairing of two root-lattice vectors in simple-root coordinates;
-    symmetric since all roots have the same length."""
-    return sum(x * sum(cartan[i][j] * y for j, y in enumerate(beta)) for i, x in enumerate(alpha))
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddingCase:
     """A root system with its crossed vertex and orbit decomposition.
@@ -79,26 +82,52 @@ class EmbeddingCase:
     omega_minus: tuple[Root, ...]
     max_root: Root
 
-    # -- pairing and root arithmetic ----------------------------------------
+    # -- root arithmetic: the tables, read through ``index`` -----------------
+
+    @cached_property
+    def index(self) -> dict:
+        """Position of each root in ``phi``."""
+        return {r: i for i, r in enumerate(self.phi)}
+
+    def idx(self, alpha: Root) -> int:
+        try:
+            return self.index[alpha]
+        except (KeyError, TypeError):
+            raise DomainError(f"{alpha!r} is not a root of {self.describe()}") from None
+
+    @cached_property
+    def fund(self) -> np.ndarray:
+        """The roots in the fundamental-weight basis, indexed like ``phi``."""
+        return np.array(self.phi, dtype=np.int64) @ np.array(self.cartan, dtype=np.int64)
+
+    @cached_property
+    def pairings(self) -> np.ndarray:
+        return self.fund @ np.array(self.phi, dtype=np.int64).T
+
+    @cached_property
+    def reflections(self) -> np.ndarray:
+        """reflections[i, j]: the index of phi[i] - (phi[i], phi[j]) phi[j]."""
+        keys = np.array(self.phi, dtype=np.int64) @ 9 ** np.arange(self.l, dtype=np.int64)
+        images = keys[:, None] - self.pairings * keys  # keys are linear
+        order = np.argsort(keys)
+        found = order[np.minimum(np.searchsorted(keys[order], images), len(keys) - 1)]
+        if (keys[found] != images).any():
+            raise InternalConsistencyError("a reflection image is not a root")
+        return found
 
     def pairing(self, alpha: Root, beta: Root) -> int:
-        return cartan_pairing(self.cartan, alpha, beta)
+        return int(self.pairings[self.idx(alpha), self.idx(beta)])
 
     def is_root(self, v: Root) -> bool:
-        return v in self._phi_set
+        return v in self.index
 
     def root_add(self, alpha: Root, beta: Root) -> Root | None:
-        s = tuple(x + y for x, y in zip(alpha, beta))
-        return s if s in self._phi_set else None
+        i, j = self.idx(alpha), self.idx(beta)
+        return self.phi[self.reflections[i, j]] if self.pairings[i, j] == -1 else None
 
     def reflect(self, alpha: Root, beta: Root) -> Root:
         """Image of alpha under the reflection with respect to beta."""
-        n = self.pairing(alpha, beta)
-        return tuple(x - n * y for x, y in zip(alpha, beta))
-
-    @property
-    def _phi_set(self) -> frozenset:
-        return _phi_set_of(self)
+        return self.phi[self.reflections[self.idx(alpha), self.idx(beta)]]
 
     @property
     def alpha1(self) -> Root:
@@ -120,30 +149,13 @@ class EmbeddingCase:
         return "first" if self.tag == "b" else "second"
 
     def root_fund_coords(self, alpha: Root) -> tuple[int, ...]:
-        """Coordinates of a root in the fundamental-weight basis; the roots of
-        Phi come from a table built once per case."""
-        coords = self._fund_coords.get(alpha)
-        if coords is None:
-            coords = self._cartan_image(alpha)
-        return coords
-
-    def _cartan_image(self, alpha: Root) -> tuple[int, ...]:
-        a = self.cartan
-        return tuple(sum(a[i][j] * alpha[j] for j in range(self.l)) for i in range(self.l))
-
-    @cached_property
-    def _fund_coords(self) -> dict:
-        return {alpha: self._cartan_image(alpha) for alpha in self.phi}
+        """Coordinates of a root in the fundamental-weight basis."""
+        return tuple(self.fund[self.idx(alpha)].tolist())
 
     def describe(self) -> str:
         names = {"a": f"D_{self.l}", "b": "E_6", "c": "E_7"}
         sub = {"a": f"A_{self.l - 1}", "b": "D_5", "c": "E_6"}
         return f"case {self.tag}: {names[self.tag]} over {sub[self.tag]}"
-
-
-@lru_cache(maxsize=None)
-def _phi_set_of(case: EmbeddingCase) -> frozenset:
-    return frozenset(case.phi)
 
 
 def _fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -190,24 +202,20 @@ def _enumerate_roots(cartan) -> list[Root]:
     return roots
 
 
-def _irreducible_components(case_pairing, roots: list[Root]) -> list[list[Root]]:
+def _irreducible_components(pairings: np.ndarray) -> list[list[int]]:
     """Split a closed subsystem into irreducible components (non-orthogonality
-    classes)."""
-    remaining = set(roots)
+    classes), given its pairing matrix: the positions of each component, in
+    ascending order."""
+    remaining = set(range(len(pairings)))
     comps = []
     while remaining:
-        seed = next(iter(remaining))
-        comp = {seed, tuple(-x for x in seed)}
+        comp = {min(remaining)}
         frontier = list(comp)
         while frontier:
-            nxt = []
-            for alpha in frontier:
-                for beta in list(remaining):
-                    if beta not in comp and case_pairing(alpha, beta) != 0:
-                        comp.add(beta)
-                        nxt.append(beta)
-            frontier = nxt
-        comps.append(sorted(comp, key=lambda r: (height(r), r)))
+            new = set(np.flatnonzero(pairings[frontier].any(axis=0)).tolist()) - comp
+            comp |= new
+            frontier = list(new)
+        comps.append(sorted(comp))
         remaining -= comp
     return comps
 
@@ -249,12 +257,13 @@ def _build_case(tag: str, l: int) -> EmbeddingCase:
         raise InternalConsistencyError("crossed vertex has coefficient beyond 1 in some root")
 
     delta_prime = tuple(r for r in delta if r[neighbour] == 0)
-    comps = _irreducible_components(partial(cartan_pairing, cartan), list(delta_prime))
+    dp = np.array(delta_prime, dtype=np.int64)
+    comps = _irreducible_components(dp @ np.array(cartan, dtype=np.int64) @ dp.T)
     if tag == "a":
         non_a1 = [c for c in comps if len(c) > 2]
         if len(non_a1) != 1:
             raise InternalConsistencyError("expected a unique component distinct from A_1")
-        dprime = tuple(non_a1[0])
+        dprime = tuple(delta_prime[k] for k in non_a1[0])
     else:
         if len(comps) != 1:
             raise InternalConsistencyError("expected an irreducible subsystem")
@@ -282,19 +291,14 @@ def _build_case(tag: str, l: int) -> EmbeddingCase:
 
 def weyl_orbit(case: EmbeddingCase, seed: Root, generators) -> frozenset:
     """Closure of a root under reflections in the given roots."""
-    gens = list(generators)
-    orbit = {seed}
-    frontier = [seed]
+    images = case.reflections[:, [case.idx(g) for g in generators]]
+    orbit = {case.idx(seed)}
+    frontier = list(orbit)
     while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = case.reflect(v, g)
-                if w not in orbit:
-                    orbit.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(orbit)
+        new = set(images[frontier].ravel().tolist()) - orbit
+        orbit |= new
+        frontier = list(new)
+    return frozenset(case.phi[i] for i in orbit)
 
 
 def orbit_decomposition(case: EmbeddingCase, seeds, generators) -> list[frozenset]:
@@ -311,7 +315,7 @@ def orbit_decomposition(case: EmbeddingCase, seeds, generators) -> list[frozense
 
 def partner_root(case: EmbeddingCase, beta: Root) -> Root:
     """First root of the subsystem (canonical order) whose sum with beta is a root."""
-    if beta in case._phi_set and beta not in set(case.delta):
+    if case.is_root(beta) and beta[case.alpha1_index] != 0:
         for alpha in case.delta:
             if case.root_add(alpha, beta) is not None:
                 return alpha

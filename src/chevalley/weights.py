@@ -193,7 +193,7 @@ def _component_map_of(wm: WeightModule) -> dict:
 
 @lru_cache(maxsize=None)
 def _fund_to_root_of(wm: WeightModule) -> dict:
-    return {wm.case.root_fund_coords(r): r for r in wm.case.phi}
+    return {tuple(f): r for f, r in zip(wm.case.fund.tolist(), wm.case.phi)}
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +216,7 @@ def shift_table(wm: WeightModule) -> dict:
     root's offset, with no carry, so all sums are looked up at once."""
     case = wm.case
     table = np.array(wm.weights, dtype=np.int64)
-    fund = np.array([case.root_fund_coords(r) for r in case.phi], dtype=np.int64)
+    fund = case.fund
     pad = int(np.abs(fund).max())
     low, base = int(table.min()) - pad, int(table.max() - table.min()) + 2 * pad + 1
     if base**case.l >= 2**63:
@@ -248,7 +248,7 @@ def build_weights(case: EmbeddingCase) -> WeightModule:
     """Weights of the basic module as the Weyl orbit of the top weight."""
     top = tuple(1 if i == case.alpha1_index else 0 for i in range(case.l))
     # the reflection in simple root i moves lam by -lam_i times that root
-    simple = np.array([case.root_fund_coords(a) for a in case.simple_roots], dtype=np.int64)
+    simple = case.fund[[case.index[a] for a in case.simple_roots]]
     orbit = {top: None}
     frontier = [top]
     while frontier:
@@ -326,21 +326,19 @@ def sigma_split(wm: WeightModule, lam1: Weight) -> ShiftRootSplit:
         raise DomainError("weight must lie in the first non-trivial component")
 
     sigma = [alpha for alpha in case.phi if wm.shift(lam1, tuple(-c for c in alpha)) is not None]
-    delta_set = set(case.delta)
-    plus_set = set(case.omega_plus)
-    minus = tuple(a for a in sigma if a in set(case.omega_minus))
-    zero = tuple(a for a in sigma if a in delta_set)
-    plus = tuple(a for a in sigma if a in plus_set)
-    if len(minus) + len(zero) + len(plus) != len(sigma):
-        raise InternalConsistencyError("shift roots escape the orbit decomposition")
+    c = case.alpha1_index  # Delta and the two orbits split Phi by this coefficient
+    minus = tuple(a for a in sigma if a[c] == -1)
+    zero = tuple(a for a in sigma if a[c] == 0)
+    plus = tuple(a for a in sigma if a[c] == 1)
 
     connecting = wm.root_between(wm.lam0, lam1)
     if connecting is None:
         raise InternalConsistencyError("top weight is not adjacent to the component")
     reflected = tuple(sorted((case.reflect(d, connecting) for d in case.delta), key=lambda r: (height(r), r)))
-    overlap = [r for r in reflected if r in delta_set]
+    overlap = [r for r in reflected if r[c] == 0]
 
-    comps = _irreducible_components(case.pairing, overlap)
+    pos = [case.index[r] for r in overlap]
+    comps = _irreducible_components(case.pairings[np.ix_(pos, pos)])
     non_a1 = [c for c in comps if len(c) > 2]
     if len(non_a1) != 1:
         raise InternalConsistencyError("expected a unique non-A_1 component in the overlap")
@@ -352,7 +350,7 @@ def sigma_split(wm: WeightModule, lam1: Weight) -> ShiftRootSplit:
         plus=plus,
         reflected_delta=reflected,
         overlap=tuple(overlap),
-        core=tuple(non_a1[0]),
+        core=tuple(overlap[k] for k in non_a1[0]),
     )
 
 

@@ -943,6 +943,41 @@ def test_parabolic_extraction_refuses_a_unipotent_part_that_is_not_its_word(tag)
         assert refused > 0
 
 
+def test_stabilizer_extraction_refuses_a_radical_element_that_is_not_its_word(rep_b_z4):
+    """A Weyl conjugate of x_beta(1) (beta an upper root below the maximal
+    one) with one entry raised by 2 can stabilize a first-component line
+    while its radical element there is not the word of its line coordinates.
+    The stabilizer extraction then raises DomainError, which the extraction
+    chain skips, not InternalConsistencyError; every witness replays."""
+    rep = rep_b_z4
+    ring, wm = rep.ring, rep.wm
+    sigma = parse_sigma(ring, "(2),(0)")
+    watoms = [("w", a, ring.one) for a in rep.case.delta]
+    uppers = [b for b in rep.case.omega_plus if b != rep.case.max_root]
+    rng = SplitMix64(31)
+    refused = 0
+    for _ in range(25):
+        beta = uppers[rng.randrange(len(uppers))]
+        mat = rep.x(beta, 1).conjugate(sample_word_rng(rep, watoms, 1 + rng.randrange(3), rng)).mat.copy()
+        i, j = rng.randrange(rep.n), rng.randrange(rep.n)
+        mat.set_entry(i, j, mat.entry(i, j) + ring.el(2))
+        try:
+            g = rep.from_matrix(mat)
+        except NonUnitError:
+            continue
+        lam1 = next((lam for lam in wm.lambda1 if in_parabolic(g, lam)), None)
+        if lam1 is None:
+            continue
+        analysis._extraction_chain(g, sigma)
+        try:
+            res = extract_from_weight_stabilizer(g, lam1, sigma)
+        except DomainError:
+            refused += 1
+            continue
+        assert not isinstance(res, Witness) or replay_trace(rep, res.trace, g) == rep.x(res.root, res.value)
+    assert refused > 0
+
+
 @pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 6)])
 @pytest.mark.parametrize("ring_name", ["z4", "z8", "f2t2", "int"])
 def test_commute_table_matches_the_matrix_commutators(tag, l, ring_name):

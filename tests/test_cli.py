@@ -401,6 +401,8 @@ REPORT_SHA256 = {
     ("relcheck", "--case", "b", "--seed", "5"): "6c3ee417d951604940ece535a406125d69fb7f96e5e053485e3352312872c962",
     ("relcheck", "--case", "c"): "45e6fda9372f52fe1fee6257866000671a2dae0be46b6d17f4f7c36e76ca24e3",
     ("lemmas", "--case", "a", "--l", "5"): "f7b86fa9893e1b04b021542a75a40cad8428a0f2c73a14258d8227ff3de678fb",
+    ("lemmas", "--case", "b"): "f6f9e0b63968f16fe5d2be9f6923525781ddfea81b9255550442c3b14c418645",
+    ("lemmas", "--case", "c"): "27bc5d6885d82dfdbbefc4f692e400d9e7ebe69507eeb2ff86f1633936208199",
     ("selftest",): "3e4a2afaebfbb78b86c3d84ce079bc3555da3676ecfb5de09f28b506fba166ea",
     ("forms", "--case", "a", "--l", "8"): "3dff357328fb44586fe56def8c5b8c3863f00b58d18df91bcd0928b3b4d47e6b",
     ("forms", "--case", "a", "--l", "10"): "24164ced69abd48648d0eb132a8a0ecce632b91d57e69ac7599951ddfd4cff23",
@@ -420,7 +422,7 @@ def _pinned_extras(tag, up, down):
     d + max a root."""
     case = build_case(tag, None)
     top = list(case.max_root)
-    d = next(list(r) for r in case.delta if tuple(a + b for a, b in zip(r, top)) in case._phi_set)
+    d = next(list(r) for r in case.delta if tuple(a + b for a, b in zip(r, top)) in case.index)
     beta = min(case.omega_plus, key=lambda r: (sum(r), r))
     return [
         {"kind": "x", "root": top, "value": up},

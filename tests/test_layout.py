@@ -364,6 +364,26 @@ def test_factor_kind_dispatch_stays_in_rings():
     assert not offenders, offenders
 
 
+def test_cartan_matrix_stays_in_roots():
+    """Root arithmetic reads the tables of ``roots``: outside that module only
+    ``weights._gram`` (the form C^-1 in fundamental-weight coordinates)
+    reads ``case.cartan``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "chevalley"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "roots.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "weights.py":
+            gram = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_gram")
+            allowed = {id(node) for node in ast.walk(gram)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "cartan" and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    assert not offenders, offenders
+
+
 def test_matrices_reduces_only_through_the_ring_helper():
     """``matrices`` has no ``%`` or ``%=`` and no ``_mod`` of its own: every
     reduction goes through ``rings._mod``, which masks power-of-two moduli."""

@@ -4,6 +4,7 @@ from chevalley.errors import DomainError
 from chevalley.roots import build_case, height, orbit_decomposition, partner_root, weyl_orbit
 
 CASES = [("a", 5), ("a", 6), ("b", None), ("c", None)]
+ALL_CASES = [("a", l) for l in range(5, 11)] + [("b", None), ("c", None)]
 
 # root counts by exhaustive enumeration: |Phi| = 2l(l-1) for case a
 EXPECTED = {
@@ -136,3 +137,47 @@ def test_subsystem_component_structures():
         case = build_case(tag, l)
         assert len(case.delta_prime) == dp
         assert len(case.delta_dprime) == dpp
+
+
+# -- the tables against a plain-Python reference -------------------------------------
+
+
+def _reference_pairing(cartan, alpha, beta) -> int:
+    """The Cartan pairing as a double sum over the Cartan matrix."""
+    return sum(x * sum(cartan[i][j] * y for j, y in enumerate(beta)) for i, x in enumerate(alpha))
+
+
+@pytest.mark.parametrize("tag,l", ALL_CASES)
+def test_tables_match_the_plain_reference(tag, l):
+    """``fund`` is the Cartan image, ``pairings`` the double sum,
+    ``reflections`` alpha - (alpha, beta) beta on tuples, and ``root_add``
+    the tuple sum when it is a root, for every pair of roots."""
+    case = build_case(tag, l)
+    cartan, phi, roots = case.cartan, case.phi, set(case.phi)
+    for i, alpha in enumerate(phi):
+        image = tuple(sum(cartan[k][j] * alpha[j] for j in range(case.l)) for k in range(case.l))
+        assert tuple(case.fund[i].tolist()) == image == case.root_fund_coords(alpha)
+        for j, beta in enumerate(phi):
+            p = _reference_pairing(cartan, alpha, beta)
+            assert case.pairings[i, j] == p == case.pairing(alpha, beta)
+            reflected = tuple(a - p * b for a, b in zip(alpha, beta))
+            assert phi[case.reflections[i, j]] == reflected == case.reflect(alpha, beta)
+            s = tuple(a + b for a, b in zip(alpha, beta))
+            assert case.root_add(alpha, beta) == (s if s in roots else None)
+
+
+@pytest.mark.parametrize("tag,l", ALL_CASES)
+def test_root_arithmetic_refuses_a_non_root(tag, l):
+    case = build_case(tag, l)
+    alpha = case.max_root
+    for bad in ((0,) * case.l, tuple(2 * x for x in alpha), alpha[1:], alpha + (0,)):
+        assert not case.is_root(bad)
+        for op in (case.pairing, case.reflect, case.root_add):
+            with pytest.raises(DomainError):
+                op(bad, alpha)
+            with pytest.raises(DomainError):
+                op(alpha, bad)
+        with pytest.raises(DomainError):
+            case.root_fund_coords(bad)
+        with pytest.raises(DomainError):
+            weyl_orbit(case, bad, case.delta)
