@@ -110,24 +110,24 @@ def sigma_generator_atoms(rep: Representation, sigma: SigmaPair) -> list[Atom]:
 
 @lru_cache(maxsize=None)
 def _off_indices(wm, lam: Weight):
+    """The indices of the weights other than lam, and the flat indices of
+    their entries in the lam column and in the lam row."""
     j = wm.idx(lam)
     others = np.array([i for i in range(wm.dim) if i != j], dtype=np.intp)
-    return others, np.full(len(others), j, dtype=np.intp)
+    return others, others * wm.dim + j, j * wm.dim + others
 
 
 def in_parabolic(g: GroupElement, lam: Weight | None = None) -> bool:
     """Column through the given weight is a multiple of the identity column."""
     wm = g.rep.wm
     lam = wm.lam0 if lam is None else lam
-    rows, cols = _off_indices(wm, lam)
-    return not g.mat.nonzero_at(rows, cols)
+    return not g.mat.nonzero_at(_off_indices(wm, lam)[1])
 
 
 def in_opposite_parabolic(g: GroupElement, lam: Weight | None = None) -> bool:
     wm = g.rep.wm
     lam = wm.lam0 if lam is None else lam
-    rows, cols = _off_indices(wm, lam)
-    return not g.mat.nonzero_at(cols, rows)
+    return not g.mat.nonzero_at(_off_indices(wm, lam)[2])
 
 
 @lru_cache(maxsize=256)
@@ -155,14 +155,15 @@ def _top_line_mask(g: GroupElement, atoms, sigma: SigmaPair) -> np.ndarray:
         return np.ones(0, dtype=bool)
     wm = g.rep.wm
     top = wm.idx(wm.lam0)
-    others, _ = _off_indices(wm, wm.lam0)
+    others = _off_indices(wm, wm.lam0)[0]
     roots, values = zip(*atoms)
     srcs, dsts, signs, owner = _pattern_table(g.rep, roots)
     columns = pattern_images(g.mat, mat_col(g.inv_mat, top), (srcs, dsts, signs, owner), values)
     rows = pattern_images(
         g.inv_mat.transpose(), mat_row(g.mat, top), (dsts, srcs, signs, owner), values
     )
-    return columns.in_ideal_mask(sigma.minus, others) & rows.in_ideal_mask(sigma.plus, others)
+    lines = others[:, None] * len(atoms) + np.arange(len(atoms))  # off-top entries, line by line
+    return columns.in_ideal_mask(sigma.minus, lines) & rows.in_ideal_mask(sigma.plus, lines)
 
 
 def in_G_sigma(g: GroupElement, sigma: SigmaPair) -> bool:
@@ -171,7 +172,7 @@ def in_G_sigma(g: GroupElement, sigma: SigmaPair) -> bool:
     the opposite one mod the plus ideal."""
     wm = g.rep.wm
     top = wm.idx(wm.lam0)
-    others, _ = _off_indices(wm, wm.lam0)
+    others = _off_indices(wm, wm.lam0)[0]
     column, row = mat_col(g.mat, top), mat_row(g.mat, top)
     return column.in_ideal_at(sigma.minus, others) and row.in_ideal_at(sigma.plus, others)
 
@@ -209,17 +210,17 @@ def _corner_positions(wm):
 
 @lru_cache(maxsize=None)
 def _distance_mask(wm):
-    """Boolean matrix marking weight pairs at graph distance two or more."""
-    return wm.distances >= 2
+    """The flat indices of the weight pairs at graph distance two or more."""
+    return np.flatnonzero(wm.distances >= 2)
 
 
 @lru_cache(maxsize=None)
 def _root_difference_positions(rep: Representation):
     """The entries over every root difference, root after root in the order
-    of Phi: (rows, columns, the position of each root's first entry, the
-    index in Phi of each entry's root)."""
+    of Phi: (their flat indices, the position of each root's first entry,
+    the index in Phi of each entry's root)."""
     srcs, dsts, _, owner = _pattern_table(rep, rep.case.phi)
-    return dsts, srcs, np.searchsorted(owner, owner), owner
+    return dsts * rep.n + srcs, np.searchsorted(owner, owner), owner
 
 
 def root_type_failures(g: GroupElement) -> list[str]:
@@ -227,19 +228,23 @@ def root_type_failures(g: GroupElement) -> list[str]:
 
     The first is (g - e)^2 = 0.  For an element that preserves the invariant
     form, (g - e)^2 = g (g - 2e + g^-1) with g^-1 = adj(g), so it is read as
-    (g - e) + adj(g - e) = 0, one gather and no matrix product; any other
-    element squares g - e."""
+    g + adj(g) = 2e, one gather and no matrix product; any other element
+    squares g - e."""
     rep = g.rep
     failures = []
-    nil = g.mat - _identity_mat(rep)
-    if (nil + rep.adjoint(nil) if g._isometry else nil * nil).nonzero_at():
+    if g._isometry:
+        square_zero = (g.mat + rep.adjoint(g.mat)).is_scalar(2)
+    else:
+        nil = g.mat - _identity_mat(rep)
+        square_zero = not (nil * nil).nonzero_at()
+    if not square_zero:
         failures.append("square of (g - e) is nonzero")
     if g.mat.nonzero_at(_distance_mask(rep.wm)):
         failures.append("entry at weight distance >= 2 survives")
         return failures
     # entries over equal root differences agree up to one entrywise sign
-    rows, cols, ref, owner = _root_difference_positions(rep)
-    coherent = g.mat.signed_copies_at(rows, cols, ref=ref)
+    index, ref, owner = _root_difference_positions(rep)
+    coherent = g.mat.signed_copies_at(index, ref)
     if not coherent.all():
         alpha = rep.case.phi[owner[np.argmin(coherent)]]
         failures.append(f"sign-incoherent entries over root {alpha}")
@@ -257,10 +262,10 @@ def _identity_mat(rep: Representation):
 
 @lru_cache(maxsize=None)
 def _radical_frozen_mask(wm):
-    """Positions where a radical part must agree with the identity: everything
-    except the strictly upper component blocks."""
+    """The flat indices where a radical part must agree with the identity:
+    everything except the strictly upper component blocks."""
     comp = np.array([wm.component_of(w) for w in wm.weights])
-    return comp[:, None] >= comp[None, :]
+    return np.flatnonzero(comp[:, None] >= comp[None, :])
 
 
 def _block_diagonal_part(g: GroupElement) -> GroupElement:
@@ -273,7 +278,10 @@ def _block_diagonal_part(g: GroupElement) -> GroupElement:
     cross = _cross_component_mask(g.rep.wm)
 
     def diagonal(m: RMat) -> RMat:
-        return RMat(m.spec, m.n, [np.where(cross, 0, blk) for blk in m.blocks])
+        out = m.copy()
+        for sl in (sl for blk in out.blocks for sl in blk):  # per slice: faster than a leading full slice
+            sl.reshape(-1)[cross] = 0
+        return out
 
     mat = diagonal(g.mat)
     return GroupElement(g.rep, mat, checked_inverse(mat, diagonal(g.inv_mat)))
@@ -806,7 +814,7 @@ def extract_from_nilpotent(g: GroupElement, b: Ideal) -> NilpotentStep:
     # the conjugating root element must move nu up to lam1; the dual choice
     # would push a unit-sized entry into the moved column
     alpha = wm.root_between(lam1, nu)
-    if alpha is None or alpha not in set(rep.case.delta):
+    if alpha is None or alpha[rep.case.alpha1_index] != 0:
         raise InternalConsistencyError("component neighbour difference is not a subsystem root")
     atom: Atom = ("x", alpha, rep.ring.one)
     trace: list[TraceOp] = [("seed",)]
@@ -878,7 +886,7 @@ def corner_ideals(g: GroupElement, lam1: Weight) -> tuple[Ideal, Ideal, Ideal, I
     ideal, and kept with the element."""
     wm = g.rep.wm
     if g.corner_table is None:
-        sides = [g.mat.line_ideals(*index) for index in _corner_lines(wm)]
+        sides = [g.mat.line_ideals(index) for index in _corner_lines(wm)]
         g.corner_table = dict(zip(wm.lambda1, zip(*sides)))
     if lam1 not in g.corner_table:
         raise DomainError(f"{lam1} is not a first-component weight")
@@ -887,14 +895,15 @@ def corner_ideals(g: GroupElement, lam1: Weight) -> tuple[Ideal, Ideal, Ideal, I
 
 @lru_cache(maxsize=None)
 def _corner_lines(wm):
-    """The matrix index of each corner ideal's lines, one line per weight of
-    J = lambda1: in its column, the rest of J (column i of ``rest`` is J
-    without J_i) and the top entry; then the same two in its row."""
-    j = np.array([wm.idx(mu) for mu in wm.lambda1], dtype=np.intp)
+    """The flat index of each corner ideal's lines, one line per weight of
+    J = lambda1 along the last axis: in its column, the rest of J (column i
+    of ``rest`` is J without J_i) and the top entry; then the same two in
+    its row."""
+    n, j = wm.dim, np.array([wm.idx(mu) for mu in wm.lambda1], dtype=np.intp)
     m = len(j)
     rest = np.broadcast_to(j, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1).T
     top = wm.idx(wm.lam0)
-    return (rest, j), (top, j), (j, rest), (j, top)
+    return rest * n + j, top * n + j, j * n + rest, j * n + top
 
 
 # -- transporter and level certificates -------------------------------------------------------

@@ -1,44 +1,44 @@
 """Dense matrices and vectors over chain-ring products.
 
-A matrix over a ring spec is a list of per-factor blocks, all with one layout:
-a leading axis of coefficient slices, so a matrix block has shape (s, n, n)
-and a vector block shape (s, n).  A factor is two numbers, its layout (s, c):
+A matrix over a ring spec is a list of per-factor blocks with one layout: a
+leading axis of coefficient slices, so a matrix block has shape (s, n, n) and
+a vector block (s, n).  The layout of a factor is ``Factor.layout``, (s, c):
 
 * Z/p^k         -- s = 1, int64 coefficients mod c = p^k,
 * F_p[t]/(t^k)  -- s = k, slice i holds the t^i coefficients, int64 mod c = p,
 * Z             -- s = 1, an object array of exact Python integers, c = 0
   (never reduced).
 
-The layout is ``Factor.layout``, which ring scalars use too.  Every block
-operation is one code path over this layout, and every reduction is
-``rings._mod``, a bit mask for a power-of-two c.  A product is a truncated
-convolution of slices.  A matrix product runs in float64 when
-(c - 1)^2 * n * s < 2^52, since it is much faster: the stacks convert once,
-and each output slice sums its terms exactly before one conversion and one
-in-place reduction.  Otherwise it runs in int64 and each slice product is
-reduced before the sum.  The float operand stacks and sums of a product, and
-the augmented rows and float slice lift of an inverse, live in a per-thread
-workspace (``_workspace``) that is reused from call to call, so the result
-is the one fresh block; a result is always copied out and never aliases
-the workspace.  The action of a word factor is a line move
-(``LineMove``), one call of the line kernel ``_update_lines``: rows for a left
-action, and rows of the transposed view for a right action; on a vector,
-its entries.  A root element
-adds to lines that are not its sources (the module is minuscule); a Weyl or
-torus element assigns to lines that are also sources, which the kernel reads
-before it writes.  Ideals and quotients follow the chain rule of ``rings``,
-read through the layout, never the factor kind: an ideal test reads the
-ideal's per-slice divisors (``Ideal.divisors``); a line's ideal is its number
-of leading zero slices when s > 1, else its gcd with c (p^v for c = p^k); and
-a quotient keeps, per factor of ``Factor.quotient``, the first s slices mod
+Every block operation is one code path over the layout, and every reduction
+is ``rings._mod``, a bit mask for a power-of-two c.  A product is a truncated
+convolution of slices: in float64 when (c - 1)^2 * n * s < 2^52, where each
+output slice sums its terms exactly before one conversion and one reduction,
+else in int64 with each term reduced.  Kernel temporaries live in a
+per-thread workspace (``_workspace``), reused from call to call; a result is
+the one fresh block and never aliases it.
+
+A word factor acts by a line move (``LineMove``), one call of the line kernel
+``_update_lines``: on rows for a left action, on the rows of the transposed
+view for a right one, on the entries of a vector.  A root element adds to
+lines that are not its sources (the module is minuscule); a Weyl or torus
+element assigns to lines that are also sources, which the kernel reads first.
+
+A predicate reads a fixed set of entries through a flat index into the
+trailing axes, row * n + col for a matrix: one ``np.take`` per block, never a
+boolean mask or a per-slice fancy index.  Each caller builds its indices once
+and caches them.  Ideals and quotients follow the chain rule of ``rings``
+through the layout, never the factor kind: an ideal test reads the ideal's
+per-slice divisors (``Ideal.divisors``); a line's ideal is its number of
+leading zero slices when s > 1, else its gcd with c (p^v for c = p^k); and a
+quotient keeps, per factor of ``Factor.quotient``, the first s slices mod
 that factor's c.
 
 Exactness: blocks hold coefficients reduced into [0, c) (``set_entry``
-reduces the residues it stores), and then every int64 kernel is exact
-when (c - 1)^2 * n < 2^63, since a slice product sums n products of two
-coefficients (a line move sums at most s + 1 of them).  ``check_exact``
-enforces the bound wherever blocks are made, so a modulus above it raises
-``DomainError`` instead of wrapping around.
+reduces the residues it stores), so every int64 kernel is exact when
+(c - 1)^2 * n < 2^63: a slice product sums n products of two coefficients,
+a line move at most s + 1.  ``check_exact`` enforces the bound wherever
+blocks are made, so a modulus above it raises ``DomainError`` instead of
+wrapping around.
 """
 
 from __future__ import annotations
@@ -230,50 +230,54 @@ class _Blocks:
             blk[index] = self.spec._reduce_part(i, part)
 
     # -- masked predicates ---------------------------------------------------------
-    # A predicate indexes each coefficient slice on its own: a leading full
-    # slice in a fancy index costs several times as much as a slice view.
+    # A predicate reads its entries through a flat index into the trailing
+    # axes in row-major order (row * n + col for a matrix, the entry itself
+    # for a vector), of any shape: one ``np.take`` per block, several times
+    # faster than a boolean mask or a fancy index with a leading full slice.
 
-    def nonzero_at(self, *index) -> bool:
-        """Some selected entry is nonzero; with no index, some entry."""
-        return any(sl[index].any() for blk in self.blocks for sl in blk)
+    def _take(self, index) -> list:
+        """Per block, its entries at the flat index, shaped (s,) + index.shape."""
+        return [blk.reshape(len(blk), -1).take(index, axis=1) for blk in self.blocks]
 
-    def _outside(self, ideal: Ideal, index: tuple):
-        """Per selected entry, whether it lies outside the ideal; None when
-        the ideal holds every entry."""
+    def nonzero_at(self, index=None) -> bool:
+        """Some entry at the flat index is nonzero; with no index, some entry."""
+        return any(np.count_nonzero(vals) for vals in (self.blocks if index is None else self._take(index)))
+
+    def _outside(self, ideal: Ideal, index):
+        """Per entry at the flat index, whether it lies outside the ideal;
+        None when the ideal holds every entry."""
         out = None
-        for blk, ds in zip(self.blocks, ideal.divisors):
-            for sl, d in zip(blk, ds):
+        for vals, ds in zip(self._take(index), ideal.divisors):
+            for sl, d in zip(vals, ds):
                 if d != 1:
-                    hit = _mod(sl[index], d) != 0
+                    hit = _mod(sl, d) != 0
                     out = hit if out is None else out | hit
         return out
 
-    def in_ideal_at(self, ideal: Ideal, *index) -> bool:
-        """Every selected entry lies in the ideal."""
+    def in_ideal_at(self, ideal: Ideal, index) -> bool:
+        """Every entry at the flat index lies in the ideal."""
         out = self._outside(ideal, index)
-        return out is None or not out.any()
+        return out is None or not np.count_nonzero(out)
 
-    def in_ideal_mask(self, ideal: Ideal, *index) -> np.ndarray:
-        """Per position of the last axis, whether every entry selected along
-        the other axes lies in the ideal: for a stack of lines, one verdict
-        per line."""
+    def in_ideal_mask(self, ideal: Ideal, index) -> np.ndarray:
+        """For a flat index whose last axis runs over lines, one verdict per
+        line: every entry of the line lies in the ideal."""
         out = self._outside(ideal, index)
         if out is None:
-            return np.ones(self.blocks[0].shape[-1], dtype=bool)
+            return np.ones(np.shape(index)[-1], dtype=bool)
         return ~out.reshape(-1, out.shape[-1]).any(axis=0)
 
-    def line_ideals(self, *index) -> list[Ideal]:
-        """Per position of the last axis, the ideal generated by the entries
-        selected along the other axes: for a stack of lines, the ideal of each
-        line, per factor the least valuation or the gcd over the integers.
-        Equal ideals are one shared object."""
+    def line_ideals(self, index) -> list[Ideal]:
+        """For a flat index whose last axis runs over lines, the ideal
+        generated by each line's entries: per factor the least valuation,
+        or the gcd over the integers.  Equal ideals are one shared object."""
         parts = []
-        for f, blk in zip(self.spec.factors, self.blocks):
+        for f, taken in zip(self.spec.factors, self._take(index)):
             s, c = f.layout
-            vals = [v.reshape(-1, v.shape[-1]) for v in (sl[index] for sl in blk)]
+            vals = taken.reshape(s, -1, taken.shape[-1])
             if s > 1:
                 # slices mod p: the valuation is the number of leading slices that vanish
-                part = np.logical_and.accumulate([~v.any(axis=0) for v in vals]).sum(axis=0)
+                part = np.logical_and.accumulate(~vals.any(axis=1)).sum(axis=0)
             else:
                 # each line's gcd with c; for c = p^k it is p^v, v the least valuation
                 part = np.gcd.reduce(vals[0], axis=0, initial=c)
@@ -300,15 +304,12 @@ class _Blocks:
                 coeffs = [b if a is None else a if b is None else a + b for a, b in zip(coeffs, more)]
             _update_lines(blk if left or ndim == 1 else blk.swapaxes(1, 2), c, dsts, srcs, coeffs, add)
 
-    def signed_copies_at(self, *index, ref) -> np.ndarray:
-        """For each selected entry, whether it equals plus or minus the
-        selected entry at position ``ref`` of it, with one sign over all
-        factors."""
-        index = (slice(None),) + index
+    def signed_copies_at(self, index, ref) -> np.ndarray:
+        """For each entry at the flat index, whether it equals plus or minus
+        the entry at position ``ref`` of it, with one sign over all factors."""
         plus = minus = True
-        for f, blk in zip(self.spec.factors, self.blocks):
-            vals = blk[index]
-            refs = vals[:, ref]
+        for f, vals in zip(self.spec.factors, self._take(index)):
+            refs = vals.take(ref, axis=1)
             plus = plus & (vals == refs).all(axis=0)
             minus = minus & (vals == _mod(-refs, f.layout[1])).all(axis=0)
         return plus | minus
@@ -363,17 +364,19 @@ class RMat(_Blocks):
         pairs = zip(self.spec.factors, self.blocks, other.blocks)
         return RMat(self.spec, self.n, [_mod(op(a, b), f.layout[1], inplace=True) for f, a, b in pairs])
 
-    def is_identity(self) -> bool:
-        """The constant slice's diagonal holds 1 and no other coefficient is
-        nonzero; no identity is built to compare with."""
+    def is_scalar(self, k: int = 1) -> bool:
+        """The matrix is k e: the constant slice's diagonal holds k and no
+        other coefficient is nonzero; no k e is built to compare with."""
         for f, blk in zip(self.spec.factors, self.blocks):
             diag = np.diagonal(blk[0])
-            if not (diag == _mod(1, f.layout[1])).all() or np.count_nonzero(blk) != np.count_nonzero(diag):
+            if not (diag == _mod(k, f.layout[1])).all() or np.count_nonzero(blk) != np.count_nonzero(diag):
                 return False
         return True
 
+    is_identity = is_scalar  # k = 1
+
     def is_zero_at(self, i: int, j: int) -> bool:
-        return not self.nonzero_at(i, j)
+        return not self.nonzero_at(i * self.n + j)
 
     def transpose(self) -> "RMat":
         return RMat(self.spec, self.n, [blk.swapaxes(1, 2).copy() for blk in self.blocks])

@@ -31,10 +31,11 @@ A second-type module carries the invariant form H of
 ``forms.bilinear_form_signs``, so an element g that preserves it has
 g^-1 = adj(g) = H^-1 g^T H, a signed transpose read by one gather
 (``Representation.adjoint``).  Elements track whether they are known to
-preserve H.  ``from_matrix`` inverts at once, since that is its
-invertibility check: over a finite ring of a second-type case, one product
-confirms the adjoint as the inverse; else, and always over Z, elimination
-does.
+preserve H, and the inverse of a word or product of such elements is the
+adjoint of its matrix: no inverse factors replay.  ``from_matrix`` inverts
+at once, since that is its invertibility check: over a finite ring of a
+second-type case, one product confirms the adjoint as the inverse; else,
+and always over Z, elimination does.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ class GroupElement:
 
     ``mat`` and ``inv_mat`` (the exact inverse) are ``_Lazy`` nodes, each
     computed on first read and then kept; a deferred matrix holds the
-    factors' matrices and a deferred inverse their inverses, never the other
-    one.  ``word`` is the atoms of an element built by ``element_from_word``
+    factors' matrices, and a deferred inverse their inverses or, for an
+    element that preserves the form, its own matrix.  ``word`` is the atoms of an element built by ``element_from_word``
     (``()`` for ``identity``), else None.
 
     ``_chain`` is private: (k, factors, inverse factors) for an element whose
@@ -252,7 +253,7 @@ class GroupElement:
 
     ``_isometry`` is private: True only for an element known to preserve the
     invariant form of a second-type case, so that its inverse is its
-    adjoint (``Representation.adjoint``).  It holds for the identity, words,
+    adjoint (``Representation.adjoint``), read so by words and products.  It holds for the identity, words,
     and products, inverses and reductions of such elements, and for a
     ``from_matrix`` element whose adjoint passed as its inverse; it
     defaults to False, which is always safe.
@@ -288,7 +289,8 @@ class GroupElement:
         of their concatenated chain (up to ``_max_word_factors``), which
         copies and multiplies nothing; otherwise a short chain is applied as
         line moves to a copy of the other matrix, and anything else is a
-        matrix product."""
+        matrix product.  The inverse is the adjoint when both preserve the
+        form, else it is built the same way from the inverses."""
         rep = self.rep
         if other.rep is not rep:
             raise DomainError("product of elements of different representations")
@@ -297,18 +299,21 @@ class GroupElement:
             fs = _Lazy(fn=operator.add, args=(a[1], b[1]))
             return rep._word_element(a[0] + b[0], fs, _Lazy(fn=operator.add, args=(b[2], a[2])))
         a, b = self._line, other._line
-        isometry = self._isometry and other._isometry
         if a is not None and (b is None or a[0] <= b[0]):
             (_, fs, inv_fs), base, left = a, other, True
         elif b is not None:
             (_, fs, inv_fs), base, left = b, self, False
         else:
+            base = None
+        if base is None:
             mat = _Lazy(fn=operator.mul, args=(self._mat, other._mat))
             inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
-            return GroupElement(rep, mat, inv, isometry=isometry)
-        mat = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, left), args=(base._mat, fs))
-        inv = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, not left), args=(base._inv, inv_fs))
-        return GroupElement(rep, mat, inv, isometry=isometry)
+        else:
+            mat = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, left), args=(base._mat, fs))
+            inv = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, not left), args=(base._inv, inv_fs))
+        if self._isometry and other._isometry:
+            return GroupElement(rep, mat, _Lazy(fn=rep.adjoint, args=(mat,)), isometry=True)
+        return GroupElement(rep, mat, inv)
 
     def _joins(self, other: "GroupElement") -> bool:
         """Both have chains and unread matrices, and the concatenated chain
@@ -466,8 +471,7 @@ class Representation:
         return tuple(out)
 
     def element_from_word(self, atoms) -> GroupElement:
-        """The product of the atoms, built on first read.  Its matrix and its
-        inverse replay the factors and the inverse factors on the identity;
+        """The product of the atoms, built on first read (``_word_element``);
         the inverse factors are computed once, when first needed."""
         factors = self._factors(atoms)
         fs = _Lazy(factors)
@@ -475,13 +479,15 @@ class Representation:
 
     def _word_element(self, k: int, fs: _Lazy, inv_fs: _Lazy, word=None) -> GroupElement:
         """The element of the chain of k validated factors, with nothing
-        built: its matrix and inverse replay the factors and the inverse
-        factors on the identity when first read."""
+        built: its matrix replays the factors on the identity when first
+        read, and its inverse is the adjoint of that matrix in a second-type
+        case, else the inverse factors replayed the same way."""
 
         def build(f):
             return self._apply_factors(RMat.identity(self.ring, self.n), f, True)
 
-        mat, inv = _Lazy(fn=build, args=(fs,)), _Lazy(fn=build, args=(inv_fs,))
+        mat = _Lazy(fn=build, args=(fs,))
+        inv = _Lazy(fn=self.adjoint, args=(mat,)) if self._has_form else _Lazy(fn=build, args=(inv_fs,))
         return GroupElement(self, mat, inv, word=word, chain=(k, fs, inv_fs), isometry=self._has_form)
 
     def _apply_factors(self, mat, factors: tuple, left: bool):
@@ -584,8 +590,9 @@ def sample_word_rng(rep: Representation, atoms: list[Atom], length: int, rng: Sp
 
 @lru_cache(maxsize=None)
 def _cross_component_mask(wm: WeightModule):
+    """The flat indices of the entries between different components."""
     comp = np.array([wm.component_of(w) for w in wm.weights])
-    return comp[:, None] != comp[None, :]
+    return np.flatnonzero(comp[:, None] != comp[None, :])
 
 
 def is_component_blocked(g: GroupElement) -> bool:

@@ -245,6 +245,11 @@ class RingSpec:
         return {} if self.is_finite else None
 
     @cached_property
+    def ideal_containments(self) -> dict | None:
+        """As ``ideal_products``, whether a contains b, by (a.parts, b.parts)."""
+        return {} if self.is_finite else None
+
+    @cached_property
     def zero_ideal(self) -> "Ideal":
         return Ideal(self, tuple(f.k for f in self.factors))
 
@@ -436,7 +441,8 @@ class Ideal:
 
     Over a finite spec, a product of two ideals is computed once and kept in
     the spec's ``ideal_products`` table; every later product of the same two
-    ideals returns that shared instance.  Over Z each product is new."""
+    ideals returns that shared instance.  Containment is kept the same way,
+    in ``ideal_containments``.  Over Z both are computed each time."""
 
     spec: RingSpec
     parts: tuple[int, ...]
@@ -503,13 +509,14 @@ class Ideal:
 
     def contains(self, other: "Ideal") -> bool:
         _check_same_spec(self, other)
-        if self.spec.is_finite:
-            for a, b in zip(self.parts, other.parts):
-                if a > b:
-                    return False
-            return True
-        (a,), (b,) = self.parts, other.parts
-        return b % a == 0 if a else b == 0
+        table = self.spec.ideal_containments
+        if table is None:
+            (a,), (b,) = self.parts, other.parts
+            return b % a == 0 if a else b == 0
+        key = (self.parts, other.parts)
+        if key not in table:
+            table[key] = all(a <= b for a, b in zip(self.parts, other.parts))
+        return table[key]
 
     def __le__(self, other: "Ideal") -> bool:
         return other.contains(self)

@@ -118,8 +118,12 @@ class EmbeddingCase:
     def pairing(self, alpha: Root, beta: Root) -> int:
         return int(self.pairings[self.idx(alpha), self.idx(beta)])
 
-    def is_root(self, v: Root) -> bool:
-        return v in self.index
+    def is_root(self, v) -> bool:
+        """False for anything that is not a root, an unhashable value too."""
+        try:
+            return v in self.index
+        except TypeError:
+            return False
 
     def root_add(self, alpha: Root, beta: Root) -> Root | None:
         i, j = self.idx(alpha), self.idx(beta)

@@ -1181,23 +1181,136 @@ def test_root_type_failures_match_entrywise_reference(ring_name):
 def test_root_type_failures_of_form_preserving_elements_match_the_product_path(tag, l, ring_name):
     """A word reads (g - e)^2 = 0 off g + adj(g) = 2e; the same matrix as a
     bare element squares g - e.  Both give the same failures, on conjugates
-    of root elements (which pass) and on products x_alpha x_beta."""
+    of root elements (which pass), on products x_alpha x_beta and on words
+    of a few root elements, some of which fail the first identity."""
     ring = named_ring(ring_name)
     rep = representation(tag, l, ring)
     phi = rep.case.phi
     values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 1, 2)]
     rng = SplitMix64(89)
-    failing = 0
+    failing = squares = 0
     for trial in range(6):
         xi, eta = values[rng.randrange(len(values))], values[rng.randrange(len(values))]
         conjugate = rep.x(phi[rng.randrange(len(phi))], xi).conjugate(_any_word(rep, rng, 3))
         product = rep.x(phi[rng.randrange(len(phi))], xi) * rep.x(phi[rng.randrange(len(phi))], eta)
+        word = _any_word(rep, rng, 2 + trial % 3)
         assert root_type_failures(conjugate) == []
-        for g in (conjugate, product):
+        for g in (conjugate, product, word):
             assert g._isometry
             assert root_type_failures(g) == root_type_failures(GroupElement(rep, g.mat, None))
         failing += bool(root_type_failures(product))
-    assert failing > 0
+        squares += "square of (g - e) is nonzero" in root_type_failures(word)
+    assert failing > 0 and squares > 0
+
+
+# -- flat entry indices ------------------------------------------------------------------
+
+
+def _flat(n, cells):
+    return [i * n + j for i, j in cells]
+
+
+def _corner_cells(wm):
+    """Per weight mu of J = lambda1, the entries of its four corner lines:
+    column mu on the rest of J, the top entry of column mu, and the same two
+    in row mu."""
+    top = wm.idx(wm.lam0)
+    out = []
+    for mu in wm.lambda1:
+        j = wm.idx(mu)
+        rest = [wm.idx(nu) for nu in wm.lambda1 if nu != mu]
+        out.append(([(i, j) for i in rest], [(top, j)], [(j, i) for i in rest], [(j, top)]))
+    return out
+
+
+def _root_difference_cells(rep):
+    """(row, column, index in Phi) of every entry over a root difference:
+    rows lam + alpha, columns lam, root after root in the order of Phi."""
+    wm = rep.wm
+    return [
+        (wm.idx(mu), j, k)
+        for k, alpha in enumerate(rep.case.phi)
+        for j, lam in enumerate(wm.weights)
+        if (mu := wm.shift(lam, alpha)) is not None
+    ]
+
+
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 6), ("a", 8)])
+def test_flat_index_helpers_match_their_definitions(tag, l):
+    from chevalley.rep import _cross_component_mask
+
+    rep = representation(tag, l, named_ring("z4"))
+    wm, n = rep.wm, rep.n
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    comp = [wm.component_of(w) for w in wm.weights]
+    far = [(i, j) for i, j in cells if wm.distance(wm.weights[i], wm.weights[j]) >= 2]
+    assert analysis._distance_mask(wm).tolist() == _flat(n, far)
+    assert _cross_component_mask(wm).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] != comp[j]])
+    assert analysis._radical_frozen_mask(wm).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] >= comp[j]])
+    for lam in (wm.lam0, wm.weights[n // 2]):
+        j = wm.idx(lam)
+        others, column, row = analysis._off_indices(wm, lam)
+        assert others.tolist() == [i for i in range(n) if i != j]
+        assert column.tolist() == _flat(n, [(i, j) for i in others])
+        assert row.tolist() == _flat(n, [(j, i) for i in others])
+    index, ref, owner = analysis._root_difference_positions(rep)
+    diffs = _root_difference_cells(rep)
+    assert index.tolist() == _flat(n, [(r, c) for r, c, _ in diffs])
+    assert owner.tolist() == [k for _, _, k in diffs]
+    assert ref.tolist() == [[k for _, _, k in diffs].index(k) for _, _, k in diffs]
+    # line i of a corner index is its column i (a 1-d index has one entry per line)
+    lines = [np.atleast_2d(index).T for index in analysis._corner_lines(wm)]
+    for i, expected in enumerate(_corner_cells(wm)):
+        assert [sorted(index[i].tolist()) for index in lines] == [sorted(_flat(n, c)) for c in expected]
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+@pytest.mark.parametrize("tag", ["b", "c"])
+def test_predicates_through_the_flat_indices_match_an_entrywise_reference(tag, ring_name):
+    """``nonzero_at``, ``in_ideal_at``, ``signed_copies_at`` and
+    ``line_ideals`` read through the cached flat indices give what a loop
+    over boxed entries gives, on word matrices with entries moved at random
+    (at any distance), on the identity and on zero."""
+    from chevalley.rep import _cross_component_mask
+
+    ring = named_ring(ring_name)
+    rep = representation(tag, None, ring)
+    wm, n = rep.wm, rep.n
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 2, 3)]
+    ideals = [Ideal.zero(ring), Ideal.unit(ring)] + [Ideal.from_elems(ring, [v]) for v in values]
+    index, ref, _ = analysis._root_difference_positions(rep)
+    masks = [analysis._distance_mask(wm), _cross_component_mask(wm), analysis._radical_frozen_mask(wm)]
+    masks += analysis._off_indices(wm, wm.lam0)[1:] + (index,)
+    rng = SplitMix64(97)
+    seen = set()
+    for trial in range(5):
+        mat = _any_word(rep, rng, 1 + trial).mat.copy() if trial < 3 else rep.identity().mat
+        if trial == 4:
+            mat = RMat.zeros(ring, n)
+        for _ in range(trial % 3):
+            i, j = rng.randrange(n), rng.randrange(n)
+            mat.set_entry(i, j, mat.entry(i, j) + values[rng.randrange(len(values))])
+        boxed = [[mat.entry(i, j) for j in range(n)] for i in range(n)]
+
+        def at(flat):
+            return [boxed[k // n][k % n] for k in np.ravel(flat).tolist()]
+
+        for mask in masks:
+            nonzero = any(not x.is_zero() for x in at(mask))
+            assert mat.nonzero_at(mask) == nonzero
+            for ideal in ideals:
+                inside = all(x in ideal for x in at(mask))
+                assert mat.in_ideal_at(ideal, mask) == inside
+                seen.add(("in", inside))
+            seen.add(("nonzero", nonzero))
+        entries = at(index)
+        expected = [x == entries[r] or x == -entries[r] for x, r in zip(entries, ref.tolist())]
+        assert mat.signed_copies_at(index, ref).tolist() == expected
+        seen.add(("coherent", all(expected)))
+        for lines in analysis._corner_lines(wm):
+            columns = np.atleast_2d(lines).T
+            assert mat.line_ideals(lines) == [Ideal.from_elems(ring, at(col)) for col in columns]
+    assert seen == {(name, v) for name in ("in", "nonzero", "coherent") for v in (True, False)}
 
 
 def test_root_type_failures_flag_an_entry_at_distance_two():

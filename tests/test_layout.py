@@ -224,16 +224,16 @@ def test_predicates_match_entrywise_folds(name):
         mask = np.array([[rng.randrange(3) == 0 for _ in range(N)] for _ in range(N)])
         masked = [a[i][j] for i in range(N) for j in range(N) if mask[i, j]]
 
-        assert m.nonzero_at(rows, cols) == any(not x.is_zero() for x in picked)
-        assert m.nonzero_at(mask) == any(not x.is_zero() for x in masked)
+        assert m.nonzero_at(rows * N + cols) == any(not x.is_zero() for x in picked)
+        assert m.nonzero_at(np.flatnonzero(mask)) == any(not x.is_zero() for x in masked)
         assert m.nonzero_at() == any(not x.is_zero() for row in a for x in row)
-        assert m.line_ideals(rows[:, None], cols[:, None]) == [Ideal.from_elems(spec, picked)]
+        assert m.line_ideals((rows * N + cols)[:, None]) == [Ideal.from_elems(spec, picked)]
         for ideal in ideals:
-            assert m.in_ideal_at(ideal, rows, cols) == all(x in ideal for x in picked)
+            assert m.in_ideal_at(ideal, rows * N + cols) == all(x in ideal for x in picked)
 
         ref = np.array([rng.randrange(k) for _ in range(k)], dtype=np.intp)
         expected = [x == picked[r] or x == -picked[r] for x, r in zip(picked, ref)]
-        assert m.signed_copies_at(rows, cols, ref=ref).tolist() == expected
+        assert m.signed_copies_at(rows * N + cols, ref=ref).tolist() == expected
 
         column = mat_col(m, trial % N)
         idx = cols
@@ -254,8 +254,8 @@ def test_line_mask_matches_entrywise_folds(name):
         rows = np.array(sorted({rng.randrange(N) for _ in range(1 + trial)}), dtype=np.intp)
         for ideal in _ideals(spec):
             expected = [all(a[i][j] in ideal for i in rows) for j in range(N)]
-            assert m.in_ideal_mask(ideal, rows).tolist() == expected
-            assert m.in_ideal_mask(ideal, rows[0]).tolist() == [a[rows[0]][j] in ideal for j in range(N)]
+            assert m.in_ideal_mask(ideal, rows[:, None] * N + np.arange(N)).tolist() == expected
+            assert m.in_ideal_mask(ideal, rows[0] * N + np.arange(N)).tolist() == [a[rows[0]][j] in ideal for j in range(N)]
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -273,15 +273,15 @@ def test_line_ideals_match_entrywise_folds(name):
         m = _to_mat(spec, a)
         # a stack of lines as in the corner table: column j reads rows[:, j]
         rows = np.array([[rng.randrange(N) for _ in range(N)] for _ in range(1 + trial % 3)], dtype=np.intp)
-        got = m.line_ideals(rows, cols)
+        got = m.line_ideals(rows * N + cols)
         assert got == [Ideal.from_elems(spec, [a[i][j] for i in rows[:, j]]) for j in range(N)]
         assert all(x is y for x in got for y in got if x == y)
         assert got[zero_col].is_zero()
         # one entry per line, lines along the rows, and an empty stack
         r = rng.randrange(N)
-        assert m.line_ideals(r, cols) == [Ideal.from_elems(spec, [a[r][j]]) for j in range(N)]
-        assert m.line_ideals(cols, r) == [Ideal.from_elems(spec, [a[j][r]]) for j in range(N)]
-        assert m.line_ideals(rows[:0], cols) == [Ideal.zero(spec)] * N
+        assert m.line_ideals(r * N + cols) == [Ideal.from_elems(spec, [a[r][j]]) for j in range(N)]
+        assert m.line_ideals(cols * N + r) == [Ideal.from_elems(spec, [a[j][r]]) for j in range(N)]
+        assert m.line_ideals(rows[:0] * N + cols) == [Ideal.zero(spec)] * N
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

@@ -802,3 +802,39 @@ def test_form_preservation_is_tracked_through_words_products_and_reductions(tag,
         assert g.rep.adjoint(g.mat) == g.inv_mat
     assert not GroupElement(rep, a.mat, None)._isometry
     assert not (GroupElement(rep, a.mat, a.inv_mat) * a)._isometry
+
+
+def _replayed_inverse(rep, atoms):
+    """The inverse factors of the atoms, replayed on the identity."""
+    from chevalley.rep import _inverse_factors
+
+    return rep._apply_factors(RMat.identity(rep.ring, rep.n), _inverse_factors(rep._factors(atoms)), True)
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", SECOND_TYPE)
+def test_form_preserving_inverses_are_adjoints(tag, l, ring_name):
+    """A word, a matrix product and a line product of form-preserving
+    elements take their inverse as the adjoint of their matrix, which equals
+    their replayed inverse factors."""
+    rep = representation(tag, l, named_ring(ring_name))
+    a, b = _word(rep, 6), _word(rep, 7)
+    x = rep.x(rep.case.phi[0], rep.ring.one)
+    b.mat  # a read matrix: products with b take the matrix or the line path
+    elements = [(a, a.word), (a * b, a.word + b.word), (x * b, x.word + b.word)]
+    assert (a * b)._chain is None and x._line is not None
+    for g, atoms in elements:
+        assert g._isometry and g._inv.fn == rep.adjoint
+        assert g.inv_mat == _replayed_inverse(rep, atoms)
+        g.check()
+
+
+@pytest.mark.parametrize("tag,l", [("a", 5), ("b", None)])
+def test_first_type_inverses_replay_the_inverse_factors(tag, l):
+    rep = representation(tag, l, named_ring("z4"))
+    a, b = _word(rep, 6), _word(rep, 7)
+    b.mat
+    for g, atoms in ((a, a.word), (a * b, a.word + b.word)):
+        assert not g._isometry and g._inv.fn != rep.adjoint
+        assert g.inv_mat == _replayed_inverse(rep, atoms)
+        g.check()

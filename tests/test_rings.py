@@ -105,6 +105,24 @@ def test_integer_ideal_products_are_not_tabled():
     assert four * six == Ideal(spec, (24,)) and four * six is not four * six
 
 
+@pytest.mark.parametrize("name", ["z4", "z12", "f2t2", "f3t2"])
+def test_ideal_containment_comes_from_the_spec_table(name):
+    """a <= b exactly when every element of a lies in b; each pair is
+    decided once and kept in the spec's table.  Over Z there is no table."""
+    spec = named_ring(name)
+    parts = [()]
+    for f in spec.factors:
+        parts = [p + (j,) for p in parts for j in range(f.k + 1)]
+    ideals = [Ideal(spec, p) for p in parts]
+    for a in ideals:
+        for b in ideals:
+            assert (a <= b) == b.contains(a) == all(x in b for x in a.elements())
+    assert len(spec.ideal_containments) == len(ideals) ** 2
+    integers = RingSpec.integers()
+    assert integers.ideal_containments is None
+    assert Ideal(integers, (4,)) <= Ideal(integers, (2,)) and not Ideal(integers, (2,)) <= Ideal(integers, (4,))
+
+
 def test_intersection_square_in_z4():
     spec = RingSpec.zmod(4)
     two = Ideal.from_elems(spec, [spec.el(2)])
