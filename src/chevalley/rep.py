@@ -19,13 +19,13 @@ scales them.
 
 A ``GroupElement`` holds its matrix and exact inverse as lazy nodes, each
 computed on first read.  An element built from a word keeps the word's
-factors and inverse factors as a chain: its matrix is the identity moved by
-the factors, a row or column of an unread word is a basis vector moved by
-them, and a product of two unread words is the word of the joined chain (at
-most 32 factors).  Any other product applies a chain of at most
-max(1, min(n // 32, 4)) factors as line moves to a copy of the other matrix,
-or multiplies the matrices.  ``expand_atoms`` spells a word out in root
-elements.
+factors and inverse factors as a chain, and while its matrix is unread (an
+unread chain) its matrix is the identity moved by the factors and a row or
+column is a basis vector moved by them.  A product of two unread chains is
+the word of the joined chain (at most 32 factors); an unread chain against
+anything else moves the lines of a copy of the other matrix (the shorter of
+two unread chains moves); any other product multiplies the matrices.
+``expand_atoms`` spells a word out in root elements.
 
 A second-type module carries the invariant form H of
 ``forms.bilinear_form_signs``, so an element g that preserves it has
@@ -64,7 +64,6 @@ class RepTables:
 
     wm: WeightModule
     patterns: dict  # root -> (srcs, dsts, signs) int arrays, srcs ascending
-    weyl_perm: dict  # simple root index -> (perm, signs) of w_i(1)
     moves: dict = field(default_factory=dict, repr=False)  # (kind, root) -> LineMove
 
     def move(self, kind: str, alpha: Root) -> LineMove:
@@ -191,7 +190,7 @@ def rep_tables(wm: WeightModule) -> RepTables:
         if not np.array_equal(dsts, want_dsts):
             raise InternalConsistencyError(f"pattern target mismatch for {root}")
 
-    return RepTables(wm=wm, patterns=pat, weyl_perm=weyl_perm)
+    return RepTables(wm=wm, patterns=pat)
 
 
 class _Lazy:
@@ -236,27 +235,27 @@ class GroupElement:
     ``mat`` and ``inv_mat`` (the exact inverse) are ``_Lazy`` nodes, each
     computed on first read and then kept; a deferred matrix holds the
     factors' matrices, and a deferred inverse their inverses or, for an
-    element that preserves the form, its own matrix.  ``word`` is the atoms of an element built by ``element_from_word``
-    (``()`` for ``identity``), else None.
+    element that preserves the form, its own matrix.  ``word`` is the atoms
+    of an element built by ``element_from_word`` (``()`` for ``identity``),
+    else None.
 
     ``_chain`` is private: (k, factors, inverse factors) for an element whose
     matrix is the product of k known factors, with the two factor tuples as
     ``_Lazy`` nodes (the inverse factors are computed on first read, once),
-    else None.  A word has one, its inverse holds it swapped, and so has a
-    product of two elements with chains whose matrices are both unread,
-    which is their concatenated chain; only the word keeps ``word``.  A
+    else None.  A word has one, its inverse holds it swapped, and so has the
+    joined product of two unread chains; only the word keeps ``word``.  A
     factor is an atom (kind, root, value), applied as one ``LineMove``.
-    ``_line`` is the chain when k <= ``_max_line_atoms``, for the line path
-    of a product.  While the matrix is unread, ``column`` and ``row`` move a
-    basis vector by the chain instead of building it.  ``corner_table`` is
-    filled by ``analysis.corner_ideals`` on its first read.
+    While the matrix is unread (``_unread_chain``), products, ``column`` and
+    ``row`` move lines by the chain instead of building the matrix.
+    ``corner_table`` is filled by ``analysis.corner_ideals`` on its first
+    read.
 
     ``_isometry`` is private: True only for an element known to preserve the
     invariant form of a second-type case, so that its inverse is its
-    adjoint (``Representation.adjoint``), read so by words and products.  It holds for the identity, words,
-    and products, inverses and reductions of such elements, and for a
-    ``from_matrix`` element whose adjoint passed as its inverse; it
-    defaults to False, which is always safe.
+    adjoint (``Representation.adjoint``), read so by words and products.
+    It holds for the identity, words, and products, inverses and reductions
+    of such elements, and for a ``from_matrix`` element whose adjoint passed
+    as its inverse; it defaults to False, which is always safe.
     """
 
     __slots__ = ("rep", "_mat", "_inv", "word", "_chain", "_isometry", "corner_table")
@@ -279,26 +278,25 @@ class GroupElement:
     def inv_mat(self) -> RMat:
         return self._inv.get()
 
-    @property
-    def _line(self):
-        chain = self._chain
-        return chain if chain is not None and chain[0] <= self.rep._max_line_atoms else None
+    def _unread_chain(self):
+        """The chain while the matrix is unread, else None."""
+        return self._chain if self._mat.fn is not None else None
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        """Two elements with chains and unread matrices multiply to the word
-        of their concatenated chain (up to ``_max_word_factors``), which
-        copies and multiplies nothing; otherwise a short chain is applied as
-        line moves to a copy of the other matrix, and anything else is a
-        matrix product.  The inverse is the adjoint when both preserve the
-        form, else it is built the same way from the inverses."""
+        """Two unread chains join into the word of their concatenated chain
+        (up to ``_max_word_factors``), which copies and multiplies nothing;
+        an unread chain against anything else moves the lines of a copy of
+        the other matrix, and of two unread chains the shorter one moves;
+        any other product multiplies the matrices.  The inverse is the
+        adjoint when both preserve the form, else it is built the same way
+        from the inverses."""
         rep = self.rep
         if other.rep is not rep:
             raise DomainError("product of elements of different representations")
-        a, b = self._chain, other._chain
+        a, b = self._unread_chain(), other._unread_chain()
         if self._joins(other):
             fs = _Lazy(fn=operator.add, args=(a[1], b[1]))
             return rep._word_element(a[0] + b[0], fs, _Lazy(fn=operator.add, args=(b[2], a[2])))
-        a, b = self._line, other._line
         if a is not None and (b is None or a[0] <= b[0]):
             (_, fs, inv_fs), base, left = a, other, True
         elif b is not None:
@@ -307,25 +305,21 @@ class GroupElement:
             base = None
         if base is None:
             mat = _Lazy(fn=operator.mul, args=(self._mat, other._mat))
-            inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
         else:
             mat = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, left), args=(base._mat, fs))
-            inv = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, not left), args=(base._inv, inv_fs))
         if self._isometry and other._isometry:
             return GroupElement(rep, mat, _Lazy(fn=rep.adjoint, args=(mat,)), isometry=True)
+        if base is None:
+            inv = _Lazy(fn=operator.mul, args=(other._inv, self._inv))
+        else:
+            inv = _Lazy(fn=lambda m, f: rep._apply_factors(m.copy(), f, not left), args=(base._inv, inv_fs))
         return GroupElement(rep, mat, inv)
 
     def _joins(self, other: "GroupElement") -> bool:
-        """Both have chains and unread matrices, and the concatenated chain
-        has at most ``_max_word_factors`` factors."""
-        a, b = self._chain, other._chain
-        return (
-            a is not None
-            and b is not None
-            and self._mat.fn is not None
-            and other._mat.fn is not None
-            and a[0] + b[0] <= self.rep._max_word_factors
-        )
+        """Both are unread chains, and the concatenated chain has at most
+        ``_max_word_factors`` factors."""
+        a, b = self._unread_chain(), other._unread_chain()
+        return a is not None and b is not None and a[0] + b[0] <= self.rep._max_word_factors
 
     def inverse(self) -> "GroupElement":
         chain = self._chain
@@ -372,10 +366,11 @@ class GroupElement:
         return self._row_or_column(self.rep.wm.idx(lam), False)
 
     def _row_or_column(self, i: int, column: bool) -> RVec:
-        if self._chain is None or self._mat.fn is None:
+        chain = self._unread_chain()
+        if chain is None:
             return (mat_col if column else mat_row)(self.mat, i)
         rep = self.rep
-        return rep._apply_factors(RVec.basis(rep.ring, rep.n, i), self._chain[1].get(), column)
+        return rep._apply_factors(RVec.basis(rep.ring, rep.n, i), chain[1].get(), column)
 
     def check(self) -> None:
         if not (self.mat * self.inv_mat).is_identity():
@@ -394,13 +389,6 @@ class Representation:
         self.n = wm.dim
         # words preserve the invariant form, which only second-type cases have
         self._has_form = wm.kind == "second"
-        # A product applies a factor's line moves when it has at most this
-        # many factors: n // 32, at least 1 and at most 4.  Over Z/4 one move
-        # costs about one dense product at n = 27, a half at n = 56, a quarter
-        # at n = 128, and a fifth as a column move at n = 512; other rings
-        # favour the moves more.  A single factor always wins, since its own
-        # matrix is then never built.
-        self._max_line_atoms = max(1, min(self.n // 32, 4))
         # A product of two unread chains concatenates them while the result
         # has at most this many factors.  Its matrix is one identity plus a
         # line move per factor, and no copy or matrix product, but an operand

@@ -310,7 +310,7 @@ def test_broken_patterns_fail_the_sign_sweep(monkeypatch, damage):
         patterns[alpha] = (srcs, dsts, np.concatenate([-signs[:1], signs[1:]]))
     else:
         patterns[alpha] = (srcs[1:], dsts[1:], signs[1:])
-    broken = RepTables(wm=wm, patterns=patterns, weyl_perm=tables.weyl_perm)
+    broken = RepTables(wm=wm, patterns=patterns)
     monkeypatch.setattr(forms, "rep_tables", lambda _: broken)
     with pytest.raises(InternalConsistencyError):
         bilinear_form_signs.__wrapped__(wm)

@@ -384,6 +384,23 @@ def test_cartan_matrix_stays_in_roots():
     assert not offenders, offenders
 
 
+def test_unread_chain_is_decided_in_one_place():
+    """In ``rep``, only ``GroupElement._unread_chain`` reads both an
+    element's ``_chain`` and whether its matrix is read (``._mat.fn``), so
+    products, joins and line reads share one test of an unread chain."""
+    path = Path(__file__).resolve().parents[1] / "src" / "chevalley" / "rep.py"
+    offenders = []
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_unread_chain":
+            continue
+        attrs = [node for node in ast.walk(func) if isinstance(node, ast.Attribute)]
+        chain = any(node.attr == "_chain" for node in attrs)
+        read = any(node.attr == "fn" and getattr(node.value, "attr", None) == "_mat" for node in attrs)
+        if chain and read:
+            offenders.append(f"{func.name} (line {func.lineno})")
+    assert not offenders, offenders
+
+
 def test_matrices_reduces_only_through_the_ring_helper():
     """``matrices`` has no ``%`` or ``%=`` and no ``_mod`` of its own: every
     reduction goes through ``rings._mod``, which masks power-of-two moduli."""

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -351,11 +353,8 @@ def test_products_with_a_word_factor_equal_matrix_products(tag, l, ring_name):
         pool = values if kind == "x" else units
         return (kind, phi[rng.randrange(len(phi))], pool[rng.randrange(len(pool))])
 
-    cut = rep._max_line_atoms
-    kinds = [(), ("x",), ("w",), ("x",) * cut, ("x",) * (cut + 1), ("x", "h"), ("w", "x", "x")]
-    lengths = {len(word) for word in kinds}  # one factor per atom, whatever its kind
-    assert min(lengths) == 0 and any(0 < k <= cut for k in lengths) and max(lengths) > cut
-    long_word = rep.element_from_word([atom("x") for _ in range(cut + 3)])
+    kinds = [(), ("x",), ("w",), ("x",) * 4, ("x",) * 5, ("x", "h"), ("w", "x", "x")]
+    long_word = rep.element_from_word([atom("x") for _ in range(7)])
     bases = [long_word.inverse()]
     if ring.is_finite:
         bases.append(rep.from_matrix(long_word.mat))
@@ -414,40 +413,81 @@ def test_weyl_and_torus_factors_equal_their_root_element_words(tag, l, ring_name
                 assert g.mat == ref.mat and g.inv_mat == ref.inv_mat, (kind, alpha, eps)
 
 
+def _count_work(monkeypatch) -> dict:
+    """Counts of fresh identities, matrix products and line-kernel calls
+    from here on; a line kernel call is one move on one ring factor."""
+    from chevalley import matrices
+
+    work = {"identities": 0, "matmuls": 0, "moves": 0}
+    identity, mul, kernel = RMat.identity.__func__, RMat.__mul__, matrices._update_lines
+
+    def counted(key, fn):
+        def call(*args):
+            work[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(RMat, "identity", classmethod(counted("identities", identity)))
+    monkeypatch.setattr(RMat, "__mul__", counted("matmuls", mul))
+    monkeypatch.setattr(matrices, "_update_lines", counted("moves", kernel))
+    return work
+
+
+def _reset(work: dict) -> None:
+    work.update(dict.fromkeys(work, 0))
+
+
 @pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
 @pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 8)])
-def test_mixed_words_act_as_their_root_element_words(tag, l, ring_name):
-    """Seeded words mixing x, w and h: the element, its inverse, and its
-    products with a built matrix on both sides, through the line moves (a
-    word of at most ``_max_line_atoms`` factors) and through the matrix
-    product (a longer word, or the word's matrix alone), equal the matrices
-    of the expanded words."""
+def test_mixed_words_act_as_their_root_element_words(monkeypatch, tag, l, ring_name):
+    """Seeded words mixing x, w and h, of 1, 5 and 12 factors: the element,
+    its inverse, and their products with a read matrix on both sides equal
+    the matrices of the expanded words.  While the word is unread, a product
+    and its inverse move the lines of a copy of the read matrix, one move
+    per factor, and build no identity and no matrix product; once the word
+    is read, the product is one matrix product and no move, and so is a
+    product with a read single w or h factor."""
     ring = named_ring(ring_name)
     rep = representation(tag, l, ring)
-    phi = sorted(rep.case.phi)
-    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, 1, 3)]
-    units = _units(ring)
-    rng = SplitMix64(rep.n + len(ring_name))
-
-    def atom():
-        kind = "xwh"[rng.randrange(3)]
-        pool = values if kind == "x" else units
-        return (kind, phi[rng.randrange(len(phi))], pool[rng.randrange(len(pool))])
-
+    atom = _mixed_atom_sampler(rep, SplitMix64(rep.n + len(ring_name)))
     base = _expanded_word(rep, tuple(atom() for _ in range(5)))
-    cut = rep._max_line_atoms
-    for length in (1, cut, cut + 2):
+    others = [base] + ([rep.from_matrix(base.mat)] if ring.is_finite else [])
+    for other in others:
+        other.mat, other.inv_mat
+    work = _count_work(monkeypatch)
+    # one move per word factor and ring part in each product, and in its inverse off the form
+    moves = 2 * len(ring.factors) * (1 if rep._has_form else 2)
+    for length in (1, 5, 12):
         atoms = tuple(atom() for _ in range(length))
-        word, ref = rep.element_from_word(atoms), _expanded_word(rep, atoms)
-        assert (word._line is not None) == (length <= cut)
+        ref = _expanded_word(rep, atoms)
+        word = rep.element_from_word(atoms)
         assert word.mat == ref.mat and word.inv_mat == ref.inv_mat
         assert word.inverse().mat == ref.inv_mat
-        for g in (word, word.inverse()):
-            for other in (base, rep.from_matrix(base.mat)) if ring.is_finite else (base,):
-                assert (g * other).mat == g.mat * other.mat
-                assert (other * g).mat == other.mat * g.mat
-                assert (g * other).inv_mat == other.inv_mat * g.inv_mat
-                assert (other * g).inv_mat == g.inv_mat * other.inv_mat
+        for inverted in (False, True):
+            g_mat, g_inv = (ref.inv_mat, ref.mat) if inverted else (ref.mat, ref.inv_mat)
+            for other in others:
+                wants = [
+                    (g_mat * other.mat, other.inv_mat * g_inv),
+                    (other.mat * g_mat, g_inv * other.inv_mat),
+                ]
+                fresh = rep.element_from_word(atoms)
+                g = fresh.inverse() if inverted else fresh
+                _reset(work)
+                products = [g * other, other * g]
+                assert [(p.mat, p.inv_mat) for p in products] == wants
+                assert work == {"identities": 0, "matmuls": 0, "moves": moves * length}
+                assert fresh._mat.fn is not None and fresh._inv.fn is not None
+                g.mat, g.inv_mat
+                _reset(work)
+                assert [(g * other).mat, (other * g).mat] == [want for want, _ in wants]
+                assert work == {"identities": 0, "matmuls": 2, "moves": 0}
+    alpha, u = sorted(rep.case.phi)[3], _units(ring)[-1]
+    for factor in (rep.w(alpha, u), rep.h(alpha, u)):
+        wants = [factor.mat * base.mat, base.mat * factor.mat]
+        _reset(work)
+        assert [(factor * base).mat, (base * factor).mat] == wants
+        assert work == {"identities": 0, "matmuls": 2, "moves": 0}
 
 
 def test_a_word_builds_one_line_move_per_factor(monkeypatch):
@@ -516,7 +556,7 @@ def test_a_flipped_sign_in_the_negative_pattern_fails_the_move_build(monkeypatch
     patterns = dict(tables.patterns)
     srcs, dsts, signs = patterns[neg]
     patterns[neg] = (srcs, dsts, np.concatenate([-signs[:1], signs[1:]]))
-    broken = RepTables(wm=wm, patterns=patterns, weyl_perm=tables.weyl_perm)
+    broken = RepTables(wm=wm, patterns=patterns)
     monkeypatch.setattr(rep_module, "rep_tables", lambda _: broken)
     rep = Representation(wm, RingSpec.zmod(4))
     for kind in ("x", "w", "h"):
@@ -609,29 +649,59 @@ def test_products_of_unread_words_are_words(tag, l, ring_name):
 
 
 def test_a_product_with_a_read_word_reuses_its_matrix(monkeypatch):
-    """Once a word's matrix is read, a product takes the line path (a copy
-    of that matrix with the other factor's moves) or the matrix product, and
-    the read matrix is never rebuilt from the identity."""
+    """Once a word's matrix is read, it is never rebuilt from the identity:
+    an unread word against it moves the lines of a copy of it, whatever the
+    unread word's length, and a read word multiplies with it."""
     rep = representation("a", 8, named_ring("f2t2"))
     phi = sorted(rep.case.phi)
     one = rep.ring.one
-    cut = rep._max_line_atoms
-    read = rep.element_from_word(tuple(("x", phi[i], one) for i in range(cut + 2)))
-    read.mat
+    read = rep.element_from_word(tuple(("x", phi[i], one) for i in range(6)))
     short = rep.x(phi[-1], one)
-    long = rep.element_from_word(tuple(("x", phi[-1 - i], one) for i in range(cut + 1)))
-    products = [read * short, short * read, read * long]
-    assert [g._chain for g in products] == [None] * 3
+    long = rep.element_from_word(tuple(("x", phi[-1 - i], one) for i in range(12)))
+    weyl = rep.w(phi[3], one)
+    short_mat, long_mat, weyl_mat = (rep.element_from_word(g.word).mat for g in (short, long, weyl))
+    read.mat, weyl.mat
+    wants = [read.mat * short_mat, short_mat * read.mat, read.mat * long_mat, read.mat * weyl_mat]
+    work = _count_work(monkeypatch)
+    products = [read * short, short * read, read * long, read * weyl]
+    assert [g._chain for g in products] == [None] * 4
+    assert [g.mat for g in products[:3]] == wants[:3]
+    assert work == {"identities": 0, "matmuls": 0, "moves": 14}
+    assert products[3].mat == wants[3]
+    assert work == {"identities": 0, "matmuls": 1, "moves": 14}
+    assert short._mat.fn is not None and long._mat.fn is not None
 
-    identities, matmuls = [], []
-    identity, mul = RMat.identity.__func__, RMat.__mul__
-    monkeypatch.setattr(RMat, "identity", classmethod(lambda cls, *a: identities.append(a) or identity(cls, *a)))
-    monkeypatch.setattr(RMat, "__mul__", lambda self, other: matmuls.append(1) or mul(self, other))
-    got = [g.mat for g in products]
-    # the line path builds nothing; the matrix product builds only the long word
-    assert len(identities) == 1 and len(matmuls) == 1
-    short_mat, long_mat = (rep.element_from_word(g.word).mat for g in (short, long))
-    assert got == [read.mat * short_mat, short_mat * read.mat, read.mat * long_mat]
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None)])
+def test_unread_words_past_the_join_cap_move_the_shorter_one(monkeypatch, tag, l, ring_name):
+    """Two unread words join while their chains have at most
+    ``_max_word_factors`` factors together.  Past that, on either side, the
+    longer word's matrix is built from the identity and the shorter one's
+    factors move a copy of it: no matrix product, and the matrix and the
+    inverse equal those of the expanded joined word."""
+    rep = representation(tag, l, named_ring(ring_name))
+    atom = _mixed_atom_sampler(rep, SplitMix64(rep.n + 5 * len(ring_name)))
+    cap = rep._max_word_factors
+    short_atoms = tuple(atom() for _ in range(5))
+    work = _count_work(monkeypatch)
+    for long_length, joins in ((cap - 5, True), (cap - 2, False)):
+        long_atoms = tuple(atom() for _ in range(long_length))
+        for short_first in (True, False):
+            atoms = short_atoms + long_atoms if short_first else long_atoms + short_atoms
+            ref = _expanded_word(rep, atoms)
+            ref.mat, ref.inv_mat
+            short, long = rep.element_from_word(short_atoms), rep.element_from_word(long_atoms)
+            g = short * long if short_first else long * short
+            assert (g._chain is not None) == joins
+            if joins:
+                assert g._chain[0] == cap
+                continue
+            _reset(work)
+            assert g.mat == ref.mat
+            assert work == {"identities": 1, "matmuls": 0, "moves": len(atoms) * len(rep.ring.factors)}
+            assert long._mat.fn is None and short._mat.fn is not None
+            assert g.inv_mat == ref.inv_mat
 
 
 @pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
@@ -818,11 +888,11 @@ def test_form_preserving_inverses_are_adjoints(tag, l, ring_name):
     elements take their inverse as the adjoint of their matrix, which equals
     their replayed inverse factors."""
     rep = representation(tag, l, named_ring(ring_name))
-    a, b = _word(rep, 6), _word(rep, 7)
+    a, b, read = _word(rep, 6), _word(rep, 7), _word(rep, 8)
     x = rep.x(rep.case.phi[0], rep.ring.one)
-    b.mat  # a read matrix: products with b take the matrix or the line path
-    elements = [(a, a.word), (a * b, a.word + b.word), (x * b, x.word + b.word)]
-    assert (a * b)._chain is None and x._line is not None
+    b.mat, read.mat  # read matrices: products with b multiply or move lines
+    elements = [(a, a.word), (read * b, read.word + b.word), (x * b, x.word + b.word)]
+    assert [g._mat.fn is operator.mul for g, _ in elements[1:]] == [True, False]
     for g, atoms in elements:
         assert g._isometry and g._inv.fn == rep.adjoint
         assert g.inv_mat == _replayed_inverse(rep, atoms)
