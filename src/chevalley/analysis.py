@@ -358,7 +358,7 @@ def _coord_positions(rep: Representation, lam: Weight, roots: tuple, on_row: boo
             raise DomainError(f"root {beta} does not shift the weight")
         positions.append(wm.idx(mu))
         signs.append(rep.sign(mu, beta) if on_row else rep.sign(lam, beta))
-    return np.array(positions, dtype=np.intp), np.array(signs, dtype=np.int64)
+    return np.array(positions, dtype=np.intp), np.array(signs, dtype=np.int8)
 
 
 def _line_coords(h: GroupElement, lam: Weight, roots, on_row: bool) -> dict:
@@ -863,18 +863,6 @@ def column_stabilizer_pair(
     if c_nu < 0:
         xi_b = -xi_b
     return rep.element_from_word((("x", alpha, xi_a), ("x", beta, xi_b)))
-
-
-def stabilizes_column(x: GroupElement, g: GroupElement, lam1: Weight) -> bool:
-    col = g.column(lam1)
-    return x.rep.act(x, col) == col
-
-
-def ring_commutator_identity_holds(x: GroupElement, g: GroupElement) -> bool:
-    """g^-1 x g equals x plus the ring commutator of the two matrices."""
-    lhs = g.inv_mat * x.mat * g.mat
-    rhs = x.mat + (x.mat * g.mat - g.mat * x.mat)
-    return lhs == rhs
 
 
 def corner_ideals(g: GroupElement, lam1: Weight) -> tuple[Ideal, Ideal, Ideal, Ideal]:

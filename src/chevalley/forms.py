@@ -154,8 +154,10 @@ class QuadraticForm:
 
     def evaluate(self, v, ring: RingSpec) -> RingElem:
         """The form at a vector over the ring, from its blocks.  Per factor and
-        slice, v[i] v[j] convolved (exact by ``check_exact``) and the
-        coefficients are reduced before their product, so every sum is exact."""
+        slice, v[i] v[j] convolved (at most s (c - 1)^2, exact in the block
+        dtype by ``matrices._dtype`` and ``check_exact``) is reduced, and the
+        int64 coefficients are reduced before their product, so every sum is
+        exact."""
         if v.spec != ring:
             raise SpecMismatchError(f"vector over {v.spec.describe()} vs {ring.describe()}")
         i, j, coeffs = self._arrays

@@ -4,10 +4,15 @@ A matrix over a ring spec is a list of per-factor blocks with one layout: a
 leading axis of coefficient slices, so a matrix block has shape (s, n, n) and
 a vector block (s, n).  The layout of a factor is ``Factor.layout``, (s, c):
 
-* Z/p^k         -- s = 1, int64 coefficients mod c = p^k,
-* F_p[t]/(t^k)  -- s = k, slice i holds the t^i coefficients, int64 mod c = p,
+* Z/p^k         -- s = 1, coefficients mod c = p^k,
+* F_p[t]/(t^k)  -- s = k, slice i holds the t^i coefficients mod c = p,
 * Z             -- s = 1, an object array of exact Python integers, c = 0
   (never reduced).
+
+One rule, ``_dtype(layout)``, gives every block its dtype: int8 under the
+narrow bound (c - 1)(1 + 2 s (c - 1)) < 2^7 (Z/p^k up to Z/8, F_2[t]/(t^k)
+for k < 64, F_3[t]/(t^k) for k < 16, F_5[t]/(t^k) for k <= 3), int64 above
+it, object for Z.  Every block constructor reads it.
 
 Every block operation is one code path over the layout, and every reduction
 is ``rings._mod``, a bit mask for a power-of-two c.  A product is a truncated
@@ -38,7 +43,14 @@ reduces the residues it stores), so every int64 kernel is exact when
 (c - 1)^2 * n < 2^63: a slice product sums n products of two coefficients,
 a line move at most s + 1.  ``check_exact`` enforces the bound wherever
 blocks are made, so a modulus above it raises ``DomainError`` instead of
-wrapping around.
+wrapping around.  An int8 block is exact under the narrow bound: the widest
+value a kernel computes in the block dtype is a line move's target, its old
+coefficient plus s products of a source coefficient and a move coefficient
+(up to 2(c - 1), for a Weyl or torus move's v and v^-1 terms).  Sums that can
+pass it are made wider and reduced before they are narrowed: a product or
+inverse slice in float64 goes through an int64 workspace, and an integer
+matmul (``mul_vec``) widens narrow operands first, since an int8 ``@`` sums
+in int8 and wraps without a warning.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ from .rings import Ideal, RingElem, RingSpec, _mod
 
 _FLOAT_SAFE = 2**52
 _INT64_SAFE = 2**63
+_INT8_SAFE = 2**7
 
 
 def check_exact(spec: RingSpec, n: int) -> None:
@@ -68,17 +81,20 @@ def check_exact(spec: RingSpec, n: int) -> None:
             )
 
 
-def _dtype(c: int):
-    return np.int64 if c else object
+def _dtype(layout: tuple):
+    """The dtype of every block over the layout (s, c): object for Z; int8
+    when a line move's target, (c - 1) + s * 2(c - 1) * (c - 1), stays below
+    2^7, which bounds every value a kernel computes in the block dtype; else
+    int64, which ``check_exact`` bounds."""
+    s, c = layout
+    if not c:
+        return object
+    return np.int8 if (c - 1) * (1 + 2 * s * (c - 1)) < _INT8_SAFE else np.int64
 
 
 def _zero_blocks(spec: RingSpec, n: int, shape: tuple) -> list:
     check_exact(spec, n)
-    blocks = []
-    for f in spec.factors:
-        s, c = f.layout
-        blocks.append(np.zeros((s,) + shape, dtype=_dtype(c)))
-    return blocks
+    return [np.zeros((f.layout[0],) + shape, dtype=_dtype(f.layout)) for f in spec.factors]
 
 
 def _float_ok(layout: tuple, n: int) -> bool:
@@ -97,48 +113,80 @@ def _workspace(role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     calling thread: a view of a flat buffer that grows to the largest size
     asked for and is reused by every later call, so a kernel's temporaries
     are not fresh blocks.  Views are cached by shape, so a lookup is one
-    dict read.  Its contents are undefined, and a kernel copies out of it,
-    so no result is a view of it."""
+    dict read; a buffer that grows drops its views and every cached
+    ``_product_space``, so none keeps an old buffer alive.  Its contents are
+    undefined, and a kernel copies out of it, so no result is a view of it."""
     pool = _scratch.__dict__
     view = pool.get((role, shape))
     if view is None:
         size = math.prod(shape)
         buf = pool.get(role)
         if buf is None or buf.size < size or buf.dtype != dtype:
-            for key in [k for k in pool if isinstance(k, tuple) and k[0] == role]:
+            for key in [k for k in pool if isinstance(k, tuple) and k[0] in (role, "product")]:
                 del pool[key]
             buf = pool[role] = np.empty(size, dtype=dtype)
         view = pool[(role, shape)] = buf[:size].reshape(shape)
     return view
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, c: int, use_float: bool) -> np.ndarray:
+def _wide(role: str, x: np.ndarray) -> np.ndarray:
+    """x as an operand of an integer matmul, which sums in its operands'
+    dtype: a narrow block is copied into the thread's int64 workspace for
+    the role, an int64 or object one is x itself."""
+    if x.dtype != np.int8:
+        return x
+    wide = _workspace(role, x.shape, np.int64)
+    np.copyto(wide, x)
+    return wide
+
+
+def _product_space(a_shape: tuple, b_shape: tuple) -> tuple:
+    """The workspace of ``_convolve`` for its operand shapes, cached per
+    shape pair so that a call makes one lookup: views of the float64 buffers
+    "a" and "b" that the operands copy into, a's slices side by side and
+    last first and b's stacked; the operand pair of each output slice t, the
+    last t + 1 slices of a and the first t + 1 of b; and a float64 and an
+    int64 view of one output slice."""
+    pool = _scratch.__dict__
+    key = ("product", a_shape, b_shape)
+    space = pool.get(key)
+    if space is None:
+        s, r, k = a_shape
+        fa, fb = _workspace("a", (r, s * k)), _workspace("b", (s * k,) + b_shape[2:])
+        pairs = [(fa[:, (s - 1 - t) * k :], fb[: (t + 1) * k]) for t in range(s)]
+        out = (r,) + b_shape[2:]
+        a_in = fa.reshape(r, s, k)[:, ::-1].swapaxes(0, 1)
+        space = pool[key] = (a_in, fb.reshape(b_shape), pairs, _workspace("acc", out), _workspace("wide", out, np.int64))
+    return space
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, layout: tuple, use_float: bool) -> np.ndarray:
     """The truncated product of two slice stacks: slice t is the sum over
-    i <= t of a[i] @ b[t - i], reduced mod c.  In float64 the stacks convert
-    once into the thread's workspace, and a slice's terms sum there exactly
-    before one conversion into the result, which is then reduced in place:
-    the result is the one fresh block.  In int64 each term is reduced before
-    it is added, which ``check_exact`` keeps exact."""
-    out = np.empty(a.shape[:-1] + b.shape[2:], dtype=_dtype(c))
+    i <= t of a[i] @ b[t - i], reduced mod c, in a fresh block of
+    ``_dtype(layout)``.  In float64 the stacks convert once into the thread's
+    workspace (``_product_space``), where each slice is one product, exact as
+    it sums; it converts into an int64 workspace and is reduced there before
+    it is narrowed into the result.  In int64 (narrow operands widened by
+    ``_wide``) each term is reduced before it is added, which
+    ``check_exact`` keeps exact."""
+    c = layout[1]
+    out = np.empty(a.shape[:-1] + b.shape[2:], dtype=_dtype(layout))
     if use_float:
-        fa, fb = _workspace("a", a.shape), _workspace("b", b.shape)
-        np.copyto(fa, a)
-        np.copyto(fb, b)
-        acc = _workspace("acc", out.shape[1:])
-        term = _workspace("term", out.shape[1:]) if len(a) > 1 else None
-        for t in range(len(a)):
-            np.matmul(fa[0], fb[t], out=acc)
-            for i in range(1, t + 1):
-                np.matmul(fa[i], fb[t - i], out=term)
-                acc += term
-            out[t] = acc
-        return _mod(out, c, inplace=True)
+        a_in, b_in, pairs, acc, wide = _product_space(a.shape, b.shape)
+        np.copyto(a_in, a)
+        np.copyto(b_in, b)
+        for t, (x, y) in enumerate(pairs):
+            np.matmul(x, y, out=acc)
+            np.copyto(wide, acc, casting="unsafe")
+            out[t] = _mod(wide, c, inplace=True)
+        return out
+    a, b = _wide("wide a", a), _wide("wide b", b)
     for t in range(len(a)):
         acc = a[0] @ b[t]
         for i in range(1, t + 1):
             acc = _mod(acc, c) + _mod(a[i] @ b[t - i], c)
-        out[t] = acc
-    return _mod(out, c, inplace=True)
+        out[t] = _mod(acc, c, inplace=True)
+    return out
 
 
 def _update_lines(blk: np.ndarray, c: int, targets, sources, coeffs, add: bool) -> None:
@@ -165,20 +213,18 @@ def _update_lines(blk: np.ndarray, c: int, targets, sources, coeffs, add: bool) 
                     acc = term
                 else:
                     acc += term
-        line[targets] = 0 if acc is None else _mod(acc, c)
+        line[targets] = 0 if acc is None else _mod(acc, c, inplace=True)
 
 
-def _line_coeffs(c: int, signs: np.ndarray, part, ndim: int) -> list:
-    """signs * v per slice of the residue v, for ``_update_lines`` on a block
-    of ``ndim`` trailing axes: (m, 1) arrays for a matrix, (m,) for a
-    vector; None for a zero slice."""
-    if not c:
-        # exact integers: an int64 product with a large parameter would overflow
-        signs = signs.astype(object)
+def _line_coeffs(dtype, signs: np.ndarray, part, ndim: int) -> list:
+    """signs * v per slice of the residue v, built in the block dtype (exact
+    integers over Z, where an int64 product with a large parameter would
+    overflow), for ``_update_lines`` on a block of ``ndim`` trailing axes:
+    (m, 1) arrays for a matrix, (m,) for a vector; None for a zero slice."""
     signs = signs.reshape((-1,) + (1,) * (ndim - 1))
     if isinstance(part, tuple):
-        return [signs * v if v else None for v in part]
-    return [signs * part if part else None]
+        return [np.multiply(signs, v, dtype=dtype) if v else None for v in part]
+    return [np.multiply(signs, part, dtype=dtype) if part else None]
 
 
 class LineMove(NamedTuple):
@@ -186,7 +232,9 @@ class LineMove(NamedTuple):
     (row) action: line targets[i] becomes (its old value, when ``add``, plus)
     (signs[i] * v + inv_signs[i] * v^-1) times line sources[i].  A right
     (column) action is the same move with targets and sources swapped.  A
-    root pattern (srcs, dsts, signs) is the move of x_alpha(v)."""
+    root pattern (srcs, dsts, signs) is the move of x_alpha(v).  The signs
+    are int8, the narrowest block dtype, so a move's coefficients are built
+    in a block's dtype without a cast."""
 
     sources: np.ndarray
     targets: np.ndarray
@@ -279,7 +327,8 @@ class _Blocks:
                 # slices mod p: the valuation is the number of leading slices that vanish
                 part = np.logical_and.accumulate(~vals.any(axis=1)).sum(axis=0)
             else:
-                # each line's gcd with c; for c = p^k it is p^v, v the least valuation
+                # each line's gcd with c (c <= 8 in an int8 block); for c = p^k
+                # it is p^v, v the least valuation
                 part = np.gcd.reduce(vals[0], axis=0, initial=c)
                 if c:
                     part = np.searchsorted(f.p ** np.arange(f.k + 1), part)
@@ -298,9 +347,9 @@ class _Blocks:
         inv_parts = (None,) * len(xi.parts) if inv_signs is None else xi.inv().parts
         for f, blk, part, inv_part in zip(self.spec.factors, self.blocks, xi.parts, inv_parts):
             c, ndim = f.layout[1], blk.ndim - 1
-            coeffs = _line_coeffs(c, signs, part, ndim)
+            coeffs = _line_coeffs(blk.dtype, signs, part, ndim)
             if inv_signs is not None:
-                more = _line_coeffs(c, inv_signs, inv_part, ndim)
+                more = _line_coeffs(blk.dtype, inv_signs, inv_part, ndim)
                 coeffs = [b if a is None else a if b is None else a + b for a, b in zip(coeffs, more)]
             _update_lines(blk if left or ndim == 1 else blk.swapaxes(1, 2), c, dsts, srcs, coeffs, add)
 
@@ -349,7 +398,7 @@ class RMat(_Blocks):
         n = self.n
         blocks = []
         for f, a, b in zip(self.spec.factors, self.blocks, other.blocks):
-            blocks.append(_convolve(a, b, f.layout[1], _float_ok(f.layout, n)))
+            blocks.append(_convolve(a, b, f.layout, _float_ok(f.layout, n)))
         return RMat(self.spec, n, blocks)
 
     def __add__(self, other: "RMat") -> "RMat":
@@ -362,6 +411,7 @@ class RMat(_Blocks):
         if self.spec != other.spec:
             raise DomainError("matrix sum over different rings")
         pairs = zip(self.spec.factors, self.blocks, other.blocks)
+        # a + b and a - b lie in (-c, 2c), inside the narrow bound
         return RMat(self.spec, self.n, [_mod(op(a, b), f.layout[1], inplace=True) for f, a, b in pairs])
 
     def is_scalar(self, k: int = 1) -> bool:
@@ -403,8 +453,7 @@ class RMat(_Blocks):
         blocks = []
         for f, j, blk in zip(self.spec.factors, ideal.parts, self.blocks):
             for q in f.quotient(j):
-                s, c = q.layout
-                blocks.append(np.array(_mod(blk[:s], c), dtype=_dtype(c)))
+                blocks.append(np.array(_mod(blk[: q.layout[0]], q.layout[1]), dtype=_dtype(q.layout)))
         return RMat(qspec, self.n, blocks)
 
     # -- inversion -------------------------------------------------------------------
@@ -426,7 +475,7 @@ class RMat(_Blocks):
                 if not self.is_identity():
                     raise UnsupportedCaseError("matrix inversion over the integers is not supported")
                 return self.copy()
-            x = np.empty_like(blk)
+            x = np.empty(blk.shape, dtype=_dtype(f.layout))
             _inv_zmod(blk[0], f.p, f.k if s == 1 else 1, n, out=x[0])
             if s > 1:
                 _lift_inverse(blk, x, c, _float_ok(f.layout, n))
@@ -437,7 +486,7 @@ class RMat(_Blocks):
         if self.spec != v.spec:
             raise DomainError("matrix and vector over different rings")
         pairs = zip(self.spec.factors, self.blocks, v.blocks)
-        return RVec(self.spec, self.n, [_convolve(a, b, f.layout[1], False) for f, a, b in pairs])
+        return RVec(self.spec, self.n, [_convolve(a, b, f.layout, False) for f, a, b in pairs])
 
     # -- serialization ------------------------------------------------------------------
 
@@ -480,24 +529,27 @@ def _lift_inverse(a: np.ndarray, x: np.ndarray, c: int, use_float: bool) -> None
     """Slices 1.. of the inverse x of the slice stack a, in place, from its
     constant slice x[0]: x_t = -x_0 (a_1 x_(t-1) + ... + a_t x_0) mod c.  In
     float64 both stacks and the sums live in the thread's workspace, and each
-    reduced slice is written into x and copied back for the next ones."""
+    slice is reduced in an int64 workspace before it is narrowed into x and
+    copied back for the next ones.  Only a layout above the float64 bound
+    takes the int64 path, and its blocks are int64, never narrow."""
     s, n = len(a), a.shape[1]
     if use_float:
         fa, fx = _workspace("a", a.shape), _workspace("b", a.shape)
         np.copyto(fa, a)
         fx[0] = x[0]
         acc, term = _workspace("acc", (n, n)), _workspace("term", (n, n))
+        wide = _workspace("wide", (n, n), np.int64)
         for t in range(1, s):
             np.matmul(fa[1], fx[t - 1], out=acc)
             for i in range(2, t + 1):
                 np.matmul(fa[i], fx[t - i], out=term)
                 acc += term
-            x[t] = acc
-            fx[t] = _mod(x[t], c, inplace=True)
+            np.copyto(wide, acc, casting="unsafe")
+            fx[t] = _mod(wide, c, inplace=True)
             np.matmul(fx[0], fx[t], out=acc)
             np.negative(acc, out=acc)
-            x[t] = acc
-            fx[t] = _mod(x[t], c, inplace=True)
+            np.copyto(wide, acc, casting="unsafe")
+            x[t] = fx[t] = _mod(wide, c, inplace=True)
         return
     for t in range(1, s):
         acc = _mod(sum(_mod(a[i] @ x[t - i], c) for i in range(1, t + 1)), c)
@@ -507,14 +559,14 @@ def _lift_inverse(a: np.ndarray, x: np.ndarray, c: int, use_float: bool) -> None
 def _inv_zmod(a: np.ndarray, p: int, k: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Gauss-Jordan inverse mod p^k on the augmented rows [a | e], which live
     in the thread's workspace; the inverse is written into ``out`` (a fresh
-    array when None) and returned.  The pivot of a column is its first unit
-    entry on or below the diagonal, found with one ``nonzero`` when the
-    diagonal entry is not a unit; every other row with a nonzero entry in the
-    pivot column is cleared in one outer-product update.  Columns left of the
-    pivot are already those of e, zero in the pivot row, so an update reads
-    and writes only the columns from the pivot on."""
+    array of a's dtype when None) and returned.  The pivot of a column is its
+    first unit entry on or below the diagonal, found with one ``nonzero``
+    when the diagonal entry is not a unit; every other row with a nonzero
+    entry in the pivot column is cleared in one outer-product update.
+    Columns left of the pivot are already those of e, zero in the pivot row,
+    so an update reads and writes only the columns from the pivot on."""
     if out is None:
-        out = np.empty((n, n), dtype=np.int64)
+        out = np.empty_like(a)
     m = p**k
     if m == 1:
         out[...] = 0
@@ -608,16 +660,17 @@ def pattern_images(mat: RMat, vec: RVec, table, values) -> _Blocks:
     blocks = []
     for k, (f, a, v) in enumerate(zip(mat.spec.factors, mat.blocks, vec.blocks)):
         s, c = f.layout
-        xi = np.array([x.parts[k] for x in values], dtype=_dtype(c)).reshape(m, s).T[:, owner]
+        xi = np.array([x.parts[k] for x in values], dtype=_dtype(f.layout)).reshape(m, s).T[:, owner]
         moved = v[:, srcs] * signs
         cols = np.repeat(v[:, :, None], m, axis=2)
         for t, sl in enumerate(cols):
-            # slice t of xi * moved: the truncated convolution of the slices
+            # slice t of xi * moved: the truncated convolution of the slices,
+            # at most (c - 1) + s (c - 1)^2, inside the narrow bound
             acc = sl[dsts, owner]
             for i in range(t + 1):
                 acc = acc + xi[i] * moved[t - i]
             sl[dsts, owner] = _mod(acc, c)
-        blocks.append(_convolve(a, cols, c, _float_ok(f.layout, mat.n)))
+        blocks.append(_convolve(a, cols, f.layout, _float_ok(f.layout, mat.n)))
     return _Blocks(mat.spec, mat.n, blocks)
 
 

@@ -63,7 +63,7 @@ class RepTables:
     built on first use."""
 
     wm: WeightModule
-    patterns: dict  # root -> (srcs, dsts, signs) int arrays, srcs ascending
+    patterns: dict  # root -> (srcs, dsts, signs) int arrays, signs int8, srcs ascending
     moves: dict = field(default_factory=dict, repr=False)  # (kind, root) -> LineMove
 
     def move(self, kind: str, alpha: Root) -> LineMove:
@@ -98,7 +98,7 @@ class RepTables:
         wm = self.wm
         eps = bilinear_form_signs(wm)
         neg = np.array([wm.idx(wm.minus(lam)) for lam in wm.weights])
-        s = np.array([eps[wm.weights[j]] for j in neg], dtype=np.int64)
+        s = np.array([eps[wm.weights[j]] for j in neg], dtype=np.int8)
         return (neg[None, :] * wm.dim + neg[:, None]).ravel(), np.outer(s, s).ravel()
 
 
@@ -141,7 +141,7 @@ def weyl_monomial(patterns: dict, n: int, alpha: Root) -> tuple[np.ndarray, np.n
     sgn = mat[perm, np.arange(n)]
     if (np.count_nonzero(mat, axis=0) != 1).any() or (np.abs(sgn) != 1).any():
         raise InternalConsistencyError(f"Weyl element of {alpha} is not monomial")
-    return perm, sgn
+    return perm, sgn.astype(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +153,7 @@ def rep_tables(wm: WeightModule) -> RepTables:
     for alpha in case.simple_roots:
         for root in (alpha, tuple(-x for x in alpha)):
             srcs, dsts = shifts[root]
-            pat[root] = (srcs, dsts, np.ones(len(srcs), dtype=np.int64))
+            pat[root] = (srcs, dsts, np.ones(len(srcs), dtype=np.int8))
 
     # monomial matrices of the simple w_i(1)
     weyl_perm = {i: weyl_monomial(pat, n, alpha) for i, alpha in enumerate(case.simple_roots)}
