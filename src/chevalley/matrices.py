@@ -23,10 +23,11 @@ per-thread workspace (``_workspace``), reused from call to call; a result is
 the one fresh block and never aliases it.
 
 A word factor acts by a line move (``LineMove``), one call of the line kernel
-``_update_lines``: on rows for a left action, on the rows of the transposed
-view for a right one, on the entries of a vector.  A root element adds to
-lines that are not its sources (the module is minuscule); a Weyl or torus
-element assigns to lines that are also sources, which the kernel reads first.
+``_update_lines``: on rows for a left action, on columns for a right one, on
+the entries of a vector; all slices in one gather and one scatter, along the
+line axis.  A root element adds to lines that are not its sources (the
+module is minuscule); a Weyl or torus element assigns to lines that are also
+sources, which the kernel reads first.
 
 A predicate reads a fixed set of entries through a flat index into the
 trailing axes, row * n + col for a matrix: one ``np.take`` per block, never a
@@ -48,9 +49,9 @@ value a kernel computes in the block dtype is a line move's target, its old
 coefficient plus s products of a source coefficient and a move coefficient
 (up to 2(c - 1), for a Weyl or torus move's v and v^-1 terms).  Sums that can
 pass it are made wider and reduced before they are narrowed: a product or
-inverse slice in float64 goes through an int64 workspace, and an integer
-matmul (``mul_vec``) widens narrow operands first, since an int8 ``@`` sums
-in int8 and wraps without a warning.
+inverse slice in float64 goes through an int64 workspace; every narrow
+layout is float-safe, so an integer matmul (an int8 ``@`` would wrap
+without a warning) only sees int64 or object blocks.
 """
 
 from __future__ import annotations
@@ -129,17 +130,6 @@ def _workspace(role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return view
 
 
-def _wide(role: str, x: np.ndarray) -> np.ndarray:
-    """x as an operand of an integer matmul, which sums in its operands'
-    dtype: a narrow block is copied into the thread's int64 workspace for
-    the role, an int64 or object one is x itself."""
-    if x.dtype != np.int8:
-        return x
-    wide = _workspace(role, x.shape, np.int64)
-    np.copyto(wide, x)
-    return wide
-
-
 def _product_space(a_shape: tuple, b_shape: tuple) -> tuple:
     """The workspace of ``_convolve`` for its operand shapes, cached per
     shape pair so that a call makes one lookup: views of the float64 buffers
@@ -166,9 +156,9 @@ def _convolve(a: np.ndarray, b: np.ndarray, layout: tuple, use_float: bool) -> n
     ``_dtype(layout)``.  In float64 the stacks convert once into the thread's
     workspace (``_product_space``), where each slice is one product, exact as
     it sums; it converts into an int64 workspace and is reduced there before
-    it is narrowed into the result.  In int64 (narrow operands widened by
-    ``_wide``) each term is reduced before it is added, which
-    ``check_exact`` keeps exact."""
+    it is narrowed into the result.  In int64 (never narrow blocks, whose
+    layouts are all float-safe) each term is reduced before it is added,
+    which ``check_exact`` keeps exact."""
     c = layout[1]
     out = np.empty(a.shape[:-1] + b.shape[2:], dtype=_dtype(layout))
     if use_float:
@@ -180,7 +170,6 @@ def _convolve(a: np.ndarray, b: np.ndarray, layout: tuple, use_float: bool) -> n
             np.copyto(wide, acc, casting="unsafe")
             out[t] = _mod(wide, c, inplace=True)
         return out
-    a, b = _wide("wide a", a), _wide("wide b", b)
     for t in range(len(a)):
         acc = a[0] @ b[t]
         for i in range(1, t + 1):
@@ -189,39 +178,43 @@ def _convolve(a: np.ndarray, b: np.ndarray, layout: tuple, use_float: bool) -> n
     return out
 
 
-def _update_lines(blk: np.ndarray, c: int, targets, sources, coeffs, add: bool) -> None:
-    """The line kernel: line targets[i] of ``blk`` along the first trailing
-    axis becomes coeffs * line sources[i], plus its old value when ``add``
-    (else it is assigned); a line is a row of a matrix block, or one entry
-    of a vector block.  The product is a truncated convolution: slice t of a
-    target gets coeffs[j][i] times slice t - j of its source for every
-    j <= t, where ``coeffs`` holds one array per coefficient slice, shaped
-    (m, 1) for a matrix block and (m,) for a vector block, or None for a
-    slice that is zero on every line.
+def _update_lines(blk: np.ndarray, c: int, targets, sources, coeffs, axis: int, add: bool) -> None:
+    """The line kernel: line targets[i] of ``blk`` along ``axis`` (a row,
+    a column, or a vector's entry) becomes coeffs * line sources[i], plus
+    its old value when ``add`` (else it is assigned).  The product is a
+    truncated convolution: slice t of a target gets coeffs[j][i] times slice
+    t - j of its source, where ``coeffs`` holds one array per slice in the
+    broadcast shape of ``_line_coeffs``, None for a slice zero on every line.
 
-    Slices run from last to first, and each slice gathers all its sources
-    before it writes its targets, so a line that is both a target and a
-    source is read before it is written: with ``add`` the sets are disjoint,
-    and an assignment may permute or scale lines in place."""
-    for t in range(len(blk) - 1, -1, -1):
-        line = blk[t]
-        acc = line[targets] if add else None
-        for j in range(t + 1):
-            if coeffs[j] is not None:
-                term = coeffs[j] * blk[t - j][sources]
-                if acc is None:
-                    acc = term
-                else:
-                    acc += term
-        line[targets] = 0 if acc is None else _mod(acc, c, inplace=True)
+    All slices move at once: one ``take`` of the sources (and of the targets
+    when ``add``), per slice j one whole-stack product coeffs[j] *
+    sources[: s - j] added into targets[j:], one reduction and one scatter.
+    Every source is read before a target is written, so an assignment may
+    permute or scale lines in place (with ``add`` the sets are disjoint).
+    An addition runs slice 0 last, scaling the source stack in place after
+    the higher slices read it; an assignment starts from its slice-0 term."""
+    s, src = len(blk), blk.take(sources, axis=axis)
+    if add:
+        acc, last = blk.take(targets, axis=axis), coeffs[0]
+    else:
+        acc, last = (None if coeffs[0] is None else coeffs[0] * src), None
+    for j in range(s - 1, 0, -1):
+        if coeffs[j] is not None:
+            if acc is None:
+                acc = np.zeros_like(src)
+            acc[j:] += coeffs[j] * src[: s - j]
+    if last is not None:
+        src *= last
+        acc += src
+    blk[(slice(None),) * axis + (targets,)] = 0 if acc is None else _mod(acc, c, inplace=True)
 
 
-def _line_coeffs(dtype, signs: np.ndarray, part, ndim: int) -> list:
+def _line_coeffs(dtype, signs: np.ndarray, part, shape: tuple) -> list:
     """signs * v per slice of the residue v, built in the block dtype (exact
     integers over Z, where an int64 product with a large parameter would
-    overflow), for ``_update_lines`` on a block of ``ndim`` trailing axes:
-    (m, 1) arrays for a matrix, (m,) for a vector; None for a zero slice."""
-    signs = signs.reshape((-1,) + (1,) * (ndim - 1))
+    overflow), shaped (m on the line axis, 1 elsewhere) to broadcast against
+    ``_update_lines``'s stacks; None for a zero slice."""
+    signs = signs.reshape(shape)
     if isinstance(part, tuple):
         return [np.multiply(signs, v, dtype=dtype) if v else None for v in part]
     return [np.multiply(signs, part, dtype=dtype) if part else None]
@@ -231,10 +224,10 @@ class LineMove(NamedTuple):
     """The action of one word factor with parameter v on lines, for a left
     (row) action: line targets[i] becomes (its old value, when ``add``, plus)
     (signs[i] * v + inv_signs[i] * v^-1) times line sources[i].  A right
-    (column) action is the same move with targets and sources swapped.  A
-    root pattern (srcs, dsts, signs) is the move of x_alpha(v).  The signs
-    are int8, the narrowest block dtype, so a move's coefficients are built
-    in a block's dtype without a cast."""
+    (column) action is the same move with targets and sources swapped.  The
+    move of x_alpha(v) is ``LineMove(srcs, dsts, signs)`` of its root
+    pattern.  The signs are int8, the narrowest block dtype, so a move's
+    coefficients are built in a block's dtype without a cast."""
 
     sources: np.ndarray
     targets: np.ndarray
@@ -337,21 +330,22 @@ class _Blocks:
         ideals = {t: Ideal(self.spec, t) for t in set(rows)}
         return [ideals[t] for t in rows]
 
-    def _apply_move(self, move, xi: RingElem, left: bool) -> None:
+    def _apply_move(self, move: LineMove, xi: RingElem, left: bool) -> None:
         """The word factor's line move: on rows, or for a vector on the
-        entries of a column, when ``left``; else on columns (the rows of the
-        transposed view), or for a vector on the entries of a row."""
-        srcs, dsts, signs, inv_signs, add = move if len(move) == 5 else (*move, None, True)
+        entries of a column, when ``left``; else on columns, or for a vector
+        on the entries of a row, with sources and targets swapped."""
+        srcs, dsts, signs, inv_signs, add = move
         if not left:
             srcs, dsts = dsts, srcs
         inv_parts = (None,) * len(xi.parts) if inv_signs is None else xi.inv().parts
         for f, blk, part, inv_part in zip(self.spec.factors, self.blocks, xi.parts, inv_parts):
-            c, ndim = f.layout[1], blk.ndim - 1
-            coeffs = _line_coeffs(blk.dtype, signs, part, ndim)
+            axis = 1 if left else blk.ndim - 1
+            shape = (1,) * axis + (-1,) + (1,) * (blk.ndim - 1 - axis)
+            coeffs = _line_coeffs(blk.dtype, signs, part, shape)
             if inv_signs is not None:
-                more = _line_coeffs(blk.dtype, inv_signs, inv_part, ndim)
+                more = _line_coeffs(blk.dtype, inv_signs, inv_part, shape)
                 coeffs = [b if a is None else a if b is None else a + b for a, b in zip(coeffs, more)]
-            _update_lines(blk if left or ndim == 1 else blk.swapaxes(1, 2), c, dsts, srcs, coeffs, add)
+            _update_lines(blk, f.layout[1], dsts, srcs, coeffs, axis, add)
 
     def signed_copies_at(self, index, ref) -> np.ndarray:
         """For each entry at the flat index, whether it equals plus or minus
@@ -435,7 +429,7 @@ class RMat(_Blocks):
 
     def apply_x_right(self, move, xi: RingElem) -> None:
         """self <- self * g (column moves) for the word factor g with
-        parameter xi whose ``LineMove`` (or root pattern) is given."""
+        parameter xi whose ``LineMove`` is given."""
         self._apply_move(move, xi, False)
 
     def apply_x_left(self, move, xi: RingElem) -> None:
@@ -486,7 +480,8 @@ class RMat(_Blocks):
         if self.spec != v.spec:
             raise DomainError("matrix and vector over different rings")
         pairs = zip(self.spec.factors, self.blocks, v.blocks)
-        return RVec(self.spec, self.n, [_convolve(a, b, f.layout, False) for f, a, b in pairs])
+        blocks = [_convolve(a, b, f.layout, _float_ok(f.layout, self.n)) for f, a, b in pairs]
+        return RVec(self.spec, self.n, blocks)
 
     # -- serialization ------------------------------------------------------------------
 
@@ -632,7 +627,7 @@ def signed_entries(vec: RVec, idx, signs) -> list:
     columns = []
     nonzero = np.zeros(len(idx), dtype=bool)
     for f, blk in zip(vec.spec.factors, vec.blocks):
-        vals = _mod(blk[:, idx] * signs, f.layout[1])
+        vals = _mod(blk.take(idx, axis=1) * signs, f.layout[1], inplace=True)
         nonzero |= (vals != 0).any(axis=0)
         columns.append([f.part(coeffs) for coeffs in vals.T.tolist()])
     spec = vec.spec
@@ -649,27 +644,28 @@ def pattern_images(mat: RMat, vec: RVec, table, values) -> _Blocks:
     ``table`` = (srcs, dsts, signs, owner) holds the atoms' patterns
     concatenated, owner[k] the atom of entry k; as in ``RMat.apply_x_left``,
     P_a vec carries signs * vec[srcs] to dsts.  The targets of a pattern are
-    distinct, so each stack entry is updated once.  All columns come from
-    one gather, one entrywise slice product with the parameters xi_a and one
-    matrix product per factor, whose entries sum n products as in ``*``.
+    distinct, so each stack entry is updated once: one flat take and one put
+    over dsts * m + owner per factor, then one matrix product, whose entries
+    sum n products as in ``*``.
     """
     if mat.spec != vec.spec:
         raise DomainError("matrix and vector over different rings")
     srcs, dsts, signs, owner = table
     m = len(values)
+    index = dsts * m + owner
     blocks = []
     for k, (f, a, v) in enumerate(zip(mat.spec.factors, mat.blocks, vec.blocks)):
         s, c = f.layout
         xi = np.array([x.parts[k] for x in values], dtype=_dtype(f.layout)).reshape(m, s).T[:, owner]
-        moved = v[:, srcs] * signs
-        cols = np.repeat(v[:, :, None], m, axis=2)
-        for t, sl in enumerate(cols):
-            # slice t of xi * moved: the truncated convolution of the slices,
-            # at most (c - 1) + s (c - 1)^2, inside the narrow bound
-            acc = sl[dsts, owner]
-            for i in range(t + 1):
-                acc = acc + xi[i] * moved[t - i]
-            sl[dsts, owner] = _mod(acc, c)
+        moved = v.take(srcs, axis=1) * signs
+        cols = np.empty(v.shape + (m,), dtype=v.dtype)
+        cols[...] = v[:, :, None]
+        entries = cols.reshape(s, -1)
+        acc = entries.take(index, axis=1)
+        for i in range(s):
+            # the truncated convolution xi * moved: at most (c - 1) + s (c - 1)^2
+            acc[i:] += xi[i] * moved[: s - i]
+        entries[:, index] = _mod(acc, c, inplace=True)
         blocks.append(_convolve(a, cols, f.layout, _float_ok(f.layout, mat.n)))
     return _Blocks(mat.spec, mat.n, blocks)
 

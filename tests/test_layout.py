@@ -13,7 +13,7 @@ import pytest
 
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley import matrices, rings
-from chevalley.matrices import RMat, RVec, _float_ok, check_exact, mat_col, pattern_images
+from chevalley.matrices import LineMove, RMat, RVec, _float_ok, check_exact, mat_col, pattern_images
 from chevalley.rep import representation, sample_word_rng
 from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
@@ -127,8 +127,8 @@ def test_kernels_match_the_entrywise_reference(name):
         xi = pool[rng.randrange(len(pool))]
         x = _ref_root_matrix(spec, N, pattern, xi)
         right, left = ma.copy(), ma.copy()
-        right.apply_x_right(pattern, xi)
-        left.apply_x_left(pattern, xi)
+        right.apply_x_right(LineMove(*pattern), xi)
+        left.apply_x_left(LineMove(*pattern), xi)
         assert _entries(right) == _ref_mul(spec, a, x)
         assert _entries(left) == _ref_mul(spec, x, a)
 
@@ -496,8 +496,8 @@ def test_power_of_two_modulus_at_the_int64_bound_is_exact():
     x = np.identity(n, dtype=np.int64).astype(object)
     x[dsts, srcs] = signs.astype(object) * xi % c
     right, left = a.copy(), a.copy()
-    right.apply_x_right((srcs, dsts, signs), spec.el(xi))
-    left.apply_x_left((srcs, dsts, signs), spec.el(xi))
+    right.apply_x_right(LineMove(srcs, dsts, signs), spec.el(xi))
+    left.apply_x_left(LineMove(srcs, dsts, signs), spec.el(xi))
     assert np.array_equal(right.blocks[0][0], exact @ x % c)
     assert np.array_equal(left.blocks[0][0], x @ exact % c)
 

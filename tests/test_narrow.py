@@ -47,16 +47,21 @@ def _layout(spec):
     return spec.factors[0].layout
 
 
+def _red(x, c):
+    """x mod c; over the integers (c = 0), x itself."""
+    return x % c if c else x
+
+
 def _mul(x, y, c):
-    return tuple(sum(x[i] * y[t - i] for i in range(t + 1)) % c for t in range(len(x)))
+    return tuple(_red(sum(x[i] * y[t - i] for i in range(t + 1)), c) for t in range(len(x)))
 
 
 def _add(x, y, c):
-    return tuple((a + b) % c for a, b in zip(x, y))
+    return tuple(_red(a + b, c) for a, b in zip(x, y))
 
 
 def _scale(k, x, c):
-    return tuple(k * a % c for a in x)
+    return tuple(_red(k * a, c) for a in x)
 
 
 def _matmul(a, b, c):
@@ -92,6 +97,8 @@ def _entries(m):
 
 def _inverse(x, spec):
     s, c = _layout(spec)
+    if not c:
+        return x  # the units of Z are +-1
     one = (1,) + (0,) * (s - 1)
     return next(u for u in _elements(s, c) if _mul(x, u, c) == one)
 
@@ -160,19 +167,65 @@ def test_moves_match_the_factor_matrices(name):
         v = _unit(spec, rng) if kind != "x" else tuple(int(x) for x in rng.integers(0, c, s))
         a = RMat(spec, n, [_random_blocks(spec, (n, n), rng, full=trial >= 3)])
         vec = RVec(spec, n, [_random_blocks(spec, (n,), rng, full=trial >= 3)])
-        g, ref_a, ref_v = _factor_matrix(rep, kind, alpha, v), _entries(a), _entries(vec)
-        move = rep.tables.move(kind, alpha)
-        left, right, vleft, vright = a.copy(), a.copy(), vec.copy(), vec.copy()
-        left.apply_x_left(move, _el(spec, v))
-        right.apply_x_right(move, _el(spec, v))
-        vleft.apply_x_left(move, _el(spec, v))
-        vright.apply_x_right(move, _el(spec, v))
-        assert _entries(left) == _matmul(g, ref_a, c)
-        assert _entries(right) == _transpose(_matmul(_transpose(g), _transpose(ref_a), c))
-        assert _entries(vleft) == _matmul(g, ref_v, c)
-        assert _entries(vright) == _matmul(_transpose(g), ref_v, c)
-        for m in (left, right, vleft, vright):
-            assert m.blocks[0].dtype == _dtype((s, c))
+        _check_moves(rep, kind, alpha, v, a, vec)
+
+
+def _check_moves(rep, kind, alpha, v, a, vec):
+    """The factor's move on rows and columns of a matrix and on a vector
+    from either side, against its matrix built from root elements."""
+    s, c = _layout(rep.ring)
+    g, ref_a, ref_v = _factor_matrix(rep, kind, alpha, v), _entries(a), _entries(vec)
+    move = rep.tables.move(kind, alpha)
+    left, right, vleft, vright = a.copy(), a.copy(), vec.copy(), vec.copy()
+    left.apply_x_left(move, _el(rep.ring, v))
+    right.apply_x_right(move, _el(rep.ring, v))
+    vleft.apply_x_left(move, _el(rep.ring, v))
+    vright.apply_x_right(move, _el(rep.ring, v))
+    assert _entries(left) == _matmul(g, ref_a, c), (kind, alpha, v)
+    assert _entries(right) == _transpose(_matmul(_transpose(g), _transpose(ref_a), c)), (kind, alpha, v)
+    assert _entries(vleft) == _matmul(g, ref_v, c), (kind, alpha, v)
+    assert _entries(vright) == _matmul(_transpose(g), ref_v, c), (kind, alpha, v)
+    for m in (left, right, vleft, vright):
+        assert m.blocks[0].dtype == _dtype((s, c))
+
+
+@pytest.mark.parametrize("name", ["f2t6", "f3t4", "f7t3", "z9", "int"])
+def test_moves_with_many_slices_match_the_factor_matrices(name):
+    """The line kernel moves every slice at once: x moves by t and t^2
+    (slice 0 zero), by a value whose slice 0 is zero and whose higher slices
+    are not, and by one with every slice nonzero; w and h moves, whose
+    targets are also sources, by units with nonzero higher slices.  A
+    source stack scaled by slice 0 before the higher slices read it, or a
+    target written before it is read, gives a wrong entry here.  Over Z
+    (object blocks) the values are exact integers and the units +-1."""
+    spec = named_ring(name)
+    s, c = _layout(spec)
+    rep = representation("b", None, spec)
+    n = rep.n
+    rng = np.random.default_rng(8 + sum(map(ord, name)))
+    if c:
+        nonzero = lambda: int(rng.integers(1, c))
+        blocks = lambda shape, full: _random_blocks(spec, shape, rng, full)
+    else:
+        nonzero = lambda: int(rng.choice([-1, 1]) * rng.integers(2, 10**6))
+        blocks = lambda shape, full: rng.integers(-(10**6), 10**6, (s,) + shape).astype(object)
+    if s > 1:
+        rest = lambda: tuple(nonzero() for _ in range(s - 1))
+        # t, t^2, a value whose slice 0 alone is zero, and one whose slice 0
+        # is c - 1, not 1, so that scaling the sources by it shows
+        xs = [tuple(int(i == k) for i in range(s)) for k in (1, 2)] + [(0,) + rest(), (c - 1,) + rest()]
+        units = [_unit(spec, rng)[:1] + rest() for _ in range(2)]
+    else:
+        xs = [(nonzero(),), (nonzero(),)]
+        units = [(1,), (_red(-1, c),), (2,)] if c else [(1,), (-1,)]
+    for full, alpha in zip((False, True), rep.case.phi[5::30]):
+        a = RMat(spec, n, [blocks((n, n), full)])
+        vec = RVec(spec, n, [blocks((n,), full)])
+        for v in xs:
+            _check_moves(rep, "x", alpha, v, a, vec)
+        for v in units:
+            _check_moves(rep, "w", alpha, v, a, vec)
+            _check_moves(rep, "h", alpha, v, a, vec)
 
 
 @pytest.mark.parametrize("name", SIDES)
@@ -387,14 +440,13 @@ def test_every_block_constructor_returns_the_rule_dtype(name):
 
 def test_block_dtypes_come_from_the_rule_alone():
     """In ``matrices`` only ``_dtype`` names a block dtype; a workspace (the
-    ``_workspace`` function and its calls, and ``_wide``, which widens narrow
-    blocks into one) names its own.  No ``astype``: a kernel builds its arrays
-    in the block dtype instead of casting."""
+    ``_workspace`` function and its calls) names its own.  No ``astype``: a
+    kernel builds its arrays in the block dtype instead of casting."""
     path = Path(matrices.__file__)
     tree = ast.parse(path.read_text(), str(path))
     exempt = set()
     for node in ast.walk(tree):
-        if (isinstance(node, ast.FunctionDef) and node.name in ("_dtype", "_workspace", "_wide")) or (
+        if (isinstance(node, ast.FunctionDef) and node.name in ("_dtype", "_workspace")) or (
             isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_workspace"
         ):
             exempt |= {id(sub) for sub in ast.walk(node)}
