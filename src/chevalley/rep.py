@@ -22,10 +22,11 @@ computed on first read.  An element built from a word keeps the word's
 factors and inverse factors as a chain, and while its matrix is unread (an
 unread chain) its matrix is the identity moved by the factors and a row or
 column is a basis vector moved by them.  A product of two unread chains is
-the word of the joined chain (at most 32 factors); an unread chain against
-anything else moves the lines of a copy of the other matrix (the shorter of
-two unread chains moves); any other product multiplies the matrices.
-``expand_atoms`` spells a word out in root elements.
+the word of the joined chain (at most 32 factors), reduced by two relations
+of root elements (``_reduced``); an empty chain is the identity.  An unread
+chain against anything else moves the lines of a copy of the other matrix
+(the shorter of two unread chains moves); any other product multiplies the
+matrices.  ``expand_atoms`` spells a word out in root elements.
 
 A second-type module carries the invariant form H of
 ``forms.bilinear_form_signs``, so an element g that preserves it has
@@ -245,8 +246,11 @@ class GroupElement:
     else None.  A word has one, its inverse holds it swapped, and so has the
     joined product of two unread chains; only the word keeps ``word``.  A
     factor is an atom (kind, root, value), applied as one ``LineMove``.
-    While the matrix is unread (``_unread_chain``), products, ``column`` and
-    ``row`` move lines by the chain instead of building the matrix.
+    A joined chain keeps its factors reduced (``_reduced``), so a product
+    that cancels, such as g * g^-1 of an x-word, has no factors and is the
+    identity without a matrix.  While the matrix is unread
+    (``_unread_chain``), products, ``column`` and ``row`` move lines by the
+    chain instead of building the matrix.
     ``corner_table`` is filled by ``analysis.corner_ideals`` on its first
     read.
 
@@ -284,10 +288,11 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         """Two unread chains join into the word of their concatenated chain
-        (up to ``_max_word_factors``), which copies and multiplies nothing;
-        an unread chain against anything else moves the lines of a copy of
-        the other matrix, and of two unread chains the shorter one moves;
-        any other product multiplies the matrices.  The inverse is the
+        (up to ``_max_word_factors`` factors, counted before the chain is
+        reduced by ``_reduced``), which copies and multiplies nothing; an
+        unread chain against anything else moves the lines of a copy of the
+        other matrix, and of two unread chains the shorter one moves; any
+        other product multiplies the matrices.  The inverse is the
         adjoint when both preserve the form, else it is built the same way
         from the inverses."""
         rep = self.rep
@@ -295,8 +300,8 @@ class GroupElement:
             raise DomainError("product of elements of different representations")
         a, b = self._unread_chain(), other._unread_chain()
         if self._joins(other):
-            fs = _Lazy(fn=operator.add, args=(a[1], b[1]))
-            return rep._word_element(a[0] + b[0], fs, _Lazy(fn=operator.add, args=(b[2], a[2])))
+            fs = _Lazy(fn=lambda f, g: _reduced(rep.case, f + g), args=(a[1], b[1]))
+            return rep._word_element(a[0] + b[0], fs, _Lazy(fn=_inverse_factors, args=(fs,)))
         if a is not None and (b is None or a[0] <= b[0]):
             (_, fs, inv_fs), base, left = a, other, True
         elif b is not None:
@@ -337,7 +342,8 @@ class GroupElement:
     def __eq__(self, other) -> bool:
         """Equal matrices.  Two unread words compare as the one word
         self * other^-1, which is the identity exactly when they are equal:
-        one identity with their moves is built instead of two."""
+        no matrix when it reduces to no factors, else one identity with its
+        moves instead of two."""
         if not isinstance(other, GroupElement):
             return False
         if other.rep is self.rep:
@@ -347,7 +353,10 @@ class GroupElement:
         return self.mat == other.mat
 
     def is_identity(self) -> bool:
-        return self.mat.is_identity()
+        """True for an unread chain with no factors, with no matrix built;
+        else read from the matrix."""
+        chain = self._unread_chain()
+        return (chain is not None and not chain[1].get()) or self.mat.is_identity()
 
     def entry(self, lam: Weight, mu: Weight) -> RingElem:
         return self.mat.entry(self.rep.wm.idx(lam), self.rep.wm.idx(mu))
@@ -546,6 +555,34 @@ class Representation:
             _Lazy(fn=lambda m: m.reduce(ideal), args=(g._inv,)),
             isometry=g._isometry,
         )
+
+
+def _reduced(case, factors: tuple) -> tuple:
+    """The factors rewritten left to right by two relations that hold in the
+    minuscule module, where X_alpha^2 = 0 and X_alpha X_beta = X_beta X_alpha
+    when (alpha, beta) is 0 or 1: an x factor x_alpha(a) passes back over the
+    x factors of such roots, and if it then meets x_alpha(b), the two merge
+    into x_alpha(b + a), dropped when b + a = 0; else it stays in place.  A w
+    or h factor, or an x factor of negative pairing, stops it.  Every case is
+    simply laced, so pairing 2 is alpha itself."""
+    index, pairings = case.index, case.pairings
+    out = []
+    for f in factors:
+        kind, root, value = f
+        p = len(out)
+        if kind == "x":
+            i = index[root]
+            while p and out[p - 1][0] == "x" and 0 <= pairings[i, index[out[p - 1][1]]] <= 1:
+                p -= 1
+        if p and kind == "x" and out[p - 1][:2] == ("x", root):
+            total = out[p - 1][2] + value
+            if total.is_zero():
+                del out[p - 1]
+            else:
+                out[p - 1] = ("x", root, total)
+        else:
+            out.append(f)
+    return tuple(out)
 
 
 def _inverse_factors(factors: tuple) -> tuple:

@@ -1005,7 +1005,8 @@ def test_commute_table_matches_the_matrix_commutators(tag, l, ring_name):
         assert set(table) == {(s, beta) for s, beta in pairs if case.root_add(beta, s) is not None}
         for s, beta in pairs:
             if (s, beta) not in table:
-                assert rep.x(beta, 1).commutator(rep.x(s, 1)).is_identity()
+                x, y = rep.x(beta, 1).mat, rep.x(s, 1).mat
+                assert x * y == y * x
                 continue
             gamma, n = table[s, beta]
             assert gamma == case.root_add(beta, s) and n in (ring.one, -ring.one)

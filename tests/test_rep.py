@@ -51,8 +51,9 @@ def test_root_element_basics():
     x = rep.x(alpha, 5)
     nil = x.mat - rep.identity().mat
     assert (nil * nil) == (nil - nil)
-    assert x.inverse() == rep.x(alpha, -5)
-    assert (rep.x(alpha, 3) * rep.x(alpha, 4)) == rep.x(alpha, 7)
+    # built matrices: a product of elements would merge x_alpha(3) x_alpha(4) before any move
+    assert x.inverse().mat == rep.x(alpha, -5).mat
+    assert rep.element_from_word((("x", alpha, 3), ("x", alpha, 4))).mat == rep.x(alpha, 7).mat
 
 
 def test_weyl_element_is_monomial_and_torus_diagonal():
@@ -210,7 +211,8 @@ def test_upper_unipotent_is_abelian_and_canonical():
     for alpha in omega:
         for beta in omega:
             if alpha != beta:
-                assert rep.x(alpha, 3).commutator(rep.x(beta, 5)).is_identity()
+                x, y = rep.x(alpha, 3).mat, rep.x(beta, 5).mat
+                assert x * y == y * x
     # any word over the upper orbit equals the canonical coordinate product
     atoms = [("x", a, v) for a in omega for v in nonzero]
     for _ in range(20):
@@ -706,7 +708,7 @@ def test_unread_words_past_the_join_cap_move_the_shorter_one(monkeypatch, tag, l
 
 @pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
 def test_unread_words_compare_as_one_word(ring_name):
-    """``==`` on two unread words builds the one word g h^-1: equal
+    """``==`` on two unread words reads the one reduced word g h^-1: equal
     spellings of one element compare equal, others unequal, and neither
     operand's matrix is built."""
     ring = named_ring(ring_name)
@@ -724,6 +726,165 @@ def test_unread_words_compare_as_one_word(ring_name):
         assert (g == h) is equal and (h == g) is equal
         assert g._mat.fn is not None and h._mat.fn is not None
         assert (g.mat == h.mat) is equal
+
+
+# -- reduced joined chains ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag,l", [("a", l) for l in range(5, 11)] + [("b", None), ("c", None)])
+def test_root_patterns_square_to_zero_and_commute_by_pairing(tag, l):
+    """The facts that joined chains are reduced by, read from the module's
+    own root patterns: X_alpha^2 = 0 for every root, and for alpha != beta,
+    X_alpha X_beta = X_beta X_alpha exactly when (alpha, beta) is 0 or 1."""
+    from chevalley.checks import _dense_patterns
+
+    wm = default_module(tag, l)
+    case = wm.case
+    dst, sign = _dense_patterns(rep_tables(wm), case.phi)
+    assert not (sign * np.take_along_axis(sign, dst, axis=1)).any()
+    for i in range(len(case.phi)):
+        ab_dst, ab_sign = dst[i][dst], sign * sign[i][dst]  # X_alpha X_beta, every beta
+        ba_dst, ba_sign = dst[:, dst[i]], sign[:, dst[i]] * sign[i]  # X_beta X_alpha
+        commute = ((ab_dst == ba_dst) & (ab_sign == ba_sign)).all(axis=1)
+        pairing = case.pairings[i]
+        assert commute[(pairing == 0) | (pairing == 1)].all()
+        assert not commute[pairing < 0].any()
+
+
+def _plain_product(rep, atoms):
+    """The product of the atoms' own matrices, and that of their inverses."""
+    mat, inv = RMat.identity(rep.ring, rep.n), RMat.identity(rep.ring, rep.n)
+    for atom in atoms:
+        g = rep.element_from_word((atom,))
+        mat, inv = mat * g.mat, g.inv_mat * inv
+    return mat, inv
+
+
+def _inverse_atoms(atoms):
+    return tuple((kind, root, value.inv() if kind == "h" else -value) for kind, root, value in reversed(atoms))
+
+
+# object-block products at n = 128 take about 40 ms each, so a8 runs over the finite rings only
+REDUCED_CASES = [
+    (tag, l, ring_name)
+    for tag, l in (("a", 6), ("a", 8), ("b", None), ("c", None))
+    for ring_name in ("z4", "z8", "f2t2", "int")
+    if (l, ring_name) != (8, "int")
+]
+
+
+@pytest.mark.parametrize("tag,l,ring_name", REDUCED_CASES)
+def test_joined_words_are_reduced_exactly(tag, l, ring_name):
+    """Joined chains are reduced (x factors of roots that pair at 0 or 1
+    commute, and x factors of one root add up): seeded conjugates,
+    commutators, and products with w and h factors between x factors have
+    the matrix, inverse, rows and columns of the plain product of their
+    factors' matrices, and ``is_identity`` and ``==`` give the verdicts of
+    the matrices, both of which are seen.  Equal x-words compare without a
+    matrix, since g h^-1 reduces to no factors."""
+    rep = representation(tag, l, named_ring(ring_name))
+    case, weights = rep.case, rep.wm.weights
+    rng = SplitMix64(rep.n + 11 * len(ring_name))
+    values, u = _nonzero(rep.ring), _units(rep.ring)[-1]
+    phi = sorted(case.phi)
+
+    def pick(seq):
+        return seq[rng.randrange(len(seq))]
+
+    pool = [pick(phi) for _ in range(4)]  # few roots, so that factors meet their own root
+
+    def xs(k, roots=pool):
+        return tuple(("x", pick(roots), pick(values)) for _ in range(k))
+
+    alpha = pool[0]
+    beta = next(b for b in phi if case.pairing(alpha, b) == 1)
+    gamma = next(b for b in phi if case.pairing(alpha, b) == -1)
+    x_alpha, x_beta, x_gamma = ((("x", root, pick(values)),) for root in (alpha, beta, gamma))
+    h, a, b = xs(2 + rng.randrange(4)), xs(2), xs(2)
+    mixed = xs(2) + (("w", pick(pool), u), ("h", pick(pool), u)) + xs(2)
+    walled = xs(3) + (("w", alpha, u),)
+    products = [  # operands (atoms, inverted), multiplied left to right
+        [(h, False), (xs(1), False), (h, True)],
+        [(x_alpha, False), (x_gamma, False), (x_alpha, True)],
+        [(x_alpha, False), (x_beta, False), (x_alpha, True)],
+        [(a, False), (b, False), (a, True), (b, True)],
+        [(x_alpha, False), (x_gamma, False), (x_alpha, True), (x_gamma, True)],
+        [(x_alpha, False), ((("w", beta, u),), False), (x_alpha, True)],
+        [(x_alpha, False), ((("h", beta, u),), False), (x_alpha, True)],
+        [(mixed, False), (mixed, True)],
+        [(walled, False), (xs(3), False), (walled, True)],
+    ]
+    verdicts = set()
+    for ops in products:
+        atoms = sum((_inverse_atoms(w) if inverted else w for w, inverted in ops), ())
+        mat, inv = _plain_product(rep, atoms)
+
+        def joined():
+            words = [rep.element_from_word(w) for w, _ in ops]
+            g = words[0].inverse() if ops[0][1] else words[0]
+            for word, (_, inverted) in zip(words[1:], ops[1:]):
+                g = g * (word.inverse() if inverted else word)
+            assert g._chain[0] == len(atoms)
+            return g
+
+        i = rng.randrange(rep.n)
+        assert joined().row(weights[i]) == mat_row(mat, i) and joined().column(weights[i]) == mat_col(mat, i)
+        assert joined().inverse().row(weights[i]) == mat_row(inv, i)
+        assert joined().is_identity() is mat.is_identity(), atoms
+        verdicts.add(mat.is_identity())
+        g = joined()
+        assert g.mat == mat and g.inv_mat == inv, atoms
+    assert verdicts == {True, False}
+
+    plus = list(case.omega_plus[:3])  # distinct roots of an abelian radical
+    spelled = tuple(("x", b, pick(values)) for b in plus)
+    xi = values[0]
+    zeta = next(v for v in values if not (xi + v).is_zero())
+    sample = xs(4)
+    pairs = [  # (g, h, whether g h^-1 reduces to no factors)
+        (sample, sample, True),
+        (spelled, spelled[::-1], True),
+        ((("x", alpha, xi), ("x", alpha, zeta)), (("x", alpha, xi + zeta),), True),
+        (sample, sample[:-1] + (("x", sample[-1][1], sample[-1][2] + rep.ring.one),), False),
+        (x_alpha + x_gamma, x_gamma + x_alpha, False),
+        (spelled + (("w", alpha, u),), spelled + (("w", alpha, u),), False),
+        (spelled, spelled[:2], False),
+    ]
+    verdicts = set()
+    for g_atoms, h_atoms, cancels in pairs:
+        equal = _plain_product(rep, g_atoms)[0] == _plain_product(rep, h_atoms)[0]
+        g, h = rep.element_from_word(g_atoms), rep.element_from_word(h_atoms)
+        assert (g == h) is equal and (h == g) is equal, (g_atoms, h_atoms)
+        assert g._mat.fn is not None and h._mat.fn is not None
+        assert ((g * h.inverse())._chain[1].get() == ()) is cancels
+        verdicts.add(equal)
+    assert verdicts == {True, False}
+
+
+def test_decomposition_checks_of_unipotent_words_build_nothing(monkeypatch):
+    """The checks v == word(lower) and u == word(upper) after
+    ``chevalley_matsumoto`` on an a8 big-cell matrix over F2[t]/(t^2) reduce
+    to no factors, with no identity and no line move; two words of roots
+    that pair at -1 still build one identity."""
+    from chevalley.analysis import chevalley_matsumoto
+
+    rep = representation("a", 8, named_ring("f2t2"))
+    case = rep.case
+    t, one = rep.ring.from_parts(((0, 1),)), rep.ring.one
+    plus = sorted(case.omega_plus)
+    lower = tuple(("x", tuple(-x for x in b), v) for b, v in zip(plus[:3], (one, t, one + t)))
+    upper = tuple(("x", b, v) for b, v in zip(plus[-3:], (t, one, one + t)))
+    levi = (("x", sorted(case.delta)[0], one),)
+    g = rep.from_matrix(rep.element_from_word(lower + levi + upper).mat)
+    v, g1, u = chevalley_matsumoto(g)
+    work = _count_work(monkeypatch)
+    assert v == rep.element_from_word(lower[::-1]) and u == rep.element_from_word(upper[::-1])
+    assert work == {"identities": 0, "matmuls": 0, "moves": 0}
+    alpha = plus[0]
+    gamma = next(b for b in case.phi if case.pairing(alpha, b) == -1)
+    x_ag = rep.element_from_word((("x", alpha, one), ("x", gamma, one)))
+    assert not x_ag == rep.element_from_word((("x", gamma, one), ("x", alpha, one)))
+    assert work["identities"] == 1
 
 
 # -- the adjoint of the invariant form ------------------------------------------------
