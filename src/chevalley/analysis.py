@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExhausted, DomainError, InternalConsistencyError
+from .errors import BudgetExhausted, DomainError, InternalConsistencyError, NonUnitError, UnsupportedCaseError
 from .matrices import RMat, checked_inverse, mat_col, mat_row, pattern_images, signed_entries
 from .rep import (
     Atom,
@@ -287,6 +287,15 @@ def _block_diagonal_part(g: GroupElement) -> GroupElement:
     return GroupElement(g.rep, mat, checked_inverse(mat, diagonal(g.inv_mat)))
 
 
+def _levi_part(g: GroupElement) -> GroupElement:
+    """``_block_diagonal_part``, with a block that is singular, or that
+    elimination refuses over Z, reported as ``DomainError``."""
+    try:
+        return _block_diagonal_part(g)
+    except (NonUnitError, UnsupportedCaseError) as exc:
+        raise DomainError(f"diagonal block is not invertible: {exc}") from exc
+
+
 def _split_at_top(split, g: GroupElement, lam: Weight) -> tuple[GroupElement, GroupElement]:
     """A split at the lam line: carried to the top weight by the monomial
     element of the simple word from lam to the top, and back."""
@@ -310,10 +319,7 @@ def levi_unipotent_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gr
     if not in_parabolic(g, lam):
         raise DomainError("element is not in the parabolic at the given weight")
     if lam == wm.lam0:
-        try:
-            levi = _block_diagonal_part(g)
-        except Exception as exc:
-            raise DomainError(f"diagonal block is not invertible: {exc}") from exc
+        levi = _levi_part(g)
         u = g * levi.inverse()
         # the radical part only maps toward lower component indices, with
         # identity diagonal blocks
@@ -334,7 +340,7 @@ def opposite_levi_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gro
     if not in_opposite_parabolic(g, lam):
         raise DomainError("element is not in the opposite parabolic at the given weight")
     if lam == wm.lam0:
-        levi = _block_diagonal_part(g)
+        levi = _levi_part(g)
         v = g * levi.inverse()
         if not (v * levi) == g:
             raise InternalConsistencyError("opposite split does not multiply back")
@@ -934,10 +940,14 @@ def _orbit_sides(case) -> dict:
 
 
 def _word_in_level(rep: Representation, word, sigma: SigmaPair) -> bool:
-    """Every root element of the expanded word lies in E(sigma): a subsystem
-    root with any value, an orbit root with a value in the ideal of its side."""
+    """Every factor of the word lies in E(sigma): a subsystem root's always;
+    x_alpha(v) of an orbit root when v lies in its side's ideal; a w or h
+    factor of an orbit root, a word in x_alpha and x_-alpha with unit values,
+    when both sides' ideals are the unit ideal."""
     sides, ideals = _orbit_sides(rep.case), {+1: sigma.plus, -1: sigma.minus}
-    return all(root not in sides or value in ideals[sides[root]] for root, value in rep.expand_atoms(word))
+    both = sigma.plus.is_unit_ideal() and sigma.minus.is_unit_ideal()
+    factors = rep._factors(word)
+    return all(root not in sides or (v in ideals[sides[root]] if kind == "x" else both) for kind, root, v in factors)
 
 
 def generators_in_normalizer(

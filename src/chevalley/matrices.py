@@ -20,7 +20,9 @@ convolution of slices: in float64 when (c - 1)^2 * n * s < 2^52, where each
 output slice sums its terms exactly before one conversion and one reduction,
 else in int64 with each term reduced.  Kernel temporaries live in a
 per-thread workspace (``_workspace``), reused from call to call; a result is
-the one fresh block and never aliases it.
+the one fresh block and never aliases it.  An inverse (``RMat.inv``) is
+Gauss-Jordan over the residue field F_p on the constant slices, then Newton
+steps made of products, so it takes its float or int path from ``*``.
 
 A word factor acts by a line move (``LineMove``), one call of the line kernel
 ``_update_lines``: on rows for a left action, on columns for a right one, on
@@ -48,10 +50,10 @@ wrapping around.  An int8 block is exact under the narrow bound: the widest
 value a kernel computes in the block dtype is a line move's target, its old
 coefficient plus s products of a source coefficient and a move coefficient
 (up to 2(c - 1), for a Weyl or torus move's v and v^-1 terms).  Sums that can
-pass it are made wider and reduced before they are narrowed: a product or
-inverse slice in float64 goes through an int64 workspace; every narrow
-layout is float-safe, so an integer matmul (an int8 ``@`` would wrap
-without a warning) only sees int64 or object blocks.
+pass it are made wider and reduced before they are narrowed: a product
+slice in float64 goes through an int64 workspace; every narrow layout is
+float-safe, so an integer matmul (an int8 ``@`` would wrap without a
+warning) only sees int64 or object blocks.
 """
 
 from __future__ import annotations
@@ -113,12 +115,12 @@ def _workspace(role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """A scratch array of the shape for one role of a kernel, owned by the
     calling thread: a view of a flat buffer that grows to the largest size
     asked for and is reused by every later call, so a kernel's temporaries
-    are not fresh blocks.  Views are cached by shape, so a lookup is one
-    dict read; a buffer that grows drops its views and every cached
+    are not fresh blocks.  Views are cached by shape and dtype, so a lookup
+    is one dict read; a buffer that grows drops its views and every cached
     ``_product_space``, so none keeps an old buffer alive.  Its contents are
     undefined, and a kernel copies out of it, so no result is a view of it."""
     pool = _scratch.__dict__
-    view = pool.get((role, shape))
+    view = pool.get((role, shape, dtype))
     if view is None:
         size = math.prod(shape)
         buf = pool.get(role)
@@ -126,7 +128,7 @@ def _workspace(role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
             for key in [k for k in pool if isinstance(k, tuple) and k[0] in (role, "product")]:
                 del pool[key]
             buf = pool[role] = np.empty(size, dtype=dtype)
-        view = pool[(role, shape)] = buf[:size].reshape(shape)
+        view = pool[(role, shape, dtype)] = buf[:size].reshape(shape)
     return view
 
 
@@ -453,28 +455,26 @@ class RMat(_Blocks):
     # -- inversion -------------------------------------------------------------------
 
     def inv(self) -> "RMat":
-        """Inverse by elimination with unit pivots on the constant slice, then
-        slice by slice: slice t of a x = e gives x_t = -x_0 (a_1 x_(t-1) +
-        ... + a_t x_0), whose sum is exact as in ``_convolve``; in float64
-        the slices are lifted into the thread's workspace.
-
-        Works over any finite spec; over the integers only via the identity
-        shortcut, since general integer inverses are not representable.
-        """
-        n = self.n
-        blocks = []
-        for f, blk in zip(self.spec.factors, self.blocks):
-            s, c = f.layout
-            if not c:
-                if not self.is_identity():
-                    raise UnsupportedCaseError("matrix inversion over the integers is not supported")
-                return self.copy()
-            x = np.empty(blk.shape, dtype=_dtype(f.layout))
-            _inv_zmod(blk[0], f.p, f.k if s == 1 else 1, n, out=x[0])
-            if s > 1:
-                _lift_inverse(blk, x, c, _float_ok(f.layout, n))
-            blocks.append(x)
-        return RMat(self.spec, n, blocks)
+        """The inverse by one rule over every chain factor: Gauss-Jordan over
+        the residue field F_p on the constant slice (``_inv_mod_p``), which
+        decides invertibility, then Newton steps x <- x + x (e - a x) as
+        products.  If a x = e mod m^j, m = (p) or (t), and E = e - a x, then
+        a (x + x E) = e - E^2 = e mod m^2j, so (k - 1).bit_length() steps
+        reach p^k (Z/p^k) or t^k (F_p[t]/(t^k)).  A zero-ring factor's block stays zero.  Over
+        the integers only the identity shortcut works, since general integer
+        inverses are not representable."""
+        if not self.spec.is_finite:
+            if not self.is_identity():
+                raise UnsupportedCaseError("matrix inversion over the integers is not supported")
+            return self.copy()
+        x = RMat.zeros(self.spec, self.n)
+        for f, blk, out in zip(self.spec.factors, self.blocks, x.blocks):
+            if f.layout[1] > 1:
+                _inv_mod_p(blk[0], f.p, out[0])
+        e = RMat.identity(self.spec, self.n)
+        for _ in range((max(f.k for f in self.spec.factors) - 1).bit_length()):
+            x = x + x * (e - self * x)
+        return x
 
     def mul_vec(self, v: "RVec") -> "RVec":
         if self.spec != v.spec:
@@ -520,74 +520,36 @@ def signed_gather(mat: RMat, index: np.ndarray, signs: np.ndarray) -> RMat:
     return RMat(mat.spec, mat.n, blocks)
 
 
-def _lift_inverse(a: np.ndarray, x: np.ndarray, c: int, use_float: bool) -> None:
-    """Slices 1.. of the inverse x of the slice stack a, in place, from its
-    constant slice x[0]: x_t = -x_0 (a_1 x_(t-1) + ... + a_t x_0) mod c.  In
-    float64 both stacks and the sums live in the thread's workspace, and each
-    slice is reduced in an int64 workspace before it is narrowed into x and
-    copied back for the next ones.  Only a layout above the float64 bound
-    takes the int64 path, and its blocks are int64, never narrow."""
-    s, n = len(a), a.shape[1]
-    if use_float:
-        fa, fx = _workspace("a", a.shape), _workspace("b", a.shape)
-        np.copyto(fa, a)
-        fx[0] = x[0]
-        acc, term = _workspace("acc", (n, n)), _workspace("term", (n, n))
-        wide = _workspace("wide", (n, n), np.int64)
-        for t in range(1, s):
-            np.matmul(fa[1], fx[t - 1], out=acc)
-            for i in range(2, t + 1):
-                np.matmul(fa[i], fx[t - i], out=term)
-                acc += term
-            np.copyto(wide, acc, casting="unsafe")
-            fx[t] = _mod(wide, c, inplace=True)
-            np.matmul(fx[0], fx[t], out=acc)
-            np.negative(acc, out=acc)
-            np.copyto(wide, acc, casting="unsafe")
-            x[t] = fx[t] = _mod(wide, c, inplace=True)
-        return
-    for t in range(1, s):
-        acc = _mod(sum(_mod(a[i] @ x[t - i], c) for i in range(1, t + 1)), c)
-        x[t] = _mod(-(x[0] @ acc), c)
-
-
-def _inv_zmod(a: np.ndarray, p: int, k: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Gauss-Jordan inverse mod p^k on the augmented rows [a | e], which live
-    in the thread's workspace; the inverse is written into ``out`` (a fresh
-    array of a's dtype when None) and returned.  The pivot of a column is its
-    first unit entry on or below the diagonal, found with one ``nonzero``
-    when the diagonal entry is not a unit; every other row with a nonzero
-    entry in the pivot column is cleared in one outer-product update.
-    Columns left of the pivot are already those of e, zero in the pivot row,
-    so an update reads and writes only the columns from the pivot on."""
-    if out is None:
-        out = np.empty_like(a)
-    m = p**k
-    if m == 1:
-        out[...] = 0
-        return out
-    work = _workspace("augmented", (n, 2 * n), np.int64)
-    work[:, :n] = a
-    _mod(work[:, :n], m, inplace=True)
+def _inv_mod_p(a: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Gauss-Jordan inverse over F_p of a mod p, written into ``out``, on the
+    augmented rows [a | e] in the thread's workspace, in the dtype of F_p's
+    blocks, which holds an update's values (|v| < p^2).  The pivot of a
+    column is its first nonzero entry on or below the diagonal; every other
+    row with a nonzero entry in the pivot column is cleared in one
+    outer-product update.  Columns left of the pivot are already those of
+    e, zero in the pivot row, so an update reads and writes only the
+    columns from it on."""
+    n = len(a)
+    work = _workspace("augmented", (n, 2 * n), _dtype((1, p)))
+    work[:, :n] = _mod(a, p)
     work[:, n:] = 0
     np.fill_diagonal(work[:, n:], 1)
     for col in range(n):
-        if not _mod(work[col, col], p):
-            units = _mod(work[col:, col], p).nonzero()[0]
+        if not work[col, col]:
+            units = work[col:, col].nonzero()[0]
             if not len(units):
                 raise NonUnitError("no unit pivot; matrix is not invertible over the local factor")
             piv = col + int(units[0])
             work[[col, piv]] = work[[piv, col]]
-        inv_piv = pow(int(work[col, col]), -1, m)
+        inv_piv = pow(int(work[col, col]), -1, p)
         if inv_piv != 1:
-            work[col, col:] = _mod(work[col, col:] * inv_piv, m)
+            work[col, col:] = _mod(work[col, col:] * inv_piv, p)
         factors = work[:, col].copy()
         factors[col] = 0
         rows = factors.nonzero()[0]
         if len(rows):
-            work[rows, col:] = _mod(work[rows, col:] - factors[rows, None] * work[col, col:], m)
+            work[rows, col:] = _mod(work[rows, col:] - factors[rows, None] * work[col, col:], p)
     out[...] = work[:, n:]
-    return out
 
 
 class RVec(_Blocks):

@@ -26,7 +26,7 @@ the word of the joined chain (at most 32 factors), reduced by two relations
 of root elements (``_reduced``); an empty chain is the identity.  An unread
 chain against anything else moves the lines of a copy of the other matrix
 (the shorter of two unread chains moves); any other product multiplies the
-matrices.  ``expand_atoms`` spells a word out in root elements.
+matrices.
 
 A second-type module carries the invariant form H of
 ``forms.bilinear_form_signs``, so an element g that preserves it has
@@ -36,7 +36,7 @@ preserve H, and the inverse of a word or product of such elements is the
 adjoint of its matrix: no inverse factors replay.  ``from_matrix`` inverts
 at once, since that is its invertibility check: over a finite ring of a
 second-type case, one product confirms the adjoint as the inverse; else,
-and always over Z, elimination does.
+and always over Z, ``RMat.inv`` does.
 """
 
 from __future__ import annotations
@@ -436,21 +436,6 @@ class Representation:
         chain = (0, _Lazy(()), _Lazy(()))
         return GroupElement(self, ident, ident.copy(), word=(), chain=chain, isometry=self._has_form)
 
-    def expand_atoms(self, atoms) -> list[tuple[Root, RingElem]]:
-        """The word's root elements (root, value): w_alpha(v) is
-        x_alpha(v) x_-alpha(-v^-1) x_alpha(v), and h_alpha(v) is
-        w_alpha(v) w_alpha(-1)."""
-        out = []
-        for kind, root, value in self._factors(atoms):
-            if kind == "x":
-                out.append((root, value))
-            elif kind == "w":
-                neg = tuple(-x for x in root)
-                out += [(root, value), (neg, -value.inv()), (root, value)]
-            else:
-                out += self.expand_atoms([("w", root, value), ("w", root, -self.ring.one)])
-        return out
-
     def _factors(self, atoms) -> tuple:
         """The atoms as factors (kind, root, value) over this ring, with
         their line moves built.  A factor is refused now, not on the first
@@ -523,7 +508,8 @@ class Representation:
         checks that the matrix is invertible (``NonUnitError``).  Over a
         finite ring of a second-type case the inverse is the adjoint when one
         product confirms it, and the element then preserves the form; else,
-        and always over Z, it comes from elimination (``RMat.inv``)."""
+        and always over Z, it comes from ``RMat.inv`` (elimination over
+        F_p, then Newton steps)."""
         if mat.n != self.n or mat.spec != self.ring:
             raise DomainError("matrix does not match the representation")
         mat = mat.copy()

@@ -18,7 +18,8 @@ A residue is an int over Z/p^k and Z, the tuple of its slices over
 F_p[t]/(t^k) (``Factor.part``).  Element arithmetic reads only the layout:
 sums add slices mod c, a product is the truncated convolution of the slices,
 a unit is a residue whose constant slice is coprime to c (over Z, c = 0, that
-leaves +-1), and an inverse is a Newton lift of the constant slice's inverse.
+leaves +-1), and an inverse is a Newton lift x <- x (2 - a x) of the constant
+slice's inverse; ``matrices.RMat.inv`` lifts a matrix inverse by the same step.
 
 Every ideal of such a product is principal per factor: in a chain factor it is
 (pi^j) for the uniformizer pi and some 0 <= j <= k (j = k is the zero ideal),

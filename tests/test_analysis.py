@@ -322,6 +322,34 @@ def test_levi_split_rejects_outsiders(rep_b_z4):
         levi_unipotent_split(lower)
 
 
+def test_both_levi_splits_refuse_singular_diagonal_blocks(monkeypatch, rep_b_z4):
+    """The permutation matrix that swaps a weight of component 1 with one of
+    component 2 is invertible and lies in both parabolics, but its diagonal
+    blocks are singular: both splits raise ``DomainError``.  An internal
+    error in the block part is not relabelled."""
+    rep = rep_b_z4
+    ring, wm = rep.ring, rep.wm
+    i, j = wm.idx(wm.components[1][0]), wm.idx(wm.components[2][0])
+    order = list(range(rep.n))
+    order[i], order[j] = j, i
+    mat = RMat.zeros(ring, rep.n)
+    for row, col in enumerate(order):
+        mat.set_entry(row, col, ring.one)
+    g = rep.from_matrix(mat)
+    assert in_parabolic(g) and in_opposite_parabolic(g)
+    for split in (levi_unipotent_split, opposite_levi_split):
+        with pytest.raises(DomainError, match="diagonal block is not invertible"):
+            split(g)
+
+    def planted(g):
+        raise InternalConsistencyError("planted")
+
+    monkeypatch.setattr(analysis, "_block_diagonal_part", planted)
+    for split in (levi_unipotent_split, opposite_levi_split):
+        with pytest.raises(InternalConsistencyError, match="planted"):
+            split(g)
+
+
 def test_levi_split_at_lower_weight(rep_b_z4):
     rep = rep_b_z4
     wm = rep.wm

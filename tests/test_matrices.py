@@ -3,7 +3,7 @@ import pytest
 
 from chevalley import matrices
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
-from chevalley.matrices import RMat, RVec, _float_ok, _inv_zmod, mat_col, mat_row, signed_entries
+from chevalley.matrices import RMat, RVec, _float_ok, _inv_mod_p, mat_col, mat_row, signed_entries
 from chevalley.rings import Factor, Ideal, RingElem, RingSpec, named_ring
 from chevalley.rng import SplitMix64
 
@@ -60,16 +60,29 @@ def _random_lu(spec, n, rng):
     return RMat(spec, n, lower) * RMat(spec, n, upper)
 
 
-def _newton_inverse(m):
-    """The inverse by the Newton lift x <- x (2 - m x), which doubles the
-    t-adic precision at each step, from the inverses of the constant slices."""
-    x = RMat.zeros(m.spec, m.n)
-    for f, xb, mb in zip(m.spec.factors, x.blocks, m.blocks):
-        xb[0] = _inv_zmod(mb[0], f.p, f.k if f.kind == "zmod" else 1, m.n)
-    two = RMat.identity(m.spec, m.n) + RMat.identity(m.spec, m.n)
-    for _ in range(max(f.layout[0] for f in m.spec.factors).bit_length()):
-        x = x * (two - m * x)
-    return x
+def _slice_inverse(m):
+    """The inverse slice by slice, in exact Python integers: x_0 inverts the
+    constant slice by the row loop (mod p^k over Z/p^k, mod p over
+    F_p[t]/(t^k)), and slice t of a x = e gives x_t = -x_0 (a_1 x_(t-1) +
+    ... + a_t x_0) mod p.  A zero-ring factor's block is zero."""
+    blocks = []
+    for f, blk in zip(m.spec.factors, m.blocks):
+        s, c = f.layout
+        if c == 1:
+            blocks.append(np.zeros_like(blk))
+            continue
+        a = blk.astype(object)
+        x = [_inv_zmod_reference(blk[0], f.p, f.k if s == 1 else 1, m.n).astype(object)]
+        for t in range(1, s):
+            acc = sum(a[i] @ x[t - i] for i in range(1, t + 1))
+            x.append(-(x[0] @ acc) % c)
+        blocks.append(np.array(x, dtype=np.int64))
+    return blocks
+
+
+# F_2[t]/(t^5) x Z/1: the quotient of F_2[t]/(t^5) x Z/9 by (0, 1), with a
+# zero-ring factor
+ZERO_RING_SPEC = Ideal(RingSpec((Factor("poly", 2, 5), Factor("zmod", 3, 2))), (5, 0)).quotient_spec()
 
 
 @pytest.mark.parametrize(
@@ -82,12 +95,15 @@ def _newton_inverse(m):
         (RingSpec.poly(BIG_P, 2), False),
         (RingSpec.poly(BIG_P, 3), False),
         (RingSpec((Factor("poly", BIG_P, 2), Factor("zmod", 2, 3))), False),
+        (RingSpec.poly(2, 5), True),
+        (ZERO_RING_SPEC, True),
     ],
     ids=str,
 )
 def test_slice_inverse_matches_the_newton_lift(spec, use_float):
-    """Slice by slice, x_t = -x_0 (a_1 x_(t-1) + ... + a_t x_0), gives the
-    inverse that the Newton lift gives, in float64 and in int64."""
+    """The Newton lift of ``inv`` gives the inverse that the slice recursion
+    gives, with its products in float64 and in int64 (``BIG_P``); k = 4 and
+    k = 5 take 2 and 3 Newton steps."""
     n = 27
     poly = next(f for f in spec.factors if f.kind == "poly")
     assert _float_ok(poly.layout, n) == use_float
@@ -95,8 +111,14 @@ def test_slice_inverse_matches_the_newton_lift(spec, use_float):
     for _ in range(3):
         m = _random_lu(spec, n, rng)
         inv = m.inv()
-        assert inv == _newton_inverse(m)
+        assert all(np.array_equal(a, b) for a, b in zip(inv.blocks, _slice_inverse(m)))
         assert (m * inv).is_identity() and (inv * m).is_identity()
+    # a constant slice with a zero row is singular over F_p, whatever the
+    # higher slices hold
+    for blk in m.blocks:
+        blk[0, 4] = 0
+    with pytest.raises(NonUnitError):
+        m.inv()
 
 
 def test_non_invertible_raises():
@@ -241,11 +263,25 @@ def _modular_slices(p, k, n, rng):
     return out
 
 
+def _inverse_mod(a, p, k):
+    """At k = 1 the field elimination alone; else ``RMat.inv`` over Z/p^k,
+    the elimination mod p and its Newton steps."""
+    if k == 1:
+        out = np.empty_like(a)
+        _inv_mod_p(a, p, out)
+        return out
+    m = RMat.zeros(RingSpec.zmod(p**k), len(a))
+    m.blocks[0][0] = a
+    return m.inv().blocks[0][0]
+
+
 @pytest.mark.parametrize(
     "p,k",
-    # the constant slices are what F_p[t]/(t^k) inverts before lifting
-    [(2, 2), (2, 3), (3, 1), (3, 2), (2, 1)],
-    ids=["z4", "z8", "z12-factor3-and-f3t3-slice", "z9", "f2t2-slice"],
+    # k = 1: the field elimination that every factor runs on its constant
+    # slice; k = 2..5: Z/p^k, with 1, 2, 2 and 3 Newton steps (Z/243 has
+    # coefficients wider than the elimination's int8 workspace)
+    [(2, 2), (2, 3), (3, 1), (3, 2), (2, 1), (5, 1), (2, 4), (2, 5), (3, 5)],
+    ids=["z4", "z8", "z12-factor3-and-f3t3-slice", "z9", "f2t2-slice", "f5-slice", "z16", "z32", "z243"],
 )
 def test_vectorized_elimination_matches_the_row_loop(p, k):
     rng = SplitMix64(100 * p + k)
@@ -257,9 +293,9 @@ def test_vectorized_elimination_matches_the_row_loop(p, k):
             except NonUnitError:
                 singular += 1
                 with pytest.raises(NonUnitError):
-                    _inv_zmod(a, p, k, n)
+                    _inverse_mod(a, p, k)
                 continue
-            assert np.array_equal(_inv_zmod(a, p, k, n), expected)
+            assert np.array_equal(_inverse_mod(a, p, k), expected)
     assert singular > 0
 
 

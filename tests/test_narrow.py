@@ -271,9 +271,9 @@ def test_mul_vec_at_the_largest_dimension(name):
 
 @pytest.mark.parametrize("name", SIDES)
 def test_inverses_of_group_elements(name):
-    """``inv`` (with the slice lift ``_lift_inverse`` for s > 1) of a word's
-    matrix of case b, and of a product L U whose lower factor has every
-    coefficient c - 1, is a two-sided inverse by the reference product."""
+    """``inv`` (field elimination, then Newton steps) of a word's matrix of
+    case b, and of a product L U whose lower factor has every coefficient
+    c - 1, is a two-sided inverse by the reference product."""
     spec = named_ring(name)
     s, c = _layout(spec)
     rep = representation("b", None, spec)

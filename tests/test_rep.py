@@ -1,8 +1,10 @@
+import itertools
 import operator
 
 import numpy as np
 import pytest
 
+from chevalley.analysis import SigmaPair, _word_in_level
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat, RVec, mat_col, mat_row
 from chevalley.rep import (
@@ -393,9 +395,57 @@ def test_products_with_a_word_leave_its_matrix_unbuilt(tag, l):
     assert [g.mat for g in products[2:]] == [base.mat * word.inv_mat, word.inv_mat * base.mat]
 
 
+def _root_elements(rep, atoms) -> list:
+    """The atoms' root elements (root, value): w_alpha(v) is x_alpha(v)
+    x_-alpha(-v^-1) x_alpha(v), and h_alpha(v) is w_alpha(v) w_alpha(-1)."""
+    out = []
+    for kind, root, value in atoms:
+        if kind == "x":
+            out.append((root, value))
+            continue
+        neg = tuple(-x for x in root)
+        for v in (value, -rep.ring.one) if kind == "h" else (value,):
+            out += [(root, v), (neg, -v.inv()), (root, v)]
+    return out
+
+
 def _expanded_word(rep, atoms):
     """The word of the atoms' root elements: w and h spelled out in x."""
-    return rep.element_from_word(tuple(("x", root, value) for root, value in rep.expand_atoms(atoms)))
+    return rep.element_from_word(tuple(("x", root, value) for root, value in _root_elements(rep, atoms)))
+
+
+def _levels(ring) -> list:
+    """Every level (sigma+, sigma-) over a finite ring; over Z the pairs of
+    (0), (1), (2) and (3)."""
+    if ring.is_finite:
+        ideals = [Ideal(ring, parts) for parts in itertools.product(*(range(f.k + 1) for f in ring.factors))]
+    else:
+        ideals = [Ideal(ring, (m,)) for m in range(4)]
+    return [SigmaPair(a, b) for a in ideals for b in ideals]
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "z12", "f2t2", "int"])
+@pytest.mark.parametrize("tag", ["b", "c"])
+def test_word_in_level_matches_the_root_element_expansion(tag, ring_name):
+    """For every level and root, a single factor (w or h with every unit, x
+    with every value) lies in E(sigma) by the direct rule exactly when every
+    root element of its expansion does: a subsystem root with any value, an
+    orbit root with a value in the ideal of its side."""
+    ring = named_ring(ring_name)
+    rep = representation(tag, None, ring)
+    sides = {r: +1 for r in rep.case.omega_plus} | {r: -1 for r in rep.case.omega_minus}
+    values = list(ring.elements()) if ring.is_finite else [ring.el(v) for v in range(-2, 4)]
+    verdicts = set()
+    for sigma in _levels(ring):
+        ideals = {+1: sigma.plus, -1: sigma.minus}
+        for alpha in rep.case.phi:
+            for kind in "xwh":
+                for eps in values if kind == "x" else _units(ring):
+                    atoms = ((kind, alpha, eps),)
+                    expected = all(r not in sides or v in ideals[sides[r]] for r, v in _root_elements(rep, atoms))
+                    assert _word_in_level(rep, atoms, sigma) == expected, (sigma.describe(), kind, alpha, eps)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def _units(ring):
@@ -970,8 +1020,8 @@ def test_from_matrix_reads_a_word_matrix_inverse_off_the_form(monkeypatch, tag, 
     words = [_word(rep, seed) for seed in (1, 2)]
     eliminated = [w.mat.inv() for w in words]
     calls = []
-    inv_zmod = matrices._inv_zmod
-    monkeypatch.setattr(matrices, "_inv_zmod", lambda *a, **k: calls.append(1) or inv_zmod(*a, **k))
+    inv_mod_p = matrices._inv_mod_p
+    monkeypatch.setattr(matrices, "_inv_mod_p", lambda *a, **k: calls.append(1) or inv_mod_p(*a, **k))
     for word, expected in zip(words, eliminated):
         g = rep.from_matrix(word.mat)
         assert g._isometry
@@ -993,8 +1043,8 @@ def test_from_matrix_eliminates_a_matrix_off_the_form(monkeypatch, tag, l, ring_
     u = _unit_not_one(ring)
     mat.set_entry(3, 3, u)
     calls = []
-    inv_zmod = matrices._inv_zmod
-    monkeypatch.setattr(matrices, "_inv_zmod", lambda *a, **k: calls.append(1) or inv_zmod(*a, **k))
+    inv_mod_p = matrices._inv_mod_p
+    monkeypatch.setattr(matrices, "_inv_mod_p", lambda *a, **k: calls.append(1) or inv_mod_p(*a, **k))
     g = rep.from_matrix(mat)
     assert calls and not g._isometry
     assert (g.mat * g.inv_mat).is_identity()
