@@ -133,11 +133,12 @@ def in_opposite_parabolic(g: GroupElement, lam: Weight | None = None) -> bool:
 @lru_cache(maxsize=256)
 def _pattern_table(rep: Representation, roots: tuple):
     """The patterns of the roots concatenated: (srcs, dsts, signs, owner),
-    owner[k] the position in ``roots`` of the root of entry k."""
-    patterns = [rep.pattern(alpha) for alpha in roots]
-    sizes = [len(srcs) for srcs, _, _ in patterns]
-    srcs, dsts, signs = (np.concatenate(parts) for parts in zip(*patterns))
-    return srcs, dsts, signs, np.repeat(np.arange(len(roots)), sizes)
+    owner[k] the position in ``roots`` of the root of entry k, read off
+    their rows of ``RepTables.dense``."""
+    dst, sign = rep.tables.dense
+    rows = np.array([rep.case.idx(alpha) for alpha in roots], dtype=np.intp)
+    owner, srcs = np.nonzero(sign[rows, : rep.n])
+    return srcs, dst[rows[owner], srcs], sign[rows[owner], srcs], owner
 
 
 def _top_line_mask(g: GroupElement, atoms, sigma: SigmaPair) -> np.ndarray:
@@ -352,19 +353,15 @@ def opposite_levi_split(g: GroupElement, lam: Weight | None = None) -> tuple[Gro
 def _coord_positions(rep: Representation, lam: Weight, roots: tuple, on_row: bool):
     """Where the coordinates of the given roots sit on the lam row (or
     column), with the structure constants that turn entries into
-    coordinates: (positions, signs)."""
-    wm = rep.wm
-    positions, signs = [], []
-    for beta in roots:
-        if on_row:
-            mu = wm.shift(lam, tuple(-x for x in beta))
-        else:
-            mu = wm.shift(lam, beta)
-        if mu is None:
-            raise DomainError(f"root {beta} does not shift the weight")
-        positions.append(wm.idx(mu))
-        signs.append(rep.sign(mu, beta) if on_row else rep.sign(lam, beta))
-    return np.array(positions, dtype=np.intp), np.array(signs, dtype=np.int8)
+    coordinates: (positions, signs), read off ``RepTables.dense``: beta
+    moves lam to mu on the column, -beta on the row, with beta's sign at mu."""
+    dst, sign = rep.tables.dense
+    k, i = np.array([rep.case.idx(beta) for beta in roots], dtype=np.intp), rep.wm.idx(lam)
+    positions = dst[rep.case.reflections[k, k] if on_row else k, i]
+    signs = sign[k, positions if on_row else i]  # 0 where the root does not shift
+    if not signs.all():
+        raise DomainError(f"root {roots[int(np.argmin(signs != 0))]} does not shift the weight")
+    return positions, signs
 
 
 def _line_coords(h: GroupElement, lam: Weight, roots, on_row: bool) -> dict:

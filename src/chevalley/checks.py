@@ -212,19 +212,6 @@ def combinatorial_suite(tag: str, l: int | None = None) -> list[SuiteResult]:
 # -- relation suite --------------------------------------------------------------------
 
 
-def _dense_patterns(tables, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Every root's pattern as dense (dst, sign) rows over n + 1 slots.  Slot
-    n is a sentinel that maps to itself with sign 0, so composing two
-    patterns is one indexing step: d2[d1], s1 * s2[d1]."""
-    n = tables.wm.dim
-    dst = np.full((len(phi), n + 1), n, dtype=np.intp)
-    sign = np.zeros((len(phi), n + 1), dtype=np.int64)
-    for k, root in enumerate(phi):
-        srcs, dsts, signs = tables.patterns[root]
-        dst[k, srcs], sign[k, srcs] = dsts, signs
-    return dst, sign
-
-
 def _row_constant(values: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: the value at the first support slot, and whether every
     support slot holds that value."""
@@ -244,7 +231,7 @@ def steinberg_suite(
     tables = rep_tables(wm)
     out: list[SuiteResult] = []
     phi, reflections = case.phi, case.reflections
-    dst, sign = _dense_patterns(tables, phi)
+    dst, sign = tables.dense
 
     square = sign * np.take_along_axis(sign, dst, axis=1)
     bad = np.flatnonzero(square.any(axis=1))

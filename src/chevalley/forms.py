@@ -8,9 +8,11 @@ weight.  The quadratic form vanishes on the orbit of the highest weight
 vector; it starts from the equation of a weight square and is pushed down a
 shortest path to the lowest weight, one root element substitution at a time.
 
-Both are built from the root patterns (source, target, sign arrays): the
-sign propagation runs over all pattern entries at once, and a push
-x^T s x with x = e + N is a column update then a row update of s.
+Both are built from the root patterns: the sign propagation runs over every
+entry of the rows of ``RepTables.dense`` at once, and a push x^T s x with
+x = e + N (``_push``) is a column update then a row update of s along one
+root's (source, target, sign) arrays.  The invariance check of the bilinear
+form pushes H through each x_alpha(1) the same way, with no matrix product.
 """
 
 from __future__ import annotations
@@ -25,21 +27,13 @@ from .errors import DomainError, InternalConsistencyError, SpecMismatchError, Un
 from .rep import rep_tables
 from .rings import RingElem, RingSpec, _mod
 from .rng import SplitMix64
-from .roots import Root, _fraction_rref
+from .roots import _fraction_rref
 from .weights import Weight, WeightModule
 
 
 def _require_second_type(wm: WeightModule) -> None:
     if wm.kind != "second":
         raise UnsupportedCaseError("the form is only defined for second-type cases")
-
-
-def x_int_matrix(wm: WeightModule, alpha: Root, value: int = 1) -> np.ndarray:
-    """Integer matrix of a root element with an integer parameter."""
-    srcs, dsts, signs = rep_tables(wm).patterns[alpha]
-    mat = np.eye(wm.dim, dtype=np.int64)
-    mat[dsts, srcs] += signs * value
-    return mat
 
 
 # -- bilinear form ---------------------------------------------------------------
@@ -52,14 +46,12 @@ def bilinear_form_signs(wm: WeightModule) -> dict:
     lam -> mu with sign c, where c' is the sign of the entry -mu -> -lam of
     the same pattern.  eps spreads from the top weight, breadth first."""
     _require_second_type(wm)
-    pats = list(rep_tables(wm).patterns.values())
+    dst, sign = rep_tables(wm).dense
     idx = wm.index
     neg = np.array([idx[wm.minus(lam)] for lam in wm.weights])
-    owner = np.repeat(np.arange(len(pats)), [len(p[0]) for p in pats])
-    srcs, dsts, signs = (np.concatenate(a) for a in zip(*pats))
-    sign_at = np.zeros((len(pats), wm.dim), dtype=np.int64)
-    sign_at[owner, srcs] = signs
-    factor = -signs * sign_at[owner, neg[dsts]]
+    owner, srcs = np.nonzero(sign[:, : wm.dim])
+    dsts, signs = dst[owner, srcs], sign[owner, srcs]
+    factor = -signs * sign[owner, neg[dsts]]
 
     eps = np.zeros(wm.dim, dtype=np.int64)
     eps[0] = 1  # weights[0] is the top weight
@@ -82,13 +74,19 @@ def bilinear_matrix(wm: WeightModule) -> np.ndarray:
 
 
 def bilinear_invariance_holds(wm: WeightModule) -> bool:
-    """Exhaustive check of g^T H g = H over all generators x_alpha(1)."""
-    h = bilinear_matrix(wm)
-    for alpha in wm.case.phi:
-        g = x_int_matrix(wm, alpha)
-        if not np.array_equal(g.T @ h @ g, h):
-            return False
-    return True
+    """Exhaustive check of g^T H g = H over all generators g = x_alpha(1),
+    each a push of H (``_push``)."""
+    h, patterns = bilinear_matrix(wm), rep_tables(wm).patterns
+    return all(np.array_equal(_push(h.copy(), patterns[alpha]), h) for alpha in wm.case.phi)
+
+
+def _push(s: np.ndarray, pattern) -> np.ndarray:
+    """s <- x^T s x in place for x = e + N, N[dsts, srcs] = signs: s x is a
+    column update, and x^T (s x) a row update."""
+    srcs, dsts, signs = pattern
+    s[:, srcs] += s[:, dsts] * signs
+    s[srcs, :] += s[dsts, :] * signs[:, None]
+    return s
 
 
 # -- weight squares ----------------------------------------------------------------
@@ -315,11 +313,7 @@ def build_pi_form(wm: WeightModule) -> QuadraticForm:
         gamma = wm.root_between(path[step], path[step + 1])
         if gamma is None:
             raise InternalConsistencyError("path step is not a root")
-        # s <- x^T s x for x = e + N, N[dsts, srcs] = signs: s x is a column
-        # update, and x^T (s x) a row update
-        srcs, dsts, signs = patterns[gamma]
-        s[:, srcs] += s[:, dsts] * signs
-        s[srcs, :] += s[dsts, :] * signs[:, None]
+        _push(s, patterns[gamma])
         corner = s[wm.idx(lam0), wm.idx(path[step + 1])]
         if corner not in (1, -1):
             raise InternalConsistencyError(f"intermediate corner coefficient {corner}")

@@ -605,29 +605,25 @@ def pattern_images(mat: RMat, vec: RVec, table, values) -> _Blocks:
 
     ``table`` = (srcs, dsts, signs, owner) holds the atoms' patterns
     concatenated, owner[k] the atom of entry k; as in ``RMat.apply_x_left``,
-    P_a vec carries signs * vec[srcs] to dsts.  The targets of a pattern are
-    distinct, so each stack entry is updated once: one flat take and one put
-    over dsts * m + owner per factor, then one matrix product, whose entries
-    sum n products as in ``*``.
+    P_a vec carries signs * vec[srcs] to dsts.  Per factor the stack, as
+    (s, n * m) entries, takes one line move (``_update_lines``) from
+    srcs * m + owner to dsts * m + owner, the sources and targets of every
+    atom in its own column, then one matrix product, whose entries sum n
+    products as in ``*``.
     """
     if mat.spec != vec.spec:
         raise DomainError("matrix and vector over different rings")
     srcs, dsts, signs, owner = table
     m = len(values)
-    index = dsts * m + owner
+    targets, sources = dsts * m + owner, srcs * m + owner
     blocks = []
     for k, (f, a, v) in enumerate(zip(mat.spec.factors, mat.blocks, vec.blocks)):
         s, c = f.layout
-        xi = np.array([x.parts[k] for x in values], dtype=_dtype(f.layout)).reshape(m, s).T[:, owner]
-        moved = v.take(srcs, axis=1) * signs
+        xi = np.array([x.parts[k] for x in values], dtype=_dtype(f.layout)).reshape(m, s).T
         cols = np.empty(v.shape + (m,), dtype=v.dtype)
         cols[...] = v[:, :, None]
-        entries = cols.reshape(s, -1)
-        acc = entries.take(index, axis=1)
-        for i in range(s):
-            # the truncated convolution xi * moved: at most (c - 1) + s (c - 1)^2
-            acc[i:] += xi[i] * moved[: s - i]
-        entries[:, index] = _mod(acc, c, inplace=True)
+        coeffs = [row[owner] * signs if row.any() else None for row in xi]
+        _update_lines(cols.reshape(s, -1), c, targets, sources, coeffs, 1, True)
         blocks.append(_convolve(a, cols, f.layout, _float_ok(f.layout, mat.n)))
     return _Blocks(mat.spec, mat.n, blocks)
 

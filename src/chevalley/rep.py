@@ -60,12 +60,12 @@ Atom = tuple[str, Root, RingElem]  # kinds: "x", "w", "h"
 @dataclass(frozen=True, eq=False)
 class RepTables:
     """Ring-independent action data: the root patterns, whose signs are the
-    structure constants, and the line move of each word factor kind and root,
-    built on first use."""
+    structure constants, and, built on first use, their dense rows and the
+    line move of each word factor kind and root."""
 
     wm: WeightModule
     patterns: dict  # root -> (srcs, dsts, signs) int arrays, signs int8, srcs ascending
-    moves: dict = field(default_factory=dict, repr=False)  # (kind, root) -> LineMove
+    moves: dict = field(default_factory=dict, init=False, repr=False)  # (kind, root) -> LineMove, per copy
 
     def move(self, kind: str, alpha: Root) -> LineMove:
         """The ``LineMove`` of the factor kind ("x", "w" or "h") at the root.
@@ -85,6 +85,20 @@ class RepTables:
         if key not in self.moves:
             self.moves[key] = _line_move(self.patterns, kind, alpha)
         return self.moves[key]
+
+    @cached_property
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every root's pattern as (dst, sign) rows over n + 1 slots, in the
+        order of Phi, sign int8.  An unshifted weight and the sentinel slot n
+        map to n with sign 0, so composing two patterns is one indexing
+        step: d2[d1], s1 * s2[d1].  Built from ``patterns``, per copy."""
+        phi, n = self.wm.case.phi, self.wm.dim
+        dst = np.full((len(phi), n + 1), n, dtype=np.intp)
+        sign = np.zeros((len(phi), n + 1), dtype=np.int8)
+        for k, root in enumerate(phi):
+            srcs, dsts, signs = self.patterns[root]
+            dst[k, srcs], sign[k, srcs] = dsts, signs
+        return dst, sign
 
     @cached_property
     def adjoint(self) -> tuple[np.ndarray, np.ndarray]:
@@ -416,12 +430,10 @@ class Representation:
 
     def sign(self, lam: Weight, alpha: Root) -> int:
         """The structure constant of x_alpha on the lam basis vector."""
-        srcs, _, signs = self.pattern(alpha)
-        i = self.wm.idx(lam)
-        k = int(np.searchsorted(srcs, i))
-        if k == len(srcs) or srcs[k] != i:
+        c = int(self.tables.dense[1][self.case.idx(alpha), self.wm.idx(lam)])
+        if not c:
             raise DomainError(f"root {alpha} does not shift the weight {lam}")
-        return int(signs[k])
+        return c
 
     def pattern(self, alpha: Root):
         try:

@@ -13,7 +13,6 @@ from chevalley.forms import (
     find_square,
     pi_form_vanishes_on_samples,
     square_equation,
-    x_int_matrix,
 )
 from chevalley.matrices import RVec
 from chevalley.rep import RepTables, get_representation, rep_tables
@@ -32,6 +31,22 @@ def test_bilinear_signs_exist_and_are_invariant(tag, l):
     assert eps[wm.lam0] == 1
     assert set(eps.values()) <= {1, -1}
     assert bilinear_invariance_holds(wm)
+
+
+def test_bilinear_invariance_fails_for_a_flipped_sign(monkeypatch):
+    """One weight's sign flipped breaks every constraint through it, and the
+    pushed form shows it."""
+    wm = default_module("c")
+    eps = dict(bilinear_form_signs(wm))
+    lam = wm.weights[5]
+    eps[lam] = -eps[lam]
+    monkeypatch.setattr(forms, "bilinear_form_signs", lambda _: eps)
+    assert not bilinear_invariance_holds(wm)
+
+
+def test_bilinear_invariance_holds_at_a10():
+    """n = 512: 180 pushes of H, with no matrix product."""
+    assert bilinear_invariance_holds(default_module("a", 10))
 
 
 def test_bilinear_pairs_opposite_weights_only():
@@ -148,15 +163,6 @@ def test_dual_transport():
         assert dual.evaluate(g.row(wm.lam0), ring).is_zero()
 
 
-def test_x_int_matrix_matches_pattern():
-    wm = default_module("b")
-    alpha = wm.case.delta[3]
-    m = x_int_matrix(wm, alpha, 2)
-    assert m.dtype == np.int64
-    assert np.array_equal(np.diagonal(m), np.ones(wm.dim, dtype=np.int64))
-    assert np.abs(m - np.eye(wm.dim, dtype=np.int64)).max() == 2
-
-
 # -- references for the array-built tables ----------------------------------------
 
 
@@ -205,8 +211,11 @@ def test_pi_form_matches_the_matrix_push(tag, l):
     for i, j, c in start.coeffs:
         s[i, j] = s[j, i] = c
     path = _canonical_shortest_path(wm, mu1, wm.minus(wm.lam0))
+    patterns = rep_tables(wm).patterns
     for lam, mu in zip(path, path[1:]):
-        x = x_int_matrix(wm, wm.root_between(lam, mu))
+        srcs, dsts, signs = patterns[wm.root_between(lam, mu)]
+        x = np.eye(wm.dim, dtype=np.int64)
+        x[dsts, srcs] += signs
         s = x.T @ s @ x
     want = tuple((i, j, int(s[i, j])) for i in range(wm.dim) for j in range(i + 1, wm.dim) if s[i, j])
     assert build_pi_form(wm).coeffs == want
@@ -276,9 +285,8 @@ def cold_tables():
 
 def test_cold_tables_use_neither_shift_nor_integer_matrices(cold_tables, monkeypatch):
     """The cold weight module, bilinear signs and pi-form read the shift
-    table and the pattern arrays: no per-weight ``shift`` and no matrix of a
-    root element."""
-    calls = {"shift": 0, "x_int_matrix": 0}
+    table and the pattern arrays: no per-weight ``shift``."""
+    calls = {"shift": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -288,13 +296,12 @@ def test_cold_tables_use_neither_shift_nor_integer_matrices(cold_tables, monkeyp
         return wrapper
 
     monkeypatch.setattr(WeightModule, "shift", counted("shift", WeightModule.shift))
-    monkeypatch.setattr(forms, "x_int_matrix", counted("x_int_matrix", forms.x_int_matrix))
     wm = build_weights(build_case("a", 6))
     assert rep_tables.cache_info().currsize == 0
     bilinear_form_signs(wm)
     build_pi_form(wm)
     assert rep_tables.cache_info().currsize == 1
-    assert calls == {"shift": 0, "x_int_matrix": 0}
+    assert calls == {"shift": 0}
 
 
 @pytest.mark.parametrize("damage", ["flip", "drop"])

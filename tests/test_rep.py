@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import operator
 
 import numpy as np
 import pytest
 
-from chevalley.analysis import SigmaPair, _word_in_level
+from chevalley.analysis import SigmaPair, _coord_positions, _pattern_table, _word_in_level, coords_row
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat, RVec, mat_col, mat_row
 from chevalley.rep import (
@@ -638,6 +639,78 @@ def test_sign_refuses_a_weight_the_root_does_not_shift():
         rep.sign(wm.lam0, (0,) * rep.case.l)
 
 
+# -- the dense pattern rows ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag,l", [("a", 6), ("b", None), ("c", None)])
+def test_dense_readers_match_the_pattern_arrays(tag, l):
+    """``sign``, both sides of ``_coord_positions`` and ``_pattern_table``
+    read ``RepTables.dense``; on every (root, weight) pair they agree with a
+    reference from the pattern arrays and ``shift``, and a root that does
+    not shift the weight raises ``DomainError``."""
+    wm = default_module(tag, l)
+    rep = get_representation(wm, RingSpec.zmod(4))
+    phi = wm.case.phi
+    sign_at = {}
+    for alpha in phi:
+        srcs, dsts, signs = rep.pattern(alpha)
+        sign_at[alpha] = dict(zip(srcs.tolist(), signs.tolist()))
+    unshifted = None
+    for lam in wm.weights:
+        i = wm.idx(lam)
+        col, row = [], []
+        for beta in phi:
+            mu = wm.shift(lam, beta)
+            if mu is None:
+                unshifted = (lam, beta)
+                with pytest.raises(DomainError):
+                    rep.sign(lam, beta)
+            else:
+                assert rep.sign(lam, beta) == sign_at[beta][i]
+                col.append((beta, wm.idx(mu), sign_at[beta][i]))
+            nu = wm.shift(lam, tuple(-x for x in beta))
+            if nu is not None:
+                row.append((beta, wm.idx(nu), sign_at[beta][wm.idx(nu)]))
+        for on_row, want in ((False, col), (True, row)):
+            roots, positions, signs = zip(*want)
+            got = _coord_positions(rep, lam, roots, on_row)
+            assert got[0].tolist() == list(positions) and got[1].tolist() == list(signs)
+    lam, beta = unshifted
+    with pytest.raises(DomainError):
+        _coord_positions(rep, lam, (beta,), False)
+    lam = next(lam for lam in wm.weights if wm.shift(lam, tuple(-x for x in beta)) is None)
+    with pytest.raises(DomainError):
+        coords_row(rep.identity(), lam, (beta,))
+    patterns = [rep.pattern(alpha) for alpha in phi]
+    owner = np.repeat(np.arange(len(phi)), [len(p[0]) for p in patterns])
+    want = [np.concatenate(parts) for parts in zip(*patterns)] + [owner]
+    for got, ref in zip(_pattern_table(rep, phi), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_a_replaced_copy_of_the_tables_keeps_its_own_moves_and_rows():
+    """A ``dataclasses.replace`` copy with the signs of alpha and -alpha
+    flipped (still a signed transpose pair) builds its move and its dense
+    rows from its own patterns, and the real x_alpha(1) still follows the
+    real pattern."""
+    wm = default_module("b")
+    tables = rep_tables(wm)
+    alpha = wm.case.max_root
+    flipped = {}
+    for root in (alpha, tuple(-x for x in alpha)):
+        srcs, dsts, signs = tables.patterns[root]
+        flipped[root] = (srcs, dsts, -signs)
+    copy = dataclasses.replace(tables, patterns={**tables.patterns, **flipped})
+    assert np.array_equal(copy.move("x", alpha).signs, flipped[alpha][2])
+    k = wm.case.idx(alpha)
+    assert np.array_equal(copy.dense[1][k], -tables.dense[1][k])
+    srcs, dsts, signs = tables.patterns[alpha]
+    want = np.eye(wm.dim, dtype=np.int64)
+    want[dsts, srcs] += signs
+    g = get_representation(wm, RingSpec.zmod(4)).x(alpha, 1)
+    assert np.array_equal(g.mat.blocks[0][0], want % 4)
+
+
 def _mixed_atom_sampler(rep, rng):
     ring = rep.ring
     phi = sorted(rep.case.phi)
@@ -786,11 +859,9 @@ def test_root_patterns_square_to_zero_and_commute_by_pairing(tag, l):
     """The facts that joined chains are reduced by, read from the module's
     own root patterns: X_alpha^2 = 0 for every root, and for alpha != beta,
     X_alpha X_beta = X_beta X_alpha exactly when (alpha, beta) is 0 or 1."""
-    from chevalley.checks import _dense_patterns
-
     wm = default_module(tag, l)
     case = wm.case
-    dst, sign = _dense_patterns(rep_tables(wm), case.phi)
+    dst, sign = rep_tables(wm).dense
     assert not (sign * np.take_along_axis(sign, dst, axis=1)).any()
     for i in range(len(case.phi)):
         ab_dst, ab_sign = dst[i][dst], sign * sign[i][dst]  # X_alpha X_beta, every beta
