@@ -262,11 +262,12 @@ def _identity_mat(rep: Representation):
 
 
 @lru_cache(maxsize=None)
-def _radical_frozen_mask(wm):
+def _radical_frozen_mask(wm, side: int):
     """The flat indices where a radical part must agree with the identity:
-    everything except the strictly upper component blocks."""
+    everything except the strictly upper component blocks (side +1) or the
+    strictly lower ones (side -1)."""
     comp = np.array([wm.component_of(w) for w in wm.weights])
-    return np.flatnonzero(comp[:, None] >= comp[None, :])
+    return np.flatnonzero(side * (comp[None, :] - comp[:, None]) <= 0)
 
 
 def _block_diagonal_part(g: GroupElement) -> GroupElement:
@@ -297,56 +298,45 @@ def _levi_part(g: GroupElement) -> GroupElement:
         raise DomainError(f"diagonal block is not invertible: {exc}") from exc
 
 
-def _split_at_top(split, g: GroupElement, lam: Weight) -> tuple[GroupElement, GroupElement]:
-    """A split at the lam line: carried to the top weight by the monomial
-    element of the simple word from lam to the top, and back."""
-    rep = g.rep
-    word = rep.wm.simple_word_to_top(lam)
-    w = rep.element_from_word(tuple(("w", rep.case.simple_roots[i], rep.ring.one) for i in word))
-    winv = w.inverse()
-    return tuple(part.conjugate(winv) for part in split(g.conjugate(w), None))
-
-
-def levi_unipotent_split(g: GroupElement, lam: Weight | None = None) -> tuple[GroupElement, GroupElement]:
-    """Factor a parabolic member as (unipotent radical part, Levi part).
-
-    At the top weight the Levi part is the block-diagonal restriction; at any
-    other weight the situation is carried to the top by a monomial element and
-    back.
-    """
+def _levi_split(g: GroupElement, lam: Weight | None, side: int) -> tuple[GroupElement, GroupElement]:
+    """(radical part, Levi part) of a member of the parabolic at lam
+    (side +1) or of its opposite (side -1).  At the top weight the Levi part
+    is the block-diagonal restriction, and the radical part must be
+    unitriangular across components on its side (``DomainError``); at any
+    other weight the split is carried to the top by the monomial element of
+    the simple word from lam to the top, and back."""
     rep = g.rep
     wm = rep.wm
     lam = wm.lam0 if lam is None else lam
-    if not in_parabolic(g, lam):
-        raise DomainError("element is not in the parabolic at the given weight")
-    if lam == wm.lam0:
-        levi = _levi_part(g)
-        u = g * levi.inverse()
-        # the radical part only maps toward lower component indices, with
-        # identity diagonal blocks
-        if (u.mat - _identity_mat(rep)).nonzero_at(_radical_frozen_mask(wm)):
-            raise DomainError("parabolic split is not unitriangular across components")
-        if not (u * levi) == g:
-            raise InternalConsistencyError("parabolic split does not multiply back")
-        return u, levi
-    return _split_at_top(levi_unipotent_split, g, lam)
+    member, name = (in_parabolic, "parabolic") if side > 0 else (in_opposite_parabolic, "opposite parabolic")
+    if not member(g, lam):
+        raise DomainError(f"element is not in the {name} at the given weight")
+    if lam != wm.lam0:
+        word = wm.simple_word_to_top(lam)
+        w = rep.element_from_word(tuple(("w", rep.case.simple_roots[i], rep.ring.one) for i in word))
+        winv = w.inverse()
+        return tuple(part.conjugate(winv) for part in _levi_split(g.conjugate(w), None, side))
+    levi = _levi_part(g)
+    u = g * levi.inverse()
+    split = "parabolic split" if side > 0 else "opposite split"
+    if (u.mat - _identity_mat(rep)).nonzero_at(_radical_frozen_mask(wm, side)):
+        raise DomainError(f"{split} is not unitriangular across components")
+    if not (u * levi) == g:
+        raise InternalConsistencyError(f"{split} does not multiply back")
+    return u, levi
+
+
+def levi_unipotent_split(g: GroupElement, lam: Weight | None = None) -> tuple[GroupElement, GroupElement]:
+    """Factor a parabolic member as (unipotent radical part, Levi part); the
+    radical part maps only toward lower component indices (``_levi_split``)."""
+    return _levi_split(g, lam, 1)
 
 
 def opposite_levi_split(g: GroupElement, lam: Weight | None = None) -> tuple[GroupElement, GroupElement]:
     """Factor a member of the opposite parabolic as (opposite unipotent part,
-    Levi part)."""
-    rep = g.rep
-    wm = rep.wm
-    lam = wm.lam0 if lam is None else lam
-    if not in_opposite_parabolic(g, lam):
-        raise DomainError("element is not in the opposite parabolic at the given weight")
-    if lam == wm.lam0:
-        levi = _levi_part(g)
-        v = g * levi.inverse()
-        if not (v * levi) == g:
-            raise InternalConsistencyError("opposite split does not multiply back")
-        return v, levi
-    return _split_at_top(opposite_levi_split, g, lam)
+    Levi part); the unipotent part maps only toward higher component
+    indices (``_levi_split``)."""
+    return _levi_split(g, lam, -1)
 
 
 @lru_cache(maxsize=None)
@@ -825,7 +815,8 @@ def extract_from_nilpotent(g: GroupElement, b: Ideal) -> NilpotentStep:
 
     # the conjugating root element scales the relevant inverse column
     col = g.inverse().column(lam1)
-    moved = rep.act(_atom(rep, atom), col)
+    moved = col.copy()
+    moved.apply_x_left(rep.tables.move("x", alpha), rep.ring.one)
     scale = g.inv_entry(nu, lam1)
     entries = [(moved.entry(i), col.entry(i)) for i in range(wm.dim)]
     if not any(all(m == c * (rep.ring.one + s) for m, c in entries) for s in (scale, -scale)):

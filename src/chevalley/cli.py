@@ -67,11 +67,23 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        try:
+    """The JSON value in a UTF-8 file; a file that cannot be read, or that
+    is not UTF-8 JSON, raises ``DomainError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DomainError(f"{path} is not valid JSON: {exc}") from None
+
+
+def non_negative_int(text: str) -> int:
+    """A non-negative integer option, as ``int`` but refusing a negative."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
 
 
 def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
@@ -383,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         if sigma:
             p.add_argument("--sigma", default=None, help="level like '(2),(0)'")
         if budget:
-            p.add_argument("--budget", type=int, default=2000)
+            p.add_argument("--budget", type=non_negative_int, default=2000)
         if samples:
-            p.add_argument("--samples", type=int, default=100)
+            p.add_argument("--samples", type=non_negative_int, default=100)
 
     p = sub.add_parser("info", help="root and weight counts for a case")
     common(p)
@@ -441,7 +453,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, NonUnitError, UnsupportedCaseError, FileNotFoundError) as exc:
+    except (DomainError, NonUnitError, UnsupportedCaseError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

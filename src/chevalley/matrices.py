@@ -476,13 +476,6 @@ class RMat(_Blocks):
             x = x + x * (e - self * x)
         return x
 
-    def mul_vec(self, v: "RVec") -> "RVec":
-        if self.spec != v.spec:
-            raise DomainError("matrix and vector over different rings")
-        pairs = zip(self.spec.factors, self.blocks, v.blocks)
-        blocks = [_convolve(a, b, f.layout, _float_ok(f.layout, self.n)) for f, a, b in pairs]
-        return RVec(self.spec, self.n, blocks)
-
     # -- serialization ------------------------------------------------------------------
 
     def to_json(self) -> list:

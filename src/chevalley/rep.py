@@ -7,8 +7,9 @@ A root element acts on the weight basis as
 with structure constants c in {+1, -1}.  A crystal basis is chosen: c = +1 for
 every simple root and its negative.  The pattern of a non-simple root is the
 conjugate of a simple pattern by a monomial Weyl matrix, one simple reflection
-at a time; this pins one concrete sign table whose correctness is checked by
-the relation suite rather than against any published table.
+at a time, each read off the simple root's w move (``weyl_monomial``); this
+pins one concrete sign table whose correctness is checked by the relation
+suite rather than against any published table.
 
 A word's atoms are its factors (kind, root, value): x_alpha(v), the Weyl
 element w_alpha(v) = x_alpha(v) x_-alpha(-v^-1) x_alpha(v) and the torus
@@ -141,22 +142,22 @@ def _line_move(patterns: dict, kind: str, alpha: Root) -> LineMove:
 
 
 def weyl_monomial(patterns: dict, n: int, alpha: Root) -> tuple[np.ndarray, np.ndarray]:
-    """w_alpha(1) = x_alpha(1) x_(-alpha)(-1) x_alpha(1) from the pattern
-    arrays, as (perm, signs): column j holds signs[j] in row perm[j].
+    """w_alpha(1) = x_alpha(1) x_(-alpha)(-1) x_alpha(1) as (perm, signs),
+    read off the w move (``_line_move``): column j holds signs[j] in row
+    perm[j].
 
-    Each factor is one vectorised row update that reads every source row
-    before it writes a target row, so it is the product with that factor for
-    any pattern, even one whose targets repeat.
+    On each (source, target) pair of alpha's pattern the three factors act
+    as a 2 x 2 block, monomial exactly when c c' = 1, which the move build
+    checks.  The blocks are independent, so the product is the move, when no
+    line is in two pairs, checked here.  Either check raises
+    ``InternalConsistencyError``.
     """
-    mat = np.eye(n, dtype=np.int64)
-    for root, v in ((alpha, 1), (tuple(-x for x in alpha), -1), (alpha, 1)):
-        srcs, dsts, signs = patterns[root]
-        np.add.at(mat, dsts, (v * signs)[:, None] * mat[srcs])
-    perm = np.argmax(mat != 0, axis=0)
-    sgn = mat[perm, np.arange(n)]
-    if (np.count_nonzero(mat, axis=0) != 1).any() or (np.abs(sgn) != 1).any():
+    move = _line_move(patterns, "w", alpha)
+    if np.bincount(move.sources, minlength=n).max() > 1:
         raise InternalConsistencyError(f"Weyl element of {alpha} is not monomial")
-    return perm, sgn.astype(np.int8)
+    perm, sgn = np.arange(n), np.ones(n, dtype=np.int8)
+    perm[move.sources], sgn[move.sources] = move.targets, move.signs + move.inv_signs
+    return perm, sgn
 
 
 @lru_cache(maxsize=None)
@@ -535,11 +536,6 @@ class Representation:
         """H^-1 mat^T H for the invariant form H, in one gather: the inverse
         of every matrix that preserves the form (second-type cases only)."""
         return signed_gather(mat, *self.tables.adjoint)
-
-    # -- vectors --------------------------------------------------------------------
-
-    def act(self, g: GroupElement, v: RVec) -> RVec:
-        return g.mat.mul_vec(v)
 
     # -- reduction --------------------------------------------------------------------
 

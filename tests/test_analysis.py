@@ -42,8 +42,7 @@ from chevalley.weights import sigma_split
 
 
 def stabilizes_column(x: GroupElement, g: GroupElement, lam1) -> bool:
-    col = g.column(lam1)
-    return x.rep.act(x, col) == col
+    return (x * g).column(lam1) == g.column(lam1)
 
 
 def ring_commutator_identity_holds(x: GroupElement, g: GroupElement) -> bool:
@@ -348,6 +347,28 @@ def test_both_levi_splits_refuse_singular_diagonal_blocks(monkeypatch, rep_b_z4)
     for split in (levi_unipotent_split, opposite_levi_split):
         with pytest.raises(InternalConsistencyError, match="planted"):
             split(g)
+
+
+def test_both_levi_splits_refuse_a_part_off_their_side(rep_b_z4):
+    """The identity with one entry 1 between components 1 and 2 lies in
+    both parabolics and its diagonal blocks are the identity, so its
+    radical part is itself: unitriangular on one side only.  Each split
+    refuses the element whose entry is on the other side."""
+    rep = rep_b_z4
+    ring, wm = rep.ring, rep.wm
+    i, j = wm.idx(wm.components[1][0]), wm.idx(wm.components[2][0])
+    for (row, col), split, other in (
+        ((i, j), opposite_levi_split, levi_unipotent_split),
+        ((j, i), levi_unipotent_split, opposite_levi_split),
+    ):
+        mat = RMat.identity(ring, rep.n)
+        mat.set_entry(row, col, ring.one)
+        g = rep.from_matrix(mat)
+        assert in_parabolic(g) and in_opposite_parabolic(g)
+        with pytest.raises(DomainError, match="not unitriangular across components"):
+            split(g)
+        u, levi = other(g)
+        assert u == g and levi.is_identity()
 
 
 def test_levi_split_at_lower_weight(rep_b_z4):
@@ -1285,7 +1306,8 @@ def test_flat_index_helpers_match_their_definitions(tag, l):
     far = [(i, j) for i, j in cells if wm.distance(wm.weights[i], wm.weights[j]) >= 2]
     assert analysis._distance_mask(wm).tolist() == _flat(n, far)
     assert _cross_component_mask(wm).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] != comp[j]])
-    assert analysis._radical_frozen_mask(wm).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] >= comp[j]])
+    assert analysis._radical_frozen_mask(wm, 1).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] >= comp[j]])
+    assert analysis._radical_frozen_mask(wm, -1).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] <= comp[j]])
     for lam in (wm.lam0, wm.weights[n // 2]):
         j = wm.idx(lam)
         others, column, row = analysis._off_indices(wm, lam)
@@ -1318,7 +1340,7 @@ def test_predicates_through_the_flat_indices_match_an_entrywise_reference(tag, r
     values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 2, 3)]
     ideals = [Ideal.zero(ring), Ideal.unit(ring)] + [Ideal.from_elems(ring, [v]) for v in values]
     index, ref, _ = analysis._root_difference_positions(rep)
-    masks = [analysis._distance_mask(wm), _cross_component_mask(wm), analysis._radical_frozen_mask(wm)]
+    masks = [analysis._distance_mask(wm), _cross_component_mask(wm), analysis._radical_frozen_mask(wm, 1)]
     masks += analysis._off_indices(wm, wm.lam0)[1:] + (index,)
     rng = SplitMix64(97)
     seen = set()

@@ -254,6 +254,37 @@ def test_malformed_matrix_file_is_a_usage_error(capsys, tmp_path):
     assert main(["decompose", "--in", str(path)]) == 2
 
 
+def test_unreadable_input_files_are_usage_errors(capsys, tmp_path):
+    """A directory, or a file that is not UTF-8, given as --extra, --config
+    or --in, and --out into a directory, exit 2 without a traceback."""
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'["\xe9"]')
+    level = ["level", "--case", "b", "--ring", "z4", "--target", "(2),(0)"]
+    for argv in (
+        level + ["--extra", str(tmp_path)],
+        level + ["--extra", str(latin)],
+        level + ["--config", str(latin)],
+        ["decompose", "--in", str(latin)],
+        ["info", "--case", "b", "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("usage error"), argv
+
+
+def test_negative_counts_are_usage_errors(capsys, tmp_path):
+    normcheck = ["normcheck", "--case", "b", "--ring", "z4", "--sigma", "(0),(0)"]
+    level = ["level", "--case", "b", "--ring", "z4", "--target", "(2),(0)"]
+    for argv in (normcheck + ["--samples", "-5"], level + ["--budget", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    for argv, data in ((normcheck, {"samples": -5}), (level, {"budget": -1})):
+        cfg.write_text(json.dumps(data))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "invalid value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "factor", [{"kind": "zmod", "p": 2.5, "k": 2.9}, {"kind": "zmod", "p": "3", "k": True}, {"kind": "poly", "p": 2, "k": 2.0}]
 )

@@ -119,9 +119,6 @@ def test_kernels_match_the_entrywise_reference(name):
         assert _entries(ma + mb) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
         assert _entries(ma - mb) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
         assert _entries(ma.transpose()) == [list(col) for col in zip(*a)]
-        v = [row[0] for row in _random_entries(spec, rng, N, 1)]
-        got = ma.mul_vec(_to_vec(spec, v))
-        assert [got.entry(i) for i in range(N)] == [row[0] for row in _ref_mul(spec, a, [[x] for x in v])]
 
         pattern = _random_pattern(rng, N)
         xi = pool[rng.randrange(len(pool))]
@@ -445,8 +442,6 @@ def test_largest_modulus_below_the_bound_is_exact():
     exact = g.mat.blocks[0][0].astype(object)
     square = (g.mat * g.mat).blocks[0][0]
     assert np.array_equal(square, (exact @ exact) % p)
-    column = g.mat.mul_vec(mat_col(g.mat, 3)).blocks[0][0]
-    assert np.array_equal(column, (exact @ exact[:, 3]) % p)
 
 
 # -- reductions by bit mask and the float64 product ----------------------------------

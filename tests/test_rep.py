@@ -7,7 +7,7 @@ import pytest
 
 from chevalley.analysis import SigmaPair, _coord_positions, _pattern_table, _word_in_level, coords_row
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
-from chevalley.matrices import RMat, RVec, mat_col, mat_row
+from chevalley.matrices import RMat, mat_col, mat_row
 from chevalley.rep import (
     GroupElement,
     get_representation,
@@ -15,6 +15,7 @@ from chevalley.rep import (
     rep_tables,
     representation,
     sample_word_rng,
+    weyl_monomial,
 )
 from chevalley.rings import Ideal, RingElem, RingSpec, named_ring
 from chevalley.rng import SplitMix64
@@ -77,6 +78,67 @@ def test_weyl_element_is_monomial_and_torus_diagonal():
         expected = {1: eps, 0: ring.one, -1: eps.inv()}[pairing_wr(lam, alpha)]
         assert h.mat.entry(i, i) == expected
         assert all(h.mat.is_zero_at(i, j) for j in range(wm.dim) if j != i)
+
+
+def _dense_weyl_monomial(patterns, n, alpha):
+    """w_alpha(1) as three dense row updates of the identity, each reading
+    every source row before it writes a target row, so it is the product
+    with that factor even when targets repeat; (perm, signs) as
+    ``weyl_monomial``, None when the product is not monomial."""
+    mat = np.eye(n, dtype=np.int64)
+    for root, v in ((alpha, 1), (tuple(-x for x in alpha), -1), (alpha, 1)):
+        srcs, dsts, signs = patterns[root]
+        np.add.at(mat, dsts, (v * signs)[:, None] * mat[srcs])
+    perm = np.argmax(mat != 0, axis=0)
+    sgn = mat[perm, np.arange(n)]
+    if (np.count_nonzero(mat, axis=0) != 1).any() or (np.abs(sgn) != 1).any():
+        return None
+    return perm, sgn
+
+
+@pytest.mark.parametrize("tag,l", [("a", l) for l in range(5, 11)] + [("b", None), ("c", None)])
+def test_weyl_monomials_match_the_dense_product(tag, l):
+    wm = default_module(tag, l)
+    patterns = rep_tables(wm).patterns
+    for alpha in wm.case.phi:
+        perm, sgn = weyl_monomial(patterns, wm.dim, alpha)
+        want_perm, want_sgn = _dense_weyl_monomial(patterns, wm.dim, alpha)
+        assert np.array_equal(perm, want_perm) and np.array_equal(sgn, want_sgn), alpha
+        assert sgn.dtype == np.int8
+
+
+def _target_twice(srcs, dsts):
+    dsts[1] = dsts[0]
+
+
+def _target_in_sources(srcs, dsts):
+    dsts[0] = srcs[-1]
+
+
+def _target_is_its_source(srcs, dsts):
+    # perm is still a permutation here: only the line in two pairs shows it
+    dsts[0] = srcs[0]
+
+
+@pytest.mark.parametrize("edit", [_target_twice, _target_in_sources, _target_is_its_source])
+def test_a_pattern_whose_lines_overlap_has_no_weyl_monomial(edit):
+    """A pattern of alpha edited so that a line is in two of its pairs,
+    with the pattern of -alpha edited to stay its signed transpose: the
+    w move builds, but w_alpha(1) is not monomial, so ``weyl_monomial``
+    raises as the dense product refuses."""
+    from chevalley.errors import InternalConsistencyError
+
+    wm = default_module("b", None)
+    patterns = dict(rep_tables(wm).patterns)
+    alpha = wm.case.simple_roots[0]
+    srcs, dsts, signs = (a.copy() for a in patterns[alpha])
+    edit(srcs, dsts)
+    order = np.argsort(dsts)
+    patterns[alpha] = srcs, dsts, signs
+    patterns[tuple(-x for x in alpha)] = dsts[order], srcs[order], signs[order]
+    assert _dense_weyl_monomial(patterns, wm.dim, alpha) is None
+    with pytest.raises(InternalConsistencyError, match="not monomial"):
+        weyl_monomial(patterns, wm.dim, alpha)
 
 
 def test_weyl_needs_unit():
@@ -187,9 +249,10 @@ def test_vector_and_covector_actions():
     rng = SplitMix64(31)
     atoms = [("x", a, v) for a in rep.case.phi for v in ring.elements() if not v.is_zero()]
     g = sample_word_rng(rep, atoms, 5, rng)
-    v = RVec.basis(ring, rep.n, wm.idx(wm.lam0))
-    assert rep.act(g, v) == g.column(wm.lam0)
-    assert g.mat.transpose().mul_vec(v) == g.row(wm.lam0)
+    # the unread word moves basis vectors; its matrix, read after, agrees
+    column, row = g.column(wm.lam0), g.row(wm.lam0)
+    i = wm.idx(wm.lam0)
+    assert column == mat_col(g.mat, i) and row == mat_row(g.mat, i)
 
 
 def test_matrix_only_elements_get_exact_inverses():
