@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExhausted, DomainError, InternalConsistencyError, NonUnitError, UnsupportedCaseError
-from .matrices import RMat, checked_inverse, mat_col, mat_row, pattern_images, signed_entries
+from .matrices import LineMove, RMat, checked_inverse, mat_col, mat_row, pattern_images, signed_entries
 from .rep import (
     Atom,
     GroupElement,
@@ -38,6 +38,8 @@ from .rep import (
     _cross_component_mask,
     get_representation,
     is_component_blocked,
+    rep_tables,
+    weyl_monomial,
 )
 from .rings import Ideal, RingElem, RingSpec
 from .roots import Root, height
@@ -262,22 +264,29 @@ def _identity_mat(rep: Representation):
 
 
 @lru_cache(maxsize=None)
-def _radical_frozen_mask(wm, side: int):
-    """The flat indices where a radical part must agree with the identity:
-    everything except the strictly upper component blocks (side +1) or the
-    strictly lower ones (side -1)."""
-    comp = np.array([wm.component_of(w) for w in wm.weights])
-    return np.flatnonzero(side * (comp[None, :] - comp[:, None]) <= 0)
+def _levi_masks(wm, lam: Weight, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the entries between components, and of those
+    where a radical part must agree with the identity (all but the strictly
+    upper blocks for side +1, the strictly lower ones for -1), with weight
+    mu graded into component comp(pi(mu)): pi is the permutation of the
+    monomial w_(i_1)(1) ... w_(i_m)(1) of lam's simple word to the top
+    (``weyl_monomial``), which maps the parabolic at lam onto the top one."""
+    pi = np.arange(wm.dim)
+    for i in reversed(wm.simple_word_to_top(lam)):
+        pi = weyl_monomial(rep_tables(wm).patterns, wm.dim, wm.case.simple_roots[i])[0][pi]
+    comp = np.array([wm.component_of(w) for w in wm.weights])[pi]
+    return np.flatnonzero(comp[:, None] != comp[None, :]), np.flatnonzero(side * (comp[None, :] - comp[:, None]) <= 0)
 
 
-def _block_diagonal_part(g: GroupElement) -> GroupElement:
-    """The diagonal component blocks L of g, with their inverse.  For
-    g = u L with u block-unitriangular, g^-1 = L^-1 u^-1 has the diagonal
-    blocks L^-1, so those of g^-1 are taken when they invert L; otherwise L
-    is inverted by elimination, which is the invertibility check
-    (``checked_inverse``).  Over the integers, where elimination is refused,
-    this lets a word split."""
-    cross = _cross_component_mask(g.rep.wm)
+def _block_diagonal_part(g: GroupElement, cross: np.ndarray | None = None) -> GroupElement:
+    """The diagonal component blocks L of g, with their inverse, for the
+    flat indices ``cross`` between components (default: those at the top
+    weight).  For g = u L with u block-unitriangular, g^-1 = L^-1 u^-1 has
+    the diagonal blocks L^-1, so those of g^-1 are taken when they invert
+    L; otherwise L is inverted by elimination, which is the invertibility
+    check (``checked_inverse``).  Over the integers, where elimination is
+    refused, this lets a word split."""
+    cross = _cross_component_mask(g.rep.wm) if cross is None else cross
 
     def diagonal(m: RMat) -> RMat:
         out = m.copy()
@@ -289,37 +298,27 @@ def _block_diagonal_part(g: GroupElement) -> GroupElement:
     return GroupElement(g.rep, mat, checked_inverse(mat, diagonal(g.inv_mat)))
 
 
-def _levi_part(g: GroupElement) -> GroupElement:
-    """``_block_diagonal_part``, with a block that is singular, or that
-    elimination refuses over Z, reported as ``DomainError``."""
-    try:
-        return _block_diagonal_part(g)
-    except (NonUnitError, UnsupportedCaseError) as exc:
-        raise DomainError(f"diagonal block is not invertible: {exc}") from exc
-
-
 def _levi_split(g: GroupElement, lam: Weight | None, side: int) -> tuple[GroupElement, GroupElement]:
     """(radical part, Levi part) of a member of the parabolic at lam
-    (side +1) or of its opposite (side -1).  At the top weight the Levi part
-    is the block-diagonal restriction, and the radical part must be
-    unitriangular across components on its side (``DomainError``); at any
-    other weight the split is carried to the top by the monomial element of
-    the simple word from lam to the top, and back."""
+    (side +1) or of its opposite (side -1), with the components graded at
+    lam (``_levi_masks``): the Levi part is the block-diagonal restriction
+    (``DomainError`` for a singular block), and the radical part must be
+    unitriangular across components on its side (``DomainError``) and
+    multiply back (``InternalConsistencyError``)."""
     rep = g.rep
     wm = rep.wm
     lam = wm.lam0 if lam is None else lam
     member, name = (in_parabolic, "parabolic") if side > 0 else (in_opposite_parabolic, "opposite parabolic")
     if not member(g, lam):
         raise DomainError(f"element is not in the {name} at the given weight")
-    if lam != wm.lam0:
-        word = wm.simple_word_to_top(lam)
-        w = rep.element_from_word(tuple(("w", rep.case.simple_roots[i], rep.ring.one) for i in word))
-        winv = w.inverse()
-        return tuple(part.conjugate(winv) for part in _levi_split(g.conjugate(w), None, side))
-    levi = _levi_part(g)
+    cross, frozen = _levi_masks(wm, lam, side)
+    try:
+        levi = _block_diagonal_part(g, cross)
+    except (NonUnitError, UnsupportedCaseError) as exc:  # a singular block, or elimination over Z
+        raise DomainError(f"diagonal block is not invertible: {exc}") from exc
     u = g * levi.inverse()
     split = "parabolic split" if side > 0 else "opposite split"
-    if (u.mat - _identity_mat(rep)).nonzero_at(_radical_frozen_mask(wm, side)):
+    if (u.mat - _identity_mat(rep)).nonzero_at(frozen):
         raise DomainError(f"{split} is not unitriangular across components")
     if not (u * levi) == g:
         raise InternalConsistencyError(f"{split} does not multiply back")
@@ -784,6 +783,12 @@ class NilpotentStep:
     trace: tuple[TraceOp, ...]
 
 
+@lru_cache(maxsize=None)
+def _scaling_move(n: int) -> LineMove:
+    """The line move that sets every line to v times itself."""
+    return LineMove(np.arange(n), np.arange(n), np.ones(n, dtype=np.int8), add=False)
+
+
 def extract_from_nilpotent(g: GroupElement, b: Ideal) -> NilpotentStep:
     """Turn a congruence-subgroup member outside the opposite parabolic into a
     weight-line stabilizer outside it, ready for the stabilizer extraction."""
@@ -818,8 +823,12 @@ def extract_from_nilpotent(g: GroupElement, b: Ideal) -> NilpotentStep:
     moved = col.copy()
     moved.apply_x_left(rep.tables.move("x", alpha), rep.ring.one)
     scale = g.inv_entry(nu, lam1)
-    entries = [(moved.entry(i), col.entry(i)) for i in range(wm.dim)]
-    if not any(all(m == c * (rep.ring.one + s) for m, c in entries) for s in (scale, -scale)):
+    for s in (scale, -scale):
+        scaled = col.copy()
+        scaled.apply_x_left(_scaling_move(wm.dim), rep.ring.one + s)
+        if scaled == moved:
+            break
+    else:
         raise InternalConsistencyError("line stabilization identity fails")
 
     if not in_parabolic(h, lam1):

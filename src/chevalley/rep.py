@@ -27,7 +27,8 @@ the word of the joined chain (at most 32 factors), reduced by two relations
 of root elements (``_reduced``); an empty chain is the identity.  An unread
 chain against anything else moves the lines of a copy of the other matrix
 (the shorter of two unread chains moves); any other product multiplies the
-matrices.
+matrices.  A root element has X_alpha^2 = 0, so the inverse of a conjugate C
+of one is 2e - C (``GroupElement.conjugate``).
 
 A second-type module carries the invariant form H of
 ``forms.bilinear_form_signs``, so an element g that preserves it has
@@ -80,8 +81,9 @@ class RepTables:
 
         The w and h moves are the products x_alpha(v) x_-alpha(-v^-1)
         x_alpha(v) and w_alpha(v) w_alpha(-1) only when the pattern of -alpha
-        is the transpose of alpha's with c c' = 1 on every pair, so the build
-        checks that and raises ``InternalConsistencyError`` otherwise."""
+        is the transpose of alpha's with c c' = 1 on every pair, and the x
+        move needs no line twice in S and D (so X_alpha^2 = 0); the build
+        checks both and raises ``InternalConsistencyError`` otherwise."""
         key = (kind, alpha)
         if key not in self.moves:
             self.moves[key] = _line_move(self.patterns, kind, alpha)
@@ -129,6 +131,8 @@ def _line_move(patterns: dict, kind: str, alpha: Root) -> LineMove:
     ):
         raise InternalConsistencyError(f"the pattern of -{alpha} is not the signed transpose of {alpha}'s")
     if kind == "x":
+        if np.bincount(np.concatenate([srcs, dsts])).max() > 1:
+            raise InternalConsistencyError(f"the pattern of {alpha} moves a source line or one line twice")
         return LineMove(srcs, dsts, signs)
     lines = np.concatenate([srcs, dsts])  # S, then D
     zeros, ones = np.zeros_like(signs), np.ones_like(signs)
@@ -347,12 +351,20 @@ class GroupElement:
         return GroupElement(self.rep, self._inv, self._mat, chain=swapped, isometry=self._isometry)
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
-        """by * self * by^-1."""
-        return by * self * by.inverse()
+        """C = by * self * by^-1.  When self is one root element x_alpha(v),
+        X_alpha^2 = 0 on the minuscule module, so x_alpha(v)^-1 = 2e - x_alpha(v)
+        and C^-1 = 2e - C, read off C's matrix with no second product,
+        unless C is a joined chain or preserves the form, whose inverses
+        cost no product either."""
+        c, word = by * self * by.inverse(), self.word
+        if c._chain is not None or c._isometry or word is None or len(word) != 1 or word[0][0] != "x":
+            return c
+        return GroupElement(self.rep, c._mat, _Lazy(fn=lambda m: self.rep._two_e - m, args=(c._mat,)))
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
-        """self * other * self^-1 * other^-1."""
-        return self * other * self.inverse() * other.inverse()
+        """self * other * self^-1 * other^-1, as other.conjugate(self) *
+        other^-1, so the inverse rule of ``conjugate`` applies."""
+        return other.conjugate(self) * other.inverse()
 
     def __eq__(self, other) -> bool:
         """Equal matrices.  Two unread words compare as the one word
@@ -419,6 +431,11 @@ class Representation:
         # used twice (h in h a h^-1) is replayed once per use, so the chains
         # of repeated conjugations would double at every step without a cap.
         self._max_word_factors = 32
+
+    @cached_property
+    def _two_e(self) -> RMat:
+        """2e; shared, never mutate it."""
+        return RMat.identity(self.ring, self.n) + RMat.identity(self.ring, self.n)
 
     # -- scalars ---------------------------------------------------------------
 

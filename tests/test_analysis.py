@@ -340,7 +340,7 @@ def test_both_levi_splits_refuse_singular_diagonal_blocks(monkeypatch, rep_b_z4)
         with pytest.raises(DomainError, match="diagonal block is not invertible"):
             split(g)
 
-    def planted(g):
+    def planted(g, cross):
         raise InternalConsistencyError("planted")
 
     monkeypatch.setattr(analysis, "_block_diagonal_part", planted)
@@ -382,6 +382,112 @@ def test_levi_split_at_lower_weight(rep_b_z4):
     assert (u * l) == g
     assert in_parabolic(u, lam1)
     assert in_parabolic(l, lam1) and in_opposite_parabolic(l, lam1)
+
+
+def _to_top(rep, lam) -> GroupElement:
+    """The monomial element w_(i_1)(1) ... w_(i_m)(1) of the simple word from
+    lam to the top, which maps the parabolic at lam onto the one at the top."""
+    word = rep.wm.simple_word_to_top(lam)
+    return rep.element_from_word(tuple(("w", rep.case.simple_roots[i], rep.ring.one) for i in word))
+
+
+def _split_through_the_top(g, lam, side):
+    """The reference Levi split at lam: the split of w g w^-1 at the top
+    weight, each part conjugated back by w^-1 (w from ``_to_top``)."""
+    member, name = (in_parabolic, "parabolic") if side > 0 else (in_opposite_parabolic, "opposite parabolic")
+    if not member(g, lam):
+        raise DomainError(f"element is not in the {name} at the given weight")
+    w = _to_top(g.rep, lam)
+    split = levi_unipotent_split if side > 0 else opposite_levi_split
+    return tuple(part.conjugate(w.inverse()) for part in split(g.conjugate(w)))
+
+
+def _split_outcome(split, g, lam, side):
+    """The matrices and inverses of the parts, or the refusal's class and text."""
+    try:
+        parts = split(g, lam, side)
+    except (DomainError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+    return tuple((part.mat, part.inv_mat) for part in parts)
+
+
+def _read(g: GroupElement) -> GroupElement:
+    """A copy of g with its matrix and inverse read, and no chain."""
+    return GroupElement(g.rep, g.mat.copy(), g.inv_mat.copy())
+
+
+def _top_split_inputs(rep, rng):
+    """(side, element at the top, refused) triples: sampled members of the
+    parabolic (side +1) and its opposite (side -1), read or as words; the
+    other side's root element, not a member; the identity plus one entry
+    between components 1 and 2, which is a part off one side; and the
+    permutation that swaps those two weights, whose diagonal blocks are
+    singular."""
+    case, ring, wm, n = rep.case, rep.ring, rep.wm, rep.n
+    values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, 1, 3)]
+    units = ring.units() if ring.is_finite else [ring.el(-1), ring.one]
+    for side, orbit in ((1, case.omega_plus), (-1, case.omega_minus)):
+        atoms = [("x", a, v) for a in case.delta + orbit for v in values] + [("h", case.alpha1, u) for u in units]
+        g = sample_word_rng(rep, atoms, 5, rng)
+        yield side, g, False
+        yield side, _read(sample_word_rng(rep, atoms, 5, rng)), False
+        yield -side, rep.x(orbit[rng.randrange(len(orbit))], 1), True
+    i, j = wm.idx(wm.components[1][0]), wm.idx(wm.components[2][0])
+    for row, col in ((i, j), (j, i)):
+        mat, inv = RMat.identity(ring, n), RMat.identity(ring, n)
+        mat.set_entry(row, col, ring.one)
+        inv.set_entry(row, col, -ring.one)
+        for side in (1, -1):
+            yield side, GroupElement(rep, mat, inv), (side < 0) == (row == i)
+    order = list(range(n))
+    order[i], order[j] = j, i
+    perm = RMat.zeros(ring, n)
+    for row, col in enumerate(order):
+        perm.set_entry(row, col, ring.one)
+    for side in (1, -1):
+        yield side, GroupElement(rep, perm, perm.copy()), True
+
+
+@pytest.mark.parametrize("tag,l,ring_name", [("b", None, "z4"), ("b", None, "f2t2"), ("a", 7, "int"), ("c", None, "z4")])
+def test_graded_levi_split_matches_the_split_through_the_top(tag, l, ring_name):
+    """At every weight of the first component the split by the graded
+    masks agrees with the reference carried through the top weight, on the
+    matrices and inverses of both parts, for both sides, and refuses what
+    the reference refuses with the same error: elements built at the top
+    and moved to lam by w^-1."""
+    rep = representation(tag, l, named_ring(ring_name))
+    rng = SplitMix64(rep.n)
+    inputs = list(_top_split_inputs(rep, rng))
+    for lam in rep.wm.components[1]:
+        winv = _to_top(rep, lam).inverse()
+        for side, top, refused in inputs:
+            g = top.conjugate(winv)
+            got = _split_outcome(analysis._levi_split, g, lam, side)
+            assert got == _split_outcome(_split_through_the_top, g, lam, side), (lam, side)
+            assert (got[0] in (DomainError, InternalConsistencyError)) == refused, (lam, side, got)
+
+
+def test_a_split_below_the_top_costs_no_more_than_one_at_the_top(monkeypatch):
+    """The split at a weight of the first component reads its graded masks
+    and moves no line: it runs no more ``RMat`` products or line moves than
+    the split of the same element at the top."""
+    from chevalley import matrices
+
+    rep = representation("b", None, named_ring("z4"))
+    case, lam1 = rep.case, rep.wm.components[1][3]
+    top = rep.from_matrix(rep.element_from_word([("x", case.omega_plus[2], 3), ("x", case.delta[1], 2)]).mat)
+    below = _read(top.conjugate(_to_top(rep, lam1).inverse()))
+    costs = []
+    for g, lam in ((top, rep.wm.lam0), (below, lam1)):
+        analysis._levi_masks(rep.wm, lam, 1)
+        products, moves = _count_matrix_products(monkeypatch), []
+        lines = matrices._update_lines
+        monkeypatch.setattr(matrices, "_update_lines", lambda *a: moves.append(1) or lines(*a))
+        for part in levi_unipotent_split(g, lam):
+            part.mat, part.inv_mat
+        monkeypatch.undo()
+        costs.append((len(products), len(moves)))
+    assert costs[1][0] <= costs[0][0] and costs[1][1] <= costs[0][1], costs
 
 
 # -- extraction --------------------------------------------------------------------------------
@@ -516,6 +622,18 @@ def test_nilpotent_extraction_produces_stabilizer(rep_b_z4):
     res = extract_from_weight_stabilizer(step.element, step.lam1, SigmaPair.zero(rep.ring))
     assert isinstance(res, Witness)
     assert not res.value.is_zero()
+
+
+def test_nilpotent_extraction_refuses_a_wrong_line_scale(monkeypatch, rep_b_z4):
+    """A planted wrong scale (the entry of g^-1 read one too high) breaks
+    the line stabilization identity for both signs."""
+    rep = rep_b_z4
+    b = Ideal.from_elems(rep.ring, [rep.ring.el(2)])
+    g = rep.x(rep.case.omega_plus[2], 2) * rep.x(tuple(-x for x in rep.case.omega_plus[5]), 2)
+    entry = GroupElement.inv_entry
+    monkeypatch.setattr(GroupElement, "inv_entry", lambda self, lam, mu: entry(self, lam, mu) + rep.ring.one)
+    with pytest.raises(InternalConsistencyError, match="line stabilization identity fails"):
+        extract_from_nilpotent(g, b)
 
 
 # -- column stabilizers and corner ideals ----------------------------------------------------------
@@ -1306,8 +1424,10 @@ def test_flat_index_helpers_match_their_definitions(tag, l):
     far = [(i, j) for i, j in cells if wm.distance(wm.weights[i], wm.weights[j]) >= 2]
     assert analysis._distance_mask(wm).tolist() == _flat(n, far)
     assert _cross_component_mask(wm).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] != comp[j]])
-    assert analysis._radical_frozen_mask(wm, 1).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] >= comp[j]])
-    assert analysis._radical_frozen_mask(wm, -1).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] <= comp[j]])
+    for side in (1, -1):
+        cross, frozen = analysis._levi_masks(wm, wm.lam0, side)
+        assert cross.tolist() == _cross_component_mask(wm).tolist()
+        assert frozen.tolist() == _flat(n, [(i, j) for i, j in cells if side * (comp[j] - comp[i]) <= 0])
     for lam in (wm.lam0, wm.weights[n // 2]):
         j = wm.idx(lam)
         others, column, row = analysis._off_indices(wm, lam)
@@ -1340,7 +1460,7 @@ def test_predicates_through_the_flat_indices_match_an_entrywise_reference(tag, r
     values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 2, 3)]
     ideals = [Ideal.zero(ring), Ideal.unit(ring)] + [Ideal.from_elems(ring, [v]) for v in values]
     index, ref, _ = analysis._root_difference_positions(rep)
-    masks = [analysis._distance_mask(wm), _cross_component_mask(wm), analysis._radical_frozen_mask(wm, 1)]
+    masks = [analysis._distance_mask(wm), _cross_component_mask(wm), analysis._levi_masks(wm, wm.lam0, 1)[1]]
     masks += analysis._off_indices(wm, wm.lam0)[1:] + (index,)
     rng = SplitMix64(97)
     seen = set()

@@ -682,6 +682,30 @@ def test_a_flipped_sign_in_the_negative_pattern_fails_the_move_build(monkeypatch
     assert rep.w(other, 1).mat == get_representation(wm, RingSpec.zmod(4)).w(other, 1).mat
 
 
+@pytest.mark.parametrize("edit", [_target_in_sources, _target_twice])
+def test_an_x_move_whose_lines_overlap_is_refused(edit):
+    """The x move adds into its targets, which holds, with X_alpha^2 = 0,
+    only when no target is a source or a target twice.  A copy of the
+    tables whose pattern of alpha is edited so, with the pattern of -alpha
+    kept its signed transpose so that the w move still builds, refuses the
+    x moves of alpha and -alpha."""
+    from chevalley.errors import InternalConsistencyError
+
+    tables = rep_tables(default_module("b", None))
+    alpha = tables.wm.case.simple_roots[0]
+    neg = tuple(-x for x in alpha)
+    srcs, dsts, signs = (a.copy() for a in tables.patterns[alpha])
+    edit(srcs, dsts)
+    order = np.argsort(dsts)
+    patterns = {**tables.patterns, alpha: (srcs, dsts, signs), neg: (dsts[order], srcs[order], signs[order])}
+    broken = dataclasses.replace(tables, patterns=patterns)
+    broken.move("w", alpha)
+    for root in (alpha, neg):
+        with pytest.raises(InternalConsistencyError, match="moves a source line or one line twice"):
+            broken.move("x", root)
+    assert tables.move("x", alpha).targets is tables.patterns[alpha][1]
+
+
 def test_a_word_checks_its_roots_before_building():
     rep = representation("b", None, RingSpec.zmod(4))
     alpha = rep.case.phi[0]
@@ -1253,3 +1277,62 @@ def test_first_type_inverses_replay_the_inverse_factors(tag, l):
         assert not g._isometry and g._inv.fn != rep.adjoint
         assert g.inv_mat == _replayed_inverse(rep, atoms)
         g.check()
+
+
+# -- conjugates of a root element ----------------------------------------------------------
+
+
+def _read_element(rep, length, seed, matrix_only):
+    """A read first-type element: a word with its matrix read, or its matrix
+    through ``from_matrix``, which has no chain."""
+    g = _word(rep, seed, length)
+    g.mat
+    return rep.from_matrix(g.mat) if matrix_only else g
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2t2", "int"])
+def test_conjugates_of_a_root_element_invert_as_two_e_minus_themselves(ring_name):
+    """x_alpha(v)^-1 = 2e - x_alpha(v), so the inverse of h x_alpha(v) h^-1
+    read off its matrix equals h x_alpha(-v) h^-1 built by products, for a
+    read word h and, off Z, a matrix-only h; so do both factors of a
+    commutator.  A Weyl or torus conjugate, whose factor is no such
+    element, keeps its inverse from products."""
+    ring = named_ring(ring_name)
+    rep = representation("b", None, ring)
+    phi = sorted(rep.case.phi)
+    rng = SplitMix64(31)
+    for k in range(4):
+        if k % 2 and not ring.is_finite:
+            continue
+        h = _read_element(rep, 5, 40 + k, k % 2)
+        x = rep.x(phi[rng.randrange(len(phi))], 3)
+        for c in (x.conjugate(h), x.conjugate(h.inverse())):
+            assert c._chain is None and c._inv.args == (c._mat,)
+            c.check()
+        assert x.conjugate(h).inv_mat == h.mat * x.inv_mat * h.inv_mat
+        assert x.conjugate(h.inverse()).inv_mat == h.inv_mat * x.inv_mat * h.mat
+        comm = h.commutator(x)
+        assert comm.mat == h.mat * x.mat * h.inv_mat * x.inv_mat
+        assert comm.inv_mat == x.mat * h.mat * x.inv_mat * h.inv_mat
+        comm.check()
+        for kind in ("w", "h"):
+            rep.element_from_word(((kind, x.word[0][1], _unit_not_one(ring)),)).conjugate(h).check()
+
+
+def test_a_commutator_with_a_root_element_runs_one_product(monkeypatch):
+    """[h, x_s(1)] of a read matrix-only first-type h runs one ``RMat``
+    product for its matrix and its inverse together: h x_s(1) h^-1 is one
+    product after a line move, its inverse is 2e minus it, and x_s(-1)
+    moves lines of both."""
+    rep = representation("b", None, named_ring("z4"))
+    h = _read_element(rep, 6, 7, True)
+    x = rep.x(rep.case.simple_roots[2], 1)
+    products = []
+    mul = RMat.__mul__
+    monkeypatch.setattr(RMat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    comm = h.commutator(x)
+    comm.mat, comm.inv_mat
+    assert len(products) == 1
+    monkeypatch.undo()
+    assert comm.mat == h.mat * x.mat * h.inv_mat * x.inv_mat
+    comm.check()
