@@ -31,16 +31,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, InternalConsistencyError, NonUnitError, UnsupportedCaseError
 from .matrices import LineMove, RMat, checked_inverse, mat_col, mat_row, pattern_images, signed_entries
-from .rep import (
-    Atom,
-    GroupElement,
-    Representation,
-    _cross_component_mask,
-    get_representation,
-    is_component_blocked,
-    rep_tables,
-    weyl_monomial,
-)
+from .rep import Atom, GroupElement, Representation, get_representation
 from .rings import Ideal, RingElem, RingSpec
 from .roots import Root, height
 from .weights import Weight, sigma_split
@@ -268,25 +259,21 @@ def _levi_masks(wm, lam: Weight, side: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of the entries between components, and of those
     where a radical part must agree with the identity (all but the strictly
     upper blocks for side +1, the strictly lower ones for -1), with weight
-    mu graded into component comp(pi(mu)): pi is the permutation of the
-    monomial w_(i_1)(1) ... w_(i_m)(1) of lam's simple word to the top
-    (``weyl_monomial``), which maps the parabolic at lam onto the top one."""
-    pi = np.arange(wm.dim)
-    for i in reversed(wm.simple_word_to_top(lam)):
-        pi = weyl_monomial(rep_tables(wm).patterns, wm.dim, wm.case.simple_roots[i])[0][pi]
-    comp = np.array([wm.component_of(w) for w in wm.weights])[pi]
+    mu in component d(lam, mu).  At the top weight the component of mu is
+    the crossed coefficient of lam0 - mu, which is (lam0, lam0 - mu) =
+    d(lam0, mu); a Weyl element w with w(lam) = lam0 preserves d."""
+    comp = wm.distances[wm.idx(lam)]
     return np.flatnonzero(comp[:, None] != comp[None, :]), np.flatnonzero(side * (comp[None, :] - comp[:, None]) <= 0)
 
 
-def _block_diagonal_part(g: GroupElement, cross: np.ndarray | None = None) -> GroupElement:
+def _block_diagonal_part(g: GroupElement, cross: np.ndarray) -> GroupElement:
     """The diagonal component blocks L of g, with their inverse, for the
-    flat indices ``cross`` between components (default: those at the top
-    weight).  For g = u L with u block-unitriangular, g^-1 = L^-1 u^-1 has
-    the diagonal blocks L^-1, so those of g^-1 are taken when they invert
-    L; otherwise L is inverted by elimination, which is the invertibility
-    check (``checked_inverse``).  Over the integers, where elimination is
-    refused, this lets a word split."""
-    cross = _cross_component_mask(g.rep.wm) if cross is None else cross
+    flat indices ``cross`` between components.  For g = u L with u
+    block-unitriangular, g^-1 = L^-1 u^-1 has the diagonal blocks L^-1, so
+    those of g^-1 are taken when they invert L; otherwise L is inverted by
+    elimination, which is the invertibility check (``checked_inverse``).
+    Over the integers, where elimination is refused, this lets a word
+    split."""
 
     def diagonal(m: RMat) -> RMat:
         out = m.copy()
@@ -402,7 +389,7 @@ def chevalley_matsumoto(g: GroupElement) -> tuple[GroupElement, GroupElement, Gr
     g1 = v.inverse() * g2
     if not (in_parabolic(g1) and in_opposite_parabolic(g1)):
         raise DomainError("middle factor is not scalar on the top row and column")
-    if not is_component_blocked(g1):
+    if g1.mat.nonzero_at(_levi_masks(rep.wm, lam0, 1)[0]):
         raise DomainError("middle factor maps across components")
     if not (v * g1 * u) == g:
         raise DomainError("decomposition does not multiply back to the element")

@@ -319,6 +319,8 @@ def cmd_level(args) -> int:
 def cmd_normcheck(args) -> int:
     tag, l = _case_args(args)
     ring = _ring_arg(args)
+    if args.sigma is None:
+        raise DomainError("--sigma is required")
     rep = representation(tag, l, ring)
     sigma = parse_sigma(ring, args.sigma)
     failures = []

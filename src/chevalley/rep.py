@@ -623,14 +623,3 @@ def sample_word_rng(rep: Representation, atoms: list[Atom], length: int, rng: Sp
     picked = tuple(rng.choice(atoms) for _ in range(length))
     return rep.element_from_word(picked)
 
-
-@lru_cache(maxsize=None)
-def _cross_component_mask(wm: WeightModule):
-    """The flat indices of the entries between different components."""
-    comp = np.array([wm.component_of(w) for w in wm.weights])
-    return np.flatnonzero(comp[:, None] != comp[None, :])
-
-
-def is_component_blocked(g: GroupElement) -> bool:
-    """True when the matrix never maps across diagram components."""
-    return not g.mat.nonzero_at(_cross_component_mask(g.rep.wm))

@@ -229,8 +229,11 @@ def build_case(tag: str, l: int | None = None) -> EmbeddingCase:
 
     Case ``a`` needs an explicit rank (5 <= l <= 10); cases ``b`` and ``c``
     have fixed ranks 6 and 7.  Every spelling of a case (``("c",)``,
-    ``("c", 7)``, ``("c", None)``) returns the same object.
+    ``("c", 7)``, ``("c", None)``) returns the same object.  A rank that is
+    not None or an int (``"6"``, ``6.0``) raises ``DomainError``.
     """
+    if not (l is None or isinstance(l, int)):
+        raise DomainError(f"case rank must be an integer, got {l!r}")
     if tag == "a":
         if l is None or not 5 <= l <= MAX_RANK_A:
             raise DomainError(f"case a needs 5 <= l <= {MAX_RANK_A}, got {l}")

@@ -6,8 +6,9 @@ coefficients, and adding a root means adding its Cartan-matrix image.
 
 The weight set is the full Weyl orbit of the fundamental weight dual to the
 crossed vertex.  Cutting the diagram edges labelled by the crossed simple root
-breaks the diagram into totally ordered components; their index equals the
-crossed-root coefficient of (top weight - weight) in the root lattice.
+breaks the diagram into totally ordered components; the component of mu is
+the crossed-root coefficient of lam0 - mu in the root lattice, which is
+(lam0, lam0 - mu) = d(lam0, mu), its graph distance from the top weight lam0.
 
 The weight graph joins two weights that differ by a root.  Its distance is
 d(lam, mu) = q - (lam, mu) for the form with (alpha, alpha) = 2, where
@@ -150,26 +151,7 @@ class WeightModule:
                 return mu
         raise InternalConsistencyError("no in-component neighbour found")
 
-    # -- Weyl words -------------------------------------------------------------
-
-    def simple_word_to_top(self, lam: Weight) -> tuple[int, ...]:
-        """Indices i_1, ..., i_m of simple reflections with
-        w_{i_1} ... w_{i_m} (lam) = top weight, raising at every step."""
-        word = []
-        cur = lam
-        guard = 4 * self.dim
-        while cur != self.lam0:
-            for i, alpha in enumerate(self.case.simple_roots):
-                if pairing_wr(cur, alpha) == -1:
-                    cur = self.reflect(cur, alpha)
-                    word.append(i)
-                    break
-            else:
-                raise InternalConsistencyError("stuck below the top weight")
-            guard -= 1
-            if guard < 0:
-                raise InternalConsistencyError("raising loop did not terminate")
-        return tuple(reversed(word))
+    # -- reflections ------------------------------------------------------------
 
     def reflect(self, lam: Weight, alpha: Root) -> Weight:
         """Image of a weight under the reflection in a root."""

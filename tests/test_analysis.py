@@ -34,11 +34,11 @@ from chevalley import analysis
 from chevalley.checks import SuiteResult
 from chevalley.errors import DomainError, InternalConsistencyError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat
-from chevalley.rep import GroupElement, get_representation, representation, sample_word_rng
+from chevalley.rep import GroupElement, get_representation, rep_tables, representation, sample_word_rng, weyl_monomial
 from chevalley.rings import Ideal, RingSpec, named_ring
 from chevalley.rng import SplitMix64
-from chevalley.roots import height
-from chevalley.weights import sigma_split
+from chevalley.roots import build_case, height
+from chevalley.weights import build_weights, pairing_wr, sigma_split
 
 
 def stabilizes_column(x: GroupElement, g: GroupElement, lam1) -> bool:
@@ -384,11 +384,45 @@ def test_levi_split_at_lower_weight(rep_b_z4):
     assert in_parabolic(l, lam1) and in_opposite_parabolic(l, lam1)
 
 
+def _raising_word(wm, lam) -> tuple[int, ...]:
+    """Indices i_1, ..., i_m of simple reflections with
+    s_(i_1) ... s_(i_m)(lam) = top weight, each one reflecting in a simple
+    root that pairs to -1 with the weight it moves, so raising it."""
+    word, cur = [], lam
+    while cur != wm.lam0:
+        i = next(i for i, alpha in enumerate(wm.case.simple_roots) if pairing_wr(cur, alpha) == -1)
+        cur = wm.reflect(cur, wm.case.simple_roots[i])
+        word.append(i)
+    return tuple(reversed(word))
+
+
 def _to_top(rep, lam) -> GroupElement:
-    """The monomial element w_(i_1)(1) ... w_(i_m)(1) of the simple word from
-    lam to the top, which maps the parabolic at lam onto the one at the top."""
-    word = rep.wm.simple_word_to_top(lam)
+    """The monomial element w_(i_1)(1) ... w_(i_m)(1) of the raising word of
+    lam, which maps the parabolic at lam onto the one at the top."""
+    word = _raising_word(rep.wm, lam)
     return rep.element_from_word(tuple(("w", rep.case.simple_roots[i], rep.ring.one) for i in word))
+
+
+@pytest.mark.parametrize(
+    "tag,l,step", [("b", None, 1), ("c", None, 1)] + [("a", l, 1) for l in range(5, 9)] + [("a", 9, 17), ("a", 10, 17)]
+)
+def test_levi_masks_grade_by_the_monomial_to_the_top(tag, l, step):
+    """The masks at lam, graded by d(lam, mu), equal those graded by the
+    component of pi(mu), pi the permutation of the monomial
+    w_(i_1)(1) ... w_(i_m)(1) of lam's raising word (``weyl_monomial``)."""
+    wm = build_weights(build_case(tag, l))
+    patterns = rep_tables(wm).patterns
+    simple = [weyl_monomial(patterns, wm.dim, alpha)[0] for alpha in wm.case.simple_roots]
+    top = np.array([wm.component_of(mu) for mu in wm.weights])
+    for lam in wm.weights[::step]:
+        pi = np.arange(wm.dim)
+        for i in reversed(_raising_word(wm, lam)):
+            pi = simple[i][pi]
+        comp = top[pi]
+        for side in (1, -1):
+            cross, frozen = analysis._levi_masks.__wrapped__(wm, lam, side)  # uncached: a10 masks are 2 MB each
+            assert cross.tolist() == np.flatnonzero(comp[:, None] != comp[None, :]).tolist(), (lam, side)
+            assert frozen.tolist() == np.flatnonzero(side * (comp[None, :] - comp[:, None]) <= 0).tolist(), (lam, side)
 
 
 def _split_through_the_top(g, lam, side):
@@ -1415,18 +1449,15 @@ def _root_difference_cells(rep):
 
 @pytest.mark.parametrize("tag,l", [("b", None), ("c", None), ("a", 6), ("a", 8)])
 def test_flat_index_helpers_match_their_definitions(tag, l):
-    from chevalley.rep import _cross_component_mask
-
     rep = representation(tag, l, named_ring("z4"))
     wm, n = rep.wm, rep.n
     cells = [(i, j) for i in range(n) for j in range(n)]
     comp = [wm.component_of(w) for w in wm.weights]
     far = [(i, j) for i, j in cells if wm.distance(wm.weights[i], wm.weights[j]) >= 2]
     assert analysis._distance_mask(wm).tolist() == _flat(n, far)
-    assert _cross_component_mask(wm).tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] != comp[j]])
     for side in (1, -1):
         cross, frozen = analysis._levi_masks(wm, wm.lam0, side)
-        assert cross.tolist() == _cross_component_mask(wm).tolist()
+        assert cross.tolist() == _flat(n, [(i, j) for i, j in cells if comp[i] != comp[j]])
         assert frozen.tolist() == _flat(n, [(i, j) for i, j in cells if side * (comp[j] - comp[i]) <= 0])
     for lam in (wm.lam0, wm.weights[n // 2]):
         j = wm.idx(lam)
@@ -1452,15 +1483,13 @@ def test_predicates_through_the_flat_indices_match_an_entrywise_reference(tag, r
     ``line_ideals`` read through the cached flat indices give what a loop
     over boxed entries gives, on word matrices with entries moved at random
     (at any distance), on the identity and on zero."""
-    from chevalley.rep import _cross_component_mask
-
     ring = named_ring(ring_name)
     rep = representation(tag, None, ring)
     wm, n = rep.wm, rep.n
     values = [v for v in ring.elements() if not v.is_zero()] if ring.is_finite else [ring.el(v) for v in (-2, -1, 2, 3)]
     ideals = [Ideal.zero(ring), Ideal.unit(ring)] + [Ideal.from_elems(ring, [v]) for v in values]
     index, ref, _ = analysis._root_difference_positions(rep)
-    masks = [analysis._distance_mask(wm), _cross_component_mask(wm), analysis._levi_masks(wm, wm.lam0, 1)[1]]
+    masks = [analysis._distance_mask(wm), *analysis._levi_masks(wm, wm.lam0, 1)]
     masks += analysis._off_indices(wm, wm.lam0)[1:] + (index,)
     rng = SplitMix64(97)
     seen = set()
@@ -1547,6 +1576,7 @@ def test_block_diagonal_part_matches_entrywise_copy(ring_name):
     ring = named_ring(ring_name)
     rep = representation("b", None, ring)
     wm = rep.wm
+    cross = analysis._levi_masks(wm, wm.lam0, 1)[0]
     atoms = [("x", a, v) for a in rep.case.delta + rep.case.omega_plus for v in ring.elements() if not v.is_zero()]
     rng = SplitMix64(79)
     for _ in range(8):
@@ -1556,7 +1586,7 @@ def test_block_diagonal_part_matches_entrywise_copy(ring_name):
             for lam in comp:
                 for mu in comp:
                     expected.set_entry(wm.idx(lam), wm.idx(mu), g.entry(lam, mu))
-        levi = analysis._block_diagonal_part(g)
+        levi = analysis._block_diagonal_part(g, cross)
         assert levi.mat == expected
         assert (levi.mat * levi.inv_mat).is_identity()
         assert levi.word is None
@@ -1571,6 +1601,7 @@ def test_levi_inverse_from_the_inverse_matches_elimination(monkeypatch, tag, l, 
     ring = named_ring(ring_name)
     rep = representation(tag, l, ring)
     case = rep.case
+    cross = analysis._levi_masks(rep.wm, rep.wm.lam0, 1)[0]
     values = [v for v in ring.elements() if not v.is_zero()]
     rng = SplitMix64(rep.n + len(ring_name))
 
@@ -1584,13 +1615,13 @@ def test_levi_inverse_from_the_inverse_matches_elimination(monkeypatch, tag, l, 
     real_inv = RMat.inv
     monkeypatch.setattr(RMat, "inv", lambda m: inversions.append(m) or real_inv(m))
     for g in parabolic:
-        levi = analysis._block_diagonal_part(g)
+        levi = analysis._block_diagonal_part(g, cross)
         assert inversions == []
         assert levi.inv_mat == real_inv(levi.mat)
         inversions.clear()
     for g in mixed:
         try:
-            levi = analysis._block_diagonal_part(g)
+            levi = analysis._block_diagonal_part(g, cross)
         except NonUnitError:
             assert len(inversions) == 1
         else:

@@ -71,6 +71,21 @@ def test_forms_second_type(capsys):
     assert report["quadratic_form"]
 
 
+@pytest.mark.parametrize("tag,l", [("a", "6"), ("a", 6.0), ("a", [6]), ("b", 6.0)])
+def test_decompose_with_a_rank_that_is_not_an_integer_is_a_usage_error(capsys, tmp_path, tag, l):
+    ring = named_ring("z4")
+    rows = representation(tag, 6 if tag == "a" else None, ring).identity().mat.to_json()
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"case": tag, "l": l, "ring": ring.to_json(), "rows": rows}))
+    assert main(["decompose", "--in", str(path)]) == 2
+    assert "case rank must be an integer" in capsys.readouterr().err
+
+
+def test_normcheck_without_sigma_is_a_usage_error(capsys):
+    assert main(["normcheck", "--case", "b", "--ring", "z4"]) == 2
+    assert "--sigma is required" in capsys.readouterr().err
+
+
 def test_decompose_identity(capsys, tmp_path):
     from chevalley import RingSpec, representation
 

@@ -5,13 +5,12 @@ import operator
 import numpy as np
 import pytest
 
-from chevalley.analysis import SigmaPair, _coord_positions, _pattern_table, _word_in_level, coords_row
+from chevalley.analysis import SigmaPair, _coord_positions, _levi_masks, _pattern_table, _word_in_level, coords_row
 from chevalley.errors import DomainError, NonUnitError, UnsupportedCaseError
 from chevalley.matrices import RMat, mat_col, mat_row
 from chevalley.rep import (
     GroupElement,
     get_representation,
-    is_component_blocked,
     rep_tables,
     representation,
     sample_word_rng,
@@ -206,11 +205,12 @@ def test_subsystem_words_are_component_blocked():
     rep = representation("b", None, ring)
     atoms = [("x", a, v) for a in rep.case.delta for v in ring.elements() if not v.is_zero()]
     rng = SplitMix64(11)
+    cross = _levi_masks(rep.wm, rep.wm.lam0, 1)[0]
     for _ in range(20):
         g = sample_word_rng(rep, atoms, 6, rng)
-        assert is_component_blocked(g)
+        assert not g.mat.nonzero_at(cross)
     beta = rep.case.omega_plus[0]
-    assert not is_component_blocked(rep.x(beta, 1))
+    assert rep.x(beta, 1).mat.nonzero_at(cross)
 
 
 def test_unipotent_coordinates_and_congruence():

@@ -55,6 +55,12 @@ def test_rank_bounds():
         build_case("z")
 
 
+@pytest.mark.parametrize("tag,l", [("a", "6"), ("a", 6.0), ("a", [6]), ("a", True), ("b", 6.0), ("c", 7.0)])
+def test_a_rank_that_is_not_an_integer_is_refused(tag, l):
+    with pytest.raises(DomainError):
+        build_case(tag, l)
+
+
 def test_crossed_and_neighbour_are_adjacent():
     for tag, l in CASES:
         case = build_case(tag, l)

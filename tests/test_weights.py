@@ -179,14 +179,39 @@ def test_sigma_split_rejects_other_components():
         sigma_split(wm, wm.lam0)
 
 
+def _raising_word(wm, lam) -> tuple[int, ...]:
+    """Indices i_1, ..., i_m of simple reflections with
+    s_(i_1) ... s_(i_m)(lam) = top weight, each one reflecting in a simple
+    root that pairs to -1 with the weight it moves, so raising it."""
+    word, cur = [], lam
+    while cur != wm.lam0:
+        i = next(i for i, alpha in enumerate(wm.case.simple_roots) if pairing_wr(cur, alpha) == -1)
+        cur = wm.reflect(cur, wm.case.simple_roots[i])
+        word.append(i)
+    return tuple(reversed(word))
+
+
 def test_weyl_word_to_top():
+    """The raising word of a weight adds one simple root per reflection,
+    so its length is the depth of the weight, which the weight order sorts."""
     wm = default_module("c")
-    for lam in wm.weights[::7]:
-        word = wm.simple_word_to_top(lam)
+    lengths = []
+    for lam in wm.weights:
+        word = _raising_word(wm, lam)
         cur = lam
         for i in reversed(word):
-            cur = wm.reflect(cur, wm.case.simple_roots[i])
+            alpha = wm.case.simple_roots[i]
+            assert wm.reflect(cur, alpha) == wm.shift(cur, alpha)
+            cur = wm.reflect(cur, alpha)
         assert cur == wm.lam0
+        lengths.append(len(word))
+    assert lengths[0] == 0 and lengths == sorted(lengths)
+
+
+@pytest.mark.parametrize("tag,l", [("b", None), ("c", None)] + [("a", l) for l in range(5, 11)])
+def test_the_component_of_a_weight_is_its_distance_from_the_top(tag, l):
+    wm = default_module(tag, l)
+    assert [wm.component_of(mu) for mu in wm.weights] == wm.distances[0].tolist()
 
 
 def test_weight_root_pairing_is_minuscule():
